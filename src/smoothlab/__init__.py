@@ -8,7 +8,6 @@ from .core import (
     FiniteDomain,
     Hypothesis,
     HypothesisClass,
-    LabeledExample,
     LossKind,
     LossSpec,
     SmoothDistribution,

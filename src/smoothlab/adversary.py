@@ -57,10 +57,6 @@ class HintSchedule:
         """Hints for round t (1-based)."""
         return self.rows[t - 1]
 
-    def future_rows(self, t: int) -> np.ndarray:
-        """Flattened hints for rounds t+1..T."""
-        return self.rows[t:].reshape(-1)
-
 
 def make_hint_schedule(rows) -> HintSchedule:
     return HintSchedule(np.asarray(rows, dtype=int))
@@ -116,7 +112,12 @@ class RoundCommitment:
 
     def check_contract(self) -> None:
         if self.sigma is not None:
-            if not validate_smooth(self.probs, self.sigma):
+            try:
+                smooth = validate_smooth(self.probs, self.sigma)
+            except InputError as e:
+                raise ContractViolation(
+                    f"committed distribution is invalid: {e}") from e
+            if not smooth:
                 raise ContractViolation(
                     f"committed distribution violates its {self.sigma}-smoothness certificate"
                 )

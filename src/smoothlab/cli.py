@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import argparse
 import csv as csvmod
-import io
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -36,13 +34,7 @@ from .core import (
     make_partition_class,
 )
 from .errors import CapacityError, FitError, InputError
-from .harness import (
-    CSV_COLUMNS,
-    ExperimentConfig,
-    fit_scaling,
-    run_experiment,
-    run_game,
-)
+from .harness import ExperimentConfig, fit_scaling, run_experiment
 from . import rng as rngmod
 
 EXIT_OK = 0
@@ -83,36 +75,9 @@ def _write(text: str, out: str | None) -> None:
         print(f"wrote {out}")
 
 
-def _run_experiment_jobs(config: ExperimentConfig, jobs: int) -> str:
-    """Same CSV as harness.run_experiment, optionally parallel over seeds."""
-    if jobs <= 1:
-        _, csv_text = run_experiment(config)
-        return csv_text
-    seeds = sorted(config.seeds)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        transcripts = list(pool.map(run_game, [config] * len(seeds), seeds))
-    # reuse the sequential assembly for byte-identical output
-    from .harness import _csv_row
-    out = io.StringIO()
-    out.write(",".join(CSV_COLUMNS) + "\n")
-    regrets = []
-    for tr in transcripts:
-        mean_len = tr.total_input_length / max(tr.oracle_calls, 1)
-        wall = sum(r.wall_ms for r in tr.rounds) if config.record_timing else 0.0
-        out.write(_csv_row(config, tr.seed, tr.regret, tr.total_loss,
-                           tr.bih_loss, tr.oracle_calls, mean_len, wall) + "\n")
-        regrets.append(tr.regret)
-    mean_regret = float(np.mean(regrets))
-    stderr = (float(np.std(regrets, ddof=1) / math.sqrt(len(regrets)))
-              if len(regrets) > 1 else 0.0)
-    out.write(_csv_row(config, "mean", mean_regret, "", "", "", "", 0.0,
-                       regret_stderr=stderr) + "\n")
-    return out.getvalue()
-
-
 def cmd_run(args) -> int:
     config = _load_config(args.config, args.seed_base)
-    csv_text = _run_experiment_jobs(config, args.jobs)
+    _, csv_text = run_experiment(config, args.jobs)
     out = _resolve_out(args.out or config.out, f"{config.experiment_id}.csv")
     _write(csv_text, out)
     return EXIT_OK
@@ -132,8 +97,8 @@ def cmd_sweep(args) -> int:
         points = [dict(p, **{key: v}) for p in points for v in values]
     lines: list[str] = []
     for i, point in enumerate(points):
-        sub = config.with_overrides(sweep=None, out=None, **point)
-        text = _run_experiment_jobs(sub, args.jobs)
+        sub = config.with_overrides(sweep=None, **point)
+        _, text = run_experiment(sub, args.jobs)
         body = text.splitlines()
         lines.extend(body if i == 0 else body[1:])
     out = _resolve_out(args.out or config.out, f"{config.experiment_id}_sweep.csv")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -160,7 +160,9 @@ def _check_pm1(v, name: str) -> None:
 
 
 def loss_eval(loss: LossSpec, yhat, y):
-    """Evaluate the loss; vectorizes over `yhat` for a scalar label `y`."""
+    """Evaluate the loss elementwise; `yhat` and `y` may be scalars or
+    arrays that broadcast, e.g. a (hypothesis, pair) prediction table
+    against a vector of labels."""
     yhat = np.asarray(yhat, dtype=float)
     _check_range(yhat, "prediction")
     _check_range(y, "label")
@@ -213,15 +215,6 @@ class SmoothDistribution:
         return cls(tuple([1.0 / size] * size), 1.0)
 
 
-@dataclass(frozen=True)
-class LabeledExample:
-    x: int
-    y: float
-
-    def __post_init__(self) -> None:
-        _check_range(self.y, "label")
-
-
 class ExampleMultiset:
     """Multiset of (instance, label) pairs; the currency of oracle calls.
 
@@ -252,8 +245,10 @@ class ExampleMultiset:
         self._arrays = None
 
     def extend(self, other: "ExampleMultiset") -> None:
-        for (x, y), c in other._counts.items():
-            self.add(x, y, c)
+        """Merge counts; `other`'s pairs were checked when they entered it."""
+        for key, c in other._counts.items():
+            self._counts[key] = self._counts.get(key, 0) + c
+        self._arrays = None
 
     def copy(self) -> "ExampleMultiset":
         out = ExampleMultiset()
@@ -267,13 +262,21 @@ class ExampleMultiset:
 
     @classmethod
     def from_arrays(cls, xs, ys, counts=None) -> "ExampleMultiset":
+        """Bulk constructor from aligned instance, label and count arrays;
+        labels and counts are checked once per array."""
         xs = np.asarray(xs, dtype=int)
         ys = np.asarray(ys, dtype=float)
         if counts is None:
             counts = np.ones(xs.shape, dtype=int)
+        cs = np.asarray(counts, dtype=int)
+        if not (xs.ndim == 1 and xs.shape == ys.shape == cs.shape):
+            raise InputError("xs, ys and counts must be aligned 1-D arrays")
+        if np.any(cs < 1):
+            raise InputError("multiset counts must be >= 1")
+        _check_range(ys, "label")
         out = cls()
-        for x, y, c in zip(xs.tolist(), ys.tolist(), np.asarray(counts).tolist()):
-            out.add(x, y, int(c))
+        for key, c in zip(zip(xs.tolist(), ys.tolist()), cs.tolist()):
+            out._counts[key] = out._counts.get(key, 0) + c
         return out
 
     @property

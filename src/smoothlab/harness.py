@@ -1,4 +1,4 @@
-"""Game loop, experiment configuration, CSV persistence, scaling fits.
+"""Game loop, experiment configuration, CSV assembly, scaling fits.
 
 The per-round protocol enforced by `run_game`:
 
@@ -20,8 +20,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import time
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,6 +182,11 @@ class ExperimentConfig:
         if self.learner == "alg3" and self.hints is None and self.adversary not in (
                 "custom_table",):
             raise InputError("hint-based learner requires a hint schedule")
+        if self.learner in ("alg1", "alg3") and self.loss == "binary_indicator":
+            raise InputError(
+                f"{self.learner} predicts in [-1, 1] and needs a real-valued loss; "
+                "use 'absolute', which on +-1 labels is the expected indicator "
+                "loss of randomized rounding")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -405,9 +412,9 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _csv_row(config: ExperimentConfig, seed, regret, total_loss, bih_loss,
-             oracle_calls, mean_input_len, wall_ms, regret_stderr="") -> str:
-    d = config.d if config.d is not None else build_class(config.class_spec).declared_dim
+def _csv_row(config: ExperimentConfig, d: int, seed, regret, total_loss,
+             bih_loss, oracle_calls, mean_input_len, wall_ms,
+             regret_stderr="") -> str:
     vals = [
         config.experiment_id, config.learner, config.adversary,
         config.class_spec.get("kind", "json"), config.T, config.sigma,
@@ -419,30 +426,43 @@ def _csv_row(config: ExperimentConfig, seed, regret, total_loss, bih_loss,
     return ",".join(_fmt(v) for v in vals)
 
 
-def run_experiment(config: ExperimentConfig) -> tuple[list[Transcript], str]:
-    """Run every seed, assemble the CSV (per-seed rows sorted by seed,
-    then one aggregate row with mean regret and its standard error)."""
-    transcripts = [run_game(config, seed) for seed in sorted(config.seeds)]
+def _worker_count(jobs: int, n_seeds: int) -> int:
+    """Processes used for `jobs` requested workers: never more than the
+    seeds to play or the CPUs available."""
+    return min(jobs, n_seeds, os.cpu_count() or 1)
+
+
+def run_experiment(config: ExperimentConfig,
+                   jobs: int) -> tuple[list[Transcript], str]:
+    """Run every seed, over a process pool when more than one worker is
+    useful, and return the transcripts with the CSV text (per-seed rows
+    sorted by seed, then one aggregate row with mean regret and its
+    standard error).  Writes no file."""
+    seeds = sorted(config.seeds)
+    workers = _worker_count(jobs, len(seeds))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            transcripts = list(pool.map(run_game, [config] * len(seeds), seeds))
+    else:
+        transcripts = [run_game(config, seed) for seed in seeds]
+    d = config.d
+    if d is None:
+        d = build_class(config.class_spec).declared_dim
     out = io.StringIO()
     out.write(",".join(CSV_COLUMNS) + "\n")
     regrets = []
     for tr in transcripts:
-        T = max(len(tr.rounds), 1)
         mean_len = tr.total_input_length / max(tr.oracle_calls, 1)
         wall = sum(r.wall_ms for r in tr.rounds) if config.record_timing else 0.0
-        out.write(_csv_row(config, tr.seed, tr.regret, tr.total_loss,
+        out.write(_csv_row(config, d, tr.seed, tr.regret, tr.total_loss,
                            tr.bih_loss, tr.oracle_calls, mean_len, wall) + "\n")
         regrets.append(tr.regret)
     mean_regret = float(np.mean(regrets))
     stderr = (float(np.std(regrets, ddof=1) / math.sqrt(len(regrets)))
               if len(regrets) > 1 else 0.0)
-    out.write(_csv_row(config, "mean", mean_regret, "", "", "", "", 0.0,
+    out.write(_csv_row(config, d, "mean", mean_regret, "", "", "", "", 0.0,
                        regret_stderr=stderr) + "\n")
-    csv_text = out.getvalue()
-    if config.out:
-        with open(config.out, "w") as f:
-            f.write(csv_text)
-    return transcripts, csv_text
+    return transcripts, out.getvalue()
 
 
 @dataclass(frozen=True)

@@ -136,19 +136,37 @@ def _rademacher_hint_multiset(xs: np.ndarray, eps: np.ndarray,
     """Aggregate hint instances with +-1 labels into a multiset."""
     codes = xs * 2 + (eps > 0).astype(int)
     counts = np.bincount(codes, minlength=2 * domain_size)
-    out = ExampleMultiset()
-    for code in np.flatnonzero(counts):
-        out.add(int(code // 2), 1.0 if code % 2 else -1.0, int(counts[code]))
-    return out
+    nonzero = np.flatnonzero(counts)
+    return ExampleMultiset.from_arrays(
+        nonzero // 2, np.where(nonzero % 2, 1.0, -1.0), counts[nonzero])
 
 
-class _HintDifferenceLearner(Learner):
-    """Shared prediction rule of the hint-based learners.
+def hint_difference_prediction(hclass: HypothesisClass, history: ExampleMultiset,
+                               hints: ExampleMultiset, x_t: int, loss: LossSpec,
+                               tie: TiePolicy, stats: OracleStats | None) -> float:
+    """The prediction rule of the hint-based learners (Algs 1 and 3).
 
     yhat_t = OPT(history; S+S+{(x_t,-1)}) - OPT(history; S+S+{(x_t,+1)})
     where S is the round's Rademacher-labeled hint multiset (two copies
     of each hint), evaluated with two mixed-oracle calls.
     """
+    xs, ys, counts = hints.arrays()
+    doubled = ExampleMultiset.from_arrays(xs, ys, 2 * counts)
+    lo = doubled.copy()
+    lo.add(int(x_t), -1.0)
+    hi = doubled
+    hi.add(int(x_t), 1.0)
+    _, v_minus = mixed_opt(hclass, history, lo, loss, tie=tie, stats=stats)
+    _, v_plus = mixed_opt(hclass, history, hi, loss, tie=tie, stats=stats)
+    yhat = v_minus - v_plus
+    if abs(yhat) > 1.0 + PRED_TOL:
+        raise ContractViolation(f"prediction {yhat} escaped [-1, 1]")
+    return float(min(1.0, max(-1.0, yhat)))
+
+
+class _HintDifferenceLearner(Learner):
+    """Shared base of the hint-based learners: each round draws its hint
+    multiset and predicts with `hint_difference_prediction`."""
 
     oracle_calls_per_round = 2
 
@@ -156,21 +174,9 @@ class _HintDifferenceLearner(Learner):
         raise NotImplementedError
 
     def predict(self, t: int, x_t: int) -> float:
-        doubled = ExampleMultiset()
-        for (z, e), c in self._hints_for_round(t).items():
-            doubled.add(z, e, 2 * c)
-        lo = doubled.copy()
-        lo.add(int(x_t), -1.0)
-        hi = doubled
-        hi.add(int(x_t), 1.0)
-        _, v_minus = mixed_opt(self.hclass, self.history, lo, self.loss,
-                               tie=self.tie, stats=self.stats)
-        _, v_plus = mixed_opt(self.hclass, self.history, hi, self.loss,
-                              tie=self.tie, stats=self.stats)
-        yhat = v_minus - v_plus
-        if abs(yhat) > 1.0 + PRED_TOL:
-            raise ContractViolation(f"prediction {yhat} escaped [-1, 1]")
-        return float(min(1.0, max(-1.0, yhat)))
+        return hint_difference_prediction(
+            self.hclass, self.history, self._hints_for_round(t), x_t,
+            self.loss, self.tie, self.stats)
 
 
 class Alg3Transductive(_HintDifferenceLearner):

@@ -13,7 +13,7 @@ hypothesis class only through these entry points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -54,23 +54,13 @@ OBJ_TOL = 1e-12
 def _objective_table(
     hclass: HypothesisClass, S: ExampleMultiset, loss: LossSpec
 ) -> np.ndarray:
-    """Vector of cumulative losses, one entry per hypothesis."""
+    """Vector of cumulative losses, one entry per hypothesis: the loss
+    table over (hypothesis, distinct pair) dotted with the pair counts."""
     xs, ys, counts = S.arrays()
-    obj = np.zeros(len(hclass))
-    for x, y, c in zip(xs, ys, counts):
-        obj += c * loss_eval(loss, hclass.values[:, x], float(y))
-    return obj
+    return loss_eval(loss, hclass.values[:, xs], ys) @ counts
 
 
-def _binary_hint_table(hclass: HypothesisClass, S_bin: ExampleMultiset) -> np.ndarray:
-    """Vector of sum of -y*h(x)/2 over the hint multiset."""
-    xs, ys, counts = S_bin.arrays()
-    obj = np.zeros(len(hclass))
-    for x, y, c in zip(xs, ys, counts):
-        if abs(y) != 1.0:
-            raise InputError("binary hint labels must be exactly -1 or +1")
-        obj += c * (-y * hclass.values[:, x] / 2.0)
-    return obj
+_HINT_LOSS = LossSpec(LossKind.CENTERED_BINARY)
 
 
 def _select(
@@ -130,7 +120,7 @@ def mixed_opt(
 ) -> tuple[int, float]:
     """Minimize sum of l(h(x),y)/(2G) over S_real plus -y'h(x')/2 over S_bin."""
     obj = _objective_table(hclass, S_real, loss) / (2.0 * loss.lipschitz_G)
-    obj += _binary_hint_table(hclass, S_bin)
+    obj += _objective_table(hclass, S_bin, _HINT_LOSS)
     idx = _select(obj, hclass, tie, query_point, rng)
     if stats is not None:
         stats.record(S_real.logical_size + S_bin.logical_size, tag)

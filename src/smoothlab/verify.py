@@ -35,13 +35,14 @@ from scipy import stats as spstats
 from .core import (
     ExampleMultiset,
     HypothesisClass,
+    LossKind,
     LossSpec,
     SmoothDistribution,
     loss_eval,
 )
 from .errors import CapacityError, InputError
-from .oracle import TiePolicy, erm, mixed_opt
-from .learner import poisson_sample
+from .oracle import TiePolicy, _objective_table, erm
+from . import learner as learnermod
 
 TRUNC_TAIL = 1e-12
 EXACT_RADEMACHER_CAP = 16
@@ -272,24 +273,6 @@ def monotonicity_check(hclass: HypothesisClass, Z, phi, x: int) -> VerificationR
 # Relaxation values
 # ---------------------------------------------------------------------------
 
-def _history_loss_table(hclass: HypothesisClass, history: ExampleMultiset,
-                        loss: LossSpec) -> np.ndarray:
-    """Cumulative loss of each hypothesis on the history."""
-    out = np.zeros(len(hclass))
-    for (x, y), c in history.items():
-        out += c * loss_eval(loss, hclass.values[:, x], y)
-    return out
-
-
-def _centered_history_table(hclass: HypothesisClass,
-                            history: ExampleMultiset) -> np.ndarray:
-    """Sum of -y*h(x)/2 over the history, per hypothesis."""
-    out = np.zeros(len(hclass))
-    for (x, y), c in history.items():
-        out += c * (-y * hclass.values[:, x] / 2.0)
-    return out
-
-
 def relaxation_value(params: RelaxationParams, hclass: HypothesisClass,
                      history: ExampleMultiset, loss: LossSpec,
                      hints=None, trials: int = 2000, rng=None) -> float:
@@ -304,7 +287,7 @@ def relaxation_value(params: RelaxationParams, hclass: HypothesisClass,
                    with the centered binary loss L(h,(x,y)) = -y h(x)/2.
     """
     G = params.G
-    hist_loss = _history_loss_table(hclass, history, loss)
+    hist_loss = _objective_table(hclass, history, loss)
 
     if params.mode is RelaxationMode.TRANSDUCTIVE:
         Z = np.asarray([] if hints is None else hints, dtype=int)
@@ -330,7 +313,8 @@ def relaxation_value(params: RelaxationParams, hclass: HypothesisClass,
         return 2.0 * G * acc / trials + 2.0 * G * beta * (params.T - params.t)
 
     if params.mode is RelaxationMode.FTPL:
-        phi = -_centered_history_table(hclass, history)
+        phi = -_objective_table(hclass, history,
+                                LossSpec(LossKind.CENTERED_BINARY))
         eta = eta_budget(params.n, params.sigma, params.d, params.T,
                          params.c) if params.n > 0 else 0.0
         slack = eta * (params.T - params.t)
@@ -340,7 +324,7 @@ def relaxation_value(params: RelaxationParams, hclass: HypothesisClass,
             raise InputError("ftpl mode needs an rng")
         acc = 0.0
         for _ in range(trials):
-            N = poisson_sample(params.n, rng)
+            N = learnermod.poisson_sample(params.n, rng)
             if N == 0:
                 acc += phi.max()
                 continue
@@ -396,23 +380,8 @@ def _transductive_rel(hclass, history: ExampleMultiset, loss: LossSpec,
                       Z: np.ndarray) -> float:
     """Eq-form relaxation: E_eps sup_h {2G sum eps h(z) - sum l(h(x),y)}."""
     G = loss.lipschitz_G
-    phi = -_history_loss_table(hclass, history, loss) / (2.0 * G)
+    phi = -_objective_table(hclass, history, loss) / (2.0 * G)
     return 2.0 * G * rademacher_estimate(hclass, Z, phi, mode="exact")
-
-
-def _alg3_prediction_given_eps(hclass, history, loss, future_hints, eps, x_t,
-                               tie: TiePolicy) -> float:
-    """The hint-difference rule for one fixed Rademacher assignment."""
-    doubled = ExampleMultiset()
-    for z, e in zip(future_hints, eps):
-        doubled.add(int(z), float(e), 2)
-    lo = doubled.copy()
-    lo.add(int(x_t), -1.0)
-    hi = doubled.copy()
-    hi.add(int(x_t), 1.0)
-    _, v_minus = mixed_opt(hclass, history, lo, loss, tie=tie)
-    _, v_plus = mixed_opt(hclass, history, hi, loss, tie=tie)
-    return float(min(1.0, max(-1.0, v_minus - v_plus)))
 
 
 def admissibility_check(learner_kind: str, hclass: HypothesisClass,
@@ -489,15 +458,12 @@ def _learner_action_distribution(kind, hclass, history, loss, future_hints,
     if kind == "ftl":
         idx, _ = erm(hclass, history, loss, tie=tie, query_point=x_t)
         return [(float(hclass.values[idx, x_t]), 1.0)]
-    m = len(future_hints)
-    if m == 0:
-        yhat = _alg3_prediction_given_eps(hclass, history, loss, future_hints,
-                                          [], x_t, tie)
-        return [(yhat, 1.0)]
-    preds = []
-    for eps in itertools.product((-1.0, 1.0), repeat=m):
-        preds.append(_alg3_prediction_given_eps(
-            hclass, history, loss, future_hints, eps, x_t, tie))
+    # one prediction of the production rule per Rademacher assignment
+    preds = [
+        learnermod.hint_difference_prediction(
+            hclass, history, ExampleMultiset.from_arrays(future_hints, eps),
+            x_t, loss, tie, None)
+        for eps in itertools.product((-1.0, 1.0), repeat=len(future_hints))]
     p = 1.0 / len(preds)
     return [(yhat, p) for yhat in preds]
 
@@ -511,7 +477,7 @@ def _condition2_gap(hclass, loss, hint_schedule) -> float:
         for ys in itertools.product((-1.0, 1.0), repeat=T):
             seq = ExampleMultiset(zip(map(int, xs), ys))
             rel = _transductive_rel(hclass, seq, loss, np.array([], dtype=int))
-            best = _history_loss_table(hclass, seq, loss).min()
+            best = _objective_table(hclass, seq, loss).min()
             gap = max(gap, abs(rel + best))
     return gap
 
@@ -671,12 +637,11 @@ def generalization_gap_mc(hclass: HypothesisClass, D: SmoothDistribution,
     gaps = np.zeros(trials)
     for i in range(trials):
         S = history.copy()
-        N = poisson_sample(n, rng)
+        N = learnermod.poisson_sample(n, rng)
         if N > 0:
             xs = rng.integers(0, hclass.domain_size, size=N)
             ys = rng.integers(0, 2, size=N) * 2 - 1
-            for x, y in zip(xs.tolist(), ys.tolist()):
-                S.add(int(x), float(y))
+            S.extend(ExampleMultiset.from_arrays(xs, ys))
         x_t = int(rng.choice(hclass.domain_size, p=probs))
         x_p = int(rng.choice(hclass.domain_size, p=probs))
         y_t, y_p = float(label_table[x_t]), float(label_table[x_p])

@@ -369,8 +369,8 @@ def test_criterion_11_determinism():
     ]
     ok = True
     for c in configs:
-        t1, csv1 = run_experiment(c)
-        t2, csv2 = run_experiment(c)
+        t1, csv1 = run_experiment(c, 1)
+        t2, csv2 = run_experiment(c, 1)
         ok = ok and csv1 == csv2
         ok = ok and all(a.to_json() == b.to_json() for a, b in zip(t1, t2))
     report(11, "byte-identical determinism", ok,

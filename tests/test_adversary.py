@@ -45,11 +45,6 @@ class TestHintSchedules:
         assert s.K == 4
         np.testing.assert_array_equal(s.row(2), [0, 1, 2, 3])
 
-    def test_future_rows(self):
-        s = make_hint_schedule([[0, 1], [2, 3], [0, 2]])
-        np.testing.assert_array_equal(s.future_rows(1), [2, 3, 0, 2])
-        assert s.future_rows(3).size == 0
-
     def test_shape_validation(self):
         with pytest.raises(InputError):
             make_hint_schedule(np.zeros((0, 1)))
@@ -143,6 +138,11 @@ class TestContractEnforcement:
         probs[0] = 1.0
         c = RoundCommitment(probs, 0.9, None, np.ones(4))
         with pytest.raises(ContractViolation):
+            c.check_contract()
+
+    def test_unnormalized_probs_are_a_contract_violation(self):
+        c = RoundCommitment(np.full(4, 0.3), 1.0, None, np.ones(4))
+        with pytest.raises(ContractViolation, match="sum to 1"):
             c.check_contract()
 
     def test_hint_support_violation_raised(self):

@@ -88,6 +88,14 @@ class TestLossEval:
         out = loss_eval(loss, np.array([0.0, 1.0, -1.0]), 1.0)
         np.testing.assert_allclose(out, [0.5, 0.0, 1.0])
 
+    def test_label_vector_broadcasts_over_a_table(self):
+        loss = LossSpec.of("centered_binary")
+        table = np.array([[1.0, -1.0], [-1.0, -1.0]])
+        out = loss_eval(loss, table, np.array([1.0, -1.0]))
+        np.testing.assert_allclose(out, [[-0.5, -0.5], [0.5, -0.5]])
+        with pytest.raises(InputError):
+            loss_eval(loss, table, np.array([1.0, 0.5]))
+
 
 class TestValidateSmooth:
     def test_uniform_is_1_smooth(self):
@@ -204,6 +212,25 @@ class TestExampleMultiset:
         b = ExampleMultiset([(0, 1.0), (1, -1.0)])
         c = a.union(b)
         assert c.logical_size == 3 and a.logical_size == 1
+
+    def test_from_arrays_checks_each_array(self):
+        with pytest.raises(InputError):
+            ExampleMultiset.from_arrays([0, 1], [1.0, 1.5])
+        with pytest.raises(InputError):
+            ExampleMultiset.from_arrays([0, 1], [1.0, -1.0], [1, 0])
+        with pytest.raises(InputError):
+            ExampleMultiset.from_arrays([0, 1], [1.0])
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.floats(-1, 1),
+                              st.integers(1, 4)), max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_from_arrays_matches_pairwise_adds(self, triples):
+        cols = list(zip(*triples)) or [(), (), ()]
+        bulk = ExampleMultiset.from_arrays(*cols)
+        assert dict(bulk.items()) == dict(ExampleMultiset(triples).items())
+        merged = ExampleMultiset([(0, 1.0)])
+        merged.extend(bulk)
+        assert merged.logical_size == 1 + sum(cols[2])
 
     @given(st.lists(st.tuples(st.integers(0, 3),
                               st.sampled_from([-1.0, 1.0])), max_size=30))

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from smoothlab import cli, harness
 from smoothlab.cli import EXIT_CAPACITY, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
 from smoothlab.errors import FitError, InputError
 from smoothlab.harness import (
@@ -15,11 +16,13 @@ from smoothlab.harness import (
     SCHEMA_VERSION,
     Transcript,
     build_class,
+    _worker_count,
     build_hint_schedule,
     fit_scaling,
     run_experiment,
     run_game,
 )
+from smoothlab.verify import VerificationReport
 
 
 def base_config(**overrides):
@@ -70,6 +73,12 @@ class TestExperimentConfig:
         with pytest.raises(InputError):
             base_config(learner="alg3")
 
+    @pytest.mark.parametrize("learner", ["alg1", "alg3"])
+    def test_hint_learner_rejects_indicator_loss(self, learner):
+        with pytest.raises(InputError, match="absolute"):
+            base_config(learner=learner, adversary="transductive_cyclic",
+                        hints={"kind": "cyclic", "K": 2})
+
 
 class TestBuilders:
     def test_build_class_kinds(self):
@@ -84,14 +93,14 @@ class TestBuilders:
 
     def test_cyclic_hint_schedule(self):
         c = base_config(learner="alg3", adversary="transductive_cyclic",
-                        hints={"kind": "cyclic", "K": 4})
+                        hints={"kind": "cyclic", "K": 4}, loss="absolute")
         sched = build_hint_schedule(c, 8)
         assert sched.K == 4 and sched.T == 12
         np.testing.assert_array_equal(sched.row(1), [0, 1, 2, 3])
 
     def test_cyclic_divisibility(self):
         c = base_config(learner="alg3", adversary="transductive_cyclic",
-                        hints={"kind": "cyclic", "K": 3})
+                        hints={"kind": "cyclic", "K": 3}, loss="absolute")
         with pytest.raises(InputError):
             build_hint_schedule(c, 8)
 
@@ -109,7 +118,8 @@ class TestRunGame:
 
     def test_alg3_two_calls_per_round(self):
         c = base_config(learner="alg3", adversary="transductive_cyclic",
-                        hints={"kind": "cyclic", "K": 4}, n=None)
+                        hints={"kind": "cyclic", "K": 4}, n=None,
+                        loss="absolute")
         tr = run_game(c, seed=3)
         assert tr.oracle_calls == 2 * 12
         assert all(r.oracle_calls == 2 for r in tr.rounds)
@@ -150,7 +160,7 @@ class TestRunGame:
 
 class TestRunExperiment:
     def test_csv_shape(self):
-        _, csv_text = run_experiment(base_config())
+        _, csv_text = run_experiment(base_config(), 1)
         lines = csv_text.strip().split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 1 + 2 + 1  # header, two seeds, aggregate
@@ -159,20 +169,27 @@ class TestRunExperiment:
         assert float(agg[-1]) >= 0.0  # regret_stderr
 
     def test_aggregate_mean(self):
-        transcripts, csv_text = run_experiment(base_config())
+        transcripts, csv_text = run_experiment(base_config(), 1)
         agg = csv_text.strip().split("\n")[-1].split(",")
         mean = float(agg[CSV_COLUMNS.index("regret")])
         assert mean == pytest.approx(np.mean([t.regret for t in transcripts]))
 
     def test_rerun_byte_identical(self):
         c = base_config()
-        assert run_experiment(c)[1] == run_experiment(c)[1]
+        assert run_experiment(c, 1)[1] == run_experiment(c, 1)[1]
 
-    def test_writes_out_file(self, tmp_path):
-        out = tmp_path / "res.csv"
-        c = base_config(out=str(out))
-        _, csv_text = run_experiment(c)
-        assert out.read_text() == csv_text
+    def test_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_experiment(base_config(out="res.csv"), 1)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_worker_count_clamped(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert _worker_count(10_000, 5) == 2
+        assert _worker_count(10_000, 1) == 1
+        assert _worker_count(1, 5) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count(10_000, 5) == 1
 
 
 class TestFitScaling:
@@ -216,7 +233,7 @@ class TestCli:
         out = str(tmp_path / "out.csv")
         main(["run", cfg, "--out", out])
         capsys.readouterr()
-        assert open(out).read() == run_experiment(base_config())[1]
+        assert open(out).read() == run_experiment(base_config(), 1)[1]
 
     def test_seed_base_offsets(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
@@ -279,6 +296,50 @@ class TestCli:
         assert main(["fit", str(path)]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["alpha"] == pytest.approx(0.5, abs=1e-9)
+
+    def test_config_out_written_only_by_cli(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SMOOTHLAB_OUT", raising=False)
+        cfg = self._write_config(tmp_path, out="rel.csv")
+        assert main(["run", cfg]) == EXIT_OK
+        assert (tmp_path / "rel.csv").read_text() == run_experiment(
+            base_config(), 1)[1]
+        (tmp_path / "rel.csv").unlink()
+        monkeypatch.setenv("SMOOTHLAB_OUT", str(tmp_path / "o"))
+        assert main(["run", cfg, "--out", "other.csv"]) == EXIT_OK
+        capsys.readouterr()
+        assert [p.name for p in (tmp_path / "o").iterdir()] == ["other.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "o"]
+
+    def test_indicator_loss_hint_learner_fails_before_any_round(
+            self, tmp_path, capsys, monkeypatch):
+        def no_game(*args, **kwargs):
+            raise AssertionError("a game was started")
+        monkeypatch.setattr(harness, "run_game", no_game)
+        cfg = tmp_path / "alg3.json"
+        cfg.write_text(json.dumps({
+            "schema_version": SCHEMA_VERSION, "experiment_id": "bad",
+            "learner": "alg3", "adversary": "transductive_cyclic",
+            "class": {"kind": "partition", "domain_size": 8, "d": 2},
+            "loss": "binary_indicator", "T": 32, "sigma": 0.25,
+            "hints": {"kind": "cyclic", "K": 2}, "seeds": [0, 1, 2, 3]}))
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        assert "absolute" in capsys.readouterr().err
+
+    def test_capacity_abort_exit_code(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path, learner="alg1", loss="absolute",
+                                 max_hints_per_round=1)
+        assert main(["run", cfg]) == EXIT_CAPACITY
+        assert "capacity abort" in capsys.readouterr().err
+
+    def test_verify_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        failed = VerificationReport(
+            name="forced", mode="exact", measured={}, bound=None,
+            tolerance=0.0, trials=None, passed=False)
+        monkeypatch.setattr(cli, "_suite_reports", lambda suite: [failed])
+        out = str(tmp_path / "verify.json")
+        assert main(["verify", "--out", out]) == EXIT_VERIFY
+        assert "FAILED: forced" in capsys.readouterr().err
 
     def test_out_env_redirects(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SMOOTHLAB_OUT", str(tmp_path))

@@ -1,13 +1,42 @@
 """Oracles checked against an independent brute-force re-enumeration."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothlab.core import ExampleMultiset, HypothesisClass, LossSpec, loss_eval
+from smoothlab.core import (
+    ExampleMultiset,
+    HypothesisClass,
+    LossKind,
+    LossSpec,
+    loss_eval,
+)
 from smoothlab.errors import InputError
-from smoothlab.oracle import OracleStats, TiePolicy, approx_erm, erm, mixed_opt
+from smoothlab import oracle
+from smoothlab.oracle import (
+    OBJ_TOL,
+    OracleStats,
+    TiePolicy,
+    approx_erm,
+    erm,
+    mixed_opt,
+)
+
+
+def per_pair_objective(hclass, S, loss):
+    """Reference: the objective accumulated one distinct pair at a time."""
+    xs, ys, counts = S.arrays()
+    obj = np.zeros(len(hclass))
+    for x, y, c in zip(xs, ys, counts):
+        obj += c * loss_eval(loss, hclass.values[:, x], float(y))
+    return obj
+
+
+def argmin_set(obj):
+    return set(np.flatnonzero(obj <= obj.min() + OBJ_TOL).tolist())
 
 
 def brute_force_erm(hclass, S, loss):
@@ -196,6 +225,67 @@ class TestMixedOpt:
         _, v_minus = mixed_opt(hclass, S_real, lo, loss)
         _, v_plus = mixed_opt(hclass, S_real, hi, loss)
         assert abs(v_minus - v_plus) <= 1.0 + 1e-9
+
+
+def _objective_seen_by_select(call):
+    """Run an oracle call and return (objective passed to _select, result)."""
+    with mock.patch.object(oracle, "_select", wraps=oracle._select) as spy:
+        result = call()
+    return spy.call_args.args[0], result
+
+
+@st.composite
+def oracle_instances(draw):
+    """A class, a loss it admits, a real-loss multiset and a hint multiset."""
+    kind = draw(st.sampled_from(list(LossKind)))
+    binary = kind is LossKind.BINARY_INDICATOR or draw(st.booleans())
+    n_h = draw(st.integers(1, 8))
+    size = draw(st.integers(1, 5))
+    value = st.sampled_from([-1.0, 1.0]) if binary else st.floats(-1, 1)
+    vals = draw(st.lists(st.lists(value, min_size=size, max_size=size),
+                         min_size=n_h, max_size=n_h))
+    hclass = HypothesisClass(vals, declared_dim=0, binary=binary)
+    pm1 = kind in (LossKind.BINARY_INDICATOR, LossKind.CENTERED_BINARY)
+    label = st.sampled_from([-1.0, 1.0]) if pm1 else st.floats(-1, 1)
+
+    def multiset(label):
+        return ExampleMultiset(draw(st.lists(
+            st.tuples(st.integers(0, size - 1), label, st.integers(1, 5)),
+            max_size=12)))
+
+    return hclass, LossSpec(kind), multiset(label), multiset(
+        st.sampled_from([-1.0, 1.0]))
+
+
+class TestVectorizedObjective:
+    """The oracles' one-matvec objective against the per-pair loop.
+
+    A matvec may add in a different order, so the argmin sets are
+    compared at OBJ_TOL and the values at 1e-12, not bit for bit.
+    """
+
+    @given(oracle_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_erm_matches_per_pair_loop(self, instance):
+        hclass, loss, S, _ = instance
+        obj, (idx, val) = _objective_seen_by_select(lambda: erm(hclass, S, loss))
+        ref = per_pair_objective(hclass, S, loss)
+        assert argmin_set(obj) == argmin_set(ref)
+        np.testing.assert_allclose(obj, ref, rtol=0, atol=1e-12)
+        assert idx == min(argmin_set(ref)) and abs(val - ref[idx]) <= 1e-12
+
+    @given(oracle_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_opt_matches_per_pair_loop(self, instance):
+        hclass, loss, S_real, S_bin = instance
+        obj, (idx, val) = _objective_seen_by_select(
+            lambda: mixed_opt(hclass, S_real, S_bin, loss))
+        hint_loss = LossSpec(LossKind.CENTERED_BINARY)
+        ref = (per_pair_objective(hclass, S_real, loss) / (2 * loss.lipschitz_G)
+               + per_pair_objective(hclass, S_bin, hint_loss))
+        assert argmin_set(obj) == argmin_set(ref)
+        np.testing.assert_allclose(obj, ref, rtol=0, atol=1e-12)
+        assert idx == min(argmin_set(ref)) and abs(val - ref[idx]) <= 1e-12
 
 
 class TestApproxErm:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from smoothlab import learner
 from smoothlab.adversary import full_domain_schedule, make_hint_schedule
 from smoothlab.core import (
     ExampleMultiset,
@@ -220,6 +221,26 @@ class TestAdmissibility:
         assert report.passed
         assert report.measured["min_slack"] >= -1e-12
         assert abs(report.measured["condition2_gap"]) <= 1e-12
+
+    def test_drives_the_learners_rule(self, const_class, monkeypatch):
+        """The check runs the rule the learners run: replacing it by a
+        constant changes the learner and the report alike."""
+        sched = make_hint_schedule([[0], [0]])
+        loss = LossSpec.of("absolute")
+        real = admissibility_check("alg3", const_class, loss, sched)
+        calls = []
+
+        def constant(*args):
+            calls.append(args)
+            return 1.0
+
+        monkeypatch.setattr(learner, "hint_difference_prediction", constant)
+        fake = admissibility_check("alg3", const_class, loss, sched)
+        assert calls
+        assert real.passed and not fake.passed
+        assert fake.measured["min_slack"] < real.measured["min_slack"]
+        alg3 = learner.Alg3Transductive(const_class, loss, 2, sched)
+        assert alg3.predict(1, 0) == 1.0
 
     def test_ftl_negative_control(self, const_class):
         sched = make_hint_schedule([[0], [0]])
