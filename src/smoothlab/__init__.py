@@ -42,7 +42,6 @@ from .learner import (
     default_n,
     hedge_update,
     hint_count,
-    poisson_sample,
 )
 from .verify import (
     RelaxationMode,

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import HypothesisClass, validate_smooth
+from .core import HypothesisClass, check_probs, validate_smooth
 from .errors import ContractViolation, InputError
 from . import rng as rngmod
 
@@ -111,16 +111,15 @@ class RoundCommitment:
     label_table: np.ndarray  # committed label for every x
 
     def check_contract(self) -> None:
-        if self.sigma is not None:
-            try:
-                smooth = validate_smooth(self.probs, self.sigma)
-            except InputError as e:
-                raise ContractViolation(
-                    f"committed distribution is invalid: {e}") from e
-            if not smooth:
+        try:
+            if self.sigma is None:
+                check_probs(self.probs)
+            elif not validate_smooth(self.probs, self.sigma):
                 raise ContractViolation(
                     f"committed distribution violates its {self.sigma}-smoothness certificate"
                 )
+        except InputError as e:
+            raise ContractViolation(f"committed distribution is invalid: {e}") from e
         if self.hint_row is not None:
             support = np.flatnonzero(self.probs > 0)
             if not np.all(np.isin(support, self.hint_row)):

@@ -180,14 +180,21 @@ def loss_eval(loss: LossSpec, yhat, y):
     return float(out) if out.ndim == 0 else out
 
 
-def validate_smooth(probs, sigma: float, tol: float = PROB_TOL) -> bool:
-    """True iff `probs` is a probability vector whose atoms obey the
-    sigma-smooth singleton bound max_x p(x) <= 1/(sigma*|X|) + tol."""
+def check_probs(probs, tol: float = PROB_TOL) -> np.ndarray:
+    """`probs` as a float array; InputError unless it is a nonempty,
+    nonnegative vector that sums to 1 within `tol`."""
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise InputError("probs must be a nonempty vector")
     if np.any(p < 0) or abs(p.sum() - 1.0) > tol:
         raise InputError("probs must be nonnegative and sum to 1")
+    return p
+
+
+def validate_smooth(probs, sigma: float, tol: float = PROB_TOL) -> bool:
+    """True iff `probs` is a probability vector whose atoms obey the
+    sigma-smooth singleton bound max_x p(x) <= 1/(sigma*|X|) + tol."""
+    p = check_probs(probs, tol)
     if not (0.0 < sigma <= 1.0):
         raise InputError(f"sigma must be in (0, 1], got {sigma}")
     return bool(p.max() <= 1.0 / (sigma * p.size) + tol)

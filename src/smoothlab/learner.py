@@ -16,9 +16,18 @@ Implemented learners:
 * ``DoublingMeta`` — Hedge over geometrically spaced smoothness guesses
   for unknown sigma.
 
+The oracle sees a perturbation only as a multiset, so each round draws
+the (instance, sign) cell counts straight from their exact law instead
+of drawing one sample at a time: a Multinomial over the 2|X| cells for
+Alg 1 (`hint_cells`), a Binomial(c, 1/2) sign split of each future
+instance count for Alg 3, and i.i.d. Poisson cells for Alg 2
+(`hallucination_cells`).  A round therefore costs O(|X|) draws
+whatever K, T or n.
+
 All per-round randomness comes from counter-based streams keyed by
 (seed, run, round, purpose), so each round's hint/label noise is fresh
-and disjoint from every other round's.
+and disjoint from every other round's; a DoublingMeta expert's streams
+also carry its expert index.
 """
 
 from __future__ import annotations
@@ -56,56 +65,12 @@ def default_n(T: int, sigma: float, domain_size: int, d: int) -> float:
     return min(T / math.sqrt(sigma), T * math.sqrt(domain_size / d))
 
 
-_PTRS_CUTOVER = 30.0
-
-
-def poisson_sample(mean: float, rng) -> int:
-    """Exact Poisson draw.
-
-    Sequential search (inversion by uniform products) below mean 30;
-    Hormann's PTRS transformed-rejection sampler above.  Validated
-    against the exact PMF by chi-square goodness of fit in tests.
-    """
-    if mean < 0:
-        raise InputError(f"Poisson mean must be nonnegative, got {mean}")
-    if mean == 0:
-        return 0
-    if mean < _PTRS_CUTOVER:
-        limit = math.exp(-mean)
-        prod = rng.random()
-        k = 0
-        while prod > limit:
-            prod *= rng.random()
-            k += 1
-        return k
-    return _ptrs(mean, rng)
-
-
-def _ptrs(mu: float, rng) -> int:
-    b = 0.931 + 2.53 * math.sqrt(mu)
-    a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
-    log_mu = math.log(mu)
-    while True:
-        u = rng.random() - 0.5
-        v = rng.random()
-        us = 0.5 - abs(u)
-        k = int(math.floor((2.0 * a / us + b) * u + mu + 0.43))
-        if us >= 0.07 and v <= v_r:
-            return k
-        if k < 0 or (us < 0.013 and v > us):
-            continue
-        if (math.log(v) + math.log(inv_alpha) - math.log(a / (us * us) + b)
-                <= k * log_mu - mu - math.lgamma(k + 1)):
-            return k
-
-
 class Learner:
     """Base class: owns history, oracle stats, and per-run RNG keys."""
 
     name = "learner"
     oracle_calls_per_round = 0
+    expert: int | None = None  # index under a DoublingMeta, which keys its streams
 
     def __init__(self, hclass: HypothesisClass, loss: LossSpec, T: int,
                  seed: int = 0, run: int = 0,
@@ -121,7 +86,7 @@ class Learner:
         self.t = 0
 
     def _stream(self, t: int, purpose: str):
-        return rngmod.stream(self.seed, self.run, t, purpose)
+        return rngmod.stream(self.seed, self.run, t, purpose, self.expert)
 
     def predict(self, t: int, x_t: int) -> float:
         raise NotImplementedError
@@ -131,14 +96,29 @@ class Learner:
         self.t = t
 
 
-def _rademacher_hint_multiset(xs: np.ndarray, eps: np.ndarray,
-                              domain_size: int) -> ExampleMultiset:
-    """Aggregate hint instances with +-1 labels into a multiset."""
-    codes = xs * 2 + (eps > 0).astype(int)
-    counts = np.bincount(codes, minlength=2 * domain_size)
-    nonzero = np.flatnonzero(counts)
+def hint_cells(m: int, domain_size: int, rng) -> np.ndarray:
+    """(|X|, 2) count table of m i.i.d. uniform hints with independent
+    Rademacher labels: one Multinomial(m, uniform over the 2|X|
+    (instance, sign) cells) draw.  Column 0 counts label -1, column 1
+    label +1."""
+    cells = np.full(2 * domain_size, 1.0 / (2 * domain_size))
+    return rng.multinomial(m, cells).reshape(domain_size, 2)
+
+
+def hallucination_cells(n: float, domain_size: int, rng) -> np.ndarray:
+    """(|X|, 2) count table of Poi(n) uniform samples with independent
+    Rademacher labels: i.i.d. Poisson(n/(2|X|)) cells."""
+    if n < 0:
+        raise InputError(f"Poisson mean must be nonnegative, got {n}")
+    return rng.poisson(n / (2 * domain_size), size=(domain_size, 2))
+
+
+def _cell_count_multiset(cells: np.ndarray) -> ExampleMultiset:
+    """The multiset of a (|X|, 2) table of (instance, -1/+1) counts."""
+    flat = cells.reshape(-1)
+    nonzero = np.flatnonzero(flat)
     return ExampleMultiset.from_arrays(
-        nonzero // 2, np.where(nonzero % 2, 1.0, -1.0), counts[nonzero])
+        nonzero // 2, np.where(nonzero % 2, 1.0, -1.0), flat[nonzero])
 
 
 def hint_difference_prediction(hclass: HypothesisClass, history: ExampleMultiset,
@@ -189,7 +169,16 @@ class Alg3Transductive(_HintDifferenceLearner):
         super().__init__(hclass, loss, T, seed, run, tie)
         if hint_schedule.T < T:
             raise InputError("hint schedule shorter than the horizon")
+        rows = hint_schedule.rows[:T]
+        X = hclass.domain_size
+        if rows.min() < 0 or rows.max() >= X:
+            raise InputError("hint schedule names an instance outside the domain")
         self.hint_schedule = hint_schedule
+        # _future_counts[t] = instance counts of rows[t:T], the hints of
+        # rounds t+1..T; the extra last row is all zeros
+        codes = np.repeat(np.arange(T), rows.shape[1]) * X + rows.reshape(-1)
+        per_round = np.bincount(codes, minlength=(T + 1) * X).reshape(T + 1, X)
+        self._future_counts = per_round[::-1].cumsum(axis=0)[::-1]
 
     def predict(self, t: int, x_t: int) -> float:
         if int(x_t) not in self.hint_schedule.row(t):
@@ -197,10 +186,11 @@ class Alg3Transductive(_HintDifferenceLearner):
         return super().predict(t, x_t)
 
     def _hints_for_round(self, t: int) -> ExampleMultiset:
-        future = self.hint_schedule.rows[t:self.T].reshape(-1)
-        eps_rng = self._stream(t, "epsilons")
-        eps = eps_rng.integers(0, 2, size=future.size) * 2 - 1
-        return _rademacher_hint_multiset(future, eps, self.hclass.domain_size)
+        """Independent Rademacher labels on the future hints: the +1 count
+        of an instance with c future hints is Binomial(c, 1/2)."""
+        c = self._future_counts[t]
+        plus = self._stream(t, "epsilons").binomial(c, 0.5)
+        return _cell_count_multiset(np.stack((c - plus, plus), axis=1))
 
 
 class Alg1Smoothed(_HintDifferenceLearner):
@@ -228,11 +218,8 @@ class Alg1Smoothed(_HintDifferenceLearner):
             raise CapacityError(
                 f"round {t} needs {m} hints, above the cap {self.max_hints_per_round}"
             )
-        hint_rng = self._stream(t, "hints")
-        eps_rng = self._stream(t, "epsilons")
-        xs = hint_rng.integers(0, self.hclass.domain_size, size=m)
-        eps = eps_rng.integers(0, 2, size=m) * 2 - 1
-        return _rademacher_hint_multiset(xs, eps, self.hclass.domain_size)
+        return _cell_count_multiset(
+            hint_cells(m, self.hclass.domain_size, self._stream(t, "hints")))
 
 
 class Alg2PoissonFTPL(Learner):
@@ -255,14 +242,11 @@ class Alg2PoissonFTPL(Learner):
         self.last_hallucination_count = 0
 
     def predict(self, t: int, x_t: int) -> float:
-        rng = self._stream(t, "hallucinate")
-        N = poisson_sample(self.n, rng)
-        self.last_hallucination_count = N
+        cells = hallucination_cells(self.n, self.hclass.domain_size,
+                                    self._stream(t, "hallucinate"))
+        self.last_hallucination_count = int(cells.sum())
         S = self.history.copy()
-        if N > 0:
-            xs = rng.integers(0, self.hclass.domain_size, size=N)
-            eps = rng.integers(0, 2, size=N) * 2 - 1
-            S.extend(_rademacher_hint_multiset(xs, eps, self.hclass.domain_size))
+        S.extend(_cell_count_multiset(cells))
         idx, _ = erm(self.hclass, S, self.loss, tie=self.tie, stats=self.stats,
                      query_point=int(x_t), rng=self._stream(t, "tie"))
         return float(self.hclass.values[idx, x_t])
@@ -349,12 +333,13 @@ class DoublingMeta(Learner):
             if base == "alg2":
                 n = default_n(T, s, hclass.domain_size, max(1, d_eff))
                 expert = Alg2PoissonFTPL(hclass, loss, T, n=n, seed=seed,
-                                         run=run * 1000 + i + 1, tie=tie)
+                                         run=run, tie=tie)
             elif base == "alg1":
                 expert = Alg1Smoothed(hclass, loss, T, sigma=s, seed=seed,
-                                      run=run * 1000 + i + 1, tie=tie, **base_kwargs)
+                                      run=run, tie=tie, **base_kwargs)
             else:
                 raise InputError(f"unsupported base learner {base!r}")
+            expert.expert = i
             self.experts.append(expert)
         self.oracle_calls_per_round = (
             len(self.experts) * self.experts[0].oracle_calls_per_round)

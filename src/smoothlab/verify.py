@@ -307,9 +307,9 @@ def relaxation_value(params: RelaxationParams, hclass: HypothesisClass,
             raise InputError("smoothed_real mode needs an rng")
         acc = 0.0
         for _ in range(trials):
-            V = rng.integers(0, hclass.domain_size, size=m)
-            eps = rng.integers(0, 2, size=m) * 2.0 - 1.0
-            acc += ((eps @ hclass.values[:, V].T) + phi).max()
+            # sum_i eps_i h(V_i) over the hints = values @ (plus - minus)
+            cells = learnermod.hint_cells(m, hclass.domain_size, rng)
+            acc += (hclass.values @ (cells[:, 1] - cells[:, 0]) + phi).max()
         return 2.0 * G * acc / trials + 2.0 * G * beta * (params.T - params.t)
 
     if params.mode is RelaxationMode.FTPL:
@@ -324,14 +324,9 @@ def relaxation_value(params: RelaxationParams, hclass: HypothesisClass,
             raise InputError("ftpl mode needs an rng")
         acc = 0.0
         for _ in range(trials):
-            N = learnermod.poisson_sample(params.n, rng)
-            if N == 0:
-                acc += phi.max()
-                continue
-            xs = rng.integers(0, hclass.domain_size, size=N)
-            ys = rng.integers(0, 2, size=N) * 2.0 - 1.0
+            cells = learnermod.hallucination_cells(params.n, hclass.domain_size, rng)
             # -sum L(h, s~) = sum y h(x)/2
-            halluc = (ys / 2.0) @ hclass.values[:, xs].T
+            halluc = hclass.values @ ((cells[:, 1] - cells[:, 0]) / 2.0)
             acc += (halluc + phi).max()
         return acc / trials + slack
 
@@ -637,11 +632,8 @@ def generalization_gap_mc(hclass: HypothesisClass, D: SmoothDistribution,
     gaps = np.zeros(trials)
     for i in range(trials):
         S = history.copy()
-        N = learnermod.poisson_sample(n, rng)
-        if N > 0:
-            xs = rng.integers(0, hclass.domain_size, size=N)
-            ys = rng.integers(0, 2, size=N) * 2 - 1
-            S.extend(ExampleMultiset.from_arrays(xs, ys))
+        S.extend(learnermod._cell_count_multiset(
+            learnermod.hallucination_cells(n, hclass.domain_size, rng)))
         x_t = int(rng.choice(hclass.domain_size, p=probs))
         x_p = int(rng.choice(hclass.domain_size, p=probs))
         y_t, y_p = float(label_table[x_t]), float(label_table[x_p])

@@ -145,6 +145,17 @@ class TestContractEnforcement:
         with pytest.raises(ContractViolation, match="sum to 1"):
             c.check_contract()
 
+    def test_hint_certified_unnormalized_probs_are_a_contract_violation(self):
+        c = RoundCommitment(np.full(4, 0.3), None, np.arange(4), np.ones(4))
+        with pytest.raises(ContractViolation, match="sum to 1"):
+            c.check_contract()
+
+    def test_hint_certified_negative_mass_is_a_contract_violation(self):
+        c = RoundCommitment(np.array([1.5, -0.5, 0.0, 0.0]), None,
+                            np.arange(4), np.ones(4))
+        with pytest.raises(ContractViolation, match="nonnegative"):
+            c.check_contract()
+
     def test_hint_support_violation_raised(self):
         probs = np.array([0.5, 0.5, 0.0])
         c = RoundCommitment(probs, None, np.array([0]), np.ones(3))

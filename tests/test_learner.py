@@ -1,4 +1,4 @@
-"""Learners: budgets, Poisson sampler, prediction rules, baselines."""
+"""Learners: budgets, perturbation count laws, prediction rules, baselines."""
 
 import math
 
@@ -24,8 +24,9 @@ from smoothlab.learner import (
     HedgeLearner,
     default_n,
     hedge_update,
+    hallucination_cells,
+    hint_cells,
     hint_count,
-    poisson_sample,
 )
 from smoothlab.oracle import TiePolicy
 
@@ -57,39 +58,134 @@ class TestBudgets:
             default_n(4, 0.5, 4, 5)
 
 
+def _poisson_chi2(draws: np.ndarray, mean: float) -> tuple[float, float]:
+    """Chi-square statistic of integer draws against the Poi(mean) PMF,
+    and its 0.999 critical value (bins with expected count >= 5)."""
+    lo = max(0, int(mean - 4 * math.sqrt(mean)))
+    hi = int(mean + 4 * math.sqrt(mean))
+    edges = list(range(lo, hi + 1))
+    obs = np.array(
+        [(draws < edges[0]).sum()]
+        + [(draws == k).sum() for k in edges]
+        + [(draws > edges[-1]).sum()], dtype=float)
+    pmf = scipy.stats.poisson.pmf(edges, mean)
+    exp = np.concatenate((
+        [scipy.stats.poisson.cdf(edges[0] - 1, mean)],
+        pmf,
+        [scipy.stats.poisson.sf(edges[-1], mean)])) * draws.size
+    keep = exp >= 5
+    chi2 = ((obs[keep] - exp[keep]) ** 2 / exp[keep]).sum()
+    return chi2, scipy.stats.chi2.ppf(0.999, df=keep.sum() - 1)
+
+
+def _binomial_chi2(draws: np.ndarray, n: int, p: float) -> tuple[float, float]:
+    """Chi-square statistic of draws against Binomial(n, p), tail bins
+    merged until each expected count is >= 5, and its 0.999 critical value."""
+    obs = np.bincount(draws, minlength=n + 1).astype(float)
+    exp = scipy.stats.binom.pmf(np.arange(n + 1), n, p) * draws.size
+    obs_b, exp_b = [0.0], [0.0]
+    for o, e in zip(obs, exp):
+        if exp_b[-1] >= 5:
+            obs_b.append(0.0)
+            exp_b.append(0.0)
+        obs_b[-1] += o
+        exp_b[-1] += e
+    if exp_b[-1] < 5 and len(exp_b) > 1:
+        obs_b[-2] += obs_b.pop()
+        exp_b[-2] += exp_b.pop()
+    obs_b, exp_b = np.array(obs_b), np.array(exp_b)
+    chi2 = ((obs_b - exp_b) ** 2 / exp_b).sum()
+    return chi2, scipy.stats.chi2.ppf(0.999, df=obs_b.size - 1)
+
+
+def _per_sample_cells(m: int, domain_size: int, rng) -> np.ndarray:
+    """Reference for the count draws: m uniform instances with
+    independent Rademacher signs, drawn one sample at a time and counted
+    into the (|X|, 2) table the learners use."""
+    xs = rng.integers(0, domain_size, size=m)
+    plus = rng.integers(0, 2, size=m)
+    return np.bincount(xs * 2 + plus, minlength=2 * domain_size).reshape(domain_size, 2)
+
+
 class TestPoissonSampler:
+    """Alg 2's hallucination law: i.i.d. Poisson(n/(2|X|)) cells, whose
+    total is Poi(n)."""
+
     @pytest.mark.parametrize("mean", [4.0, 50.0])
     def test_goodness_of_fit(self, mean, rng):
-        """Chi-square GOF against the exact PMF (both sampler branches)."""
-        draws = np.array([poisson_sample(mean, rng) for _ in range(20000)])
-        lo = max(0, int(mean - 4 * math.sqrt(mean)))
-        hi = int(mean + 4 * math.sqrt(mean))
-        edges = list(range(lo, hi + 1))
-        obs = np.array(
-            [(draws < edges[0]).sum()]
-            + [(draws == k).sum() for k in edges]
-            + [(draws > edges[-1]).sum()], dtype=float)
-        pmf = scipy.stats.poisson.pmf(edges, mean)
-        exp = np.concatenate((
-            [scipy.stats.poisson.cdf(edges[0] - 1, mean)],
-            pmf,
-            [scipy.stats.poisson.sf(edges[-1], mean)])) * draws.size
-        keep = exp >= 5
-        chi2 = ((obs[keep] - exp[keep]) ** 2 / exp[keep]).sum()
-        crit = scipy.stats.chi2.ppf(0.999, df=keep.sum() - 1)
+        """Chi-square GOF of each cell and of the total against the exact PMF."""
+        size = 4
+        cells = np.array([hallucination_cells(2 * size * mean, size, rng)
+                          for _ in range(5000)])
+        chi2, crit = _poisson_chi2(cells.reshape(-1), mean)
+        assert chi2 < crit
+        totals = np.array([hallucination_cells(mean, size, rng).sum()
+                           for _ in range(20000)])
+        chi2, crit = _poisson_chi2(totals, mean)
         assert chi2 < crit
 
     def test_mean_zero(self, rng):
-        assert poisson_sample(0.0, rng) == 0
+        assert not hallucination_cells(0.0, 4, rng).any()
 
     def test_negative_rejected(self, rng):
         with pytest.raises(InputError):
-            poisson_sample(-1.0, rng)
+            hallucination_cells(-1.0, 4, rng)
 
     def test_mean_and_variance_large(self, rng):
-        draws = np.array([poisson_sample(200.0, rng) for _ in range(20000)])
+        draws = np.array([hallucination_cells(200.0, 8, rng).sum()
+                          for _ in range(20000)])
         assert abs(draws.mean() - 200.0) < 4 * math.sqrt(200.0 / draws.size) * math.sqrt(200)
         assert abs(draws.var() / 200.0 - 1.0) < 0.05
+
+
+class TestHintCountLaws:
+    def test_alg1_total_is_exactly_k_future_rounds(self, partition8):
+        learner = Alg1Smoothed(partition8, LossSpec.of("absolute"),
+                               T=40, sigma=0.5, K=7, seed=3)
+        for t in (40, 1, 17, 39):
+            assert learner._hints_for_round(t).logical_size == 7 * (40 - t)
+
+    def test_alg1_cell_matches_per_sample_reference(self, rng):
+        """Two-sample chi-square on the (x=0, +1) cell: Multinomial(m,
+        uniform over 2|X| cells) against m per-sample draws."""
+        m, size, draws = 40, 4, 20000
+        counts = np.array([hint_cells(m, size, rng)[0, 1] for _ in range(draws)])
+        reference = np.array([_per_sample_cells(m, size, rng)[0, 1]
+                              for _ in range(draws)])
+        assert counts.sum() > 0
+        top = m + 1
+        table = np.array([np.bincount(counts, minlength=top),
+                          np.bincount(reference, minlength=top)], dtype=float)
+        table = table[:, table.sum(axis=0) >= 10]
+        chi2, _, df, _ = scipy.stats.chi2_contingency(table)
+        assert chi2 < scipy.stats.chi2.ppf(0.999, df=df)
+
+    def test_alg3_totals_are_future_bincount(self, partition8, rng):
+        T, K = 12, 5
+        rows = rng.integers(0, 8, size=(T, K))
+        learner = Alg3Transductive(partition8, LossSpec.of("absolute"), T,
+                                   make_hint_schedule(rows), seed=2)
+        for t in (T, 3, 1, 7):  # out of order: a pure function of t
+            totals = np.zeros(8, dtype=int)
+            for (x, _), c in learner._hints_for_round(t).items():
+                totals[x] += c
+            np.testing.assert_array_equal(
+                totals, np.bincount(rows[t:T].reshape(-1), minlength=8))
+
+    def test_alg3_signs_are_binomial(self, partition8):
+        """The +1 count of an instance with c future hints is Binomial(c, 1/2)."""
+        future = [0] * 9 + [1] * 4 + [2]
+        sched = make_hint_schedule([future, future])
+        plus = {0: [], 1: [], 2: []}
+        for seed in range(4000):
+            learner = Alg3Transductive(partition8, LossSpec.of("absolute"), 2,
+                                       sched, seed=seed)
+            hints = dict(learner._hints_for_round(1).items())
+            for x in plus:
+                plus[x].append(hints.get((x, 1.0), 0))
+        for x, c in ((0, 9), (1, 4), (2, 1)):
+            chi2, crit = _binomial_chi2(np.array(plus[x]), c, 0.5)
+            assert chi2 < crit
 
 
 class TestAlg3:
@@ -120,6 +216,12 @@ class TestAlg3:
         sched = make_hint_schedule([[0]])
         with pytest.raises(InputError):
             Alg3Transductive(const_class, LossSpec.of("absolute"), 2, sched)
+
+    def test_rejects_schedule_outside_domain(self, const_class):
+        for row in ([2], [-1]):
+            with pytest.raises(InputError):
+                Alg3Transductive(const_class, LossSpec.of("absolute"), 1,
+                                 make_hint_schedule([row]))
 
     def test_two_calls_per_round(self, partition8):
         sched = full_domain_schedule(4, 8)
@@ -326,6 +428,18 @@ class TestDoublingMeta:
                             sigma_min=0.25, sigma_max=1.0)
         with pytest.raises(InputError):
             meta.update(1, 0, 1.0)
+
+    def test_expert_streams_differ_from_top_level_runs(self, partition8):
+        meta = DoublingMeta(partition8, LossSpec.of("binary_indicator"), T=4,
+                            sigma_min=0.25, sigma_max=1.0, seed=5, run=0)
+        plain = Alg2PoissonFTPL(partition8, LossSpec.of("binary_indicator"),
+                                T=4, n=4.0, seed=5, run=1)
+        expert_draw = meta.experts[0]._stream(1, "hallucinate").random(4)
+        plain_draw = plain._stream(1, "hallucinate").random(4)
+        assert not np.array_equal(expert_draw, plain_draw)
+        # plain learners keep their (seed, run, round, purpose) streams
+        np.testing.assert_array_equal(
+            plain_draw, np.random.default_rng([5, 1, 1, 5]).random(4))
 
     def test_bad_sigma_range(self, partition8):
         with pytest.raises(InputError):
