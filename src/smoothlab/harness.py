@@ -35,6 +35,7 @@ from .adversary import (
     cyclic_hint_schedule,
     full_domain_schedule,
     known_sequence_schedule,
+    next_round,
 )
 from .core import (
     FiniteDomain,
@@ -362,16 +363,14 @@ def run_game(config: ExperimentConfig, seed: int, run: int = 0) -> Transcript:
     prev_calls = 0
     prev_len = 0
     for t in range(1, config.T + 1):
-        commitment = adversary.commit(t, history)
-        commitment.check_contract()
+        commitment, x_t, label_rule = next_round(
+            adversary, t, history, rngmod.stream(seed, run, t, "instance"))
         # the label rule is committed (hashed) before the prediction
         label_hash.update(commitment.label_table.tobytes())
-        x_rng = rngmod.stream(seed, run, t, "instance")
-        x_t = int(x_rng.choice(hclass.domain_size, p=commitment.probs))
         t0 = time.perf_counter()
         yhat = learner.predict(t, x_t)
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        y_t = float(commitment.label_table[x_t])
+        y_t = label_rule(x_t)
         loss_val = loss_eval(loss, yhat, y_t)
         learner.update(t, x_t, y_t)
         adversary.observe(t, x_t, yhat, y_t)

@@ -88,6 +88,10 @@ class Learner:
     def _stream(self, t: int, purpose: str):
         return rngmod.stream(self.seed, self.run, t, purpose, self.expert)
 
+    def _tie_stream(self, t: int):
+        """The round's "tie" stream, built only under the policy that reads it."""
+        return self._stream(t, "tie") if self.tie is TiePolicy.SEEDED_RANDOM else None
+
     def predict(self, t: int, x_t: int) -> float:
         raise NotImplementedError
 
@@ -248,7 +252,7 @@ class Alg2PoissonFTPL(Learner):
         S = self.history.copy()
         S.extend(_cell_count_multiset(cells))
         idx, _ = erm(self.hclass, S, self.loss, tie=self.tie, stats=self.stats,
-                     query_point=int(x_t), rng=self._stream(t, "tie"))
+                     query_point=int(x_t), rng=self._tie_stream(t))
         return float(self.hclass.values[idx, x_t])
 
 
@@ -261,7 +265,7 @@ class FTL(Learner):
     def predict(self, t: int, x_t: int) -> float:
         idx, _ = erm(self.hclass, self.history, self.loss, tie=self.tie,
                      stats=self.stats, query_point=int(x_t),
-                     rng=self._stream(t, "tie"))
+                     rng=self._tie_stream(t))
         return float(self.hclass.values[idx, x_t])
 
 

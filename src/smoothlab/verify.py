@@ -25,7 +25,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -190,73 +190,69 @@ def coupling_montecarlo(P, Q, sigma: float, m: int, trials: int, rng,
 # Regularized Rademacher complexity and monotonicity
 # ---------------------------------------------------------------------------
 
-def _sign_matrix(m: int, start: int, stop: int) -> np.ndarray:
-    """Rows `start:stop` of the 2^m x m matrix of +-1 assignments."""
-    codes = np.arange(start, stop, dtype=np.int64)[:, None]
-    return 1.0 - 2.0 * ((codes >> np.arange(m)) & 1)
+def _rademacher_args(hclass: HypothesisClass, Z, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Z as domain indices and phi as one finite real per hypothesis."""
+    Z = np.asarray(Z, dtype=int).reshape(-1)
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (len(hclass),) or not np.all(np.isfinite(phi)):
+        raise InputError("phi must assign one finite real to each hypothesis")
+    if np.any((Z < 0) | (Z >= hclass.domain_size)):
+        raise InputError(f"Z leaves the domain of size {hclass.domain_size}")
+    return Z, phi
+
+
+def _rademacher_exact(vals, phi, Z) -> Fraction:
+    """E_eps[sup_h{sum_i eps_i h(z_i) + phi(h)}] over all 2^|Z| sign
+    assignments, exactly.
+
+    Every finite float is an integer times a power of two, so the value
+    table and phi are scaled to one common power of two and the
+    enumeration runs on Python ints; nothing is rounded.
+    """
+    m = len(Z)
+    if m > EXACT_RADEMACHER_CAP:
+        raise CapacityError(f"|Z|={m} exceeds the exact enumeration cap")
+    table = np.column_stack((vals[:, Z], phi))  # (H, m + 1)
+    ratios = [v.as_integer_ratio() for v in table.ravel().tolist()]
+    scale = max(den for _, den in ratios)  # every den is a power of two
+    ints = np.array([num * (scale // den) for num, den in ratios],
+                    dtype=object).reshape(table.shape)
+    total = 0
+    chunk = 1 << 12
+    for start in range(0, 1 << m, chunk):
+        codes = np.arange(start, min(start + chunk, 1 << m))[:, None]
+        signs = (1 - 2 * ((codes >> np.arange(m)) & 1)).astype(object)
+        total += (signs @ ints[:, :m].T + ints[:, m]).max(axis=1).sum()
+    return Fraction(total, scale << m)
 
 
 def rademacher_estimate(hclass: HypothesisClass, Z, phi, mode: str = "exact",
                         trials: int = 10_000, rng=None) -> float:
     """E_eps[ sup_h { sum_i eps_i h(z_i) + phi(h) } ].
 
-    Exact mode enumerates all 2^|Z| sign assignments (|Z| <= 16);
-    Monte Carlo mode averages over sampled assignments.
+    Exact mode enumerates all 2^|Z| sign assignments (|Z| <= 16) and
+    rounds the exact value once; Monte Carlo mode averages over sampled
+    assignments.
     """
-    Z = np.asarray(Z, dtype=int)
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (len(hclass),):
-        raise InputError("phi must assign one real to each hypothesis")
-    vals = hclass.values[:, Z]  # (H, m)
-    m = Z.size
-    if m == 0:
-        return float(phi.max())
+    Z, phi = _rademacher_args(hclass, Z, phi)
     if mode == "exact":
-        if m > EXACT_RADEMACHER_CAP:
-            raise CapacityError(f"|Z|={m} exceeds the exact enumeration cap")
-        total = 0.0
-        chunk = 1 << 12
-        for start in range(0, 1 << m, chunk):
-            stop = min(start + chunk, 1 << m)
-            signs = _sign_matrix(m, start, stop)  # (B, m)
-            sups = (signs @ vals.T + phi).max(axis=1)
-            total += sups.sum()
-        return total / (1 << m)
+        return float(_rademacher_exact(hclass.values, phi, Z))
     if mode == "mc":
         if rng is None:
             raise InputError("Monte Carlo mode needs an rng")
-        signs = rng.integers(0, 2, size=(trials, m)) * 2.0 - 1.0
-        return float((signs @ vals.T + phi).max(axis=1).mean())
+        signs = rng.integers(0, 2, size=(trials, Z.size)) * 2.0 - 1.0
+        return float((signs @ hclass.values[:, Z].T + phi).max(axis=1).mean())
     raise InputError(f"unknown mode {mode!r}")
 
 
-def _rademacher_exact_rational(vals, phi, Z) -> Fraction:
-    """2^|Z| enumeration of E_eps[sup_h{sum eps h(z) + phi(h)}] in exact
-    rational arithmetic (floats are exact rationals, so no rounding)."""
-    m = len(Z)
-    table = [[Fraction(vals[h, z]) for z in Z] for h in range(vals.shape[0])]
-    phi_f = [Fraction(p) for p in phi]
-    total = Fraction(0)
-    for code in range(1 << m):
-        signs = [1 if (code >> i) & 1 else -1 for i in range(m)]
-        total += max(
-            sum((s * row[i] for i, s in enumerate(signs)), start=phi_f[h])
-            for h, row in enumerate(table))
-    return total / (1 << m)
-
-
 def monotonicity_check(hclass: HypothesisClass, Z, phi, x: int) -> VerificationReport:
-    """Exact check that the regularized complexity grows when one point
-    is appended to Z.  Evaluated in exact rational arithmetic so the
-    zero-tolerance comparison is free of float rounding."""
-    Z = np.asarray(Z, dtype=int)
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (len(hclass),):
-        raise InputError("phi must assign one real to each hypothesis")
-    if Z.size + 1 > EXACT_RADEMACHER_CAP:
-        raise CapacityError(f"|Z|+1={Z.size + 1} exceeds the exact enumeration cap")
-    before = _rademacher_exact_rational(hclass.values, phi, Z.tolist())
-    after = _rademacher_exact_rational(hclass.values, phi, Z.tolist() + [int(x)])
+    """Exact check that the regularized complexity grows when x is appended
+    to Z: both values come from the exact enumeration that the estimate and
+    the relaxations run, so the zero-tolerance comparison has no rounding."""
+    Zx, phi = _rademacher_args(hclass, np.append(Z, x), phi)
+    # the larger set first: it carries the capacity check
+    after = _rademacher_exact(hclass.values, phi, Zx)
+    before = _rademacher_exact(hclass.values, phi, Zx[:-1])
     return VerificationReport(
         name="rademacher_monotonicity",
         mode="exact",
@@ -265,7 +261,7 @@ def monotonicity_check(hclass: HypothesisClass, Z, phi, x: int) -> VerificationR
         tolerance=0.0,
         trials=None,
         passed=bool(before <= after),
-        details=f"|Z|={len(Z)}, x={x}",
+        details=f"|Z|={Zx.size - 1}, x={x}",
     )
 
 
@@ -291,11 +287,9 @@ def relaxation_value(params: RelaxationParams, hclass: HypothesisClass,
 
     if params.mode is RelaxationMode.TRANSDUCTIVE:
         Z = np.asarray([] if hints is None else hints, dtype=int)
-        phi = -hist_loss / (2.0 * G)
-        if Z.size <= EXACT_RADEMACHER_CAP:
-            return 2.0 * G * rademacher_estimate(hclass, Z, phi, mode="exact")
-        return 2.0 * G * rademacher_estimate(hclass, Z, phi, mode="mc",
-                                             trials=trials, rng=rng)
+        mode = "exact" if Z.size <= EXACT_RADEMACHER_CAP else "mc"
+        return 2.0 * G * rademacher_estimate(hclass, Z, -hist_loss / (2.0 * G),
+                                             mode=mode, trials=trials, rng=rng)
 
     if params.mode is RelaxationMode.SMOOTHED_REAL:
         m = params.K * (params.T - params.t)
@@ -371,14 +365,6 @@ def smooth_polytope_vertices(domain_size: int, sigma: float) -> list[np.ndarray]
     return out
 
 
-def _transductive_rel(hclass, history: ExampleMultiset, loss: LossSpec,
-                      Z: np.ndarray) -> float:
-    """Eq-form relaxation: E_eps sup_h {2G sum eps h(z) - sum l(h(x),y)}."""
-    G = loss.lipschitz_G
-    phi = -_objective_table(hclass, history, loss) / (2.0 * G)
-    return 2.0 * G * rademacher_estimate(hclass, Z, phi, mode="exact")
-
-
 def admissibility_check(learner_kind: str, hclass: HypothesisClass,
                         loss: LossSpec, hint_schedule,
                         tie: TiePolicy = TiePolicy.PREFER_NEGATIVE,
@@ -412,11 +398,16 @@ def admissibility_check(learner_kind: str, hclass: HypothesisClass,
     for t in range(1, T + 1):
         xs_choices = [np.unique(hint_schedule.row(i)) for i in range(1, t)]
         future = hint_schedule.rows[t:T].reshape(-1)
+        params_prev = RelaxationParams(
+            RelaxationMode.TRANSDUCTIVE, loss.lipschitz_G, T, t - 1)
+        params_next = RelaxationParams(
+            RelaxationMode.TRANSDUCTIVE, loss.lipschitz_G, T, t)
         for xs in itertools.product(*xs_choices):
             for ys in itertools.product((-1.0, 1.0), repeat=t - 1):
                 history = ExampleMultiset(zip(map(int, xs), ys))
-                rel_prev = _transductive_rel(
-                    hclass, history, loss, hint_schedule.rows[t - 1:T].reshape(-1))
+                rel_prev = relaxation_value(
+                    params_prev, hclass, history, loss,
+                    hints=hint_schedule.rows[t - 1:T].reshape(-1))
                 lhs = -math.inf
                 for x_t in np.unique(hint_schedule.row(t)):
                     preds = _learner_action_distribution(
@@ -426,7 +417,8 @@ def admissibility_check(learner_kind: str, hclass: HypothesisClass,
                                        for yhat, p in preds)
                         hist_next = history.copy()
                         hist_next.add(int(x_t), y_t)
-                        rel_next = _transductive_rel(hclass, hist_next, loss, future)
+                        rel_next = relaxation_value(
+                            params_next, hclass, hist_next, loss, hints=future)
                         lhs = max(lhs, exp_loss + rel_next)
                 slack = rel_prev - lhs
                 if slack < min_slack:
@@ -466,12 +458,13 @@ def _learner_action_distribution(kind, hclass, history, loss, future_hints,
 def _condition2_gap(hclass, loss, hint_schedule) -> float:
     """max over full sequences of |Rel(s_{1:T}) + inf_h L(h, s_{1:T})|."""
     T = hint_schedule.T
+    params = RelaxationParams(RelaxationMode.TRANSDUCTIVE, loss.lipschitz_G, T, T)
     gap = 0.0
     xs_choices = [np.unique(hint_schedule.row(i)) for i in range(1, T + 1)]
     for xs in itertools.product(*xs_choices):
         for ys in itertools.product((-1.0, 1.0), repeat=T):
             seq = ExampleMultiset(zip(map(int, xs), ys))
-            rel = _transductive_rel(hclass, seq, loss, np.array([], dtype=int))
+            rel = relaxation_value(params, hclass, seq, loss)
             best = _objective_table(hclass, seq, loss).min()
             gap = max(gap, abs(rel + best))
     return gap
@@ -626,6 +619,8 @@ def generalization_gap_mc(hclass: HypothesisClass, D: SmoothDistribution,
     history + hallucination + {s}, against the stated budget."""
     if not hclass.binary:
         raise InputError("generalization check requires a binary class")
+    if n <= 0 or trials < 1:
+        raise InputError("need n > 0 and trials >= 1")
     label_table = np.asarray(label_table, dtype=float)
     probs = D.array
     loss = LossSpec.of("binary_indicator")

@@ -281,6 +281,15 @@ class TestCli:
         reports = json.loads(open(out).read())
         assert reports and all(r["passed"] for r in reports)
 
+    def test_verify_all_suite(self, tmp_path, capsys):
+        out = str(tmp_path / "verify.json")
+        assert main(["verify", "--suite", "all", "--out", out]) == EXIT_OK
+        capsys.readouterr()
+        reports = json.loads(open(out).read())
+        assert reports and all(r["passed"] for r in reports)
+        assert any(r["name"] == "admissibility_ftl_negative_control"
+                   for r in reports)
+
     def test_verify_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "mystery"]) == EXIT_CONFIG
 

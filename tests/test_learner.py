@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from smoothlab import rng as rngmod
 from smoothlab.adversary import cyclic_hint_schedule, full_domain_schedule, make_hint_schedule
 from smoothlab.core import (
     ExampleMultiset,
@@ -360,6 +361,31 @@ class TestFTL:
         for t in range(1, 4):
             learner.predict(t, 0)
         assert learner.stats.call_count == 3
+
+
+class TestTieStream:
+    """The "tie" stream is built only under the policy that reads it."""
+
+    @pytest.mark.parametrize("kind", ["ftl", "alg2"])
+    @pytest.mark.parametrize("tie, per_round", [
+        (TiePolicy.PREFER_NEGATIVE, 0), (TiePolicy.SEEDED_RANDOM, 1)])
+    def test_streams_by_purpose(self, partition8, monkeypatch, kind, tie, per_round):
+        purposes = []
+        real = rngmod.stream
+
+        def counting(*args):
+            purposes.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(rngmod, "stream", counting)
+        loss = LossSpec.of("binary_indicator")
+        learner = (FTL(partition8, loss, T=6, seed=3, tie=tie) if kind == "ftl"
+                   else Alg2PoissonFTPL(partition8, loss, T=6, n=4.0, seed=3, tie=tie))
+        for t in range(1, 7):
+            learner.predict(t, t % 8)
+            learner.update(t, t % 8, 1.0)
+        assert purposes.count("tie") == 6 * per_round
+        assert purposes.count("hallucinate") == (6 if kind == "alg2" else 0)
 
 
 class TestHedge:

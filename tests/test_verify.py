@@ -3,12 +3,15 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smoothlab import learner
+from smoothlab import learner, verify
 from smoothlab.adversary import full_domain_schedule, make_hint_schedule
 from smoothlab.core import (
     ExampleMultiset,
@@ -89,6 +92,29 @@ class TestCoupling:
         assert report.passed and wrong_tv > report.tolerance
 
 
+def _rademacher_reference(vals, phi, Z) -> Fraction:
+    """Reference: the 2^|Z| enumeration one assignment at a time in
+    Fraction arithmetic (floats are exact rationals, so no rounding)."""
+    m = len(Z)
+    table = [[Fraction(vals[h, z]) for z in Z] for h in range(vals.shape[0])]
+    phi_f = [Fraction(p) for p in phi]
+    total = Fraction(0)
+    for code in range(1 << m):
+        signs = [1 if (code >> i) & 1 else -1 for i in range(m)]
+        total += max(
+            sum((s * row[i] for i, s in enumerate(signs)), start=phi_f[h])
+            for h, row in enumerate(table))
+    return total / (1 << m)
+
+
+# dyadic k/1024 values mixed with magnitudes from 1e-300 to 1e300
+_PHI_ENTRY = st.one_of(
+    st.integers(-4096, 4096).map(lambda k: k / 1024),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(1e-300, 1e300)).map(
+        lambda t: t[0] * t[1]),
+)
+
+
 class TestRademacher:
     def test_exact_fixture_two_points(self, const_class):
         """sup_h(eps1 h + eps2 h) = |eps1 + eps2|, so the mean is 1."""
@@ -120,6 +146,71 @@ class TestRademacher:
             rademacher_estimate(const_class, [0], np.zeros(3))
         with pytest.raises(InputError):
             rademacher_estimate(const_class, [0], np.zeros(2), mode="mc")
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_exact_matches_reference(self, data):
+        """The one exact enumerator equals the Fraction reference exactly,
+        and the exact estimate is its correctly rounded float."""
+        binary = data.draw(st.booleans())
+        n_h = data.draw(st.integers(1, 6))
+        size = data.draw(st.integers(1, 5))
+        entry = st.sampled_from([-1.0, 1.0]) if binary else st.floats(-1, 1)
+        vals = data.draw(st.lists(st.lists(entry, min_size=size, max_size=size),
+                                  min_size=n_h, max_size=n_h))
+        hclass = HypothesisClass(vals, declared_dim=0, binary=binary)
+        Z = data.draw(st.lists(st.integers(0, size - 1), max_size=8))
+        phi = np.array(data.draw(st.lists(_PHI_ENTRY, min_size=n_h, max_size=n_h)))
+        ref = _rademacher_reference(hclass.values, phi, Z)
+        assert verify._rademacher_exact(hclass.values, phi, np.array(Z, dtype=int)) == ref
+        assert rademacher_estimate(hclass, Z, phi) == float(ref)
+
+    @pytest.mark.parametrize("Z, phi", [
+        ([-1], np.zeros(2)),
+        ([2], np.zeros(2)),
+        ([0], np.array([np.nan, 0.0])),
+        ([0], np.array([np.inf, 0.0])),
+        ([0], np.array([0.0, -np.inf])),
+    ], ids=["negative-index", "index-past-domain", "nan-phi", "inf-phi", "neg-inf-phi"])
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_estimate_rejects_bad_input(self, const_class, rng, Z, phi, mode):
+        with pytest.raises(InputError):
+            rademacher_estimate(const_class, Z, phi, mode=mode, rng=rng)
+
+    @pytest.mark.parametrize("Z, phi, x", [
+        ([-1], np.zeros(2), 0),
+        ([2], np.zeros(2), 0),
+        ([0], np.zeros(2), -1),
+        ([0], np.zeros(2), 2),
+        ([0], np.array([np.nan, 0.0]), 1),
+        ([0], np.array([np.inf, 0.0]), 1),
+        ([0], np.array([1e308, -np.inf]), 1),
+    ], ids=["negative-index", "index-past-domain", "negative-x", "x-past-domain",
+            "nan-phi", "inf-phi", "neg-inf-phi"])
+    def test_monotonicity_rejects_bad_input(self, const_class, Z, phi, x):
+        with pytest.raises(InputError):
+            monotonicity_check(const_class, Z, phi, x)
+
+    def test_callers_reach_the_exact_enumerator(self, const_class, monkeypatch):
+        """The exact estimate, the monotonicity check and the admissibility
+        check all run `verify._rademacher_exact`: shifting its value by
+        -|Z| changes all three outputs."""
+        sched = make_hint_schedule([[0], [0]])
+        loss = LossSpec.of("absolute")
+
+        def outputs():
+            return (rademacher_estimate(const_class, [0, 1], np.zeros(2)),
+                    monotonicity_check(const_class, [0], np.zeros(2), 1).to_dict(),
+                    admissibility_check("alg3", const_class, loss, sched).to_dict())
+
+        real = outputs()
+        exact = verify._rademacher_exact
+        monkeypatch.setattr(verify, "_rademacher_exact",
+                            lambda vals, phi, Z: exact(vals, phi, Z) - len(Z))
+        fake = outputs()
+        assert fake[0] == real[0] - 2
+        assert real[1]["passed"] and not fake[1]["passed"]
+        assert fake[2]["measured"] != real[2]["measured"]
 
     def test_monotonicity_random_instances(self, rng):
         for _ in range(50):
@@ -376,6 +467,14 @@ class TestGeneralizationGap:
         assert report.passed
         assert report.bound > 0.0
         assert report.mode == "monte_carlo"
+
+    @pytest.mark.parametrize("n, trials", [(0.0, 10), (16.0, 0)],
+                             ids=["n-zero", "no-trials"])
+    def test_rejects_empty_budget(self, partition8, rng, n, trials):
+        with pytest.raises(InputError):
+            generalization_gap_mc(partition8, SmoothDistribution.uniform(8),
+                                  partition8.values[1], ExampleMultiset(),
+                                  n=n, trials=trials, rng=rng)
 
     def test_requires_binary(self, real_class, rng):
         with pytest.raises(InputError):
