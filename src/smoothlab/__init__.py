@@ -6,7 +6,6 @@ admissibility) and a reproducible experiment harness."""
 from .core import (
     ExampleMultiset,
     FiniteDomain,
-    Hypothesis,
     HypothesisClass,
     LossKind,
     LossSpec,
@@ -19,7 +18,7 @@ from .core import (
     validate_smooth,
 )
 from .errors import CapacityError, ContractViolation, FitError, InputError
-from .oracle import OracleStats, TiePolicy, approx_erm, erm, mixed_opt
+from .oracle import OracleStats, TiePolicy, erm, mixed_opt
 from .adversary import (
     Adversary,
     AdversaryKind,
@@ -40,7 +39,6 @@ from .learner import (
     FTL,
     HedgeLearner,
     default_n,
-    hedge_update,
     hint_count,
 )
 from .verify import (

@@ -126,7 +126,7 @@ class RoundCommitment:
                 raise ContractViolation(
                     "committed distribution escapes the promised hint multiset"
                 )
-        if np.any(np.abs(self.label_table) > 1.0):
+        if not np.all(np.abs(self.label_table) <= 1.0):
             raise ContractViolation("committed labels leave [-1, 1]")
 
 
@@ -200,6 +200,12 @@ class Adversary:
                 raise InputError("custom_table needs xs and ys")
             if len(spec.xs) < self.T or len(spec.ys) < self.T:
                 raise InputError("custom_table xs/ys shorter than T")
+            xs = np.asarray(spec.xs)
+            if np.any((xs < 0) | (xs >= self.domain_size)):
+                raise InputError(
+                    f"custom_table xs leave the domain of size {self.domain_size}")
+            if not np.all(np.abs(np.asarray(spec.ys, dtype=float)) <= 1.0):
+                raise InputError("custom_table ys must be finite and lie in [-1, 1]")
 
     # -- per-round protocol -------------------------------------------
 

@@ -8,7 +8,11 @@ Conventions used everywhere:
   exactly ``{-1.0, +1.0}``;
 * a distribution is sigma-smooth iff every atom has mass at most
   ``1 / (sigma * size)`` (the subset condition reduces to singletons on
-  a finite domain).
+  a finite domain);
+* an ``ExampleMultiset`` is read-only (instance, label, count) arrays
+  over its distinct pairs, sorted by (instance, label); it is built from
+  pairs, aligned arrays or a (size, 2) table of (instance, sign) counts,
+  and one aggregation step serves every constructor and `union`.
 """
 
 from __future__ import annotations
@@ -40,23 +44,6 @@ class FiniteDomain:
             raise InputError(f"domain size must be >= 1, got {self.size}")
 
 
-@dataclass(frozen=True)
-class Hypothesis:
-    """A value table over the domain, entries in [-1, 1]."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise InputError("hypothesis values must be a nonempty 1-D table")
-        if np.any(np.abs(arr) > 1.0):
-            raise InputError("hypothesis values must lie in [-1, 1]")
-
-    def __call__(self, x: int) -> float:
-        return self.values[x]
-
-
 class HypothesisClass:
     """An ordered finite set of hypotheses over a common domain.
 
@@ -68,7 +55,7 @@ class HypothesisClass:
         vals = np.array(values, dtype=float)
         if vals.ndim != 2 or vals.shape[0] == 0:
             raise InputError("need a nonempty 2-D (hypothesis, domain) value table")
-        if np.any(np.abs(vals) > 1.0):
+        if not np.all(np.abs(vals) <= 1.0):
             raise InputError("hypothesis values must lie in [-1, 1]")
         if binary and not np.all(np.abs(vals) == 1.0):
             raise InputError("binary class requires values in {-1, +1} exactly")
@@ -89,9 +76,6 @@ class HypothesisClass:
     @property
     def domain(self) -> FiniteDomain:
         return FiniteDomain(self.domain_size)
-
-    def hypothesis(self, i: int) -> Hypothesis:
-        return Hypothesis(tuple(self.values[i]))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -150,7 +134,8 @@ class LossSpec:
 
 
 def _check_range(v, name: str) -> None:
-    if np.any(np.abs(np.asarray(v, dtype=float)) > 1.0):
+    # written so that NaN fails it
+    if not np.all(np.abs(np.asarray(v, dtype=float)) <= 1.0):
         raise InputError(f"{name} must lie in [-1, 1]")
 
 
@@ -186,7 +171,7 @@ def check_probs(probs, tol: float = PROB_TOL) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise InputError("probs must be a nonempty vector")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > tol:
+    if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= tol):
         raise InputError("probs must be nonnegative and sum to 1")
     return p
 
@@ -222,94 +207,130 @@ class SmoothDistribution:
         return cls(tuple([1.0 / size] * size), 1.0)
 
 
+def _checked_columns(xs, ys, counts):
+    """Aligned 1-D instance, label and count arrays; InputError unless
+    every count is >= 1 and every label lies in [-1, 1]."""
+    xs = np.asarray(xs, dtype=int)
+    ys = np.asarray(ys, dtype=float)
+    cs = np.asarray(counts, dtype=int)
+    if not (xs.ndim == 1 and xs.shape == ys.shape == cs.shape):
+        raise InputError("xs, ys and counts must be aligned 1-D arrays")
+    if np.any(cs < 1):
+        raise InputError("multiset counts must be >= 1")
+    _check_range(ys, "label")
+    return xs, ys, cs
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _aggregate(xs: np.ndarray, ys: np.ndarray, cs: np.ndarray):
+    """Sum the counts of equal (x, y) pairs; the distinct pairs come out
+    sorted by (x, y), each carrying the first label of its group."""
+    order = np.lexsort((ys, xs))
+    xs, ys, cs = xs[order], ys[order], cs[order]
+    if xs.size:
+        starts = np.flatnonzero(np.concatenate(
+            ([True], (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1]))))
+        xs, ys, cs = xs[starts], ys[starts], np.add.reduceat(cs, starts)
+    return _frozen(xs, ys, cs)
+
+
 class ExampleMultiset:
     """Multiset of (instance, label) pairs; the currency of oracle calls.
 
-    Stored as aggregated (x, y) -> count so oracle objectives cost
-    O(distinct pairs) while logical size (what oracle input-length
-    accounting uses) is the sum of counts.
+    Held as three read-only arrays over the distinct pairs, sorted by
+    (x, y): instances, labels and counts.  Oracle objectives therefore
+    cost O(distinct pairs), while the logical size (what oracle
+    input-length accounting uses) is the sum of the counts.  Labels and
+    counts are checked once per array when they enter; no operation
+    changes an array another multiset may hold, so `union` and `add`
+    never alter an operand seen elsewhere.
     """
 
-    __slots__ = ("_counts", "_arrays")
+    __slots__ = ("_xs", "_ys", "_cs")
 
     def __init__(self, pairs=()):
-        self._counts: dict[tuple[int, float], int] = {}
-        self._arrays = None
-        for item in pairs:
-            if len(item) == 3:
-                x, y, c = item
-            else:
-                x, y = item
-                c = 1
-            self.add(int(x), float(y), int(c))
+        cols = [(int(x), float(y), int(c[0]) if c else 1)
+                for x, y, *c in pairs]
+        xs, ys, cs = zip(*cols) if cols else ((), (), ())
+        self._xs, self._ys, self._cs = _aggregate(*_checked_columns(xs, ys, cs))
 
-    def add(self, x: int, y: float, count: int = 1) -> None:
-        if count < 1:
-            raise InputError("multiset counts must be >= 1")
-        _check_range(y, "label")
-        key = (int(x), float(y))
-        self._counts[key] = self._counts.get(key, 0) + count
-        self._arrays = None
-
-    def extend(self, other: "ExampleMultiset") -> None:
-        """Merge counts; `other`'s pairs were checked when they entered it."""
-        for key, c in other._counts.items():
-            self._counts[key] = self._counts.get(key, 0) + c
-        self._arrays = None
-
-    def copy(self) -> "ExampleMultiset":
-        out = ExampleMultiset()
-        out._counts = dict(self._counts)
-        return out
-
-    def union(self, other: "ExampleMultiset") -> "ExampleMultiset":
-        out = self.copy()
-        out.extend(other)
+    @classmethod
+    def _of(cls, xs, ys, cs) -> "ExampleMultiset":
+        out = cls.__new__(cls)
+        out._xs, out._ys, out._cs = xs, ys, cs
         return out
 
     @classmethod
     def from_arrays(cls, xs, ys, counts=None) -> "ExampleMultiset":
         """Bulk constructor from aligned instance, label and count arrays;
         labels and counts are checked once per array."""
-        xs = np.asarray(xs, dtype=int)
-        ys = np.asarray(ys, dtype=float)
         if counts is None:
-            counts = np.ones(xs.shape, dtype=int)
-        cs = np.asarray(counts, dtype=int)
-        if not (xs.ndim == 1 and xs.shape == ys.shape == cs.shape):
-            raise InputError("xs, ys and counts must be aligned 1-D arrays")
-        if np.any(cs < 1):
+            counts = np.ones(np.shape(xs), dtype=int)
+        return cls._of(*_aggregate(*_checked_columns(xs, ys, counts)))
+
+    @classmethod
+    def from_cells(cls, cells) -> "ExampleMultiset":
+        """The multiset of a (|X|, 2) table of (instance, sign) counts:
+        column 0 counts label -1, column 1 label +1."""
+        cells = np.asarray(cells)
+        if cells.ndim != 2 or cells.shape[1] != 2 or not np.all(cells >= 0):
+            raise InputError("cells must be a nonnegative (|X|, 2) count table")
+        flat = cells.reshape(-1)
+        nonzero = np.flatnonzero(flat)
+        # row-major order over (x, sign) is already (x, y)-sorted
+        return cls._of(*_frozen(nonzero // 2, np.where(nonzero % 2, 1.0, -1.0),
+                                flat[nonzero].astype(int)))
+
+    def union(self, other: "ExampleMultiset") -> "ExampleMultiset":
+        """A new multiset holding both operands' counts."""
+        # arrays are never written in place, so the result may share them
+        if not other._cs.size:
+            return self._of(*self.arrays())
+        if not self._cs.size:
+            return self._of(*other.arrays())
+        return self._of(*_aggregate(*(np.concatenate(pair) for pair in zip(
+            self.arrays(), other.arrays()))))
+
+    def add(self, x: int, y: float, count: int = 1) -> None:
+        """Add `count` copies of (x, y): bump the count of a present pair,
+        or insert the pair at its sorted position."""
+        x, y, count = int(x), float(y), int(count)
+        if count < 1:
             raise InputError("multiset counts must be >= 1")
-        _check_range(ys, "label")
-        out = cls()
-        for key, c in zip(zip(xs.tolist(), ys.tolist()), cs.tolist()):
-            out._counts[key] = out._counts.get(key, 0) + c
-        return out
+        if not -1.0 <= y <= 1.0:
+            raise InputError("label must lie in [-1, 1]")
+        xs, ys, cs = self._xs, self._ys, self._cs
+        lo, hi = xs.searchsorted(x, "left"), xs.searchsorted(x, "right")
+        j = lo + ys[lo:hi].searchsorted(y)
+        if j < hi and ys[j] == y:
+            cs = cs.copy()
+            cs[j] += count
+        else:
+            xs, ys, cs = (np.insert(xs, j, x), np.insert(ys, j, y),
+                          np.insert(cs, j, count))
+        self._xs, self._ys, self._cs = _frozen(xs, ys, cs)
 
     @property
     def logical_size(self) -> int:
-        return sum(self._counts.values())
+        return int(self._cs.sum())
 
     def __len__(self) -> int:
         return self.logical_size
 
-    def items(self):
-        return self._counts.items()
+    def items(self) -> list[tuple[tuple[int, float], int]]:
+        """((x, y), count) for each distinct pair, in sorted order."""
+        return list(zip(zip(self._xs.tolist(), self._ys.tolist()),
+                        self._cs.tolist()))
 
     def arrays(self):
-        """(xs, ys, counts) arrays over the distinct pairs."""
-        if self._arrays is None:
-            if self._counts:
-                keys = sorted(self._counts)
-                xs = np.array([k[0] for k in keys], dtype=int)
-                ys = np.array([k[1] for k in keys], dtype=float)
-                cs = np.array([self._counts[k] for k in keys], dtype=float)
-            else:
-                xs = np.zeros(0, dtype=int)
-                ys = np.zeros(0, dtype=float)
-                cs = np.zeros(0, dtype=float)
-            self._arrays = (xs, ys, cs)
-        return self._arrays
+        """Read-only (xs, ys, counts) arrays over the distinct pairs,
+        sorted by (x, y)."""
+        return self._xs, self._ys, self._cs
 
 
 def make_partition_class(domain: FiniteDomain, d: int) -> HypothesisClass:

@@ -385,8 +385,8 @@ def run_game(config: ExperimentConfig, seed: int, run: int = 0) -> Transcript:
         prev_calls = learner.stats.call_count
         prev_len = learner.stats.total_input_length
 
-    _, bih_loss = erm(hclass, learner.history, loss,
-                      tie=TiePolicy(config.tie_policy), stats=learner.stats,
+    # only the optimal value is read, so the default tie policy serves
+    _, bih_loss = erm(hclass, learner.history, loss, stats=learner.stats,
                       tag="final")
     return Transcript(
         rounds=rounds,

@@ -22,7 +22,8 @@ of drawing one sample at a time: a Multinomial over the 2|X| cells for
 Alg 1 (`hint_cells`), a Binomial(c, 1/2) sign split of each future
 instance count for Alg 3, and i.i.d. Poisson cells for Alg 2
 (`hallucination_cells`).  A round therefore costs O(|X|) draws
-whatever K, T or n.
+whatever K, T or n, and `ExampleMultiset.from_cells` turns the count
+table into the oracle's multiset without a per-pair loop.
 
 All per-round randomness comes from counter-based streams keyed by
 (seed, run, round, purpose), so each round's hint/label noise is fresh
@@ -117,31 +118,23 @@ def hallucination_cells(n: float, domain_size: int, rng) -> np.ndarray:
     return rng.poisson(n / (2 * domain_size), size=(domain_size, 2))
 
 
-def _cell_count_multiset(cells: np.ndarray) -> ExampleMultiset:
-    """The multiset of a (|X|, 2) table of (instance, -1/+1) counts."""
-    flat = cells.reshape(-1)
-    nonzero = np.flatnonzero(flat)
-    return ExampleMultiset.from_arrays(
-        nonzero // 2, np.where(nonzero % 2, 1.0, -1.0), flat[nonzero])
-
-
 def hint_difference_prediction(hclass: HypothesisClass, history: ExampleMultiset,
                                hints: ExampleMultiset, x_t: int, loss: LossSpec,
-                               tie: TiePolicy, stats: OracleStats | None) -> float:
+                               stats: OracleStats | None) -> float:
     """The prediction rule of the hint-based learners (Algs 1 and 3).
 
     yhat_t = OPT(history; S+S+{(x_t,-1)}) - OPT(history; S+S+{(x_t,+1)})
     where S is the round's Rademacher-labeled hint multiset (two copies
-    of each hint), evaluated with two mixed-oracle calls.
+    of each hint), evaluated with two mixed-oracle calls.  Only the
+    optimal values enter, so the oracle's tie policy cannot change the
+    prediction and the calls use the default one.
     """
     xs, ys, counts = hints.arrays()
-    doubled = ExampleMultiset.from_arrays(xs, ys, 2 * counts)
-    lo = doubled.copy()
-    lo.add(int(x_t), -1.0)
-    hi = doubled
-    hi.add(int(x_t), 1.0)
-    _, v_minus = mixed_opt(hclass, history, lo, loss, tie=tie, stats=stats)
-    _, v_plus = mixed_opt(hclass, history, hi, loss, tie=tie, stats=stats)
+    xs, counts = np.append(xs, int(x_t)), np.append(2 * counts, 1)
+    lo = ExampleMultiset.from_arrays(xs, np.append(ys, -1.0), counts)
+    hi = ExampleMultiset.from_arrays(xs, np.append(ys, 1.0), counts)
+    _, v_minus = mixed_opt(hclass, history, lo, loss, stats=stats)
+    _, v_plus = mixed_opt(hclass, history, hi, loss, stats=stats)
     yhat = v_minus - v_plus
     if abs(yhat) > 1.0 + PRED_TOL:
         raise ContractViolation(f"prediction {yhat} escaped [-1, 1]")
@@ -160,7 +153,7 @@ class _HintDifferenceLearner(Learner):
     def predict(self, t: int, x_t: int) -> float:
         return hint_difference_prediction(
             self.hclass, self.history, self._hints_for_round(t), x_t,
-            self.loss, self.tie, self.stats)
+            self.loss, self.stats)
 
 
 class Alg3Transductive(_HintDifferenceLearner):
@@ -194,7 +187,7 @@ class Alg3Transductive(_HintDifferenceLearner):
         of an instance with c future hints is Binomial(c, 1/2)."""
         c = self._future_counts[t]
         plus = self._stream(t, "epsilons").binomial(c, 0.5)
-        return _cell_count_multiset(np.stack((c - plus, plus), axis=1))
+        return ExampleMultiset.from_cells(np.stack((c - plus, plus), axis=1))
 
 
 class Alg1Smoothed(_HintDifferenceLearner):
@@ -222,7 +215,7 @@ class Alg1Smoothed(_HintDifferenceLearner):
             raise CapacityError(
                 f"round {t} needs {m} hints, above the cap {self.max_hints_per_round}"
             )
-        return _cell_count_multiset(
+        return ExampleMultiset.from_cells(
             hint_cells(m, self.hclass.domain_size, self._stream(t, "hints")))
 
 
@@ -249,8 +242,7 @@ class Alg2PoissonFTPL(Learner):
         cells = hallucination_cells(self.n, self.hclass.domain_size,
                                     self._stream(t, "hallucinate"))
         self.last_hallucination_count = int(cells.sum())
-        S = self.history.copy()
-        S.extend(_cell_count_multiset(cells))
+        S = self.history.union(ExampleMultiset.from_cells(cells))
         idx, _ = erm(self.hclass, S, self.loss, tie=self.tie, stats=self.stats,
                      query_point=int(x_t), rng=self._tie_stream(t))
         return float(self.hclass.values[idx, x_t])
@@ -267,6 +259,13 @@ class FTL(Learner):
                      stats=self.stats, query_point=int(x_t),
                      rng=self._tie_stream(t))
         return float(self.hclass.values[idx, x_t])
+
+
+def exp_weights(cumulative_losses: np.ndarray, eta: float) -> np.ndarray:
+    """Exponential weights: normalized exp(-eta * cumulative loss), shifted
+    by the smallest loss so no weight underflows to zero for all."""
+    w = np.exp(-eta * (cumulative_losses - cumulative_losses.min()))
+    return w / w.sum()
 
 
 class HedgeLearner(Learner):
@@ -291,8 +290,7 @@ class HedgeLearner(Learner):
 
     @property
     def weights(self) -> np.ndarray:
-        w = np.exp(-self.eta * (self.cumulative_losses - self.cumulative_losses.min()))
-        return w / w.sum()
+        return exp_weights(self.cumulative_losses, self.eta)
 
     def predict(self, t: int, x_t: int) -> float:
         rng = self._stream(t, "hedge")
@@ -307,12 +305,6 @@ class HedgeLearner(Learner):
         self.cumulative_losses += loss_eval(
             self.loss, self.hclass.values[:, x_t], float(y_t))
         super().update(t, x_t, y_t)
-
-
-def hedge_update(weights: np.ndarray, losses: np.ndarray, eta: float) -> np.ndarray:
-    """One multiplicative-weights step; returns the new normalized weights."""
-    w = np.asarray(weights, dtype=float) * np.exp(-eta * np.asarray(losses, dtype=float))
-    return w / w.sum()
 
 
 class DoublingMeta(Learner):
@@ -353,8 +345,7 @@ class DoublingMeta(Learner):
 
     @property
     def expert_weights(self) -> np.ndarray:
-        w = np.exp(-self.eta * (self.expert_losses - self.expert_losses.min()))
-        return w / w.sum()
+        return exp_weights(self.expert_losses, self.eta)
 
     def predict(self, t: int, x_t: int) -> float:
         preds = np.array([e.predict(t, x_t) for e in self.experts])

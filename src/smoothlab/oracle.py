@@ -57,6 +57,10 @@ def _objective_table(
     """Vector of cumulative losses, one entry per hypothesis: the loss
     table over (hypothesis, distinct pair) dotted with the pair counts."""
     xs, ys, counts = S.arrays()
+    # xs is sorted, so its ends bound every instance
+    if xs.size and (xs[0] < 0 or xs[-1] >= hclass.domain_size):
+        raise InputError(f"multiset names an instance outside the domain "
+                         f"of size {hclass.domain_size}")
     return loss_eval(loss, hclass.values[:, xs], ys) @ counts
 
 
@@ -124,32 +128,4 @@ def mixed_opt(
     idx = _select(obj, hclass, tie, query_point, rng)
     if stats is not None:
         stats.record(S_real.logical_size + S_bin.logical_size, tag)
-    return idx, float(obj[idx])
-
-
-def approx_erm(
-    hclass: HypothesisClass,
-    S: ExampleMultiset,
-    loss: LossSpec,
-    eps_add: float,
-    rng,
-    tie: TiePolicy = TiePolicy.LOWEST_INDEX,
-    stats: OracleStats | None = None,
-) -> tuple[int, float]:
-    """ERM up to additive error: among hypotheses within eps_add of the
-    optimum, pick one at random (adversarially perturbed selection).
-
-    Used only in robustness tests; eps_add = 0 reduces to erm.
-    """
-    if eps_add < 0:
-        raise InputError("eps_add must be nonnegative")
-    obj = _objective_table(hclass, S, loss)
-    best = obj.min()
-    if eps_add == 0:
-        idx = _select(obj, hclass, tie, None, rng)
-    else:
-        near = np.flatnonzero(obj <= best + eps_add + OBJ_TOL)
-        idx = int(rng.choice(near))
-    if stats is not None:
-        stats.record(S.logical_size)
     return idx, float(obj[idx])

@@ -392,6 +392,8 @@ def admissibility_check(learner_kind: str, hclass: HypothesisClass,
         raise CapacityError("exact admissibility check requires a binary class")
     if learner_kind not in ("alg3", "ftl"):
         raise InputError(f"unsupported learner kind {learner_kind!r}")
+    if tie is TiePolicy.SEEDED_RANDOM:
+        raise InputError("the exact check needs a deterministic tie policy")
 
     min_slack = math.inf
     worst = ""
@@ -415,8 +417,8 @@ def admissibility_check(learner_kind: str, hclass: HypothesisClass,
                     for y_t in (-1.0, 1.0):
                         exp_loss = sum(p * loss_eval(loss, yhat, y_t)
                                        for yhat, p in preds)
-                        hist_next = history.copy()
-                        hist_next.add(int(x_t), y_t)
+                        hist_next = history.union(
+                            ExampleMultiset([(int(x_t), y_t)]))
                         rel_next = relaxation_value(
                             params_next, hclass, hist_next, loss, hints=future)
                         lhs = max(lhs, exp_loss + rel_next)
@@ -449,7 +451,7 @@ def _learner_action_distribution(kind, hclass, history, loss, future_hints,
     preds = [
         learnermod.hint_difference_prediction(
             hclass, history, ExampleMultiset.from_arrays(future_hints, eps),
-            x_t, loss, tie, None)
+            x_t, loss, None)
         for eps in itertools.product((-1.0, 1.0), repeat=len(future_hints))]
     p = 1.0 / len(preds)
     return [(yhat, p) for yhat in preds]
@@ -622,17 +624,18 @@ def generalization_gap_mc(hclass: HypothesisClass, D: SmoothDistribution,
     if n <= 0 or trials < 1:
         raise InputError("need n > 0 and trials >= 1")
     label_table = np.asarray(label_table, dtype=float)
+    if not np.all(np.abs(label_table) == 1.0):
+        raise InputError("label_table must hold -1 or +1 for every instance")
     probs = D.array
     loss = LossSpec.of("binary_indicator")
     gaps = np.zeros(trials)
     for i in range(trials):
-        S = history.copy()
-        S.extend(learnermod._cell_count_multiset(
-            learnermod.hallucination_cells(n, hclass.domain_size, rng)))
+        cells = learnermod.hallucination_cells(n, hclass.domain_size, rng)
         x_t = int(rng.choice(hclass.domain_size, p=probs))
         x_p = int(rng.choice(hclass.domain_size, p=probs))
         y_t, y_p = float(label_table[x_t]), float(label_table[x_p])
-        S.add(x_t, y_t)
+        cells[x_t, int(y_t > 0)] += 1  # the sample s joins the hallucinations
+        S = history.union(ExampleMultiset.from_cells(cells))
         idx, _ = erm(hclass, S, loss, tie=tie)
         h = hclass.values[idx]
         # centered loss L(h,(x,y)) = -y h(x)/2

@@ -162,6 +162,20 @@ class TestContractEnforcement:
         with pytest.raises(ContractViolation):
             c.check_contract()
 
+    @pytest.mark.parametrize("labels", [[1.0, np.nan, 1.0], [np.nan] * 3,
+                                        [1.0, np.inf, -1.0]])
+    def test_non_finite_labels_violate_contract(self, labels):
+        c = RoundCommitment(np.full(3, 1 / 3), 1.0, None, np.array(labels))
+        with pytest.raises(ContractViolation):
+            c.check_contract()
+
+    def test_nan_probs_violate_contract(self):
+        probs = np.array([np.nan, 1.0, 0.0])
+        for sigma in (None, 1.0):
+            c = RoundCommitment(probs, sigma, np.arange(3), np.ones(3))
+            with pytest.raises(ContractViolation):
+                c.check_contract()
+
     def test_transductive_draw_in_row(self, partition8, rng):
         sched = cyclic_hint_schedule(6, [np.arange(4), np.arange(4, 8)])
         spec = AdversarySpec(kind=AdversaryKind.TRANSDUCTIVE_CYCLIC,
@@ -189,6 +203,18 @@ class TestCustomTable:
         spec = AdversarySpec(kind=AdversaryKind.CUSTOM_TABLE)
         with pytest.raises(InputError):
             Adversary(spec, partition8, T=2, seed=0)
+
+    @pytest.mark.parametrize("xs, ys", [
+        ((0, 1, 8), (1.0, 1.0, 1.0)),
+        ((0, -1, 2), (1.0, 1.0, 1.0)),
+        ((0, 1, 2), (1.0, np.nan, 1.0)),
+        ((0, 1, 2), (1.0, np.inf, 1.0)),
+        ((0, 1, 2), (1.0, 2.0, 1.0)),
+    ])
+    def test_rejects_bad_table_at_setup(self, partition8, xs, ys):
+        spec = AdversarySpec(kind=AdversaryKind.CUSTOM_TABLE, xs=xs, ys=ys)
+        with pytest.raises(InputError):
+            Adversary(spec, partition8, T=3, seed=0)
 
 
 class TestBiasedLabelRule:

@@ -1,6 +1,7 @@
 """Core types: losses, smoothness, classes, VC dimension."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from hypothesis import strategies as st
 from smoothlab.core import (
     ExampleMultiset,
     FiniteDomain,
-    Hypothesis,
     HypothesisClass,
     LossKind,
     LossSpec,
     SmoothDistribution,
+    check_probs,
     compute_vc_dimension,
     loss_eval,
     make_partition_class,
@@ -50,8 +51,10 @@ class TestLossEval:
             loss_eval(loss, 0.5, 1.0)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(InputError):
-            loss_eval(LossSpec.of("absolute"), 1.5, 0.0)
+        for yhat, y in ((1.5, 0.0), (math.nan, 0.0), (0.0, math.nan),
+                        (math.inf, 0.0)):
+            with pytest.raises(InputError):
+                loss_eval(LossSpec.of("absolute"), yhat, y)
 
     def test_centered_identity_with_indicator(self):
         """centered(yhat, y) == indicator(yhat, y) - 1/2 on +-1 arguments."""
@@ -111,8 +114,12 @@ class TestValidateSmooth:
         assert not validate_smooth(probs, 0.6)
 
     def test_non_probability_rejected(self):
-        with pytest.raises(InputError):
-            validate_smooth([0.5, 0.6], 1.0)
+        for probs in ([0.5, 0.6], [math.nan, 1.0], [0.5, math.nan],
+                      [math.nan, math.nan]):
+            with pytest.raises(InputError):
+                check_probs(probs)
+            with pytest.raises(InputError):
+                validate_smooth(probs, 1.0)
 
     def test_smooth_distribution_type_enforces(self):
         with pytest.raises(InputError):
@@ -188,8 +195,9 @@ class TestClasses:
             HypothesisClass([[0.5]], declared_dim=1, binary=True)
 
     def test_hypothesis_range_enforced(self):
-        with pytest.raises(InputError):
-            Hypothesis((1.5,))
+        for bad in (1.5, -1.5, math.nan, math.inf):
+            with pytest.raises(InputError):
+                HypothesisClass([[bad, 1.0]], declared_dim=1)
 
 
 class TestExampleMultiset:
@@ -214,8 +222,9 @@ class TestExampleMultiset:
         assert c.logical_size == 3 and a.logical_size == 1
 
     def test_from_arrays_checks_each_array(self):
-        with pytest.raises(InputError):
-            ExampleMultiset.from_arrays([0, 1], [1.0, 1.5])
+        for ys in ([1.0, 1.5], [1.0, math.nan]):
+            with pytest.raises(InputError):
+                ExampleMultiset.from_arrays([0, 1], ys)
         with pytest.raises(InputError):
             ExampleMultiset.from_arrays([0, 1], [1.0, -1.0], [1, 0])
         with pytest.raises(InputError):
@@ -228,8 +237,7 @@ class TestExampleMultiset:
         cols = list(zip(*triples)) or [(), (), ()]
         bulk = ExampleMultiset.from_arrays(*cols)
         assert dict(bulk.items()) == dict(ExampleMultiset(triples).items())
-        merged = ExampleMultiset([(0, 1.0)])
-        merged.extend(bulk)
+        merged = ExampleMultiset([(0, 1.0)]).union(bulk)
         assert merged.logical_size == 1 + sum(cols[2])
 
     @given(st.lists(st.tuples(st.integers(0, 3),
@@ -240,3 +248,130 @@ class TestExampleMultiset:
         assert s.logical_size == len(pairs)
         xs, ys, cs = s.arrays()
         assert cs.sum() == len(pairs) if pairs else cs.size == 0
+
+
+class DictMultiset:
+    """Reference: the (x, y) -> count dict that `ExampleMultiset` once
+    kept, with the same label and count checks."""
+
+    def __init__(self, pairs=()):
+        self.counts = {}
+        for x, y, *c in pairs:
+            self.add(x, y, c[0] if c else 1)
+
+    @classmethod
+    def from_arrays(cls, xs, ys, counts):
+        return cls(zip(xs, ys, counts))
+
+    @classmethod
+    def from_cells(cls, cells):
+        return cls((x, (-1.0, 1.0)[s], int(c))
+                   for (x, s), c in np.ndenumerate(cells) if c)
+
+    def add(self, x, y, count=1):
+        if count < 1 or not -1.0 <= y <= 1.0:
+            raise InputError("bad count or label")
+        key = (int(x), float(y))
+        self.counts[key] = self.counts.get(key, 0) + int(count)
+
+    def union(self, other):
+        out = DictMultiset()
+        out.counts = dict(self.counts)
+        for key, c in other.counts.items():
+            out.counts[key] = out.counts.get(key, 0) + c
+        return out
+
+    def sorted_items(self):
+        return sorted(self.counts.items())
+
+
+_labels = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 1.0])
+_triples = st.lists(st.tuples(st.integers(-2, 4), _labels, st.integers(1, 3)),
+                    max_size=8)
+_operations = st.lists(st.one_of(
+    st.tuples(st.just("pairs"), _triples),
+    st.tuples(st.just("arrays"), _triples),
+    st.tuples(st.just("cells"), st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=4)),
+    st.tuples(st.just("add"), st.integers(0, 50), st.integers(-2, 4), _labels,
+              st.integers(1, 3)),
+    st.tuples(st.just("union"), st.integers(0, 50), st.integers(0, 50)),
+), min_size=1, max_size=12)
+
+
+def _assert_same(real, ref):
+    assert real.items() == ref.sorted_items()
+    assert real.logical_size == sum(ref.counts.values())
+    keys = [k for k, _ in ref.sorted_items()]
+    xs, ys, cs = real.arrays()
+    assert xs.tolist() == [k[0] for k in keys]
+    assert ys.tolist() == [k[1] for k in keys]
+    assert cs.tolist() == [ref.counts[k] for k in keys]
+
+
+class TestArrayMultisetAgainstDict:
+    """Random operation sequences on the array multiset against the dict
+    reference: same items, same sorted arrays, same logical size, and no
+    operation changes an array any multiset has handed out."""
+
+    @given(_operations)
+    @settings(max_examples=300, deadline=None)
+    def test_operation_sequences_match_reference(self, operations):
+        pool = [(ExampleMultiset(), DictMultiset())]
+        for op, *args in operations:
+            snapshots = [(real.arrays(), [a.copy() for a in real.arrays()])
+                         for real, _ in pool]
+            if op == "pairs":
+                pool.append((ExampleMultiset(args[0]), DictMultiset(args[0])))
+            elif op == "arrays":
+                cols = [np.array(c) for c in zip(*args[0])] or [[], [], []]
+                pool.append((ExampleMultiset.from_arrays(*cols),
+                             DictMultiset.from_arrays(*cols)))
+            elif op == "cells":
+                cells = np.array(args[0])
+                pool.append((ExampleMultiset.from_cells(cells),
+                             DictMultiset.from_cells(cells)))
+            elif op == "add":
+                i, x, y, c = args
+                real, ref = pool[i % len(pool)]
+                real.add(x, y, c)
+                ref.add(x, y, c)
+            else:
+                (a, a_ref), (b, b_ref) = (pool[k % len(pool)] for k in args)
+                pool.append((a.union(b), a_ref.union(b_ref)))
+            for held, values in snapshots:
+                for array, value in zip(held, values):
+                    assert np.array_equal(array, value)
+            for real, ref in pool:
+                _assert_same(real, ref)
+
+    def test_arrays_are_read_only(self):
+        s = ExampleMultiset([(1, 1.0), (0, -1.0, 2)])
+        for array in s.arrays():
+            with pytest.raises(ValueError):
+                array[0] = 0
+        held = s.arrays()
+        s.add(1, 1.0)
+        s.add(2, 0.5)
+        assert held[2].tolist() == [2, 1]
+
+    def test_items_is_sized(self):
+        s = ExampleMultiset([(0, 1.0), (0, 1.0), (3, -1.0)])
+        assert len(s.items()) == 2 and s.logical_size == 3
+
+    @pytest.mark.parametrize("cells", [
+        np.array([[1, -1]]), np.array([[1.0, np.nan]]), np.array([1, 2]),
+        np.zeros((2, 3), dtype=int)])
+    def test_from_cells_rejects_bad_tables(self, cells):
+        with pytest.raises(InputError):
+            ExampleMultiset.from_cells(cells)
+
+    @pytest.mark.parametrize("build", [
+        lambda: ExampleMultiset([(0, math.nan)]),
+        lambda: ExampleMultiset().add(0, math.nan),
+        lambda: ExampleMultiset().add(0, math.inf),
+        lambda: ExampleMultiset().add(0, 1.0, 0),
+    ])
+    def test_rejects_nan_labels_and_bad_counts(self, build):
+        with pytest.raises(InputError):
+            build()

@@ -356,3 +356,43 @@ class TestCli:
         assert main(["run", cfg, "--out", "relative.csv"]) == EXIT_OK
         capsys.readouterr()
         assert (tmp_path / "relative.csv").exists()
+
+    _SEEDED_RANDOM = {
+        "ftl": {},
+        "alg2": {},
+        "alg1": {"loss": "absolute", "K": 2},
+        "alg3": {"loss": "absolute", "adversary": "transductive_cyclic",
+                 "hints": {"kind": "cyclic", "K": 4}},
+    }
+
+    @pytest.mark.parametrize("learner", sorted(_SEEDED_RANDOM))
+    def test_seeded_random_runs_and_replays(self, tmp_path, capsys, learner):
+        cfg = self._write_config(tmp_path, learner=learner, T=8,
+                                 tie_policy="seeded_random",
+                                 **self._SEEDED_RANDOM[learner])
+        out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        assert main(["run", cfg, "--out", out1]) == EXIT_OK
+        assert main(["run", cfg, "--out", out2]) == EXIT_OK
+        capsys.readouterr()
+        text = open(out1).read()
+        assert text == open(out2).read()
+        assert len(text.strip().split("\n")) == 4
+
+    @pytest.mark.parametrize("xs, ys, message", [
+        ([0, 1, 2, 3], [1.0, -1.0, math.nan, 1.0], "finite"),
+        ([0, 1, 7, 3], [1.0, -1.0, 1.0, 1.0], "domain"),
+        ([0, -1, 2, 3], [1.0, -1.0, 1.0, 1.0], "domain"),
+        ([0, 1, 2, 3], [1.0, -1.0, 2.0, 1.0], "finite"),
+    ])
+    def test_bad_custom_table_fails_before_any_round(
+            self, tmp_path, capsys, monkeypatch, xs, ys, message):
+        rounds = []
+        monkeypatch.setattr(harness, "next_round",
+                            lambda *args: rounds.append(args))
+        cfg = self._write_config(
+            tmp_path, learner="ftl", adversary="custom_table", T=4,
+            tie_policy="lowest_index", custom_xs=xs, custom_ys=ys,
+            **{"class": {"kind": "partition", "domain_size": 4, "d": 2}})
+        assert main(["run", cfg]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert rounds == []

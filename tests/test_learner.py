@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from smoothlab import learner as learnermod
 from smoothlab import rng as rngmod
 from smoothlab.adversary import cyclic_hint_schedule, full_domain_schedule, make_hint_schedule
 from smoothlab.core import (
@@ -24,7 +25,7 @@ from smoothlab.learner import (
     FTL,
     HedgeLearner,
     default_n,
-    hedge_update,
+    exp_weights,
     hallucination_cells,
     hint_cells,
     hint_count,
@@ -397,10 +398,6 @@ class TestHedge:
         learner.update(1, 0, 1.0)  # h=+1 loses 0, h=-1 loses 1
         np.testing.assert_allclose(learner.weights, [2 / 3, 1 / 3])
 
-    def test_hedge_update_function(self):
-        w = hedge_update(np.array([0.5, 0.5]), np.array([0.0, 1.0]), math.log(2.0))
-        np.testing.assert_allclose(w, [2 / 3, 1 / 3])
-
     def test_expected_loss(self, const_class):
         learner = HedgeLearner(const_class, LossSpec.of("binary_indicator"),
                                T=4, eta=1.0)
@@ -471,3 +468,20 @@ class TestDoublingMeta:
         with pytest.raises(InputError):
             DoublingMeta(partition8, LossSpec.of("binary_indicator"), T=4,
                          sigma_min=0.5, sigma_max=0.25)
+
+
+def test_one_exponential_weights_rule(partition8, monkeypatch):
+    """Hedge and DoublingMeta both weight through `exp_weights`."""
+    loss = LossSpec.of("binary_indicator")
+    hedge = HedgeLearner(partition8, loss, T=4, eta=0.5)
+    meta = DoublingMeta(partition8, loss, T=4, sigma_min=0.25, sigma_max=1.0)
+    hedge.update(1, 0, 1.0)
+    meta.predict(1, 0)
+    meta.update(1, 0, 1.0)
+    np.testing.assert_array_equal(
+        hedge.weights, exp_weights(hedge.cumulative_losses, 0.5))
+    np.testing.assert_array_equal(
+        meta.expert_weights, exp_weights(meta.expert_losses, meta.eta))
+    monkeypatch.setattr(learnermod, "exp_weights", lambda losses, eta: losses)
+    assert hedge.weights is hedge.cumulative_losses
+    assert meta.expert_weights is meta.expert_losses

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from smoothlab.core import (
     ExampleMultiset,
+    FiniteDomain,
     HypothesisClass,
     LossKind,
     LossSpec,
     loss_eval,
+    make_partition_class,
 )
 from smoothlab.errors import InputError
 from smoothlab import oracle
@@ -20,7 +22,6 @@ from smoothlab.oracle import (
     OBJ_TOL,
     OracleStats,
     TiePolicy,
-    approx_erm,
     erm,
     mixed_opt,
 )
@@ -219,9 +220,8 @@ class TestMixedOpt:
             st.tuples(st.integers(0, size - 1), st.sampled_from([-1.0, 1.0])),
             max_size=5)))
         x = data.draw(st.integers(0, size - 1))
-        lo, hi = B.copy(), B.copy()
-        lo.add(x, -1.0)
-        hi.add(x, 1.0)
+        lo = B.union(ExampleMultiset([(x, -1.0)]))
+        hi = B.union(ExampleMultiset([(x, 1.0)]))
         _, v_minus = mixed_opt(hclass, S_real, lo, loss)
         _, v_plus = mixed_opt(hclass, S_real, hi, loss)
         assert abs(v_minus - v_plus) <= 1.0 + 1e-9
@@ -288,19 +288,23 @@ class TestVectorizedObjective:
         assert idx == min(argmin_set(ref)) and abs(val - ref[idx]) <= 1e-12
 
 
-class TestApproxErm:
-    def test_zero_eps_equals_erm(self, const_class, rng):
-        loss = LossSpec.of("binary_indicator")
-        S = ExampleMultiset([(0, 1.0)])
-        assert approx_erm(const_class, S, loss, 0.0, rng) == erm(const_class, S, loss)
+class TestInstanceDomain:
+    """Both oracles reject a multiset naming an instance outside
+    [0, |X|) instead of reading some other instance's value."""
 
-    def test_large_eps_reaches_both(self, const_class, rng):
+    @pytest.mark.parametrize("x", [-1, 4, 100])
+    def test_erm_rejects_out_of_domain(self, x):
+        hclass = make_partition_class(FiniteDomain(4), 2)
         loss = LossSpec.of("binary_indicator")
-        S = ExampleMultiset([(0, 1.0)])
-        seen = {approx_erm(const_class, S, loss, 2.0, rng)[0] for _ in range(50)}
-        assert seen == {0, 1}
+        S = ExampleMultiset([(0, 1.0), (x, -1.0)])
+        with pytest.raises(InputError, match="outside the domain"):
+            erm(hclass, S, loss)
+        with pytest.raises(InputError, match="outside the domain"):
+            mixed_opt(hclass, S, ExampleMultiset(), LossSpec.of("absolute"))
+        with pytest.raises(InputError, match="outside the domain"):
+            mixed_opt(hclass, ExampleMultiset(), S, LossSpec.of("absolute"))
 
-    def test_negative_eps_rejected(self, const_class, rng):
-        with pytest.raises(InputError):
-            approx_erm(const_class, ExampleMultiset(),
-                       LossSpec.of("binary_indicator"), -0.1, rng)
+    def test_domain_ends_accepted(self):
+        hclass = make_partition_class(FiniteDomain(4), 2)
+        S = ExampleMultiset([(0, 1.0), (3, -1.0)])
+        assert erm(hclass, S, LossSpec.of("binary_indicator")) == (1, 0.0)

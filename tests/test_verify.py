@@ -22,6 +22,7 @@ from smoothlab.core import (
     make_partition_class,
 )
 from smoothlab.errors import CapacityError, InputError
+from smoothlab.oracle import TiePolicy, erm
 from smoothlab.verify import (
     RelaxationMode,
     RelaxationParams,
@@ -352,6 +353,13 @@ class TestAdmissibility:
             admissibility_check("hedge", const_class,
                                 LossSpec.of("absolute"), sched)
 
+    @pytest.mark.parametrize("kind", ["alg3", "ftl"])
+    def test_seeded_random_rejected(self, const_class, kind):
+        sched = make_hint_schedule([[0], [0]])
+        with pytest.raises(InputError, match="deterministic tie policy"):
+            admissibility_check(kind, const_class, LossSpec.of("absolute"),
+                                sched, tie=TiePolicy.SEEDED_RANDOM)
+
 
 class TestPoissonTv:
     def test_reduces_to_shifted_poisson_single_atom(self):
@@ -480,3 +488,30 @@ class TestGeneralizationGap:
         with pytest.raises(InputError):
             generalization_gap_mc(real_class, SmoothDistribution.uniform(1),
                                   [1.0], ExampleMultiset(), 4.0, 10, rng)
+
+    def test_rejects_labels_other_than_signs(self, partition8, rng):
+        for bad in (0.5, math.nan):
+            labels = partition8.values[1].copy()
+            labels[3] = bad
+            with pytest.raises(InputError):
+                generalization_gap_mc(partition8, SmoothDistribution.uniform(8),
+                                      labels, ExampleMultiset(), 16.0, 10, rng)
+
+    def test_sample_joins_the_hallucinations(self, partition8):
+        """Each trial's ERM input is history + hallucinations + {s}: the
+        report matches a loop that merges the three multisets."""
+        D, labels = SmoothDistribution.uniform(8), partition8.values[2]
+        history = ExampleMultiset([(0, 1.0), (5, -1.0, 3)])
+        loss = LossSpec.of("binary_indicator")
+        rng = np.random.default_rng(11)
+        gaps = []
+        for _ in range(200):
+            cells = learner.hallucination_cells(6.0, 8, rng)
+            x_t, x_p = (int(rng.choice(8, p=D.array)) for _ in range(2))
+            S = history.union(ExampleMultiset.from_cells(cells)).union(
+                ExampleMultiset([(x_t, labels[x_t])]))
+            h = partition8.values[erm(partition8, S, loss)[0]]
+            gaps.append(-labels[x_p] * h[x_p] / 2 + labels[x_t] * h[x_t] / 2)
+        report = generalization_gap_mc(partition8, D, labels, history, 6.0,
+                                       200, np.random.default_rng(11), T=8)
+        assert report.measured["gap"] == float(np.mean(gaps))
