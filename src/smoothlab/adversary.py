@@ -121,12 +121,16 @@ class RoundCommitment:
         except InputError as e:
             raise ContractViolation(f"committed distribution is invalid: {e}") from e
         if self.hint_row is not None:
-            support = np.flatnonzero(self.probs > 0)
-            if not np.all(np.isin(support, self.hint_row)):
+            # containment as a mask over the domain; row entries outside
+            # the domain cover nothing
+            row = np.asarray(self.hint_row)
+            allowed = np.zeros(self.probs.size, dtype=bool)
+            allowed[row[(row >= 0) & (row < allowed.size)]] = True
+            if ((self.probs > 0) & ~allowed).any():
                 raise ContractViolation(
                     "committed distribution escapes the promised hint multiset"
                 )
-        if not np.all(np.abs(self.label_table) <= 1.0):
+        if not (np.abs(self.label_table) <= 1.0).all():
             raise ContractViolation("committed labels leave [-1, 1]")
 
 
@@ -206,6 +210,9 @@ class Adversary:
                     f"custom_table xs leave the domain of size {self.domain_size}")
             if not np.all(np.abs(np.asarray(spec.ys, dtype=float)) <= 1.0):
                 raise InputError("custom_table ys must be finite and lie in [-1, 1]")
+        rows = None if spec.hint_schedule is None else spec.hint_schedule.rows
+        if rows is not None and (rows.min() < 0 or rows.max() >= self.domain_size):
+            raise InputError("hint schedule names an instance outside the domain")
 
     # -- per-round protocol -------------------------------------------
 
@@ -214,14 +221,13 @@ class Adversary:
         spec = self.spec
         kind = spec.kind
         n = self.domain_size
-        rng = self._rng(t)
 
         if kind is AdversaryKind.REALIZABLE_SMOOTH:
             h_star = self.hclass.values[self.h_star_index]
             if spec.delta == 0.5:
                 labels = h_star.copy()
-            else:
-                labels = biased_label_rule(h_star, spec.delta, rng)
+            else:  # the one reader of the round's "adversary" stream
+                labels = biased_label_rule(h_star, spec.delta, self._rng(t))
             if spec.hint_schedule is not None:
                 return self._hint_commit(t, labels)
             probs = np.full(n, 1.0 / n)
@@ -262,9 +268,7 @@ class Adversary:
 
     def _hint_commit(self, t: int, labels: np.ndarray) -> RoundCommitment:
         row = self.spec.hint_schedule.row(t)
-        probs = np.zeros(self.domain_size)
-        uniq, counts = np.unique(row, return_counts=True)
-        probs[uniq] = counts / row.size
+        probs = np.bincount(row, minlength=self.domain_size) / row.size
         return RoundCommitment(probs, None, row, labels)
 
     def observe(self, t: int, x_t: int, yhat_t: float, y_t: float) -> None:

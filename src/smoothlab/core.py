@@ -110,7 +110,8 @@ _DEFAULT_G = {
     LossKind.SQUARED: 1.0,
 }
 
-_BINARY_KINDS = {LossKind.BINARY_INDICATOR}
+_BINARY_KINDS = {LossKind.BINARY_INDICATOR}  # predictions must be +-1
+_SIGN_LABEL_KINDS = {LossKind.BINARY_INDICATOR, LossKind.CENTERED_BINARY}
 
 
 @dataclass(frozen=True)
@@ -135,33 +136,49 @@ class LossSpec:
 
 def _check_range(v, name: str) -> None:
     # written so that NaN fails it
-    if not np.all(np.abs(np.asarray(v, dtype=float)) <= 1.0):
+    if not (np.abs(np.asarray(v, dtype=float)) <= 1.0).all():
         raise InputError(f"{name} must lie in [-1, 1]")
 
 
 def _check_pm1(v, name: str) -> None:
-    if np.any(np.abs(np.asarray(v, dtype=float)) != 1.0):
+    if (np.abs(np.asarray(v, dtype=float)) != 1.0).any():
         raise InputError(f"{name} must be exactly -1 or +1")
+
+
+def check_sign_args(loss: LossSpec, yhat, y, *, yhat_binary: bool = False) -> None:
+    """The +-1 checks of `loss_eval`: labels under the indicator and
+    centered losses, predictions under the indicator loss unless the
+    caller knows them to be +-1 (`yhat_binary`)."""
+    if loss.binary_only and not yhat_binary:
+        _check_pm1(yhat, "prediction")
+    if loss.kind in _SIGN_LABEL_KINDS:
+        _check_pm1(y, "label")
+
+
+def loss_kernel(kind: LossKind, yhat: np.ndarray, y) -> np.ndarray:
+    """The loss formula, elementwise and unchecked.  `loss_eval` checks
+    its arguments first; the oracle checks once per call over the
+    distinct pairs it evaluates."""
+    if kind is LossKind.BINARY_INDICATOR:
+        return (1.0 - y * yhat) / 2.0
+    if kind is LossKind.CENTERED_BINARY:
+        return -y * yhat / 2.0
+    if kind is LossKind.ABSOLUTE:
+        return np.abs(yhat - y) / 2.0
+    return (yhat - y) ** 2 / 4.0  # squared
 
 
 def loss_eval(loss: LossSpec, yhat, y):
     """Evaluate the loss elementwise; `yhat` and `y` may be scalars or
     arrays that broadcast, e.g. a (hypothesis, pair) prediction table
-    against a vector of labels."""
+    against a vector of labels.  Checks both arguments on every call:
+    values in [-1, 1], and +-1 where the loss needs signs
+    (`check_sign_args`)."""
     yhat = np.asarray(yhat, dtype=float)
     _check_range(yhat, "prediction")
     _check_range(y, "label")
-    if loss.kind is LossKind.BINARY_INDICATOR:
-        _check_pm1(yhat, "prediction")
-        _check_pm1(y, "label")
-        out = (1.0 - y * yhat) / 2.0
-    elif loss.kind is LossKind.CENTERED_BINARY:
-        _check_pm1(y, "label")
-        out = -y * yhat / 2.0
-    elif loss.kind is LossKind.ABSOLUTE:
-        out = np.abs(yhat - y) / 2.0
-    else:  # squared
-        out = (yhat - y) ** 2 / 4.0
+    check_sign_args(loss, yhat, y)
+    out = loss_kernel(loss.kind, yhat, y)
     return float(out) if out.ndim == 0 else out
 
 
@@ -171,7 +188,7 @@ def check_probs(probs, tol: float = PROB_TOL) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise InputError("probs must be a nonempty vector")
-    if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= tol):
+    if not ((p >= 0).all() and abs(p.sum() - 1.0) <= tol):
         raise InputError("probs must be nonnegative and sum to 1")
     return p
 
@@ -278,7 +295,7 @@ class ExampleMultiset:
         """The multiset of a (|X|, 2) table of (instance, sign) counts:
         column 0 counts label -1, column 1 label +1."""
         cells = np.asarray(cells)
-        if cells.ndim != 2 or cells.shape[1] != 2 or not np.all(cells >= 0):
+        if cells.ndim != 2 or cells.shape[1] != 2 or not (cells >= 0).all():
             raise InputError("cells must be a nonnegative (|X|, 2) count table")
         flat = cells.reshape(-1)
         nonzero = np.flatnonzero(flat)

@@ -175,6 +175,9 @@ class ExperimentConfig:
             raise InputError(f"sigma must be in (0, 1], got {self.sigma}")
         if not self.seeds:
             raise InputError("need at least one seed")
+        if self.tie_policy not in {p.value for p in TiePolicy}:
+            raise InputError(f"unknown tie_policy {self.tie_policy!r}; expected "
+                             f"one of {sorted(p.value for p in TiePolicy)}")
         if self.hints is not None and set(self.hints) - _KNOWN_HINT_KEYS:
             raise InputError(f"unknown hint keys {set(self.hints) - _KNOWN_HINT_KEYS}")
         if set(self.class_spec) - _KNOWN_CLASS_KEYS:

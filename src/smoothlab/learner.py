@@ -22,8 +22,11 @@ of drawing one sample at a time: a Multinomial over the 2|X| cells for
 Alg 1 (`hint_cells`), a Binomial(c, 1/2) sign split of each future
 instance count for Alg 3, and i.i.d. Poisson cells for Alg 2
 (`hallucination_cells`).  A round therefore costs O(|X|) draws
-whatever K, T or n, and `ExampleMultiset.from_cells` turns the count
-table into the oracle's multiset without a per-pair loop.
+whatever K, T or n, and `ExampleMultiset.from_cells` turns a count
+table into the oracle's multiset without a per-pair loop.  The hint
+learners hand their (|X|, 2) hint count table to
+`hint_difference_prediction`, which builds both of the round's oracle
+multisets from it.
 
 All per-round randomness comes from counter-based streams keyed by
 (seed, run, round, purpose), so each round's hint/label noise is fresh
@@ -119,20 +122,29 @@ def hallucination_cells(n: float, domain_size: int, rng) -> np.ndarray:
 
 
 def hint_difference_prediction(hclass: HypothesisClass, history: ExampleMultiset,
-                               hints: ExampleMultiset, x_t: int, loss: LossSpec,
+                               cells, x_t: int, loss: LossSpec,
                                stats: OracleStats | None) -> float:
     """The prediction rule of the hint-based learners (Algs 1 and 3).
 
     yhat_t = OPT(history; S+S+{(x_t,-1)}) - OPT(history; S+S+{(x_t,+1)})
-    where S is the round's Rademacher-labeled hint multiset (two copies
-    of each hint), evaluated with two mixed-oracle calls.  Only the
-    optimal values enter, so the oracle's tie policy cannot change the
-    prediction and the calls use the default one.
+    where S is the round's Rademacher-labeled hint multiset, given as its
+    (|X|, 2) (instance, sign) count table `cells`; each mixed-oracle call
+    sees two copies of every hint plus the query point.  Only the optimal
+    values enter, so the oracle's tie policy cannot change the prediction
+    and the calls use the default one.
     """
-    xs, ys, counts = hints.arrays()
-    xs, counts = np.append(xs, int(x_t)), np.append(2 * counts, 1)
-    lo = ExampleMultiset.from_arrays(xs, np.append(ys, -1.0), counts)
-    hi = ExampleMultiset.from_arrays(xs, np.append(ys, 1.0), counts)
+    cells = np.asarray(cells)
+    if cells.shape != (hclass.domain_size, 2):
+        raise InputError(f"hint cells must be a ({hclass.domain_size}, 2) "
+                         f"count table, got shape {cells.shape}")
+    x_t = int(x_t)
+    if not 0 <= x_t < hclass.domain_size:
+        raise InputError(f"x_t={x_t} outside the domain of size {hclass.domain_size}")
+    doubled = 2 * cells
+    doubled[x_t, 0] += 1
+    lo = ExampleMultiset.from_cells(doubled)
+    doubled[x_t] += (-1, 1)  # the query point's copy moves to label +1
+    hi = ExampleMultiset.from_cells(doubled)
     _, v_minus = mixed_opt(hclass, history, lo, loss, stats=stats)
     _, v_plus = mixed_opt(hclass, history, hi, loss, stats=stats)
     yhat = v_minus - v_plus
@@ -143,11 +155,12 @@ def hint_difference_prediction(hclass: HypothesisClass, history: ExampleMultiset
 
 class _HintDifferenceLearner(Learner):
     """Shared base of the hint-based learners: each round draws its hint
-    multiset and predicts with `hint_difference_prediction`."""
+    count table and predicts with `hint_difference_prediction`."""
 
     oracle_calls_per_round = 2
 
-    def _hints_for_round(self, t: int) -> ExampleMultiset:
+    def _hints_for_round(self, t: int) -> np.ndarray:
+        """The round's (|X|, 2) (instance, sign) hint count table."""
         raise NotImplementedError
 
     def predict(self, t: int, x_t: int) -> float:
@@ -182,12 +195,12 @@ class Alg3Transductive(_HintDifferenceLearner):
             raise ContractViolation(f"x_t={x_t} not in the round-{t} hint multiset")
         return super().predict(t, x_t)
 
-    def _hints_for_round(self, t: int) -> ExampleMultiset:
+    def _hints_for_round(self, t: int) -> np.ndarray:
         """Independent Rademacher labels on the future hints: the +1 count
         of an instance with c future hints is Binomial(c, 1/2)."""
         c = self._future_counts[t]
         plus = self._stream(t, "epsilons").binomial(c, 0.5)
-        return ExampleMultiset.from_cells(np.stack((c - plus, plus), axis=1))
+        return np.stack((c - plus, plus), axis=1)
 
 
 class Alg1Smoothed(_HintDifferenceLearner):
@@ -209,14 +222,13 @@ class Alg1Smoothed(_HintDifferenceLearner):
             raise InputError("K must be >= 1")
         self.max_hints_per_round = max_hints_per_round
 
-    def _hints_for_round(self, t: int) -> ExampleMultiset:
+    def _hints_for_round(self, t: int) -> np.ndarray:
         m = self.K * (self.T - t)
         if self.max_hints_per_round is not None and m > self.max_hints_per_round:
             raise CapacityError(
                 f"round {t} needs {m} hints, above the cap {self.max_hints_per_round}"
             )
-        return ExampleMultiset.from_cells(
-            hint_cells(m, self.hclass.domain_size, self._stream(t, "hints")))
+        return hint_cells(m, self.hclass.domain_size, self._stream(t, "hints"))
 
 
 class Alg2PoissonFTPL(Learner):

@@ -9,6 +9,14 @@ Two oracle flavors:
 Both are pure functions of their inputs except for an explicit
 ``OracleStats`` accumulator owned by one run.  Learners must touch the
 hypothesis class only through these entry points.
+
+Each objective evaluates the unchecked `core.loss_kernel` over the
+distinct pairs of a multiset.  The arguments are checked once per call
+instead: instances against the domain, and the +-1 checks of
+`core.loss_eval` (`check_sign_args`) on the distinct labels and, under
+the indicator loss with a class not built binary, on the class values
+at the multiset's instances.  Labels were range-checked when they
+entered the multiset and class values when the class was built.
 """
 
 from __future__ import annotations
@@ -18,7 +26,14 @@ from enum import Enum
 
 import numpy as np
 
-from .core import ExampleMultiset, HypothesisClass, LossKind, LossSpec, loss_eval
+from .core import (
+    ExampleMultiset,
+    HypothesisClass,
+    LossKind,
+    LossSpec,
+    check_sign_args,
+    loss_kernel,
+)
 from .errors import InputError
 
 
@@ -55,13 +70,17 @@ def _objective_table(
     hclass: HypothesisClass, S: ExampleMultiset, loss: LossSpec
 ) -> np.ndarray:
     """Vector of cumulative losses, one entry per hypothesis: the loss
-    table over (hypothesis, distinct pair) dotted with the pair counts."""
+    table over (hypothesis, distinct pair) dotted with the pair counts.
+    The arguments are checked here, once per call (see the module
+    docstring)."""
     xs, ys, counts = S.arrays()
     # xs is sorted, so its ends bound every instance
     if xs.size and (xs[0] < 0 or xs[-1] >= hclass.domain_size):
         raise InputError(f"multiset names an instance outside the domain "
                          f"of size {hclass.domain_size}")
-    return loss_eval(loss, hclass.values[:, xs], ys) @ counts
+    preds = hclass.values[:, xs]
+    check_sign_args(loss, preds, ys, yhat_binary=hclass.binary)
+    return loss_kernel(loss.kind, preds, ys) @ counts
 
 
 _HINT_LOSS = LossSpec(LossKind.CENTERED_BINARY)

@@ -447,12 +447,16 @@ def _learner_action_distribution(kind, hclass, history, loss, future_hints,
     if kind == "ftl":
         idx, _ = erm(hclass, history, loss, tie=tie, query_point=x_t)
         return [(float(hclass.values[idx, x_t]), 1.0)]
-    # one prediction of the production rule per Rademacher assignment
+    # one prediction of the production rule per Rademacher assignment,
+    # with the hints counted into the (instance, sign) table it takes
+    X = hclass.domain_size
     preds = [
         learnermod.hint_difference_prediction(
-            hclass, history, ExampleMultiset.from_arrays(future_hints, eps),
+            hclass, history,
+            np.bincount(2 * future_hints + np.array(plus, dtype=int),
+                        minlength=2 * X).reshape(X, 2),
             x_t, loss, None)
-        for eps in itertools.product((-1.0, 1.0), repeat=len(future_hints))]
+        for plus in itertools.product((0, 1), repeat=len(future_hints))]
     p = 1.0 / len(preds)
     return [(yhat, p) for yhat in preds]
 
@@ -636,7 +640,7 @@ def generalization_gap_mc(hclass: HypothesisClass, D: SmoothDistribution,
         y_t, y_p = float(label_table[x_t]), float(label_table[x_p])
         cells[x_t, int(y_t > 0)] += 1  # the sample s joins the hallucinations
         S = history.union(ExampleMultiset.from_cells(cells))
-        idx, _ = erm(hclass, S, loss, tie=tie)
+        idx, _ = erm(hclass, S, loss, tie=tie, rng=rng)
         h = hclass.values[idx]
         # centered loss L(h,(x,y)) = -y h(x)/2
         gaps[i] = (-y_p * h[x_p] / 2.0) - (-y_t * h[x_t] / 2.0)

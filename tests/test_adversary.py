@@ -25,6 +25,7 @@ from smoothlab.core import (
     validate_smooth,
 )
 from smoothlab.errors import ContractViolation, InputError
+from smoothlab import rng as rngmod
 
 
 class TestHintSchedules:
@@ -235,3 +236,82 @@ class TestBiasedLabelRule:
     def test_delta_out_of_range(self, rng):
         with pytest.raises(InputError):
             biased_label_rule(np.ones(3), 0.7, rng)
+
+
+class TestHintCertificate:
+    def test_bincount_probs_match_unique_construction(self, partition8, rng):
+        rows = rng.integers(0, 8, size=(20, 5))
+        rows[0] = 3  # every hint repeated
+        spec = AdversarySpec(kind=AdversaryKind.TRANSDUCTIVE_CYCLIC,
+                             hint_schedule=make_hint_schedule(rows))
+        adv = Adversary(spec, partition8, T=20, seed=0)
+        for t in range(1, 21):
+            row = rows[t - 1]
+            want = np.zeros(8)
+            uniq, counts = np.unique(row, return_counts=True)
+            want[uniq] = counts / row.size
+            got = adv.commit(t, []).probs
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("row", [[0], [0, 0], [1, 1, 1], [0, 0, 2, 2]])
+    def test_support_escaping_a_repeated_row_violates(self, row):
+        probs = np.array([0.25, 0.25, 0.25, 0.25])
+        c = RoundCommitment(probs, None, np.array(row), np.ones(4))
+        with pytest.raises(ContractViolation, match="escapes"):
+            c.check_contract()
+
+    def test_support_inside_a_repeated_row_passes(self):
+        c = RoundCommitment(np.array([0.5, 0.0, 0.5, 0.0]), None,
+                            np.array([2, 0, 0, 2, 2]), np.ones(4))
+        c.check_contract()
+
+    def test_row_entries_outside_the_domain_cover_nothing(self):
+        probs = np.array([0.0, 0.0, 0.0, 1.0])
+        for row in ([-1], [4], [-1, 4, 7]):
+            with pytest.raises(ContractViolation, match="escapes"):
+                RoundCommitment(probs, None, np.array(row), np.ones(4)).check_contract()
+        RoundCommitment(probs, None, np.array([-1, 3, 9]), np.ones(4)).check_contract()
+
+    @pytest.mark.parametrize("row", [[0, -1], [0, 8]])
+    def test_schedule_outside_the_domain_rejected_at_setup(self, partition8, row):
+        spec = AdversarySpec(kind=AdversaryKind.TRANSDUCTIVE_CYCLIC,
+                             hint_schedule=make_hint_schedule([row, [0, 1]]))
+        with pytest.raises(InputError, match="outside the domain"):
+            Adversary(spec, partition8, T=2, seed=0)
+
+
+class TestAdversaryStream:
+    """The per-round "adversary" stream is built only where it is read:
+    by `biased_label_rule`, under realizable_smooth with delta < 1/2."""
+
+    @pytest.mark.parametrize("hints", [False, True])
+    @pytest.mark.parametrize("delta, per_round", [(0.5, 0), (0.2, 1), (0.0, 1)])
+    def test_streams_by_purpose(self, partition8, monkeypatch, hints, delta,
+                                per_round):
+        purposes = []
+        real = rngmod.stream
+
+        def counting(*args):
+            purposes.append((args[2], args[3]))
+            return real(*args)
+
+        monkeypatch.setattr(rngmod, "stream", counting)
+        sched = (cyclic_hint_schedule(6, [np.arange(4), np.arange(4, 8)])
+                 if hints else None)
+        spec = AdversarySpec(kind=AdversaryKind.REALIZABLE_SMOOTH, delta=delta,
+                             hint_schedule=sched)
+        adv = Adversary(spec, partition8, T=6, seed=3)
+        for t in range(1, 7):
+            adv.commit(t, []).check_contract()
+        # one stream at setup (round 0) draws h*
+        assert purposes == [(0, "adversary")] + [
+            (t, "adversary") for t in range(1, 7) for _ in range(per_round)]
+
+    def test_labels_unchanged_by_the_lazy_stream(self, partition8):
+        """delta < 1/2 draws its labels from the round-t "adversary" stream."""
+        spec = AdversarySpec(kind=AdversaryKind.REALIZABLE_SMOOTH, delta=0.2)
+        adv = Adversary(spec, partition8, T=4, seed=9)
+        h_star = partition8.values[adv.h_star_index]
+        for t in range(1, 5):
+            want = biased_label_rule(h_star, 0.2, rngmod.stream(9, 0, t, "adversary"))
+            np.testing.assert_array_equal(adv.commit(t, []).label_table, want)

@@ -73,6 +73,11 @@ class TestExperimentConfig:
         with pytest.raises(InputError):
             base_config(learner="alg3")
 
+    @pytest.mark.parametrize("tie", ["random", "", "LOWEST_INDEX"])
+    def test_unknown_tie_policy_rejected(self, tie):
+        with pytest.raises(InputError, match="tie_policy"):
+            base_config(tie_policy=tie)
+
     @pytest.mark.parametrize("learner", ["alg1", "alg3"])
     def test_hint_learner_rejects_indicator_loss(self, learner):
         with pytest.raises(InputError, match="absolute"):
@@ -377,6 +382,20 @@ class TestCli:
         text = open(out1).read()
         assert text == open(out2).read()
         assert len(text.strip().split("\n")) == 4
+
+    @pytest.mark.parametrize("learner", ["ftl", "alg2"])
+    def test_bad_tie_policy_fails_before_any_round(
+            self, tmp_path, capsys, monkeypatch, learner):
+        rounds = []
+        monkeypatch.setattr(harness, "next_round",
+                            lambda *args: rounds.append(args))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base_config(learner=learner).to_dict()
+                                  | {"tie_policy": "random"}))
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "tie_policy" in err
+        assert rounds == []
 
     @pytest.mark.parametrize("xs, ys, message", [
         ([0, 1, 2, 3], [1.0, -1.0, math.nan, 1.0], "finite"),

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothlab import learner as learnermod
 from smoothlab import rng as rngmod
@@ -29,8 +31,9 @@ from smoothlab.learner import (
     hallucination_cells,
     hint_cells,
     hint_count,
+    hint_difference_prediction,
 )
-from smoothlab.oracle import TiePolicy
+from smoothlab.oracle import TiePolicy, mixed_opt
 
 
 class TestBudgets:
@@ -145,7 +148,8 @@ class TestHintCountLaws:
         learner = Alg1Smoothed(partition8, LossSpec.of("absolute"),
                                T=40, sigma=0.5, K=7, seed=3)
         for t in (40, 1, 17, 39):
-            assert learner._hints_for_round(t).logical_size == 7 * (40 - t)
+            assert ExampleMultiset.from_cells(
+                learner._hints_for_round(t)).logical_size == 7 * (40 - t)
 
     def test_alg1_cell_matches_per_sample_reference(self, rng):
         """Two-sample chi-square on the (x=0, +1) cell: Multinomial(m,
@@ -169,7 +173,8 @@ class TestHintCountLaws:
                                    make_hint_schedule(rows), seed=2)
         for t in (T, 3, 1, 7):  # out of order: a pure function of t
             totals = np.zeros(8, dtype=int)
-            for (x, _), c in learner._hints_for_round(t).items():
+            for (x, _), c in ExampleMultiset.from_cells(
+                    learner._hints_for_round(t)).items():
                 totals[x] += c
             np.testing.assert_array_equal(
                 totals, np.bincount(rows[t:T].reshape(-1), minlength=8))
@@ -182,12 +187,98 @@ class TestHintCountLaws:
         for seed in range(4000):
             learner = Alg3Transductive(partition8, LossSpec.of("absolute"), 2,
                                        sched, seed=seed)
-            hints = dict(learner._hints_for_round(1).items())
+            hints = dict(ExampleMultiset.from_cells(
+                learner._hints_for_round(1)).items())
             for x in plus:
                 plus[x].append(hints.get((x, 1.0), 0))
         for x, c in ((0, 9), (1, 4), (2, 1)):
             chi2, crit = _binomial_chi2(np.array(plus[x]), c, 0.5)
             assert chi2 < crit
+
+
+def _reference_hint_prediction(hclass, history, cells, x_t, loss):
+    """Reference for the hint rule: the round's hint multiset as arrays,
+    with lo and hi each built by one `from_arrays` over the doubled hint
+    counts plus (x_t, -1) or (x_t, +1).  Returns (yhat, lo, hi)."""
+    xs, ys, counts = ExampleMultiset.from_cells(cells).arrays()
+    xs, counts = np.append(xs, int(x_t)), np.append(2 * counts, 1)
+    lo = ExampleMultiset.from_arrays(xs, np.append(ys, -1.0), counts)
+    hi = ExampleMultiset.from_arrays(xs, np.append(ys, 1.0), counts)
+    _, v_minus = mixed_opt(hclass, history, lo, loss)
+    _, v_plus = mixed_opt(hclass, history, hi, loss)
+    return float(min(1.0, max(-1.0, v_minus - v_plus))), lo, hi
+
+
+@st.composite
+def hint_rule_instances(draw):
+    """A binary or real-valued class, absolute or squared loss, a history,
+    a hint count table (rows may be zero) and a query point."""
+    binary = draw(st.booleans())
+    size = draw(st.integers(1, 5))
+    n_h = draw(st.integers(1, 6))
+    value = st.sampled_from([-1.0, 1.0]) if binary else st.floats(-1, 1)
+    vals = draw(st.lists(st.lists(value, min_size=size, max_size=size),
+                         min_size=n_h, max_size=n_h))
+    hclass = HypothesisClass(vals, declared_dim=0, binary=binary)
+    loss = LossSpec.of(draw(st.sampled_from(["absolute", "squared"])))
+    history = ExampleMultiset(draw(st.lists(
+        st.tuples(st.integers(0, size - 1), st.floats(-1, 1),
+                  st.integers(1, 3)), max_size=6)))
+    cells = np.array(draw(st.lists(
+        st.lists(st.integers(0, 4), min_size=2, max_size=2),
+        min_size=size, max_size=size)), dtype=int).reshape(size, 2)
+    x_t = draw(st.integers(0, size - 1))
+    if draw(st.booleans()):
+        cells[x_t] = 0  # a query point with no hints
+    return hclass, loss, history, cells, x_t
+
+
+class TestHintDifferenceRule:
+    """`hint_difference_prediction` on a count table against the
+    multiset-based reference construction."""
+
+    @given(hint_rule_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, instance):
+        hclass, loss, history, cells, x_t = instance
+        seen = []
+
+        def recording(hc, S_real, S_bin, loss_, **kwargs):
+            seen.append(S_bin)
+            return mixed_opt(hc, S_real, S_bin, loss_, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learnermod, "mixed_opt", recording)
+            yhat = hint_difference_prediction(hclass, history, cells, x_t,
+                                              loss, None)
+        ref, lo, hi = _reference_hint_prediction(hclass, history, cells,
+                                                 x_t, loss)
+        assert yhat == ref
+        assert len(seen) == 2
+        for got, want in zip(seen, (lo, hi)):
+            for a, b in zip(got.arrays(), want.arrays()):
+                np.testing.assert_array_equal(a, b)
+                assert a.dtype == b.dtype
+
+    def test_leaves_the_table_unchanged(self, partition8):
+        cells = np.arange(16).reshape(8, 2)
+        hint_difference_prediction(partition8, ExampleMultiset(), cells, 3,
+                                   LossSpec.of("absolute"), None)
+        np.testing.assert_array_equal(cells, np.arange(16).reshape(8, 2))
+
+    @pytest.mark.parametrize("x_t", [-1, 8, 100])
+    def test_rejects_query_outside_domain(self, partition8, x_t):
+        with pytest.raises(InputError, match="outside the domain"):
+            hint_difference_prediction(partition8, ExampleMultiset(),
+                                       np.zeros((8, 2), dtype=int), x_t,
+                                       LossSpec.of("absolute"), None)
+
+    @pytest.mark.parametrize("shape", [(8, 3), (7, 2), (9, 2), (16,), (8, 2, 1)])
+    def test_rejects_wrong_shape_table(self, partition8, shape):
+        with pytest.raises(InputError, match="count table"):
+            hint_difference_prediction(partition8, ExampleMultiset(),
+                                       np.zeros(shape, dtype=int), 0,
+                                       LossSpec.of("absolute"), None)
 
 
 class TestAlg3:
@@ -261,9 +352,10 @@ class TestAlg1:
     def test_hint_volume_and_calls(self, partition8):
         learner = Alg1Smoothed(partition8, LossSpec.of("binary_indicator"),
                                T=4, sigma=1.0, K=3, seed=2)
-        hints = learner._hints_for_round(1)
+        hints = ExampleMultiset.from_cells(learner._hints_for_round(1))
         assert hints.logical_size == 3 * (4 - 1)
-        assert learner._hints_for_round(4).logical_size == 0
+        assert ExampleMultiset.from_cells(
+            learner._hints_for_round(4)).logical_size == 0
         learner.predict(1, 0)
         assert learner.stats.call_count == 2
 
@@ -281,9 +373,9 @@ class TestAlg1:
     def test_fresh_hints_each_round(self, partition8):
         learner = Alg1Smoothed(partition8, LossSpec.of("binary_indicator"),
                                T=3, sigma=1.0, K=50, seed=9)
-        h1 = dict(learner._hints_for_round(1).items())
-        h1_again = dict(learner._hints_for_round(1).items())
-        h2 = dict(learner._hints_for_round(2).items())
+        def hints(t):
+            return dict(ExampleMultiset.from_cells(learner._hints_for_round(t)).items())
+        h1, h1_again, h2 = hints(1), hints(1), hints(2)
         assert h1 == h1_again  # same round -> same stream
         assert h1 != h2       # different round -> fresh stream
 

@@ -308,3 +308,68 @@ class TestInstanceDomain:
         hclass = make_partition_class(FiniteDomain(4), 2)
         S = ExampleMultiset([(0, 1.0), (3, -1.0)])
         assert erm(hclass, S, LossSpec.of("binary_indicator")) == (1, 0.0)
+
+
+class TestChecksPerCall:
+    """The oracles evaluate the unchecked loss kernel and check their
+    arguments once per call, rejecting what `loss_eval` rejects."""
+
+    @pytest.mark.parametrize("kind", ["binary_indicator", "centered_binary"])
+    def test_half_label_rejected_under_sign_losses(self, const_class, kind):
+        loss, half = LossSpec.of(kind), ExampleMultiset([(0, 1.0), (1, 0.5)])
+        with pytest.raises(InputError, match="label"):
+            erm(const_class, half, loss)
+        with pytest.raises(InputError, match="label"):
+            mixed_opt(const_class, half, ExampleMultiset(), loss)
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_half_hint_label_rejected(self, real_class, kind):
+        """The hint term uses the centered loss whatever the real loss."""
+        with pytest.raises(InputError, match="label"):
+            mixed_opt(real_class, ExampleMultiset(), ExampleMultiset([(0, 0.5)]),
+                      LossSpec(kind))
+
+    @pytest.mark.parametrize("kind", ["absolute", "squared"])
+    def test_half_label_accepted_under_real_losses(self, const_class, kind):
+        S = ExampleMultiset([(1, 0.5)])
+        assert erm(const_class, S, LossSpec.of(kind))[0] == 0
+        mixed_opt(const_class, S, ExampleMultiset([(0, 1.0)]), LossSpec.of(kind))
+
+    def test_non_sign_class_rejected_under_indicator(self):
+        """Checked at the multiset's instances only, as `loss_eval` does."""
+        hclass = HypothesisClass([[0.5, 1.0], [1.0, -1.0]], declared_dim=0)
+        loss = LossSpec.of("binary_indicator")
+        at_half, elsewhere = ExampleMultiset([(0, 1.0)]), ExampleMultiset([(1, 1.0)])
+        with pytest.raises(InputError, match="prediction"):
+            erm(hclass, at_half, loss)
+        with pytest.raises(InputError, match="prediction"):
+            mixed_opt(hclass, at_half, ExampleMultiset(), loss)
+        assert erm(hclass, elsewhere, loss) == (0, 0.0)
+        assert mixed_opt(hclass, elsewhere, ExampleMultiset(), loss)[0] == 0
+        # the hint term's centered loss takes real predictions
+        mixed_opt(hclass, ExampleMultiset(), at_half, LossSpec.of("absolute"))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rejects_exactly_what_loss_eval_rejects(self, data):
+        kind = data.draw(st.sampled_from(list(LossKind)))
+        size = data.draw(st.integers(1, 4))
+        n_h = data.draw(st.integers(1, 4))
+        value = st.sampled_from([-1.0, -0.5, 0.0, 1.0])
+        vals = data.draw(st.lists(st.lists(value, min_size=size, max_size=size),
+                                  min_size=n_h, max_size=n_h))
+        hclass = HypothesisClass(vals, declared_dim=0)
+        S = ExampleMultiset(data.draw(st.lists(st.tuples(
+            st.integers(0, size - 1), st.sampled_from([-1.0, 0.5, 1.0])),
+            max_size=5)))
+        loss = LossSpec(kind)
+        def raises(call):
+            try:
+                call()
+            except InputError:
+                return True
+            return False
+
+        expected = raises(lambda: per_pair_objective(hclass, S, loss))
+        assert raises(lambda: erm(hclass, S, loss)) == expected
+        assert raises(lambda: mixed_opt(hclass, S, ExampleMultiset(), loss)) == expected

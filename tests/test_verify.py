@@ -497,6 +497,17 @@ class TestGeneralizationGap:
                 generalization_gap_mc(partition8, SmoothDistribution.uniform(8),
                                       labels, ExampleMultiset(), 16.0, 10, rng)
 
+    def test_seeded_random_runs_and_replays(self, partition8):
+        """The tie stream is the check's own rng, so a fixed rng replays."""
+        def report():
+            return generalization_gap_mc(
+                partition8, SmoothDistribution.uniform(8), partition8.values[1],
+                ExampleMultiset([(0, 1.0), (7, -1.0)]), 6.0, 50,
+                np.random.default_rng(4), T=8, tie=TiePolicy.SEEDED_RANDOM)
+        first = report()
+        assert first.trials == 50 and math.isfinite(first.measured["gap"])
+        assert first.to_json() == report().to_json()
+
     def test_sample_joins_the_hallucinations(self, partition8):
         """Each trial's ERM input is history + hallucinations + {s}: the
         report matches a loop that merges the three multisets."""
