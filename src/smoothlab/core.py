@@ -297,6 +297,10 @@ class ExampleMultiset:
         cells = np.asarray(cells)
         if cells.ndim != 2 or cells.shape[1] != 2 or not (cells >= 0).all():
             raise InputError("cells must be a nonnegative (|X|, 2) count table")
+        # an integer table (every sampler's) needs no value check
+        if cells.dtype.kind not in "iu" and not (
+                np.isfinite(cells) & (cells == np.floor(cells))).all():
+            raise InputError("cells must hold whole counts")
         flat = cells.reshape(-1)
         nonzero = np.flatnonzero(flat)
         # row-major order over (x, sign) is already (x, y)-sorted

@@ -13,8 +13,8 @@ Implemented learners:
 * ``FTL`` — unperturbed ERM on history (negative control).
 * ``HedgeLearner`` — exponential weights over the enumerated class
   (oracle-free baseline).
-* ``DoublingMeta`` — Hedge over geometrically spaced smoothness guesses
-  for unknown sigma.
+* ``DoublingMeta`` — Hedge over Alg 2 experts at geometrically spaced
+  smoothness guesses for unknown sigma.
 
 The oracle sees a perturbation only as a multiset, so each round draws
 the (instance, sign) cell counts straight from their exact law instead
@@ -320,14 +320,13 @@ class HedgeLearner(Learner):
 
 
 class DoublingMeta(Learner):
-    """Unknown-sigma meta-learner: Hedge over base learners run at
+    """Unknown-sigma meta-learner: Hedge over Alg 2 experts run at
     geometrically spaced smoothness guesses sigma_i = 2^i * sigma_min."""
 
     name = "doubling"
 
     def __init__(self, hclass, loss, T, sigma_min: float, sigma_max: float,
-                 base: str = "alg2", seed=0, run=0,
-                 tie=TiePolicy.LOWEST_INDEX, d: int | None = None, **base_kwargs):
+                 seed=0, run=0, tie=TiePolicy.LOWEST_INDEX, d: int | None = None):
         if not (0.0 < sigma_min <= sigma_max <= 1.0):
             raise InputError("need 0 < sigma_min <= sigma_max <= 1")
         super().__init__(hclass, loss, T, seed, run, tie)
@@ -338,15 +337,8 @@ class DoublingMeta(Learner):
         d_eff = hclass.declared_dim if d is None else d
         self.experts: list[Learner] = []
         for i, s in enumerate(self.sigmas):
-            if base == "alg2":
-                n = default_n(T, s, hclass.domain_size, max(1, d_eff))
-                expert = Alg2PoissonFTPL(hclass, loss, T, n=n, seed=seed,
-                                         run=run, tie=tie)
-            elif base == "alg1":
-                expert = Alg1Smoothed(hclass, loss, T, sigma=s, seed=seed,
-                                      run=run, tie=tie, **base_kwargs)
-            else:
-                raise InputError(f"unsupported base learner {base!r}")
+            n = default_n(T, s, hclass.domain_size, max(1, d_eff))
+            expert = Alg2PoissonFTPL(hclass, loss, T, n=n, seed=seed, run=run, tie=tie)
             expert.expert = i
             self.experts.append(expert)
         self.oracle_calls_per_round = (

@@ -17,6 +17,10 @@ Covers:
 
 Exact-mode results carry a rigorous truncation error bound instead of
 a statistical tolerance.
+
+scipy is used only by the Poisson TV/chi-square checks, which import
+``scipy.stats`` on their first call, so importing this module does not
+load it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats as spstats
 
 from .core import (
     ExampleMultiset,
@@ -491,9 +494,11 @@ def _poisson_support(lam: float, tail: float = TRUNC_TAIL) -> tuple[np.ndarray, 
     """Values 0..M covering all but `tail` of Poi(lam), with their pmf."""
     if lam == 0:
         return np.array([0]), np.array([1.0])
-    M = int(spstats.poisson.ppf(1.0 - tail / 4.0, lam)) + 2
+    # imported here: scipy.stats takes ~1 s to load, and only the Poisson checks use it
+    from scipy.stats import poisson
+    M = int(poisson.ppf(1.0 - tail / 4.0, lam)) + 2
     ks = np.arange(M + 1)
-    return ks, spstats.poisson.pmf(ks, lam)
+    return ks, poisson.pmf(ks, lam)
 
 
 def tv_exact_poisson(n: float, domain_size: int, D: SmoothDistribution,
@@ -528,7 +533,7 @@ def tv_exact_poisson(n: float, domain_size: int, D: SmoothDistribution,
     ks, pmf = _poisson_support(lam)
     covered_P = pmf.sum() ** atoms.size
     # Under Q the shifted coordinate needs one more unit of support.
-    covered_Q_shift = spstats.poisson.pmf(np.arange(ks.size), lam)[:-1].sum()
+    covered_Q_shift = pmf[:-1].sum()
     covered_Q = covered_Q_shift * pmf.sum() ** (atoms.size - 1)
     err = 0.5 * ((1.0 - covered_P) + (1.0 - covered_Q))
 

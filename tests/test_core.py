@@ -361,7 +361,8 @@ class TestArrayMultisetAgainstDict:
 
     @pytest.mark.parametrize("cells", [
         np.array([[1, -1]]), np.array([[1.0, np.nan]]), np.array([1, 2]),
-        np.zeros((2, 3), dtype=int)])
+        np.zeros((2, 3), dtype=int), np.array([[0.5, 0.0]]),
+        np.array([[0.0, 1.7]])])
     def test_from_cells_rejects_bad_tables(self, cells):
         with pytest.raises(InputError):
             ExampleMultiset.from_cells(cells)

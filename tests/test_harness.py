@@ -3,10 +3,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smoothlab
 from smoothlab import cli, harness
 from smoothlab.cli import EXIT_CAPACITY, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
 from smoothlab.errors import FitError, InputError
@@ -225,6 +229,40 @@ class TestCli:
         path.write_text(json.dumps(base_config(**overrides).to_dict()
                                    | {"schema_version": SCHEMA_VERSION}))
         return str(path)
+
+    @staticmethod
+    def _scipy_loaded_after(steps, tmp_path):
+        """Run `steps` (Python statements) one by one in a fresh interpreter;
+        return whether scipy was loaded after each, and the exit codes."""
+        script = "\n".join(
+            ["import json, sys", "seen, rcs = [], []"]
+            + [f"{step}\nseen.append('scipy' in sys.modules)" for step in steps]
+            + ["print(json.dumps([seen, rcs]))"])
+        env = dict(os.environ, PYTHONPATH=str(Path(smoothlab.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, cwd=tmp_path, env=env, check=True)
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_games_never_load_scipy(self, tmp_path):
+        """scipy.stats takes about a second to import and only verify's
+        Poisson checks use it, so a game's process must not load it."""
+        cfg = self._write_config(tmp_path, learner="ftl", T=4, n=None)
+        seen, rcs = self._scipy_loaded_after([
+            "import smoothlab",
+            "import smoothlab.cli",
+            f"rcs.append(smoothlab.cli.main(['run', {cfg!r}, '--out', 'out.csv']))",
+        ], tmp_path)
+        assert rcs == [EXIT_OK]
+        assert seen == [False, False, False]
+
+    def test_verify_tv_loads_scipy_on_first_use(self, tmp_path):
+        seen, rcs = self._scipy_loaded_after([
+            "import smoothlab.cli",
+            "rcs.append(smoothlab.cli.main(['verify', '--suite', 'tv', "
+            "'--out', 'tv.json']))",
+        ], tmp_path)
+        assert rcs == [EXIT_OK]
+        assert seen == [False, True]
 
     def test_run_subcommand(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
