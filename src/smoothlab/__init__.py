@@ -28,7 +28,6 @@ from .adversary import (
     cyclic_hint_schedule,
     full_domain_schedule,
     known_sequence_schedule,
-    make_hint_schedule,
     next_round,
 )
 from .learner import (

@@ -27,9 +27,7 @@ from . import rng as rngmod
 class AdversaryKind(Enum):
     REALIZABLE_SMOOTH = "realizable_smooth"
     SUPPORT_ALTERNATING = "support_alternating"
-    WORST_CASE_SMALL_DOMAIN = "worst_case_small_domain"
     TRANSDUCTIVE_CYCLIC = "transductive_cyclic"
-    TRANSDUCTIVE_SPECIAL_POINT = "transductive_special_point"
     CUSTOM_TABLE = "custom_table"
 
 
@@ -56,10 +54,6 @@ class HintSchedule:
     def row(self, t: int) -> np.ndarray:
         """Hints for round t (1-based)."""
         return self.rows[t - 1]
-
-
-def make_hint_schedule(rows) -> HintSchedule:
-    return HintSchedule(np.asarray(rows, dtype=int))
 
 
 def known_sequence_schedule(xs) -> HintSchedule:
@@ -95,10 +89,6 @@ class AdversarySpec:
     hint_schedule: HintSchedule | None = None
     xs: tuple[int, ...] | None = None  # custom_table fixed sequence
     ys: tuple[float, ...] | None = None  # custom_table fixed labels
-
-    @classmethod
-    def of(cls, kind: str, **kwargs) -> "AdversarySpec":
-        return cls(kind=AdversaryKind(kind), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -146,7 +136,7 @@ def biased_label_rule(h_star_values, delta: float, rng) -> np.ndarray:
 class Adversary:
     """Stateful adversary for one game run.
 
-    `commit(t, history)` fixes the round-t distribution and label table;
+    `commit(t)` fixes the round-t distribution and label table;
     `observe(t, x_t, yhat_t, y_t)` feeds back the realized round so
     adaptive constructions can update their counters.
     """
@@ -176,27 +166,19 @@ class Adversary:
         if kind in (AdversaryKind.REALIZABLE_SMOOTH, AdversaryKind.TRANSDUCTIVE_CYCLIC):
             init = self._rng(0)
             self.h_star_index = int(init.integers(len(self.hclass)))
-        if kind in (AdversaryKind.SUPPORT_ALTERNATING,
-                    AdversaryKind.TRANSDUCTIVE_SPECIAL_POINT):
-            if kind is AdversaryKind.SUPPORT_ALTERNATING:
-                raw = spec.sigma * self.domain_size
-                size = int(np.ceil(raw))
-                if abs(raw - round(raw)) > 1e-9:
-                    warnings.warn(
-                        f"sigma*|X| = {raw} is non-integral; using support size {size}",
-                        stacklevel=3,
-                    )
-                self._support = np.arange(size)
-            else:
-                if spec.hint_schedule is None:
-                    raise InputError("transductive_special_point needs a hint schedule")
-                self._support = np.unique(spec.hint_schedule.rows)
-            d = spec.d
-            if self._support.size % d != 0:
-                raise InputError(
-                    f"support size {self._support.size} not divisible by d={d}"
+        if kind is AdversaryKind.SUPPORT_ALTERNATING:
+            raw = spec.sigma * self.domain_size
+            size = int(np.ceil(raw))
+            if abs(raw - round(raw)) > 1e-9:
+                warnings.warn(
+                    f"sigma*|X| = {raw} is non-integral; using support size {size}",
+                    stacklevel=3,
                 )
-            L = self._support.size // d
+            self._support = np.arange(size)
+            d = spec.d
+            if size % d != 0:
+                raise InputError(f"support size {size} not divisible by d={d}")
+            L = size // d
             self._blocks = [self._support[j * L:(j + 1) * L] for j in range(d)]
             self._visits = np.zeros(d, dtype=int)
         if kind is AdversaryKind.CUSTOM_TABLE:
@@ -216,7 +198,7 @@ class Adversary:
 
     # -- per-round protocol -------------------------------------------
 
-    def commit(self, t: int, history) -> RoundCommitment:
+    def commit(self, t: int) -> RoundCommitment:
         """Fix round t's distribution and label table (before prediction)."""
         spec = self.spec
         kind = spec.kind
@@ -239,21 +221,13 @@ class Adversary:
             h_star = self.hclass.values[self.h_star_index]
             return self._hint_commit(t, h_star.copy())
 
-        if kind in (AdversaryKind.SUPPORT_ALTERNATING,
-                    AdversaryKind.TRANSDUCTIVE_SPECIAL_POINT):
+        if kind is AdversaryKind.SUPPORT_ALTERNATING:
             labels = np.ones(n)
             for j, block in enumerate(self._blocks):
                 labels[block] = 1.0 if self._visits[j] % 2 == 0 else -1.0
-            if kind is AdversaryKind.TRANSDUCTIVE_SPECIAL_POINT:
-                return self._hint_commit(t, labels)
             probs = np.zeros(n)
             probs[self._support] = 1.0 / self._support.size
             return RoundCommitment(probs, spec.sigma, None, labels)
-
-        if kind is AdversaryKind.WORST_CASE_SMALL_DOMAIN:
-            probs = np.full(n, 1.0 / n)
-            labels = np.full(n, 1.0 if t % 2 == 1 else -1.0)
-            return RoundCommitment(probs, 1.0, None, labels)
 
         if kind is AdversaryKind.CUSTOM_TABLE:
             x = int(spec.xs[t - 1])
@@ -279,13 +253,13 @@ class Adversary:
                     break
 
 
-def next_round(adv: Adversary, t: int, history, rng):
+def next_round(adv: Adversary, t: int, rng):
     """One protocol step: commit, sample x_t, return the label rule.
 
     Returns (commitment, x_t, label_rule) where label_rule(x) reads the
     committed table — it is fixed before any prediction is made.
     """
-    commitment = adv.commit(t, history)
+    commitment = adv.commit(t)
     commitment.check_contract()
     x_t = int(rng.choice(adv.domain_size, p=commitment.probs))
     return commitment, x_t, lambda x: float(commitment.label_table[x])

@@ -11,8 +11,9 @@ Conventions used everywhere:
   a finite domain);
 * an ``ExampleMultiset`` is read-only (instance, label, count) arrays
   over its distinct pairs, sorted by (instance, label); it is built from
-  pairs, aligned arrays or a (size, 2) table of (instance, sign) counts,
-  and one aggregation step serves every constructor and `union`.
+  (instance, label[, count]) pairs or a (size, 2) table of (instance,
+  sign) counts, and one aggregation step serves the pair constructor
+  and `union`.
 """
 
 from __future__ import annotations
@@ -72,10 +73,6 @@ class HypothesisClass:
     @property
     def domain_size(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def domain(self) -> FiniteDomain:
-        return FiniteDomain(self.domain_size)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -224,12 +221,24 @@ class SmoothDistribution:
         return cls(tuple([1.0 / size] * size), 1.0)
 
 
+def _whole(values, name: str) -> np.ndarray:
+    """`values` as an int array; InputError unless each is a finite whole
+    number.  An integer array (every sampler's) needs no value check."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu":
+        a = a.astype(float)
+        if not (np.isfinite(a) & (a == np.floor(a))).all():
+            raise InputError(f"{name} must be finite whole numbers")
+    return np.asarray(a, dtype=int)
+
+
 def _checked_columns(xs, ys, counts):
     """Aligned 1-D instance, label and count arrays; InputError unless
-    every count is >= 1 and every label lies in [-1, 1]."""
-    xs = np.asarray(xs, dtype=int)
+    every instance and count is a whole number, every count is >= 1 and
+    every label lies in [-1, 1]."""
+    xs = _whole(xs, "instances")
     ys = np.asarray(ys, dtype=float)
-    cs = np.asarray(counts, dtype=int)
+    cs = _whole(counts, "multiset counts")
     if not (xs.ndim == 1 and xs.shape == ys.shape == cs.shape):
         raise InputError("xs, ys and counts must be aligned 1-D arrays")
     if np.any(cs < 1):
@@ -271,8 +280,7 @@ class ExampleMultiset:
     __slots__ = ("_xs", "_ys", "_cs")
 
     def __init__(self, pairs=()):
-        cols = [(int(x), float(y), int(c[0]) if c else 1)
-                for x, y, *c in pairs]
+        cols = [(x, y, c[0] if c else 1) for x, y, *c in pairs]
         xs, ys, cs = zip(*cols) if cols else ((), (), ())
         self._xs, self._ys, self._cs = _aggregate(*_checked_columns(xs, ys, cs))
 
@@ -283,29 +291,17 @@ class ExampleMultiset:
         return out
 
     @classmethod
-    def from_arrays(cls, xs, ys, counts=None) -> "ExampleMultiset":
-        """Bulk constructor from aligned instance, label and count arrays;
-        labels and counts are checked once per array."""
-        if counts is None:
-            counts = np.ones(np.shape(xs), dtype=int)
-        return cls._of(*_aggregate(*_checked_columns(xs, ys, counts)))
-
-    @classmethod
     def from_cells(cls, cells) -> "ExampleMultiset":
         """The multiset of a (|X|, 2) table of (instance, sign) counts:
         column 0 counts label -1, column 1 label +1."""
         cells = np.asarray(cells)
         if cells.ndim != 2 or cells.shape[1] != 2 or not (cells >= 0).all():
             raise InputError("cells must be a nonnegative (|X|, 2) count table")
-        # an integer table (every sampler's) needs no value check
-        if cells.dtype.kind not in "iu" and not (
-                np.isfinite(cells) & (cells == np.floor(cells))).all():
-            raise InputError("cells must hold whole counts")
-        flat = cells.reshape(-1)
+        flat = _whole(cells, "cells").reshape(-1)
         nonzero = np.flatnonzero(flat)
         # row-major order over (x, sign) is already (x, y)-sorted
         return cls._of(*_frozen(nonzero // 2, np.where(nonzero % 2, 1.0, -1.0),
-                                flat[nonzero].astype(int)))
+                                flat[nonzero]))
 
     def union(self, other: "ExampleMultiset") -> "ExampleMultiset":
         """A new multiset holding both operands' counts."""

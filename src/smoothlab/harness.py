@@ -11,7 +11,7 @@ The per-round protocol enforced by `run_game`:
 
 Everything is deterministic given (config, seed): all randomness flows
 through counter-based streams, and persisted artifacts contain only
-deterministic fields unless timing capture is explicitly enabled.
+deterministic fields.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import io
 import json
 import math
 import os
-import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +70,7 @@ CSV_COLUMNS = [
 _KNOWN_KEYS = {
     "schema_version", "experiment_id", "learner", "adversary", "class",
     "loss", "T", "sigma", "K", "d", "n", "c_K", "tie_policy", "seeds",
-    "hints", "delta", "out", "record_timing", "custom_xs", "custom_ys",
+    "hints", "delta", "out", "custom_xs", "custom_ys",
     "sigma_min", "sigma_max", "max_hints_per_round", "sweep",
 }
 
@@ -91,13 +89,12 @@ class RoundRecord:
     loss: float
     oracle_calls: int
     oracle_input_len: int
-    wall_ms: float
 
     def to_dict(self) -> dict:
         return {
             "t": self.t, "x": self.x, "yhat": self.yhat, "y": self.y,
             "loss": self.loss, "oracle_calls": self.oracle_calls,
-            "oracle_input_len": self.oracle_input_len, "wall_ms": self.wall_ms,
+            "oracle_input_len": self.oracle_input_len,
         }
 
 
@@ -115,15 +112,9 @@ class Transcript:
     config_hash: str
     label_rule_hash: str
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        rounds = []
-        for r in self.rounds:
-            d = r.to_dict()
-            if not include_timing:
-                d["wall_ms"] = 0.0
-            rounds.append(d)
+    def to_dict(self) -> dict:
         return {
-            "rounds": rounds,
+            "rounds": [r.to_dict() for r in self.rounds],
             "total_loss": self.total_loss,
             "bih_loss": self.bih_loss,
             "regret": self.regret,
@@ -136,8 +127,15 @@ class Transcript:
             "label_rule_hash": self.label_rule_hash,
         }
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
+
+
+def _integral(value, key: str) -> int:
+    """`value` as an int; InputError where `int()` would truncate it."""
+    if not float(value).is_integer():
+        raise InputError(f"{key} must hold integers, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -158,7 +156,6 @@ class ExperimentConfig:
     hints: dict | None = None
     delta: float = 0.5
     out: str | None = None
-    record_timing: bool = False
     custom_xs: tuple[int, ...] | None = None
     custom_ys: tuple[float, ...] | None = None
     sigma_min: float | None = None
@@ -206,19 +203,19 @@ class ExperimentConfig:
             adversary=obj["adversary"],
             class_spec=obj["class"],
             loss=obj["loss"],
-            T=int(obj["T"]),
+            T=_integral(obj["T"], "T"),
             sigma=float(obj["sigma"]),
-            seeds=tuple(int(s) for s in obj["seeds"]),
+            seeds=tuple(_integral(s, "seeds") for s in obj["seeds"]),
         )
         for key in ("K", "d", "c_K", "tie_policy", "hints", "delta", "out",
-                    "record_timing", "sigma_min", "sigma_max",
-                    "max_hints_per_round", "sweep"):
+                    "sigma_min", "sigma_max", "max_hints_per_round", "sweep"):
             if key in obj and obj[key] is not None:
                 kwargs[key] = obj[key]
         if obj.get("n") is not None:
             kwargs["n"] = float(obj["n"])
         if obj.get("custom_xs") is not None:
-            kwargs["custom_xs"] = tuple(int(x) for x in obj["custom_xs"])
+            kwargs["custom_xs"] = tuple(_integral(x, "custom_xs")
+                                        for x in obj["custom_xs"])
         if obj.get("custom_ys") is not None:
             kwargs["custom_ys"] = tuple(float(y) for y in obj["custom_ys"])
         return cls(**kwargs)
@@ -241,7 +238,6 @@ class ExperimentConfig:
             "K": self.K, "d": self.d, "n": self.n, "c_K": self.c_K,
             "tie_policy": self.tie_policy,
             "hints": self.hints, "delta": self.delta, "out": self.out,
-            "record_timing": self.record_timing,
             "custom_xs": None if self.custom_xs is None else list(self.custom_xs),
             "custom_ys": None if self.custom_ys is None else list(self.custom_ys),
             "sigma_min": self.sigma_min, "sigma_max": self.sigma_max,
@@ -361,29 +357,24 @@ def run_game(config: ExperimentConfig, seed: int, run: int = 0) -> Transcript:
 
     rounds: list[RoundRecord] = []
     label_hash = hashlib.sha256()
-    history: list[tuple[int, float, float]] = []
     total_loss = 0.0
     prev_calls = 0
     prev_len = 0
     for t in range(1, config.T + 1):
         commitment, x_t, label_rule = next_round(
-            adversary, t, history, rngmod.stream(seed, run, t, "instance"))
+            adversary, t, rngmod.stream(seed, run, t, "instance"))
         # the label rule is committed (hashed) before the prediction
         label_hash.update(commitment.label_table.tobytes())
-        t0 = time.perf_counter()
         yhat = learner.predict(t, x_t)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
         y_t = label_rule(x_t)
         loss_val = loss_eval(loss, yhat, y_t)
         learner.update(t, x_t, y_t)
         adversary.observe(t, x_t, yhat, y_t)
-        history.append((x_t, yhat, y_t))
         total_loss += loss_val
         rounds.append(RoundRecord(
             t=t, x=x_t, yhat=float(yhat), y=y_t, loss=float(loss_val),
             oracle_calls=learner.stats.call_count - prev_calls,
             oracle_input_len=learner.stats.total_input_length - prev_len,
-            wall_ms=wall_ms,
         ))
         prev_calls = learner.stats.call_count
         prev_len = learner.stats.total_input_length
@@ -415,15 +406,15 @@ def _fmt(v) -> str:
 
 
 def _csv_row(config: ExperimentConfig, d: int, seed, regret, total_loss,
-             bih_loss, oracle_calls, mean_input_len, wall_ms,
-             regret_stderr="") -> str:
+             bih_loss, oracle_calls, mean_input_len, regret_stderr="") -> str:
+    # wall_ms is always 0, so re-runs are byte-identical
     vals = [
         config.experiment_id, config.learner, config.adversary,
         config.class_spec.get("kind", "json"), config.T, config.sigma,
         config.K if config.K is not None else "", d,
         config.n if config.n is not None else "", config.c_K,
         config.tie_policy, seed, regret, total_loss, bih_loss, oracle_calls,
-        mean_input_len, wall_ms, regret_stderr,
+        mean_input_len, 0.0, regret_stderr,
     ]
     return ",".join(_fmt(v) for v in vals)
 
@@ -443,6 +434,9 @@ def run_experiment(config: ExperimentConfig,
     seeds = sorted(config.seeds)
     workers = _worker_count(jobs, len(seeds))
     if workers > 1:
+        # imported here: it loads multiprocessing, which a one-worker run
+        # never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             transcripts = list(pool.map(run_game, [config] * len(seeds), seeds))
     else:
@@ -455,14 +449,13 @@ def run_experiment(config: ExperimentConfig,
     regrets = []
     for tr in transcripts:
         mean_len = tr.total_input_length / max(tr.oracle_calls, 1)
-        wall = sum(r.wall_ms for r in tr.rounds) if config.record_timing else 0.0
         out.write(_csv_row(config, d, tr.seed, tr.regret, tr.total_loss,
-                           tr.bih_loss, tr.oracle_calls, mean_len, wall) + "\n")
+                           tr.bih_loss, tr.oracle_calls, mean_len) + "\n")
         regrets.append(tr.regret)
     mean_regret = float(np.mean(regrets))
     stderr = (float(np.std(regrets, ddof=1) / math.sqrt(len(regrets)))
               if len(regrets) > 1 else 0.0)
-    out.write(_csv_row(config, d, "mean", mean_regret, "", "", "", "", 0.0,
+    out.write(_csv_row(config, d, "mean", mean_regret, "", "", "", "",
                        regret_stderr=stderr) + "\n")
     return transcripts, out.getvalue()
 

@@ -73,7 +73,6 @@ class Learner:
     """Base class: owns history, oracle stats, and per-run RNG keys."""
 
     name = "learner"
-    oracle_calls_per_round = 0
     expert: int | None = None  # index under a DoublingMeta, which keys its streams
 
     def __init__(self, hclass: HypothesisClass, loss: LossSpec, T: int,
@@ -87,7 +86,6 @@ class Learner:
         self.tie = tie
         self.stats = OracleStats()
         self.history = ExampleMultiset()
-        self.t = 0
 
     def _stream(self, t: int, purpose: str):
         return rngmod.stream(self.seed, self.run, t, purpose, self.expert)
@@ -101,7 +99,6 @@ class Learner:
 
     def update(self, t: int, x_t: int, y_t: float) -> None:
         self.history.add(int(x_t), float(y_t))
-        self.t = t
 
 
 def hint_cells(m: int, domain_size: int, rng) -> np.ndarray:
@@ -156,8 +153,6 @@ def hint_difference_prediction(hclass: HypothesisClass, history: ExampleMultiset
 class _HintDifferenceLearner(Learner):
     """Shared base of the hint-based learners: each round draws its hint
     count table and predicts with `hint_difference_prediction`."""
-
-    oracle_calls_per_round = 2
 
     def _hints_for_round(self, t: int) -> np.ndarray:
         """The round's (|X|, 2) (instance, sign) hint count table."""
@@ -236,7 +231,6 @@ class Alg2PoissonFTPL(Learner):
     Poi(n) hallucinated uniform samples with random +-1 labels."""
 
     name = "alg2"
-    oracle_calls_per_round = 1
 
     def __init__(self, hclass, loss, T, n: float, seed=0, run=0,
                  tie=TiePolicy.LOWEST_INDEX):
@@ -264,7 +258,6 @@ class FTL(Learner):
     """Follow-the-leader: unperturbed ERM on the history."""
 
     name = "ftl"
-    oracle_calls_per_round = 1
 
     def predict(self, t: int, x_t: int) -> float:
         idx, _ = erm(self.hclass, self.history, self.loss, tie=self.tie,
@@ -284,11 +277,10 @@ class HedgeLearner(Learner):
     """Exponential weights over the enumerated class; no oracle calls.
 
     Predicts with a hypothesis sampled from the current weights and
-    exposes the full weight vector and expected loss for analysis.
+    exposes the full weight vector for analysis.
     """
 
     name = "hedge"
-    oracle_calls_per_round = 0
 
     def __init__(self, hclass, loss, T, eta: float | None = None,
                  seed=0, run=0, tie=TiePolicy.LOWEST_INDEX):
@@ -308,10 +300,6 @@ class HedgeLearner(Learner):
         rng = self._stream(t, "hedge")
         idx = int(rng.choice(len(self.hclass), p=self.weights))
         return float(self.hclass.values[idx, x_t])
-
-    def expected_loss(self, x_t: int, y_t: float) -> float:
-        per_h = loss_eval(self.loss, self.hclass.values[:, x_t], float(y_t))
-        return float(self.weights @ per_h)
 
     def update(self, t: int, x_t: int, y_t: float) -> None:
         self.cumulative_losses += loss_eval(
@@ -341,8 +329,6 @@ class DoublingMeta(Learner):
             expert = Alg2PoissonFTPL(hclass, loss, T, n=n, seed=seed, run=run, tie=tie)
             expert.expert = i
             self.experts.append(expert)
-        self.oracle_calls_per_round = (
-            len(self.experts) * self.experts[0].oracle_calls_per_round)
         self.eta = math.sqrt(8.0 * math.log(max(2, len(self.experts))) / max(T, 1))
         self.expert_losses = np.zeros(len(self.experts))
         self._last_predictions: np.ndarray | None = None

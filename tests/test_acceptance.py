@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from smoothlab.adversary import cyclic_hint_schedule, make_hint_schedule
+from smoothlab.adversary import HintSchedule, cyclic_hint_schedule
 from smoothlab.core import (
     FiniteDomain,
     HypothesisClass,
@@ -175,14 +175,14 @@ def _tiny_admissibility_instances():
             make_shatter_class(FiniteDomain(4), [1, 3])],
     }
     schedules = {
-        2: [make_hint_schedule([[0]] * T) for T in (1, 2, 3)]
+        2: [HintSchedule([[0]] * T) for T in (1, 2, 3)]
            + [cyclic_hint_schedule(T, [np.array([0, 1])]) for T in (2, 3)]
-           + [make_hint_schedule([[0], [1], [0]])],
-        3: [make_hint_schedule([[0], [2]]),
-            make_hint_schedule([[0, 1], [1, 2], [0, 2]])],
+           + [HintSchedule([[0], [1], [0]])],
+        3: [HintSchedule([[0], [2]]),
+            HintSchedule([[0, 1], [1, 2], [0, 2]])],
         4: [cyclic_hint_schedule(3, [np.arange(2), np.arange(2, 4)]),
-            make_hint_schedule([[0], [3]]),
-            make_hint_schedule([[0, 1], [2, 3]])],
+            HintSchedule([[0], [3]]),
+            HintSchedule([[0, 1], [2, 3]])],
     }
     for size, hclasses in classes.items():
         for hclass in hclasses:
@@ -208,7 +208,7 @@ def test_criterion_5_admissibility():
     const2 = HypothesisClass([[1.0, 1.0], [-1.0, -1.0]],
                              declared_dim=1, binary=True)
     ftl = admissibility_check("ftl", const2, loss,
-                              make_hint_schedule([[0], [0]]))
+                              HintSchedule([[0], [0]]))
     ok = ok and (not ftl.passed) and ftl.measured["min_slack"] < -1e-6
     report(5, "relaxation admissibility", ok,
            f"{count} instances, min slack {min_slack:.2e}, "
@@ -268,7 +268,7 @@ def test_criterion_7_prediction_range():
         else:
             rows = rng.integers(0, size, size=(T, int(rng.integers(1, 3))))
             learner = Alg3Transductive(hclass, loss, T,
-                                       make_hint_schedule(rows), seed=g)
+                                       HintSchedule(rows), seed=g)
         for t in range(1, T + 1):
             x = int(rng.integers(size)) if rows is None else int(rng.choice(rows[t - 1]))
             yhat = learner.predict(t, x)  # raises if |yhat| > 1 + 1e-9

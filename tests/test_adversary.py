@@ -13,7 +13,6 @@ from smoothlab.adversary import (
     cyclic_hint_schedule,
     full_domain_schedule,
     known_sequence_schedule,
-    make_hint_schedule,
     next_round,
 )
 from smoothlab.core import (
@@ -48,7 +47,7 @@ class TestHintSchedules:
 
     def test_shape_validation(self):
         with pytest.raises(InputError):
-            make_hint_schedule(np.zeros((0, 1)))
+            HintSchedule(np.zeros((0, 1)))
 
 
 class TestRealizableSmooth:
@@ -57,7 +56,7 @@ class TestRealizableSmooth:
         adv = Adversary(spec, partition8, T=10, seed=3)
         h_star = partition8.values[adv.h_star_index]
         for t in range(1, 11):
-            c = adv.commit(t, [])
+            c = adv.commit(t)
             c.check_contract()
             assert c.sigma == 1.0
             assert validate_smooth(c.probs, 1.0)
@@ -74,7 +73,7 @@ class TestRealizableSmooth:
         spec = AdversarySpec(kind=AdversaryKind.REALIZABLE_SMOOTH,
                              hint_schedule=sched)
         adv = Adversary(spec, partition8, T=4, seed=0)
-        c = adv.commit(2, [])
+        c = adv.commit(2)
         assert c.sigma is None
         assert set(np.flatnonzero(c.probs)) <= set(c.hint_row.tolist())
 
@@ -88,7 +87,7 @@ class TestSupportAlternating:
 
     def test_support_size_and_certificate(self):
         adv, _ = self._adv()
-        c = adv.commit(1, [])
+        c = adv.commit(1)
         c.check_contract()
         assert np.flatnonzero(c.probs).size == 4
         assert validate_smooth(c.probs, 0.5)
@@ -98,16 +97,16 @@ class TestSupportAlternating:
         # block 0 = {0, 1}: first visit labeled +1, second -1, third +1
         labels = []
         for t in range(1, 4):
-            c = adv.commit(t, [])
+            c = adv.commit(t)
             labels.append(c.label_table[0])
             adv.observe(t, 0, 0.0, c.label_table[0])
         assert labels == [1.0, -1.0, 1.0]
 
     def test_blocks_alternate_independently(self):
         adv, _ = self._adv()
-        c1 = adv.commit(1, [])
+        c1 = adv.commit(1)
         adv.observe(1, 0, 0.0, c1.label_table[0])  # visit block 0 only
-        c2 = adv.commit(2, [])
+        c2 = adv.commit(2)
         assert c2.label_table[0] == -1.0  # block 0 flipped
         assert c2.label_table[2] == 1.0   # block 1 untouched
 
@@ -120,7 +119,7 @@ class TestSupportAlternating:
         xs = [0, 0, 0, 0, 2, 2, 2, 2]
         totals = np.zeros(len(hclass))
         for t, x in enumerate(xs, start=1):
-            c = adv.commit(t, [])
+            c = adv.commit(t)
             y = float(c.label_table[x])
             totals += loss_eval(loss, hclass.values[:, x], y)
             adv.observe(t, x, 0.0, y)
@@ -183,7 +182,7 @@ class TestContractEnforcement:
                              hint_schedule=sched)
         adv = Adversary(spec, partition8, T=6, seed=1)
         for t in range(1, 7):
-            _, x_t, rule = next_round(adv, t, [], rng)
+            _, x_t, rule = next_round(adv, t, rng)
             assert x_t in sched.row(t)
             assert rule(x_t) in (-1.0, 1.0)
 
@@ -195,7 +194,7 @@ class TestCustomTable:
         spec = AdversarySpec(kind=AdversaryKind.CUSTOM_TABLE,
                              xs=(0, 1, 0), ys=(1.0, -1.0, 1.0))
         adv = Adversary(spec, hclass, T=3, seed=0)
-        c = adv.commit(2, [])
+        c = adv.commit(2)
         c.check_contract()
         assert c.probs[1] == 1.0
         assert c.label_table[1] == -1.0
@@ -243,14 +242,14 @@ class TestHintCertificate:
         rows = rng.integers(0, 8, size=(20, 5))
         rows[0] = 3  # every hint repeated
         spec = AdversarySpec(kind=AdversaryKind.TRANSDUCTIVE_CYCLIC,
-                             hint_schedule=make_hint_schedule(rows))
+                             hint_schedule=HintSchedule(rows))
         adv = Adversary(spec, partition8, T=20, seed=0)
         for t in range(1, 21):
             row = rows[t - 1]
             want = np.zeros(8)
             uniq, counts = np.unique(row, return_counts=True)
             want[uniq] = counts / row.size
-            got = adv.commit(t, []).probs
+            got = adv.commit(t).probs
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("row", [[0], [0, 0], [1, 1, 1], [0, 0, 2, 2]])
@@ -275,7 +274,7 @@ class TestHintCertificate:
     @pytest.mark.parametrize("row", [[0, -1], [0, 8]])
     def test_schedule_outside_the_domain_rejected_at_setup(self, partition8, row):
         spec = AdversarySpec(kind=AdversaryKind.TRANSDUCTIVE_CYCLIC,
-                             hint_schedule=make_hint_schedule([row, [0, 1]]))
+                             hint_schedule=HintSchedule([row, [0, 1]]))
         with pytest.raises(InputError, match="outside the domain"):
             Adversary(spec, partition8, T=2, seed=0)
 
@@ -302,7 +301,7 @@ class TestAdversaryStream:
                              hint_schedule=sched)
         adv = Adversary(spec, partition8, T=6, seed=3)
         for t in range(1, 7):
-            adv.commit(t, []).check_contract()
+            adv.commit(t).check_contract()
         # one stream at setup (round 0) draws h*
         assert purposes == [(0, "adversary")] + [
             (t, "adversary") for t in range(1, 7) for _ in range(per_round)]
@@ -314,4 +313,4 @@ class TestAdversaryStream:
         h_star = partition8.values[adv.h_star_index]
         for t in range(1, 5):
             want = biased_label_rule(h_star, 0.2, rngmod.stream(9, 0, t, "adversary"))
-            np.testing.assert_array_equal(adv.commit(t, []).label_table, want)
+            np.testing.assert_array_equal(adv.commit(t).label_table, want)

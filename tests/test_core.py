@@ -221,24 +221,16 @@ class TestExampleMultiset:
         c = a.union(b)
         assert c.logical_size == 3 and a.logical_size == 1
 
-    def test_from_arrays_checks_each_array(self):
-        for ys in ([1.0, 1.5], [1.0, math.nan]):
+    def test_pair_constructor_checks_each_column(self):
+        for y in (1.5, math.nan):
             with pytest.raises(InputError):
-                ExampleMultiset.from_arrays([0, 1], ys)
+                ExampleMultiset([(0, 1.0), (1, y)])
         with pytest.raises(InputError):
-            ExampleMultiset.from_arrays([0, 1], [1.0, -1.0], [1, 0])
+            ExampleMultiset([(0, 1.0, 1), (1, -1.0, 0)])
         with pytest.raises(InputError):
-            ExampleMultiset.from_arrays([0, 1], [1.0])
-
-    @given(st.lists(st.tuples(st.integers(0, 3), st.floats(-1, 1),
-                              st.integers(1, 4)), max_size=30))
-    @settings(max_examples=100, deadline=None)
-    def test_from_arrays_matches_pairwise_adds(self, triples):
-        cols = list(zip(*triples)) or [(), (), ()]
-        bulk = ExampleMultiset.from_arrays(*cols)
-        assert dict(bulk.items()) == dict(ExampleMultiset(triples).items())
-        merged = ExampleMultiset([(0, 1.0)]).union(bulk)
-        assert merged.logical_size == 1 + sum(cols[2])
+            ExampleMultiset([((0, 1), 1.0)])
+        # whole floats are whole numbers
+        assert ExampleMultiset([(2.0, 1.0, 3.0)]).items() == [((2, 1.0), 3)]
 
     @given(st.lists(st.tuples(st.integers(0, 3),
                               st.sampled_from([-1.0, 1.0])), max_size=30))
@@ -258,10 +250,6 @@ class DictMultiset:
         self.counts = {}
         for x, y, *c in pairs:
             self.add(x, y, c[0] if c else 1)
-
-    @classmethod
-    def from_arrays(cls, xs, ys, counts):
-        return cls(zip(xs, ys, counts))
 
     @classmethod
     def from_cells(cls, cells):
@@ -324,9 +312,9 @@ class TestArrayMultisetAgainstDict:
             if op == "pairs":
                 pool.append((ExampleMultiset(args[0]), DictMultiset(args[0])))
             elif op == "arrays":
-                cols = [np.array(c) for c in zip(*args[0])] or [[], [], []]
-                pool.append((ExampleMultiset.from_arrays(*cols),
-                             DictMultiset.from_arrays(*cols)))
+                cols = [np.array(c) for c in zip(*args[0])]
+                pool.append((ExampleMultiset(zip(*cols)),
+                             DictMultiset(zip(*cols))))
             elif op == "cells":
                 cells = np.array(args[0])
                 pool.append((ExampleMultiset.from_cells(cells),
@@ -372,6 +360,11 @@ class TestArrayMultisetAgainstDict:
         lambda: ExampleMultiset().add(0, math.nan),
         lambda: ExampleMultiset().add(0, math.inf),
         lambda: ExampleMultiset().add(0, 1.0, 0),
+        lambda: ExampleMultiset([(0, 1.0, 1.7)]),
+        lambda: ExampleMultiset([(0.5, 1.0)]),
+        lambda: ExampleMultiset([(0, 1.0, math.nan)]),
+        lambda: ExampleMultiset([(math.inf, 1.0)]),
+        lambda: ExampleMultiset([(np.float64(2.5), 1.0, np.int64(2))]),
     ])
     def test_rejects_nan_labels_and_bad_counts(self, build):
         with pytest.raises(InputError):

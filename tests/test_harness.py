@@ -50,6 +50,8 @@ class TestExperimentConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(InputError):
             base_config(typo_key=1)
+        with pytest.raises(InputError, match="record_timing"):
+            base_config(record_timing=True)
 
     def test_schema_version_checked(self):
         with pytest.raises(InputError):
@@ -76,6 +78,16 @@ class TestExperimentConfig:
     def test_alg3_needs_hints(self):
         with pytest.raises(InputError):
             base_config(learner="alg3")
+
+    @pytest.mark.parametrize("key, bad, whole, loaded", [
+        ("T", 2.7, 12.0, 12),
+        ("seeds", [0.9, 1.5], [0.0, 1.0], (0, 1)),
+        ("custom_xs", [1.5, 2.9], [1.0, 2.0], (1, 2)),
+    ], ids=["T", "seeds", "custom_xs"])
+    def test_non_integral_integers_rejected(self, key, bad, whole, loaded):
+        with pytest.raises(InputError, match=key):
+            base_config(**{key: bad})
+        assert getattr(base_config(**{key: whole}), key) == loaded
 
     @pytest.mark.parametrize("tie", ["random", "", "LOWEST_INDEX"])
     def test_unknown_tie_policy_rejected(self, tie):
@@ -143,13 +155,6 @@ class TestRunGame:
         c = base_config()
         assert run_game(c, seed=0).to_json() != run_game(c, seed=1).to_json()
 
-    def test_timing_zeroed_unless_requested(self):
-        tr = run_game(base_config(), seed=0)
-        doc = json.loads(tr.to_json())
-        assert all(r["wall_ms"] == 0.0 for r in doc["rounds"])
-        timed = json.loads(tr.to_json(include_timing=True))
-        assert any(r["wall_ms"] > 0.0 for r in timed["rounds"])
-
     def test_T_zero(self):
         tr = run_game(base_config(T=0), seed=0)
         assert tr.rounds == [] and tr.regret == 0.0
@@ -182,6 +187,12 @@ class TestRunExperiment:
         agg = csv_text.strip().split("\n")[-1].split(",")
         mean = float(agg[CSV_COLUMNS.index("regret")])
         assert mean == pytest.approx(np.mean([t.regret for t in transcripts]))
+
+    def test_wall_ms_column_always_zero(self):
+        _, csv_text = run_experiment(base_config(), 1)
+        col = CSV_COLUMNS.index("wall_ms")
+        rows = csv_text.strip().split("\n")[1:]
+        assert [row.split(",")[col] for row in rows] == ["0"] * 3
 
     def test_rerun_byte_identical(self):
         c = base_config()
@@ -231,12 +242,12 @@ class TestCli:
         return str(path)
 
     @staticmethod
-    def _scipy_loaded_after(steps, tmp_path):
+    def _loaded_after(module, steps, tmp_path):
         """Run `steps` (Python statements) one by one in a fresh interpreter;
-        return whether scipy was loaded after each, and the exit codes."""
+        return whether `module` was loaded after each, and the exit codes."""
         script = "\n".join(
             ["import json, sys", "seen, rcs = [], []"]
-            + [f"{step}\nseen.append('scipy' in sys.modules)" for step in steps]
+            + [f"{step}\nseen.append({module!r} in sys.modules)" for step in steps]
             + ["print(json.dumps([seen, rcs]))"])
         env = dict(os.environ, PYTHONPATH=str(Path(smoothlab.__file__).parents[1]))
         done = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -247,7 +258,7 @@ class TestCli:
         """scipy.stats takes about a second to import and only verify's
         Poisson checks use it, so a game's process must not load it."""
         cfg = self._write_config(tmp_path, learner="ftl", T=4, n=None)
-        seen, rcs = self._scipy_loaded_after([
+        seen, rcs = self._loaded_after("scipy", [
             "import smoothlab",
             "import smoothlab.cli",
             f"rcs.append(smoothlab.cli.main(['run', {cfg!r}, '--out', 'out.csv']))",
@@ -255,8 +266,20 @@ class TestCli:
         assert rcs == [EXIT_OK]
         assert seen == [False, False, False]
 
+    def test_one_worker_never_loads_the_process_pool(self, tmp_path):
+        """concurrent.futures.process loads multiprocessing, which only
+        --jobs > 1 uses."""
+        cfg = self._write_config(tmp_path, learner="ftl", T=4, n=None)
+        seen, rcs = self._loaded_after("concurrent.futures.process", [
+            "import smoothlab.cli",
+            f"rcs.append(smoothlab.cli.main(['run', {cfg!r}, '--jobs', '1', "
+            "'--out', 'out.csv']))",
+        ], tmp_path)
+        assert rcs == [EXIT_OK]
+        assert seen == [False, False]
+
     def test_verify_tv_loads_scipy_on_first_use(self, tmp_path):
-        seen, rcs = self._scipy_loaded_after([
+        seen, rcs = self._loaded_after("scipy", [
             "import smoothlab.cli",
             "rcs.append(smoothlab.cli.main(['verify', '--suite', 'tv', "
             "'--out', 'tv.json']))",
@@ -433,6 +456,19 @@ class TestCli:
         assert main(["run", str(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "tie_policy" in err
+        assert rounds == []
+
+    def test_non_integral_T_fails_before_any_round(
+            self, tmp_path, capsys, monkeypatch):
+        rounds = []
+        monkeypatch.setattr(harness, "next_round",
+                            lambda *args: rounds.append(args))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base_config(learner="ftl").to_dict()
+                                  | {"T": 2.7}))
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "T must hold integers" in err
         assert rounds == []
 
     @pytest.mark.parametrize("xs, ys, message", [

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from smoothlab import learner as learnermod
 from smoothlab import rng as rngmod
-from smoothlab.adversary import cyclic_hint_schedule, full_domain_schedule, make_hint_schedule
+from smoothlab.adversary import HintSchedule, cyclic_hint_schedule, full_domain_schedule
 from smoothlab.core import (
     ExampleMultiset,
     FiniteDomain,
     HypothesisClass,
     LossSpec,
+    loss_eval,
     make_partition_class,
 )
 from smoothlab.errors import CapacityError, ContractViolation, InputError
@@ -170,7 +171,7 @@ class TestHintCountLaws:
         T, K = 12, 5
         rows = rng.integers(0, 8, size=(T, K))
         learner = Alg3Transductive(partition8, LossSpec.of("absolute"), T,
-                                   make_hint_schedule(rows), seed=2)
+                                   HintSchedule(rows), seed=2)
         for t in (T, 3, 1, 7):  # out of order: a pure function of t
             totals = np.zeros(8, dtype=int)
             for (x, _), c in ExampleMultiset.from_cells(
@@ -182,7 +183,7 @@ class TestHintCountLaws:
     def test_alg3_signs_are_binomial(self, partition8):
         """The +1 count of an instance with c future hints is Binomial(c, 1/2)."""
         future = [0] * 9 + [1] * 4 + [2]
-        sched = make_hint_schedule([future, future])
+        sched = HintSchedule([future, future])
         plus = {0: [], 1: [], 2: []}
         for seed in range(4000):
             learner = Alg3Transductive(partition8, LossSpec.of("absolute"), 2,
@@ -198,12 +199,12 @@ class TestHintCountLaws:
 
 def _reference_hint_prediction(hclass, history, cells, x_t, loss):
     """Reference for the hint rule: the round's hint multiset as arrays,
-    with lo and hi each built by one `from_arrays` over the doubled hint
-    counts plus (x_t, -1) or (x_t, +1).  Returns (yhat, lo, hi)."""
+    with lo and hi each built by the pair constructor over the doubled
+    hint counts plus (x_t, -1) or (x_t, +1).  Returns (yhat, lo, hi)."""
     xs, ys, counts = ExampleMultiset.from_cells(cells).arrays()
     xs, counts = np.append(xs, int(x_t)), np.append(2 * counts, 1)
-    lo = ExampleMultiset.from_arrays(xs, np.append(ys, -1.0), counts)
-    hi = ExampleMultiset.from_arrays(xs, np.append(ys, 1.0), counts)
+    lo = ExampleMultiset(zip(xs, np.append(ys, -1.0), counts))
+    hi = ExampleMultiset(zip(xs, np.append(ys, 1.0), counts))
     _, v_minus = mixed_opt(hclass, history, lo, loss)
     _, v_plus = mixed_opt(hclass, history, hi, loss)
     return float(min(1.0, max(-1.0, v_minus - v_plus))), lo, hi
@@ -300,13 +301,13 @@ class TestAlg3:
         assert learner.predict(1, 0) == 0.0
 
     def test_rejects_off_hint_instance(self, const_class):
-        sched = make_hint_schedule([[0]])
+        sched = HintSchedule([[0]])
         learner = Alg3Transductive(const_class, LossSpec.of("absolute"), 1, sched)
         with pytest.raises(ContractViolation):
             learner.predict(1, 1)
 
     def test_rejects_short_schedule(self, const_class):
-        sched = make_hint_schedule([[0]])
+        sched = HintSchedule([[0]])
         with pytest.raises(InputError):
             Alg3Transductive(const_class, LossSpec.of("absolute"), 2, sched)
 
@@ -314,7 +315,7 @@ class TestAlg3:
         for row in ([2], [-1]):
             with pytest.raises(InputError):
                 Alg3Transductive(const_class, LossSpec.of("absolute"), 1,
-                                 make_hint_schedule([row]))
+                                 HintSchedule([row]))
 
     def test_two_calls_per_round(self, partition8):
         sched = full_domain_schedule(4, 8)
@@ -490,11 +491,6 @@ class TestHedge:
         learner.update(1, 0, 1.0)  # h=+1 loses 0, h=-1 loses 1
         np.testing.assert_allclose(learner.weights, [2 / 3, 1 / 3])
 
-    def test_expected_loss(self, const_class):
-        learner = HedgeLearner(const_class, LossSpec.of("binary_indicator"),
-                               T=4, eta=1.0)
-        assert learner.expected_loss(0, 1.0) == pytest.approx(0.5)
-
     def test_empirical_regret_bound(self, const_class, rng):
         """Expected-loss regret of Hedge stays below sqrt(T ln|H| / 2)."""
         T = 400
@@ -504,7 +500,8 @@ class TestHedge:
         for t in range(1, T + 1):
             x = int(rng.integers(2))
             y = float(rng.choice([-1.0, 1.0], p=[0.3, 0.7]))
-            total += learner.expected_loss(x, y)
+            total += learner.weights @ loss_eval(
+                loss, const_class.values[:, x], y)
             best += [0.0 if y == 1.0 else 1.0, 0.0 if y == -1.0 else 1.0]
             learner.update(t, x, y)
         assert total - best.min() <= math.sqrt(T * math.log(2) / 2) + 1e-9

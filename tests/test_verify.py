@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothlab import learner, verify
-from smoothlab.adversary import full_domain_schedule, make_hint_schedule
+from smoothlab.adversary import HintSchedule, full_domain_schedule
 from smoothlab.core import (
     ExampleMultiset,
     FiniteDomain,
@@ -196,7 +196,7 @@ class TestRademacher:
         """The exact estimate, the monotonicity check and the admissibility
         check all run `verify._rademacher_exact`: shifting its value by
         -|Z| changes all three outputs."""
-        sched = make_hint_schedule([[0], [0]])
+        sched = HintSchedule([[0], [0]])
         loss = LossSpec.of("absolute")
 
         def outputs():
@@ -307,7 +307,7 @@ class TestSmoothPolytope:
 
 class TestAdmissibility:
     def test_alg3_passes_tiny_instance(self, const_class):
-        sched = make_hint_schedule([[0], [0]])
+        sched = HintSchedule([[0], [0]])
         report = admissibility_check("alg3", const_class,
                                      LossSpec.of("absolute"), sched)
         assert report.passed
@@ -317,7 +317,7 @@ class TestAdmissibility:
     def test_drives_the_learners_rule(self, const_class, monkeypatch):
         """The check runs the rule the learners run: replacing it by a
         constant changes the learner and the report alike."""
-        sched = make_hint_schedule([[0], [0]])
+        sched = HintSchedule([[0], [0]])
         loss = LossSpec.of("absolute")
         real = admissibility_check("alg3", const_class, loss, sched)
         calls = []
@@ -335,7 +335,7 @@ class TestAdmissibility:
         assert alg3.predict(1, 0) == 1.0
 
     def test_ftl_negative_control(self, const_class):
-        sched = make_hint_schedule([[0], [0]])
+        sched = HintSchedule([[0], [0]])
         report = admissibility_check("ftl", const_class,
                                      LossSpec.of("absolute"), sched)
         assert not report.passed
@@ -348,14 +348,14 @@ class TestAdmissibility:
                                 LossSpec.of("binary_indicator"), sched)
 
     def test_unknown_kind(self, const_class):
-        sched = make_hint_schedule([[0]])
+        sched = HintSchedule([[0]])
         with pytest.raises(InputError):
             admissibility_check("hedge", const_class,
                                 LossSpec.of("absolute"), sched)
 
     @pytest.mark.parametrize("kind", ["alg3", "ftl"])
     def test_seeded_random_rejected(self, const_class, kind):
-        sched = make_hint_schedule([[0], [0]])
+        sched = HintSchedule([[0], [0]])
         with pytest.raises(InputError, match="deterministic tie policy"):
             admissibility_check(kind, const_class, LossSpec.of("absolute"),
                                 sched, tie=TiePolicy.SEEDED_RANDOM)
