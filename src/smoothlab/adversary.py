@@ -13,13 +13,14 @@ supported inside the promised hint multiset Z_t.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .core import HypothesisClass, check_probs, validate_smooth
+from .core import HypothesisClass, check_probs, validate_smooth, whole_numbers
 from .errors import ContractViolation, InputError
 from . import rng as rngmod
 
@@ -38,7 +39,7 @@ class HintSchedule:
     rows: np.ndarray  # (T, K) integer array
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=int)
+        rows = whole_numbers(self.rows, "hint schedule rows")
         if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
             raise InputError("hint schedule must be a T x K matrix with T,K >= 1")
         object.__setattr__(self, "rows", rows)
@@ -149,7 +150,6 @@ class Adversary:
         self.seed = int(seed)
         self.run = int(run)
         self.domain_size = hclass.domain_size
-        self.h_star_index: int | None = None
         self._visits: np.ndarray | None = None
         self._support: np.ndarray | None = None
         self._blocks: list[np.ndarray] | None = None
@@ -160,12 +160,19 @@ class Adversary:
     def _rng(self, t: int):
         return rngmod.stream(self.seed, self.run, t, "adversary")
 
+    @functools.cached_property
+    def h_star_index(self) -> int:
+        """Target hypothesis of the realizable kinds, drawn from the round-0
+        stream on first use, so that construction draws nothing."""
+        return int(self._rng(0).integers(len(self.hclass)))
+
     def _setup(self) -> None:
         spec = self.spec
         kind = spec.kind
-        if kind in (AdversaryKind.REALIZABLE_SMOOTH, AdversaryKind.TRANSDUCTIVE_CYCLIC):
-            init = self._rng(0)
-            self.h_star_index = int(init.integers(len(self.hclass)))
+        if kind is AdversaryKind.REALIZABLE_SMOOTH and not 0.0 <= spec.delta <= 0.5:
+            raise InputError(f"delta must lie in [0, 1/2], got {spec.delta}")
+        if kind is AdversaryKind.TRANSDUCTIVE_CYCLIC and spec.hint_schedule is None:
+            raise InputError("transductive_cyclic needs a hint schedule")
         if kind is AdversaryKind.SUPPORT_ALTERNATING:
             raw = spec.sigma * self.domain_size
             size = int(np.ceil(raw))
@@ -216,8 +223,6 @@ class Adversary:
             return RoundCommitment(probs, 1.0, None, labels)
 
         if kind is AdversaryKind.TRANSDUCTIVE_CYCLIC:
-            if spec.hint_schedule is None:
-                raise InputError("transductive_cyclic needs a hint schedule")
             h_star = self.hclass.values[self.h_star_index]
             return self._hint_commit(t, h_star.copy())
 

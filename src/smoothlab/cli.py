@@ -10,8 +10,10 @@ Subcommands:
 * ``fit <csv>`` — fit the regret-vs-T scaling exponent from a CSV.
 
 Exit codes: 0 success, 1 config/input error, 2 verification failure,
-3 capacity abort.  The ``SMOOTHLAB_OUT`` environment variable overrides
-the output directory.
+3 capacity abort.  Loading a config checks and resolves it, and a sweep
+loads every grid point first, so a config error exits 1 before the first
+game, with or without ``--jobs``.  The ``SMOOTHLAB_OUT`` environment
+variable overrides the output directory.
 """
 
 from __future__ import annotations
@@ -95,9 +97,10 @@ def cmd_sweep(args) -> int:
     points = [{}]
     for key, values in grids:
         points = [dict(p, **{key: v}) for p in points for v in values]
+    # every grid point is loaded, and so checked, before any is played
+    subs = [config.with_overrides(sweep=None, **point) for point in points]
     lines: list[str] = []
-    for i, point in enumerate(points):
-        sub = config.with_overrides(sweep=None, **point)
+    for i, sub in enumerate(subs):
         _, text = run_experiment(sub, args.jobs)
         body = text.splitlines()
         lines.extend(body if i == 0 else body[1:])

@@ -221,14 +221,14 @@ class SmoothDistribution:
         return cls(tuple([1.0 / size] * size), 1.0)
 
 
-def _whole(values, name: str) -> np.ndarray:
+def whole_numbers(values, name: str) -> np.ndarray:
     """`values` as an int array; InputError unless each is a finite whole
     number.  An integer array (every sampler's) needs no value check."""
     a = np.asarray(values)
     if a.dtype.kind not in "iu":
         a = a.astype(float)
         if not (np.isfinite(a) & (a == np.floor(a))).all():
-            raise InputError(f"{name} must be finite whole numbers")
+            raise InputError(f"{name} must hold integers, got {values!r}")
     return np.asarray(a, dtype=int)
 
 
@@ -236,9 +236,9 @@ def _checked_columns(xs, ys, counts):
     """Aligned 1-D instance, label and count arrays; InputError unless
     every instance and count is a whole number, every count is >= 1 and
     every label lies in [-1, 1]."""
-    xs = _whole(xs, "instances")
+    xs = whole_numbers(xs, "instances")
     ys = np.asarray(ys, dtype=float)
-    cs = _whole(counts, "multiset counts")
+    cs = whole_numbers(counts, "multiset counts")
     if not (xs.ndim == 1 and xs.shape == ys.shape == cs.shape):
         raise InputError("xs, ys and counts must be aligned 1-D arrays")
     if np.any(cs < 1):
@@ -297,7 +297,7 @@ class ExampleMultiset:
         cells = np.asarray(cells)
         if cells.ndim != 2 or cells.shape[1] != 2 or not (cells >= 0).all():
             raise InputError("cells must be a nonnegative (|X|, 2) count table")
-        flat = _whole(cells, "cells").reshape(-1)
+        flat = whole_numbers(cells, "cells").reshape(-1)
         nonzero = np.flatnonzero(flat)
         # row-major order over (x, sign) is already (x, y)-sorted
         return cls._of(*_frozen(nonzero // 2, np.where(nonzero % 2, 1.0, -1.0),

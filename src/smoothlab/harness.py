@@ -9,6 +9,10 @@ The per-round protocol enforced by `run_game`:
 3. the learner predicts;
 4. the label is revealed from the committed table and the loss recorded.
 
+A constructed `ExperimentConfig` is resolved: its class, hint schedule
+and `d` are built once, and one probe call of `players(seed)`, which
+builds each game's (adversary, learner), raises every config error at load.
+
 Everything is deterministic given (config, seed): all randomness flows
 through counter-based streams, and persisted artifacts contain only
 deterministic fields.
@@ -21,7 +25,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,13 +42,15 @@ from .adversary import (
 from .core import (
     FiniteDomain,
     HypothesisClass,
+    LossKind,
     LossSpec,
     loss_eval,
     make_partition_class,
     make_shatter_class,
     make_support_partition_class,
+    whole_numbers,
 )
-from .errors import ContractViolation, FitError, InputError
+from .errors import FitError, InputError
 from .learner import (
     Alg1Smoothed,
     Alg2PoissonFTPL,
@@ -52,8 +58,8 @@ from .learner import (
     DoublingMeta,
     FTL,
     HedgeLearner,
+    Learner,
     default_n,
-    hint_count,
 )
 from .oracle import TiePolicy, erm
 from . import rng as rngmod
@@ -131,13 +137,6 @@ class Transcript:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _integral(value, key: str) -> int:
-    """`value` as an int; InputError where `int()` would truncate it."""
-    if not float(value).is_integer():
-        raise InputError(f"{key} must hold integers, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment_id: str
@@ -162,32 +161,77 @@ class ExperimentConfig:
     sigma_max: float | None = None
     max_hints_per_round: int | None = None
     sweep: dict | None = None
+    # resolved once at load; none of them enters to_dict or the hash
+    hclass: HypothesisClass = field(init=False, compare=False, repr=False)
+    schedule: HintSchedule | None = field(init=False, compare=False, repr=False)
+    resolved_d: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.learner not in _LEARNERS:
             raise InputError(f"unknown learner {self.learner!r}")
+        for key, kind in (("adversary", AdversaryKind), ("loss", LossKind),
+                          ("tie_policy", TiePolicy)):
+            if getattr(self, key) not in {k.value for k in kind}:
+                raise InputError(f"unknown {key} {getattr(self, key)!r}; expected "
+                                 f"one of {sorted(k.value for k in kind)}")
         if self.T < 0:
             raise InputError("T must be nonnegative")
         if not (0.0 < self.sigma <= 1.0):
             raise InputError(f"sigma must be in (0, 1], got {self.sigma}")
         if not self.seeds:
             raise InputError("need at least one seed")
-        if self.tie_policy not in {p.value for p in TiePolicy}:
-            raise InputError(f"unknown tie_policy {self.tie_policy!r}; expected "
-                             f"one of {sorted(p.value for p in TiePolicy)}")
         if self.hints is not None and set(self.hints) - _KNOWN_HINT_KEYS:
             raise InputError(f"unknown hint keys {set(self.hints) - _KNOWN_HINT_KEYS}")
         if set(self.class_spec) - _KNOWN_CLASS_KEYS:
             raise InputError(
                 f"unknown class keys {set(self.class_spec) - _KNOWN_CLASS_KEYS}")
-        if self.learner == "alg3" and self.hints is None and self.adversary not in (
-                "custom_table",):
-            raise InputError("hint-based learner requires a hint schedule")
         if self.learner in ("alg1", "alg3") and self.loss == "binary_indicator":
             raise InputError(
                 f"{self.learner} predicts in [-1, 1] and needs a real-valued loss; "
                 "use 'absolute', which on +-1 labels is the expected indicator "
                 "loss of randomized rounding")
+        hclass = build_class(self.class_spec)
+        object.__setattr__(self, "hclass", hclass)
+        object.__setattr__(self, "resolved_d",
+                           hclass.declared_dim if self.d is None else self.d)
+        object.__setattr__(self, "schedule",
+                           build_hint_schedule(self, hclass.domain_size))
+        if self.T >= 1:
+            # build one game's players now, so their checks fail at load
+            self.players(self.seeds[0])
+
+    def players(self, seed: int, run: int = 0) -> tuple[Adversary, Learner]:
+        """A fresh (adversary, learner) pair for one game."""
+        hclass, schedule, d, T = self.hclass, self.schedule, self.resolved_d, self.T
+        adversary = Adversary(AdversarySpec(
+            kind=AdversaryKind(self.adversary), sigma=self.sigma, d=d,
+            delta=self.delta, hint_schedule=schedule, xs=self.custom_xs,
+            ys=self.custom_ys), hclass, T, seed, run)
+        common = dict(seed=seed, run=run, tie=TiePolicy(self.tie_policy))
+        loss = LossSpec.of(self.loss)
+        if self.learner == "alg3":
+            if schedule is None:
+                raise InputError("hint-based learner requires a hint schedule")
+            learner = Alg3Transductive(hclass, loss, T, schedule, **common)
+        elif self.learner == "alg1":
+            learner = Alg1Smoothed(hclass, loss, T, sigma=self.sigma, K=self.K,
+                                   c_K=self.c_K,
+                                   max_hints_per_round=self.max_hints_per_round,
+                                   **common)
+        elif self.learner == "alg2":
+            n = self.n if self.n is not None else default_n(
+                T, self.sigma, hclass.domain_size, max(1, d))
+            learner = Alg2PoissonFTPL(hclass, loss, T, n=n, **common)
+        elif self.learner == "ftl":
+            learner = FTL(hclass, loss, T, **common)
+        elif self.learner == "hedge":
+            learner = HedgeLearner(hclass, loss, T, **common)
+        else:
+            if self.sigma_min is None or self.sigma_max is None:
+                raise InputError("doubling learner needs sigma_min and sigma_max")
+            learner = DoublingMeta(hclass, loss, T, self.sigma_min, self.sigma_max,
+                                   d=d, **common)
+        return adversary, learner
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -203,19 +247,22 @@ class ExperimentConfig:
             adversary=obj["adversary"],
             class_spec=obj["class"],
             loss=obj["loss"],
-            T=_integral(obj["T"], "T"),
+            T=int(whole_numbers(obj["T"], "T")),
             sigma=float(obj["sigma"]),
-            seeds=tuple(_integral(s, "seeds") for s in obj["seeds"]),
+            seeds=tuple(whole_numbers(obj["seeds"], "seeds").tolist()),
         )
-        for key in ("K", "d", "c_K", "tie_policy", "hints", "delta", "out",
-                    "sigma_min", "sigma_max", "max_hints_per_round", "sweep"):
+        for key in ("c_K", "tie_policy", "hints", "delta", "out",
+                    "sigma_min", "sigma_max", "sweep"):
             if key in obj and obj[key] is not None:
                 kwargs[key] = obj[key]
+        for key in ("K", "d", "max_hints_per_round"):
+            if obj.get(key) is not None:
+                kwargs[key] = int(whole_numbers(obj[key], key))
         if obj.get("n") is not None:
             kwargs["n"] = float(obj["n"])
         if obj.get("custom_xs") is not None:
-            kwargs["custom_xs"] = tuple(_integral(x, "custom_xs")
-                                        for x in obj["custom_xs"])
+            kwargs["custom_xs"] = tuple(whole_numbers(obj["custom_xs"],
+                                                      "custom_xs").tolist())
         if obj.get("custom_ys") is not None:
             kwargs["custom_ys"] = tuple(float(y) for y in obj["custom_ys"])
         return cls(**kwargs)
@@ -250,16 +297,9 @@ class ExperimentConfig:
         return hashlib.sha256(doc.encode()).hexdigest()[:16]
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
-        obj = self.to_dict()
-        obj.pop("schema_version")
-        obj["class_spec"] = obj.pop("class")
-        obj.update(kwargs)
-        obj["seeds"] = tuple(obj["seeds"])
-        if obj.get("custom_xs") is not None:
-            obj["custom_xs"] = tuple(obj["custom_xs"])
-        if obj.get("custom_ys") is not None:
-            obj["custom_ys"] = tuple(obj["custom_ys"])
-        return ExperimentConfig(**obj)
+        """A new config through `from_dict`, so it is checked and resolved
+        like a loaded one; keys are the JSON keys."""
+        return ExperimentConfig.from_dict(self.to_dict() | kwargs)
 
 
 def build_class(spec: dict) -> HypothesisClass:
@@ -277,13 +317,15 @@ def build_class(spec: dict) -> HypothesisClass:
 
 
 def build_hint_schedule(config: ExperimentConfig, domain_size: int) -> HintSchedule | None:
+    if config.T == 0:  # an empty game needs no schedule
+        return None
     if config.hints is None:
         if config.adversary == "custom_table" and config.custom_xs is not None:
             return known_sequence_schedule(config.custom_xs[:config.T])
         return None
     kind = config.hints["kind"]
     if kind == "cyclic":
-        K = int(config.hints.get("K") or config.K or 1)
+        K = int(whole_numbers(config.hints.get("K") or config.K or 1, "hints.K"))
         if domain_size % K != 0:
             raise InputError(f"domain size {domain_size} not divisible by K={K}")
         blocks = [np.arange(j * K, (j + 1) * K) for j in range(domain_size // K)]
@@ -297,63 +339,13 @@ def build_hint_schedule(config: ExperimentConfig, domain_size: int) -> HintSched
     raise InputError(f"unknown hint kind {kind!r}")
 
 
-def build_adversary(config: ExperimentConfig, hclass: HypothesisClass,
-                    schedule: HintSchedule | None, seed: int,
-                    run: int = 0) -> Adversary:
-    spec = AdversarySpec(
-        kind=AdversaryKind(config.adversary),
-        sigma=config.sigma,
-        d=config.d if config.d is not None else hclass.declared_dim,
-        delta=config.delta,
-        hint_schedule=schedule,
-        xs=config.custom_xs,
-        ys=config.custom_ys,
-    )
-    return Adversary(spec, hclass, config.T, seed, run)
-
-
-def build_learner(config: ExperimentConfig, hclass: HypothesisClass,
-                  schedule: HintSchedule | None, seed: int, run: int = 0):
-    loss = LossSpec.of(config.loss)
-    tie = TiePolicy(config.tie_policy)
-    T = config.T
-    d = config.d if config.d is not None else hclass.declared_dim
-    if config.learner == "alg3":
-        if schedule is None:
-            raise InputError("hint-based learner requires a hint schedule")
-        return Alg3Transductive(hclass, loss, T, schedule, seed=seed, run=run,
-                                tie=tie)
-    if config.learner == "alg1":
-        return Alg1Smoothed(hclass, loss, T, sigma=config.sigma, K=config.K,
-                            c_K=config.c_K,
-                            max_hints_per_round=config.max_hints_per_round,
-                            seed=seed, run=run, tie=tie)
-    if config.learner == "alg2":
-        n = config.n if config.n is not None else default_n(
-            T, config.sigma, hclass.domain_size, max(1, d))
-        return Alg2PoissonFTPL(hclass, loss, T, n=n, seed=seed, run=run, tie=tie)
-    if config.learner == "ftl":
-        return FTL(hclass, loss, T, seed=seed, run=run, tie=tie)
-    if config.learner == "hedge":
-        return HedgeLearner(hclass, loss, T, seed=seed, run=run, tie=tie)
-    if config.learner == "doubling":
-        if config.sigma_min is None or config.sigma_max is None:
-            raise InputError("doubling learner needs sigma_min and sigma_max")
-        return DoublingMeta(hclass, loss, T, config.sigma_min, config.sigma_max,
-                            seed=seed, run=run, tie=tie, d=d)
-    raise InputError(f"unknown learner {config.learner!r}")
-
-
 def run_game(config: ExperimentConfig, seed: int, run: int = 0) -> Transcript:
     """Play one T-round game and return its full transcript."""
-    hclass = build_class(config.class_spec)
-    loss = LossSpec.of(config.loss)
     if config.T == 0:
         return Transcript([], 0.0, 0.0, 0.0, 0, 0, 0, 0, seed,
                           config.config_hash(), hashlib.sha256(b"").hexdigest()[:16])
-    schedule = build_hint_schedule(config, hclass.domain_size)
-    adversary = build_adversary(config, hclass, schedule, seed, run)
-    learner = build_learner(config, hclass, schedule, seed, run)
+    loss = LossSpec.of(config.loss)
+    adversary, learner = config.players(seed, run)
 
     rounds: list[RoundRecord] = []
     label_hash = hashlib.sha256()
@@ -380,7 +372,7 @@ def run_game(config: ExperimentConfig, seed: int, run: int = 0) -> Transcript:
         prev_len = learner.stats.total_input_length
 
     # only the optimal value is read, so the default tie policy serves
-    _, bih_loss = erm(hclass, learner.history, loss, stats=learner.stats,
+    _, bih_loss = erm(config.hclass, learner.history, loss, stats=learner.stats,
                       tag="final")
     return Transcript(
         rounds=rounds,
@@ -441,9 +433,7 @@ def run_experiment(config: ExperimentConfig,
             transcripts = list(pool.map(run_game, [config] * len(seeds), seeds))
     else:
         transcripts = [run_game(config, seed) for seed in seeds]
-    d = config.d
-    if d is None:
-        d = build_class(config.class_spec).declared_dim
+    d = config.resolved_d
     out = io.StringIO()
     out.write(",".join(CSV_COLUMNS) + "\n")
     regrets = []

@@ -48,6 +48,9 @@ class TestHintSchedules:
     def test_shape_validation(self):
         with pytest.raises(InputError):
             HintSchedule(np.zeros((0, 1)))
+        with pytest.raises(InputError, match="must hold integers"):
+            HintSchedule([[0.5, 1.9]])
+        np.testing.assert_array_equal(HintSchedule([[0.0, 2.0]]).rows, [[0, 2]])
 
 
 class TestRealizableSmooth:
@@ -61,6 +64,12 @@ class TestRealizableSmooth:
             assert c.sigma == 1.0
             assert validate_smooth(c.probs, 1.0)
             np.testing.assert_array_equal(c.label_table, h_star)
+
+    @pytest.mark.parametrize("delta", [0.7, -0.1, float("nan")])
+    def test_delta_out_of_range_rejected_at_setup(self, partition8, delta):
+        spec = AdversarySpec(kind=AdversaryKind.REALIZABLE_SMOOTH, delta=delta)
+        with pytest.raises(InputError, match="delta"):
+            Adversary(spec, partition8, T=4, seed=0)
 
     def test_h_star_depends_on_seed(self, partition8):
         spec = AdversarySpec(kind=AdversaryKind.REALIZABLE_SMOOTH)
@@ -186,6 +195,11 @@ class TestContractEnforcement:
             assert x_t in sched.row(t)
             assert rule(x_t) in (-1.0, 1.0)
 
+    def test_transductive_without_schedule_rejected_at_setup(self, partition8):
+        spec = AdversarySpec(kind=AdversaryKind.TRANSDUCTIVE_CYCLIC)
+        with pytest.raises(InputError, match="hint schedule"):
+            Adversary(spec, partition8, T=4, seed=0)
+
 
 class TestCustomTable:
     def test_fixed_sequence(self, const_class=None):
@@ -302,7 +316,7 @@ class TestAdversaryStream:
         adv = Adversary(spec, partition8, T=6, seed=3)
         for t in range(1, 7):
             adv.commit(t).check_contract()
-        # one stream at setup (round 0) draws h*
+        # one round-0 stream draws h*, on the first commit
         assert purposes == [(0, "adversary")] + [
             (t, "adversary") for t in range(1, 7) for _ in range(per_round)]
 

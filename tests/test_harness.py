@@ -29,7 +29,8 @@ from smoothlab.harness import (
 from smoothlab.verify import VerificationReport
 
 
-def base_config(**overrides):
+def config_doc(**overrides) -> dict:
+    """The unit config as a JSON object, not yet loaded."""
     obj = {
         "schema_version": SCHEMA_VERSION,
         "experiment_id": "unit",
@@ -43,7 +44,11 @@ def base_config(**overrides):
         "n": 6.0,
     }
     obj.update(overrides)
-    return ExperimentConfig.from_dict(obj)
+    return obj
+
+
+def base_config(**overrides):
+    return ExperimentConfig.from_dict(config_doc(**overrides))
 
 
 class TestExperimentConfig:
@@ -79,15 +84,40 @@ class TestExperimentConfig:
         with pytest.raises(InputError):
             base_config(learner="alg3")
 
-    @pytest.mark.parametrize("key, bad, whole, loaded", [
-        ("T", 2.7, 12.0, 12),
-        ("seeds", [0.9, 1.5], [0.0, 1.0], (0, 1)),
-        ("custom_xs", [1.5, 2.9], [1.0, 2.0], (1, 2)),
-    ], ids=["T", "seeds", "custom_xs"])
-    def test_non_integral_integers_rejected(self, key, bad, whole, loaded):
-        with pytest.raises(InputError, match=key):
-            base_config(**{key: bad})
-        assert getattr(base_config(**{key: whole}), key) == loaded
+    _ALG1 = {"learner": "alg1", "loss": "absolute"}
+
+    @pytest.mark.parametrize("key, bad, whole, loaded, rest", [
+        ("T", 2.7, 12.0, 12, {}),
+        ("seeds", [0.9, 1.5], [0.0, 1.0], (0, 1), {}),
+        ("custom_xs", [1.5, 2.9], [1.0, 2.0], (1, 2), {}),
+        ("K", 2.7, 2.0, 2, _ALG1),
+        ("d", 2.5, 2.0, 2, {}),
+        ("max_hints_per_round", 1e3 + 0.5, 1e3, 1000, _ALG1),
+    ], ids=["T", "seeds", "custom_xs", "K", "d", "max_hints_per_round"])
+    def test_non_integral_integers_rejected(self, key, bad, whole, loaded, rest):
+        with pytest.raises(InputError, match=f"{key} must hold integers"):
+            base_config(**{key: bad}, **rest)
+        assert getattr(base_config(**{key: whole}, **rest), key) == loaded
+
+    def test_non_integral_hint_K_rejected(self):
+        alg3 = dict(learner="alg3", adversary="transductive_cyclic",
+                    loss="absolute")
+        with pytest.raises(InputError, match="hints.K must hold integers"):
+            base_config(hints={"kind": "cyclic", "K": 2.5}, **alg3)
+        assert base_config(hints={"kind": "cyclic", "K": 2.0}, **alg3).schedule.K == 2
+
+    def test_resolved_once_at_load(self):
+        c = base_config(d=None)
+        assert len(c.hclass) == 4 and c.resolved_d == 2 and c.schedule is None
+        assert "hclass" not in c.to_dict() and "hclass" not in repr(c)
+        assert c == ExperimentConfig.from_dict(c.to_dict())
+
+    def test_players_are_fresh_pairs(self):
+        c = base_config()
+        (a1, l1), (a2, l2) = c.players(0), c.players(0)
+        assert a1 is not a2 and l1 is not l2
+        assert l1.history is not l2.history
+        assert a1.h_star_index == a2.h_star_index
 
     @pytest.mark.parametrize("tie", ["random", "", "LOWEST_INDEX"])
     def test_unknown_tie_policy_rejected(self, tie):
@@ -120,10 +150,9 @@ class TestBuilders:
         np.testing.assert_array_equal(sched.row(1), [0, 1, 2, 3])
 
     def test_cyclic_divisibility(self):
-        c = base_config(learner="alg3", adversary="transductive_cyclic",
+        with pytest.raises(InputError, match="not divisible by K=3"):
+            base_config(learner="alg3", adversary="transductive_cyclic",
                         hints={"kind": "cyclic", "K": 3}, loss="absolute")
-        with pytest.raises(InputError):
-            build_hint_schedule(c, 8)
 
     def test_no_hints_returns_none(self):
         assert build_hint_schedule(base_config(), 8) is None
@@ -173,6 +202,15 @@ class TestRunGame:
 
 
 class TestRunExperiment:
+    def test_class_resolved_once(self, monkeypatch):
+        c = base_config(seeds=[0, 1, 2])
+        calls = []
+        real = harness.build_class
+        monkeypatch.setattr(harness, "build_class",
+                            lambda spec: calls.append(spec) or real(spec))
+        run_experiment(c, 1)
+        assert calls == []
+
     def test_csv_shape(self):
         _, csv_text = run_experiment(base_config(), 1)
         lines = csv_text.strip().split("\n")
@@ -471,6 +509,38 @@ class TestCli:
         assert err.startswith("config error:") and "T must hold integers" in err
         assert rounds == []
 
+    _ABS = {"loss": "absolute"}
+    _ALG3 = {"learner": "alg3", "adversary": "transductive_cyclic", **_ABS}
+    _CONFIG_ERRORS = {
+        "unknown_class_kind": {"class": {"kind": "mystery"}},
+        "cyclic_K_3_over_8": {**_ALG3, "hints": {"kind": "cyclic", "K": 3}},
+        "doubling_without_sigma_min": {"learner": "doubling", "sigma_max": 0.5},
+        "unknown_adversary": {"adversary": "mystery"},
+        "unknown_loss": {"learner": "ftl", "loss": "mystery"},
+        "delta_0.7": {"delta": 0.7},
+        "transductive_cyclic_without_hints": {"adversary": "transductive_cyclic"},
+        "alg1_K_2.7": {"learner": "alg1", "K": 2.7, **_ABS},
+        "alg2_d_2.5": {"d": 2.5},
+        "hints_K_2.5": {**_ALG3, "hints": {"kind": "cyclic", "K": 2.5}},
+        "support_not_divisible_by_d": {"adversary": "support_alternating",
+                                       "sigma": 0.375},
+        "sweep_T_2.5": {"sweep": {"T": [4, 2.5]}},
+    }
+
+    @pytest.mark.parametrize("case", sorted(_CONFIG_ERRORS))
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_config_error_fails_before_any_game(
+            self, tmp_path, capsys, monkeypatch, case, jobs):
+        def no_game(*args, **kwargs):
+            raise AssertionError("a game was started")
+        monkeypatch.setattr(harness, "run_game", no_game)
+        doc = config_doc(**self._CONFIG_ERRORS[case])
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        command = "sweep" if "sweep" in doc else "run"
+        assert main([command, str(cfg), "--jobs", jobs]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
     @pytest.mark.parametrize("xs, ys, message", [
         ([0, 1, 2, 3], [1.0, -1.0, math.nan, 1.0], "finite"),
         ([0, 1, 7, 3], [1.0, -1.0, 1.0, 1.0], "domain"),
@@ -482,10 +552,11 @@ class TestCli:
         rounds = []
         monkeypatch.setattr(harness, "next_round",
                             lambda *args: rounds.append(args))
-        cfg = self._write_config(
-            tmp_path, learner="ftl", adversary="custom_table", T=4,
-            tie_policy="lowest_index", custom_xs=xs, custom_ys=ys,
-            **{"class": {"kind": "partition", "domain_size": 4, "d": 2}})
-        assert main(["run", cfg]) == EXIT_CONFIG
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base_config(learner="ftl").to_dict() | {
+            "adversary": "custom_table", "T": 4, "tie_policy": "lowest_index",
+            "custom_xs": xs, "custom_ys": ys,
+            "class": {"kind": "partition", "domain_size": 4, "d": 2}}))
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert rounds == []
