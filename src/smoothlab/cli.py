@@ -10,10 +10,10 @@ Subcommands:
 * ``fit <csv>`` — fit the regret-vs-T scaling exponent from a CSV.
 
 Exit codes: 0 success, 1 config/input error, 2 verification failure,
-3 capacity abort.  Loading a config checks and resolves it, and a sweep
-loads every grid point first, so a config error exits 1 before the first
-game, with or without ``--jobs``.  The ``SMOOTHLAB_OUT`` environment
-variable overrides the output directory.
+3 capacity abort.  Loading a config checks each key's declared type and
+resolves it, and a sweep loads every grid point first, so a config error
+exits 1 before the first game, with or without ``--jobs``.  The
+``SMOOTHLAB_OUT`` environment variable overrides the output directory.
 """
 
 from __future__ import annotations
@@ -89,10 +89,6 @@ def cmd_sweep(args) -> int:
     config = _load_config(args.config, args.seed_base)
     if not config.sweep:
         raise InputError("config has no sweep block")
-    allowed = {"T", "sigma", "K", "n"}
-    unknown = set(config.sweep) - allowed
-    if unknown:
-        raise InputError(f"sweep supports {sorted(allowed)}, got {sorted(unknown)}")
     grids = [(k, config.sweep[k]) for k in sorted(config.sweep)]
     points = [{}]
     for key, values in grids:

@@ -222,13 +222,16 @@ class SmoothDistribution:
 
 
 def whole_numbers(values, name: str) -> np.ndarray:
-    """`values` as an int array; InputError unless each is a finite whole
-    number.  An integer array (every sampler's) needs no value check."""
-    a = np.asarray(values)
-    if a.dtype.kind not in "iu":
-        a = a.astype(float)
-        if not (np.isfinite(a) & (a == np.floor(a))).all():
-            raise InputError(f"{name} must hold integers, got {values!r}")
+    """`values` as an int array; InputError unless it holds finite whole
+    numbers only, not text or booleans.  An integer array needs no check."""
+    try:
+        a = np.asarray(values)
+        whole = a.dtype.kind in "iu" or (
+            a.dtype.kind == "f" and (np.isfinite(a) & (a == np.floor(a))).all())
+    except ValueError:  # ragged nesting
+        whole = False
+    if not whole:
+        raise InputError(f"{name} must hold integers, got {values!r}")
     return np.asarray(a, dtype=int)
 
 

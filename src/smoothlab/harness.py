@@ -9,7 +9,11 @@ The per-round protocol enforced by `run_game`:
 3. the learner predicts;
 4. the label is revealed from the committed table and the loss recorded.
 
-A constructed `ExperimentConfig` is resolved: its class, hint schedule
+Each `ExperimentConfig` field declares its JSON key and the loader that
+checks and converts its value (`_key`); loading, `to_dict`, the key
+checks and the CSV row all derive from these declarations, and the
+`class` and `hints` blocks take the keys their `kind` names.  A
+constructed `ExperimentConfig` is resolved: its class, hint schedule
 and `d` are built once, and one probe call of `players(seed)`, which
 builds each game's (adversary, learner), raises every config error at load.
 
@@ -25,7 +29,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -73,17 +77,88 @@ CSV_COLUMNS = [
     "regret_stderr",
 ]
 
-_KNOWN_KEYS = {
-    "schema_version", "experiment_id", "learner", "adversary", "class",
-    "loss", "T", "sigma", "K", "d", "n", "c_K", "tie_policy", "seeds",
-    "hints", "delta", "out", "custom_xs", "custom_ys",
-    "sigma_min", "sigma_max", "max_hints_per_round", "sweep",
+
+def _whole(key: str, v) -> int:
+    a = whole_numbers(v, key)
+    if a.ndim:
+        raise InputError(f"{key} must be a whole number, got {v!r}")
+    return int(a)
+
+
+def _real(key: str, v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise InputError(f"{key} must be a finite real number, got {v!r}")
+    return float(v)
+
+
+def _text(key: str, v) -> str:
+    if not isinstance(v, str):
+        raise InputError(f"{key} must be a string, got {v!r}")
+    return v
+
+
+def _one_of(*names: str):
+    def load(key: str, v) -> str:
+        if not isinstance(v, str) or v not in names:
+            raise InputError(f"unknown {key} {v!r}; expected one of {sorted(names)}")
+        return v
+    return load
+
+
+def _list(load):
+    def load_list(key: str, v) -> tuple:
+        if not isinstance(v, (list, tuple)):
+            raise InputError(f"{key} must be a list, got {v!r}")
+        return tuple(load(key, x) for x in v)
+    return load_list
+
+
+def _object(key: str, v, loaders: dict, required=()) -> dict:
+    """`v` with each key `k` passed through its loader as `key.k` (as `k`
+    when `key` is empty, for the config itself); a null value counts as
+    an absent key."""
+    if not isinstance(v, dict):
+        raise InputError(f"{key} must be an object, got {v!r}")
+    given = {k: x for k, x in v.items() if x is not None}
+    unknown, missing = set(v) - set(loaders), set(required) - set(given)
+    if unknown:
+        raise InputError(f"{key or 'config'} takes keys {sorted(loaders)}, "
+                         f"not {sorted(unknown)}")
+    if missing:
+        raise InputError(f"{key or 'config'} needs keys {sorted(missing)}")
+    return {k: loaders[k](f"{key}.{k}" if key else k, x) for k, x in given.items()}
+
+
+def _kinds(table: dict, optional=()):
+    """Loader of a block whose `kind` picks from `table` the loaders of
+    its other keys, each required unless named in `optional`."""
+    def load(key: str, v) -> dict:
+        kind = v.get("kind") if isinstance(v, dict) else None
+        loaders = table[_one_of(*table)(f"{key} kind", kind)]
+        return _object(key, v, loaders | {"kind": _text}, set(loaders) - set(optional))
+    return load
+
+
+# each class kind: the loaders of its keys and the maker of its class
+_CLASS_KINDS = {
+    "partition": (
+        {"domain_size": _whole, "d": _whole},
+        lambda s: make_partition_class(FiniteDomain(s["domain_size"]), s["d"])),
+    "shatter": (
+        {"domain_size": _whole, "special": _list(_whole)},
+        lambda s: make_shatter_class(FiniteDomain(s["domain_size"]), s["special"])),
+    "support_partition": (
+        {"domain_size": _whole, "support_size": _whole, "d": _whole},
+        lambda s: make_support_partition_class(
+            FiniteDomain(s["domain_size"]), s["support_size"], s["d"])),
+    "json": ({"json": _text}, lambda s: HypothesisClass.from_json(s["json"])),
 }
 
-_KNOWN_CLASS_KEYS = {"kind", "domain_size", "d", "special", "support_size", "json"}
-_KNOWN_HINT_KEYS = {"kind", "K"}
 
-_LEARNERS = {"alg1", "alg2", "alg3", "ftl", "hedge", "doubling"}
+def _key(load, default=MISSING, *, json_key: str | None = None):
+    """A config field read from `json_key` (default: the field's name)
+    through `load(key, value)`, which raises InputError naming the key."""
+    return field(default=default, metadata={"load": load, "key": json_key})
 
 
 @dataclass(frozen=True)
@@ -95,13 +170,6 @@ class RoundRecord:
     loss: float
     oracle_calls: int
     oracle_input_len: int
-
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t, "x": self.x, "yhat": self.yhat, "y": self.y,
-            "loss": self.loss, "oracle_calls": self.oracle_calls,
-            "oracle_input_len": self.oracle_input_len,
-        }
 
 
 @dataclass
@@ -119,19 +187,7 @@ class Transcript:
     label_rule_hash: str
 
     def to_dict(self) -> dict:
-        return {
-            "rounds": [r.to_dict() for r in self.rounds],
-            "total_loss": self.total_loss,
-            "bih_loss": self.bih_loss,
-            "regret": self.regret,
-            "oracle_calls": self.oracle_calls,
-            "total_input_length": self.total_input_length,
-            "max_input_length": self.max_input_length,
-            "final_call_count": self.final_call_count,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "label_rule_hash": self.label_rule_hash,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -139,52 +195,43 @@ class Transcript:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    experiment_id: str
-    learner: str
-    adversary: str
-    class_spec: dict
-    loss: str
-    T: int
-    sigma: float
-    seeds: tuple[int, ...]
-    K: int | None = None
-    d: int | None = None
-    n: float | None = None
-    c_K: float = 100.0
-    tie_policy: str = "lowest_index"
-    hints: dict | None = None
-    delta: float = 0.5
-    out: str | None = None
-    custom_xs: tuple[int, ...] | None = None
-    custom_ys: tuple[float, ...] | None = None
-    sigma_min: float | None = None
-    sigma_max: float | None = None
-    max_hints_per_round: int | None = None
-    sweep: dict | None = None
+    experiment_id: str = _key(_text)
+    learner: str = _key(_one_of("alg1", "alg2", "alg3", "ftl", "hedge", "doubling"))
+    adversary: str = _key(_one_of(*(k.value for k in AdversaryKind)))
+    class_spec: dict = _key(_kinds({k: keys for k, (keys, _) in _CLASS_KINDS.items()}),
+                            json_key="class")
+    loss: str = _key(_one_of(*(k.value for k in LossKind)))
+    T: int = _key(_whole)
+    sigma: float = _key(_real)
+    seeds: tuple[int, ...] = _key(_list(_whole))
+    K: int | None = _key(_whole, None)
+    d: int | None = _key(_whole, None)
+    n: float | None = _key(_real, None)
+    c_K: float = _key(_real, 100.0)
+    tie_policy: str = _key(_one_of(*(k.value for k in TiePolicy)), "lowest_index")
+    hints: dict | None = _key(_kinds({"cyclic": {"K": _whole}, "known": {}, "full": {}},
+                                     optional={"K"}), None)
+    delta: float = _key(_real, 0.5)
+    out: str | None = _key(_text, None)
+    custom_xs: tuple[int, ...] | None = _key(_list(_whole), None)
+    custom_ys: tuple[float, ...] | None = _key(_list(_real), None)
+    sigma_min: float | None = _key(_real, None)
+    sigma_max: float | None = _key(_real, None)
+    max_hints_per_round: int | None = _key(_whole, None)
+    sweep: dict | None = _key(lambda key, v: _object(key, v, {
+        k: _list(_FIELDS[k].metadata["load"]) for k in ("T", "sigma", "K", "n")}), None)
     # resolved once at load; none of them enters to_dict or the hash
     hclass: HypothesisClass = field(init=False, compare=False, repr=False)
     schedule: HintSchedule | None = field(init=False, compare=False, repr=False)
     resolved_d: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.learner not in _LEARNERS:
-            raise InputError(f"unknown learner {self.learner!r}")
-        for key, kind in (("adversary", AdversaryKind), ("loss", LossKind),
-                          ("tie_policy", TiePolicy)):
-            if getattr(self, key) not in {k.value for k in kind}:
-                raise InputError(f"unknown {key} {getattr(self, key)!r}; expected "
-                                 f"one of {sorted(k.value for k in kind)}")
         if self.T < 0:
             raise InputError("T must be nonnegative")
         if not (0.0 < self.sigma <= 1.0):
             raise InputError(f"sigma must be in (0, 1], got {self.sigma}")
         if not self.seeds:
             raise InputError("need at least one seed")
-        if self.hints is not None and set(self.hints) - _KNOWN_HINT_KEYS:
-            raise InputError(f"unknown hint keys {set(self.hints) - _KNOWN_HINT_KEYS}")
-        if set(self.class_spec) - _KNOWN_CLASS_KEYS:
-            raise InputError(
-                f"unknown class keys {set(self.class_spec) - _KNOWN_CLASS_KEYS}")
         if self.learner in ("alg1", "alg3") and self.loss == "binary_indicator":
             raise InputError(
                 f"{self.learner} predicts in [-1, 1] and needs a real-valued loss; "
@@ -235,62 +282,29 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        unknown = set(obj) - _KNOWN_KEYS
+        if not isinstance(obj, dict):
+            raise InputError(f"a config must be an object, got {obj!r}")
+        unknown = set(obj) - set(_FIELDS) - {"schema_version"}
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
         if obj.get("schema_version") != SCHEMA_VERSION:
             raise InputError(
                 f"unsupported schema_version {obj.get('schema_version')!r}")
-        kwargs = dict(
-            experiment_id=obj["experiment_id"],
-            learner=obj["learner"],
-            adversary=obj["adversary"],
-            class_spec=obj["class"],
-            loss=obj["loss"],
-            T=int(whole_numbers(obj["T"], "T")),
-            sigma=float(obj["sigma"]),
-            seeds=tuple(whole_numbers(obj["seeds"], "seeds").tolist()),
-        )
-        for key in ("c_K", "tie_policy", "hints", "delta", "out",
-                    "sigma_min", "sigma_max", "sweep"):
-            if key in obj and obj[key] is not None:
-                kwargs[key] = obj[key]
-        for key in ("K", "d", "max_hints_per_round"):
-            if obj.get(key) is not None:
-                kwargs[key] = int(whole_numbers(obj[key], key))
-        if obj.get("n") is not None:
-            kwargs["n"] = float(obj["n"])
-        if obj.get("custom_xs") is not None:
-            kwargs["custom_xs"] = tuple(whole_numbers(obj["custom_xs"],
-                                                      "custom_xs").tolist())
-        if obj.get("custom_ys") is not None:
-            kwargs["custom_ys"] = tuple(float(y) for y in obj["custom_ys"])
-        return cls(**kwargs)
+        doc = _object("", {k: v for k, v in obj.items() if k != "schema_version"},
+                      {k: f.metadata["load"] for k, f in _FIELDS.items()},
+                      [k for k, f in _FIELDS.items() if f.default is MISSING])
+        return cls(**{_FIELDS[k].name: v for k, v in doc.items()})
 
     @classmethod
     def from_json(cls, doc: str) -> "ExperimentConfig":
         return cls.from_dict(json.loads(doc))
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "experiment_id": self.experiment_id,
-            "learner": self.learner,
-            "adversary": self.adversary,
-            "class": self.class_spec,
-            "loss": self.loss,
-            "T": self.T,
-            "sigma": self.sigma,
-            "seeds": list(self.seeds),
-            "K": self.K, "d": self.d, "n": self.n, "c_K": self.c_K,
-            "tie_policy": self.tie_policy,
-            "hints": self.hints, "delta": self.delta, "out": self.out,
-            "custom_xs": None if self.custom_xs is None else list(self.custom_xs),
-            "custom_ys": None if self.custom_ys is None else list(self.custom_ys),
-            "sigma_min": self.sigma_min, "sigma_max": self.sigma_max,
-            "max_hints_per_round": self.max_hints_per_round,
-            "sweep": self.sweep,
-        }
+        doc = {"schema_version": SCHEMA_VERSION}
+        for key, f in _FIELDS.items():
+            v = getattr(self, f.name)
+            doc[key] = list(v) if isinstance(v, tuple) else v
+        return doc
 
     def config_hash(self) -> str:
         doc = json.dumps(self.to_dict(), sort_keys=True)
@@ -302,18 +316,13 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(self.to_dict() | kwargs)
 
 
+# every field a config file sets, by its JSON key
+_FIELDS = {f.metadata["key"] or f.name: f for f in fields(ExperimentConfig) if f.init}
+
+
 def build_class(spec: dict) -> HypothesisClass:
-    kind = spec.get("kind")
-    if kind == "partition":
-        return make_partition_class(FiniteDomain(spec["domain_size"]), spec["d"])
-    if kind == "shatter":
-        return make_shatter_class(FiniteDomain(spec["domain_size"]), spec["special"])
-    if kind == "support_partition":
-        return make_support_partition_class(
-            FiniteDomain(spec["domain_size"]), spec["support_size"], spec["d"])
-    if kind == "json":
-        return HypothesisClass.from_json(spec["json"])
-    raise InputError(f"unknown class kind {kind!r}")
+    _, make = _CLASS_KINDS[_one_of(*_CLASS_KINDS)("class kind", spec.get("kind"))]
+    return make(spec)
 
 
 def build_hint_schedule(config: ExperimentConfig, domain_size: int) -> HintSchedule | None:
@@ -325,7 +334,7 @@ def build_hint_schedule(config: ExperimentConfig, domain_size: int) -> HintSched
         return None
     kind = config.hints["kind"]
     if kind == "cyclic":
-        K = int(whole_numbers(config.hints.get("K") or config.K or 1, "hints.K"))
+        K = config.hints.get("K") or config.K or 1
         if domain_size % K != 0:
             raise InputError(f"domain size {domain_size} not divisible by K={K}")
         blocks = [np.arange(j * K, (j + 1) * K) for j in range(domain_size // K)]
@@ -334,9 +343,7 @@ def build_hint_schedule(config: ExperimentConfig, domain_size: int) -> HintSched
         if config.custom_xs is None:
             raise InputError("known-sequence hints require custom_xs")
         return known_sequence_schedule(config.custom_xs[:config.T])
-    if kind == "full":
-        return full_domain_schedule(config.T, domain_size)
-    raise InputError(f"unknown hint kind {kind!r}")
+    return full_domain_schedule(config.T, domain_size)
 
 
 def run_game(config: ExperimentConfig, seed: int, run: int = 0) -> Transcript:
@@ -397,18 +404,12 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _csv_row(config: ExperimentConfig, d: int, seed, regret, total_loss,
-             bih_loss, oracle_calls, mean_input_len, regret_stderr="") -> str:
+def _csv_row(config: ExperimentConfig, **cols) -> str:
     # wall_ms is always 0, so re-runs are byte-identical
-    vals = [
-        config.experiment_id, config.learner, config.adversary,
-        config.class_spec.get("kind", "json"), config.T, config.sigma,
-        config.K if config.K is not None else "", d,
-        config.n if config.n is not None else "", config.c_K,
-        config.tie_policy, seed, regret, total_loss, bih_loss, oracle_calls,
-        mean_input_len, 0.0, regret_stderr,
-    ]
-    return ",".join(_fmt(v) for v in vals)
+    # a column the config and `cols` leave out is blank
+    vals = config.to_dict() | {"class": config.class_spec["kind"],
+                               "d": config.resolved_d, "wall_ms": 0.0} | cols
+    return ",".join(_fmt(vals.get(c)) for c in CSV_COLUMNS)
 
 
 def _worker_count(jobs: int, n_seeds: int) -> int:
@@ -433,19 +434,20 @@ def run_experiment(config: ExperimentConfig,
             transcripts = list(pool.map(run_game, [config] * len(seeds), seeds))
     else:
         transcripts = [run_game(config, seed) for seed in seeds]
-    d = config.resolved_d
     out = io.StringIO()
     out.write(",".join(CSV_COLUMNS) + "\n")
     regrets = []
     for tr in transcripts:
         mean_len = tr.total_input_length / max(tr.oracle_calls, 1)
-        out.write(_csv_row(config, d, tr.seed, tr.regret, tr.total_loss,
-                           tr.bih_loss, tr.oracle_calls, mean_len) + "\n")
+        out.write(_csv_row(config, seed=tr.seed, regret=tr.regret,
+                           total_loss=tr.total_loss, bih_loss=tr.bih_loss,
+                           oracle_calls=tr.oracle_calls,
+                           mean_input_len=mean_len) + "\n")
         regrets.append(tr.regret)
     mean_regret = float(np.mean(regrets))
     stderr = (float(np.std(regrets, ddof=1) / math.sqrt(len(regrets)))
               if len(regrets) > 1 else 0.0)
-    out.write(_csv_row(config, d, "mean", mean_regret, "", "", "", "",
+    out.write(_csv_row(config, seed="mean", regret=mean_regret,
                        regret_stderr=stderr) + "\n")
     return transcripts, out.getvalue()
 

@@ -45,12 +45,10 @@ class OracleStats:
     total_input_length: int = 0
     max_input_length: int = 0
     final_call_count: int = 0
-    final_input_length: int = 0
 
     def record(self, input_length: int, tag: str = "round") -> None:
         if tag == "final":
             self.final_call_count += 1
-            self.final_input_length += input_length
             return
         self.call_count += 1
         self.total_input_length += input_length

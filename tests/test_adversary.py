@@ -50,6 +50,8 @@ class TestHintSchedules:
             HintSchedule(np.zeros((0, 1)))
         with pytest.raises(InputError, match="must hold integers"):
             HintSchedule([[0.5, 1.9]])
+        with pytest.raises(InputError, match="must hold integers"):
+            HintSchedule([["a"]])
         np.testing.assert_array_equal(HintSchedule([[0.0, 2.0]]).rows, [[0, 2]])
 
 

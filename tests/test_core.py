@@ -22,6 +22,7 @@ from smoothlab.core import (
     make_shatter_class,
     make_support_partition_class,
     validate_smooth,
+    whole_numbers,
 )
 from smoothlab.errors import CapacityError, InputError
 
@@ -365,6 +366,8 @@ class TestArrayMultisetAgainstDict:
         lambda: ExampleMultiset([(0, 1.0, math.nan)]),
         lambda: ExampleMultiset([(math.inf, 1.0)]),
         lambda: ExampleMultiset([(np.float64(2.5), 1.0, np.int64(2))]),
+        lambda: ExampleMultiset([("a", 1.0)]),
+        lambda: whole_numbers([1, [2]], "s"),
     ])
     def test_rejects_nan_labels_and_bad_counts(self, build):
         with pytest.raises(InputError):

@@ -79,6 +79,9 @@ class TestExperimentConfig:
             base_config(sigma=0.0)
         with pytest.raises(InputError):
             base_config(seeds=[])
+        for doc in ("[]", "5"):
+            with pytest.raises(InputError, match="must be an object"):
+                ExperimentConfig.from_json(doc)
 
     def test_alg3_needs_hints(self):
         with pytest.raises(InputError):
@@ -105,6 +108,25 @@ class TestExperimentConfig:
         with pytest.raises(InputError, match="hints.K must hold integers"):
             base_config(hints={"kind": "cyclic", "K": 2.5}, **alg3)
         assert base_config(hints={"kind": "cyclic", "K": 2.0}, **alg3).schedule.K == 2
+
+    def test_whole_float_class_d_loads_as_int(self):
+        c = base_config(**{"class": {"kind": "partition", "domain_size": 8, "d": 2.0}})
+        assert c.class_spec["d"] == 2 and type(c.class_spec["d"]) is int
+        assert len(c.hclass) == 4
+
+    def test_tracked_configs_load_round_trip_and_keep_their_hash(self):
+        configs = Path(__file__).parents[1] / "perfbench" / "configs"
+        hashes = {}
+        for path in sorted(configs.glob("*.json")):
+            c = ExperimentConfig.from_json(path.read_text())
+            assert ExperimentConfig.from_dict(c.to_dict()) == c
+            hashes[path.stem] = c.config_hash()
+        assert hashes == {
+            "ftpl-erm-alg2": "d80df34acc7b2b8c",
+            "ftpl-erm-ftl": "4a459a784286fa20",
+            "hint-mixed-alg1": "e968befe9388bd9b",
+            "hint-mixed-alg3": "ac4f9d6dc6b842db",
+        }
 
     def test_resolved_once_at_load(self):
         c = base_config(d=None)
@@ -525,6 +547,20 @@ class TestCli:
         "support_not_divisible_by_d": {"adversary": "support_alternating",
                                        "sigma": 0.375},
         "sweep_T_2.5": {"sweep": {"T": [4, 2.5]}},
+        "sigma_text": {"sigma": "x"},
+        "n_text": {"n": "x"},
+        "alg1_c_K_text": {"learner": "alg1", "c_K": "x", **_ABS},
+        "delta_text": {"delta": "x"},
+        "doubling_sigma_min_text": {"learner": "doubling", "sigma_min": "0.1",
+                                    "sigma_max": 0.5},
+        "custom_ys_text": {"adversary": "custom_table", "T": 4,
+                           "custom_xs": [0, 1, 2, 3], "custom_ys": ["a", 1, 1, 1]},
+        "T_text": {"T": "4"},
+        "seeds_not_a_list": {"seeds": 3},
+        "out_not_a_string": {"out": 5},
+        "tie_policy_list": {"tie_policy": ["x"]},
+        "class_d_2.5": {"class": {"kind": "partition", "domain_size": 8, "d": 2.5}},
+        "full_hints_with_K": {**_ALG3, "hints": {"kind": "full", "K": 2}},
     }
 
     @pytest.mark.parametrize("case", sorted(_CONFIG_ERRORS))
