@@ -34,7 +34,6 @@ from .learner import (
     Alg1Smoothed,
     Alg2PoissonFTPL,
     Alg3Transductive,
-    DoublingMeta,
     FTL,
     HedgeLearner,
     default_n,

@@ -53,7 +53,10 @@ class HypothesisClass:
     """
 
     def __init__(self, values, declared_dim: int, binary: bool = False):
-        vals = np.array(values, dtype=float)
+        try:
+            vals = np.array(values, dtype=float)
+        except (TypeError, ValueError):
+            raise InputError("hypothesis values must form a numeric table") from None
         if vals.ndim != 2 or vals.shape[0] == 0:
             raise InputError("need a nonempty 2-D (hypothesis, domain) value table")
         if not np.all(np.abs(vals) <= 1.0):
@@ -87,10 +90,10 @@ class HypothesisClass:
     @classmethod
     def from_json(cls, doc: str) -> "HypothesisClass":
         obj = json.loads(doc)
-        vals = np.array(obj["hypotheses"], dtype=float)
-        if vals.shape[1] != obj["domain_size"]:
+        hclass = cls(obj["hypotheses"], obj["declared_dim"], obj["binary"])
+        if hclass.domain_size != obj["domain_size"]:
             raise InputError("hypothesis table width disagrees with domain_size")
-        return cls(vals, obj["declared_dim"], obj["binary"])
+        return hclass
 
 
 class LossKind(Enum):

@@ -59,7 +59,6 @@ from .learner import (
     Alg1Smoothed,
     Alg2PoissonFTPL,
     Alg3Transductive,
-    DoublingMeta,
     FTL,
     HedgeLearner,
     Learner,
@@ -105,10 +104,12 @@ def _one_of(*names: str):
     return load
 
 
-def _list(load):
+def _list(load, nonempty: bool = False):
     def load_list(key: str, v) -> tuple:
         if not isinstance(v, (list, tuple)):
             raise InputError(f"{key} must be a list, got {v!r}")
+        if nonempty and not v:
+            raise InputError(f"{key} must list at least one value")
         return tuple(load(key, x) for x in v)
     return load_list
 
@@ -196,7 +197,7 @@ class Transcript:
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment_id: str = _key(_text)
-    learner: str = _key(_one_of("alg1", "alg2", "alg3", "ftl", "hedge", "doubling"))
+    learner: str = _key(_one_of("alg1", "alg2", "alg3", "ftl", "hedge"))
     adversary: str = _key(_one_of(*(k.value for k in AdversaryKind)))
     class_spec: dict = _key(_kinds({k: keys for k, (keys, _) in _CLASS_KINDS.items()}),
                             json_key="class")
@@ -215,11 +216,10 @@ class ExperimentConfig:
     out: str | None = _key(_text, None)
     custom_xs: tuple[int, ...] | None = _key(_list(_whole), None)
     custom_ys: tuple[float, ...] | None = _key(_list(_real), None)
-    sigma_min: float | None = _key(_real, None)
-    sigma_max: float | None = _key(_real, None)
     max_hints_per_round: int | None = _key(_whole, None)
     sweep: dict | None = _key(lambda key, v: _object(key, v, {
-        k: _list(_FIELDS[k].metadata["load"]) for k in ("T", "sigma", "K", "n")}), None)
+        k: _list(_FIELDS[k].metadata["load"], nonempty=True)
+        for k in ("T", "sigma", "K", "n")}), None)
     # resolved once at load; none of them enters to_dict or the hash
     hclass: HypothesisClass = field(init=False, compare=False, repr=False)
     schedule: HintSchedule | None = field(init=False, compare=False, repr=False)
@@ -271,13 +271,8 @@ class ExperimentConfig:
             learner = Alg2PoissonFTPL(hclass, loss, T, n=n, **common)
         elif self.learner == "ftl":
             learner = FTL(hclass, loss, T, **common)
-        elif self.learner == "hedge":
-            learner = HedgeLearner(hclass, loss, T, **common)
         else:
-            if self.sigma_min is None or self.sigma_max is None:
-                raise InputError("doubling learner needs sigma_min and sigma_max")
-            learner = DoublingMeta(hclass, loss, T, self.sigma_min, self.sigma_max,
-                                   d=d, **common)
+            learner = HedgeLearner(hclass, loss, T, **common)
         return adversary, learner
 
     @classmethod

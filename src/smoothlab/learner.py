@@ -13,8 +13,6 @@ Implemented learners:
 * ``FTL`` — unperturbed ERM on history (negative control).
 * ``HedgeLearner`` — exponential weights over the enumerated class
   (oracle-free baseline).
-* ``DoublingMeta`` — Hedge over Alg 2 experts at geometrically spaced
-  smoothness guesses for unknown sigma.
 
 The oracle sees a perturbation only as a multiset, so each round draws
 the (instance, sign) cell counts straight from their exact law instead
@@ -30,8 +28,7 @@ multisets from it.
 
 All per-round randomness comes from counter-based streams keyed by
 (seed, run, round, purpose), so each round's hint/label noise is fresh
-and disjoint from every other round's; a DoublingMeta expert's streams
-also carry its expert index.
+and disjoint from every other round's.
 """
 
 from __future__ import annotations
@@ -73,7 +70,6 @@ class Learner:
     """Base class: owns history, oracle stats, and per-run RNG keys."""
 
     name = "learner"
-    expert: int | None = None  # index under a DoublingMeta, which keys its streams
 
     def __init__(self, hclass: HypothesisClass, loss: LossSpec, T: int,
                  seed: int = 0, run: int = 0,
@@ -88,7 +84,7 @@ class Learner:
         self.history = ExampleMultiset()
 
     def _stream(self, t: int, purpose: str):
-        return rngmod.stream(self.seed, self.run, t, purpose, self.expert)
+        return rngmod.stream(self.seed, self.run, t, purpose)
 
     def _tie_stream(self, t: int):
         """The round's "tie" stream, built only under the policy that reads it."""
@@ -266,13 +262,6 @@ class FTL(Learner):
         return float(self.hclass.values[idx, x_t])
 
 
-def exp_weights(cumulative_losses: np.ndarray, eta: float) -> np.ndarray:
-    """Exponential weights: normalized exp(-eta * cumulative loss), shifted
-    by the smallest loss so no weight underflows to zero for all."""
-    w = np.exp(-eta * (cumulative_losses - cumulative_losses.min()))
-    return w / w.sum()
-
-
 class HedgeLearner(Learner):
     """Exponential weights over the enumerated class; no oracle calls.
 
@@ -294,7 +283,11 @@ class HedgeLearner(Learner):
 
     @property
     def weights(self) -> np.ndarray:
-        return exp_weights(self.cumulative_losses, self.eta)
+        """Normalized exp(-eta * cumulative loss), shifted by the smallest
+        loss so no weight underflows to zero for all."""
+        losses = self.cumulative_losses
+        w = np.exp(-self.eta * (losses - losses.min()))
+        return w / w.sum()
 
     def predict(self, t: int, x_t: int) -> float:
         rng = self._stream(t, "hedge")
@@ -304,58 +297,4 @@ class HedgeLearner(Learner):
     def update(self, t: int, x_t: int, y_t: float) -> None:
         self.cumulative_losses += loss_eval(
             self.loss, self.hclass.values[:, x_t], float(y_t))
-        super().update(t, x_t, y_t)
-
-
-class DoublingMeta(Learner):
-    """Unknown-sigma meta-learner: Hedge over Alg 2 experts run at
-    geometrically spaced smoothness guesses sigma_i = 2^i * sigma_min."""
-
-    name = "doubling"
-
-    def __init__(self, hclass, loss, T, sigma_min: float, sigma_max: float,
-                 seed=0, run=0, tie=TiePolicy.LOWEST_INDEX, d: int | None = None):
-        if not (0.0 < sigma_min <= sigma_max <= 1.0):
-            raise InputError("need 0 < sigma_min <= sigma_max <= 1")
-        super().__init__(hclass, loss, T, seed, run, tie)
-        n_experts = max(1, math.ceil(math.log2(sigma_max / sigma_min)))
-        if sigma_min == sigma_max:
-            n_experts = 1
-        self.sigmas = [min(sigma_max, (2.0 ** i) * sigma_min) for i in range(n_experts)]
-        d_eff = hclass.declared_dim if d is None else d
-        self.experts: list[Learner] = []
-        for i, s in enumerate(self.sigmas):
-            n = default_n(T, s, hclass.domain_size, max(1, d_eff))
-            expert = Alg2PoissonFTPL(hclass, loss, T, n=n, seed=seed, run=run, tie=tie)
-            expert.expert = i
-            self.experts.append(expert)
-        self.eta = math.sqrt(8.0 * math.log(max(2, len(self.experts))) / max(T, 1))
-        self.expert_losses = np.zeros(len(self.experts))
-        self._last_predictions: np.ndarray | None = None
-
-    @property
-    def expert_weights(self) -> np.ndarray:
-        return exp_weights(self.expert_losses, self.eta)
-
-    def predict(self, t: int, x_t: int) -> float:
-        preds = np.array([e.predict(t, x_t) for e in self.experts])
-        self._last_predictions = preds
-        for e in self.experts:
-            self.stats.call_count += e.stats.call_count
-            self.stats.total_input_length += e.stats.total_input_length
-            self.stats.max_input_length = max(self.stats.max_input_length,
-                                              e.stats.max_input_length)
-            e.stats = OracleStats()
-        rng = self._stream(t, "hedge")
-        idx = int(rng.choice(len(self.experts), p=self.expert_weights))
-        return float(preds[idx])
-
-    def update(self, t: int, x_t: int, y_t: float) -> None:
-        if self._last_predictions is None:
-            raise InputError("update called before predict")
-        for i, e in enumerate(self.experts):
-            self.expert_losses[i] += loss_eval(
-                self.loss, float(self._last_predictions[i]), float(y_t))
-            e.update(t, x_t, y_t)
-        self._last_predictions = None
         super().update(t, x_t, y_t)

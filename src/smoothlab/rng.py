@@ -22,11 +22,6 @@ hedge            Hedge's sampling of a hypothesis
 tie              seeded_random tie-breaking
 verify           Monte Carlo lemma checks
 ===============  ==============================================
-
-A `DoublingMeta` expert's streams are keyed
-(seed, run, round, EXPERT_TAG, expert, purpose).  With seed, run and
-round below 2**32 (one 32-bit word each) a top-level key is four words
-long and an expert key six, so no expert replays a top-level stream.
 """
 
 from __future__ import annotations
@@ -43,7 +38,6 @@ _PURPOSES = {
     "tie": 7,
     "verify": 8,
 }
-EXPERT_TAG = 9
 
 
 def purpose_tag(purpose: str) -> int:
@@ -53,11 +47,7 @@ def purpose_tag(purpose: str) -> int:
         raise ValueError(f"unknown RNG purpose {purpose!r}") from None
 
 
-def stream(seed: int, run: int = 0, round_idx: int = 0, purpose: str = "verify",
-           expert: int | None = None):
-    """Independent generator keyed by (seed, run, round, purpose), with
-    the expert index inserted before the purpose for DoublingMeta experts."""
-    key = [int(seed), int(run), int(round_idx)]
-    if expert is not None:
-        key += [EXPERT_TAG, int(expert)]
-    return np.random.default_rng(key + [purpose_tag(purpose)])
+def stream(seed: int, run: int = 0, round_idx: int = 0, purpose: str = "verify"):
+    """Independent generator keyed by (seed, run, round, purpose)."""
+    return np.random.default_rng(
+        [int(seed), int(run), int(round_idx), purpose_tag(purpose)])

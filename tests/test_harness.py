@@ -51,6 +51,13 @@ def base_config(**overrides):
     return ExperimentConfig.from_dict(config_doc(**overrides))
 
 
+def json_class(hypotheses) -> dict:
+    """A `json` class block over a 2-point domain with these hypotheses."""
+    return {"kind": "json", "json": json.dumps(
+        {"domain_size": 2, "hypotheses": hypotheses, "declared_dim": 1,
+         "binary": True})}
+
+
 class TestExperimentConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(InputError):
@@ -122,10 +129,10 @@ class TestExperimentConfig:
             assert ExperimentConfig.from_dict(c.to_dict()) == c
             hashes[path.stem] = c.config_hash()
         assert hashes == {
-            "ftpl-erm-alg2": "d80df34acc7b2b8c",
-            "ftpl-erm-ftl": "4a459a784286fa20",
-            "hint-mixed-alg1": "e968befe9388bd9b",
-            "hint-mixed-alg3": "ac4f9d6dc6b842db",
+            "ftpl-erm-alg2": "c071c73851506739",
+            "ftpl-erm-ftl": "55f7439dc100eb18",
+            "hint-mixed-alg1": "197b2d70d1aa2c79",
+            "hint-mixed-alg3": "01a558439c1a4d83",
         }
 
     def test_resolved_once_at_load(self):
@@ -536,7 +543,7 @@ class TestCli:
     _CONFIG_ERRORS = {
         "unknown_class_kind": {"class": {"kind": "mystery"}},
         "cyclic_K_3_over_8": {**_ALG3, "hints": {"kind": "cyclic", "K": 3}},
-        "doubling_without_sigma_min": {"learner": "doubling", "sigma_max": 0.5},
+        "learner_doubling_removed": {"learner": "doubling"},
         "unknown_adversary": {"adversary": "mystery"},
         "unknown_loss": {"learner": "ftl", "loss": "mystery"},
         "delta_0.7": {"delta": 0.7},
@@ -551,8 +558,7 @@ class TestCli:
         "n_text": {"n": "x"},
         "alg1_c_K_text": {"learner": "alg1", "c_K": "x", **_ABS},
         "delta_text": {"delta": "x"},
-        "doubling_sigma_min_text": {"learner": "doubling", "sigma_min": "0.1",
-                                    "sigma_max": 0.5},
+        "sigma_min_key_removed": {"sigma_min": 0.1},
         "custom_ys_text": {"adversary": "custom_table", "T": 4,
                            "custom_xs": [0, 1, 2, 3], "custom_ys": ["a", 1, 1, 1]},
         "T_text": {"T": "4"},
@@ -561,6 +567,10 @@ class TestCli:
         "tie_policy_list": {"tie_policy": ["x"]},
         "class_d_2.5": {"class": {"kind": "partition", "domain_size": 8, "d": 2.5}},
         "full_hints_with_K": {**_ALG3, "hints": {"kind": "full", "K": 2}},
+        "json_class_flat_table": {"class": json_class([1, -1])},
+        "json_class_ragged_table": {"class": json_class([[1, -1], [1]])},
+        "json_class_text_values": {"class": json_class([["a", "b"]])},
+        "sweep_T_empty": {"sweep": {"T": []}},
     }
 
     @pytest.mark.parametrize("case", sorted(_CONFIG_ERRORS))

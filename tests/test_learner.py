@@ -24,11 +24,9 @@ from smoothlab.learner import (
     Alg1Smoothed,
     Alg2PoissonFTPL,
     Alg3Transductive,
-    DoublingMeta,
     FTL,
     HedgeLearner,
     default_n,
-    exp_weights,
     hallucination_cells,
     hint_cells,
     hint_count,
@@ -510,67 +508,26 @@ class TestHedge:
         with pytest.raises(InputError):
             HedgeLearner(const_class, LossSpec.of("binary_indicator"), T=4, eta=0.0)
 
-
-class TestDoublingMeta:
-    def test_expert_count(self, partition8):
-        meta = DoublingMeta(partition8, LossSpec.of("binary_indicator"), T=8,
-                            sigma_min=1 / 16, sigma_max=1.0)
-        assert len(meta.experts) == 4  # ceil(log2(16))
-        single = DoublingMeta(partition8, LossSpec.of("binary_indicator"), T=8,
-                              sigma_min=0.5, sigma_max=0.5)
-        assert len(single.experts) == 1
-
-    def test_call_accounting_aggregates_experts(self, partition8):
-        meta = DoublingMeta(partition8, LossSpec.of("binary_indicator"), T=4,
-                            sigma_min=0.25, sigma_max=1.0)
-        for t in range(1, 5):
-            meta.predict(t, t % 8)
-            meta.update(t, t % 8, 1.0)
-        assert meta.stats.call_count == 4 * len(meta.experts)
-
-    def test_prediction_comes_from_an_expert(self, partition8):
-        meta = DoublingMeta(partition8, LossSpec.of("binary_indicator"), T=4,
-                            sigma_min=0.25, sigma_max=1.0, seed=6)
-        yhat = meta.predict(1, 3)
-        assert yhat in set(meta._last_predictions.tolist()) | {yhat}
-        assert yhat in (-1.0, 1.0)
-
-    def test_update_before_predict_rejected(self, partition8):
-        meta = DoublingMeta(partition8, LossSpec.of("binary_indicator"), T=4,
-                            sigma_min=0.25, sigma_max=1.0)
-        with pytest.raises(InputError):
-            meta.update(1, 0, 1.0)
-
-    def test_expert_streams_differ_from_top_level_runs(self, partition8):
-        meta = DoublingMeta(partition8, LossSpec.of("binary_indicator"), T=4,
-                            sigma_min=0.25, sigma_max=1.0, seed=5, run=0)
-        plain = Alg2PoissonFTPL(partition8, LossSpec.of("binary_indicator"),
-                                T=4, n=4.0, seed=5, run=1)
-        expert_draw = meta.experts[0]._stream(1, "hallucinate").random(4)
-        plain_draw = plain._stream(1, "hallucinate").random(4)
-        assert not np.array_equal(expert_draw, plain_draw)
-        # plain learners keep their (seed, run, round, purpose) streams
-        np.testing.assert_array_equal(
-            plain_draw, np.random.default_rng([5, 1, 1, 5]).random(4))
-
-    def test_bad_sigma_range(self, partition8):
-        with pytest.raises(InputError):
-            DoublingMeta(partition8, LossSpec.of("binary_indicator"), T=4,
-                         sigma_min=0.5, sigma_max=0.25)
+    def test_weights_are_shifted_exponential_weights(self, partition8):
+        """`weights` is exp(-eta (L - min L)), normalized; the shift keeps
+        the weights defined when every cumulative loss is large."""
+        hedge = HedgeLearner(partition8, LossSpec.of("binary_indicator"), T=4, eta=0.5)
+        hedge.update(1, 0, 1.0)
+        hedge.update(2, 5, -1.0)
+        L = hedge.cumulative_losses
+        w = np.exp(-0.5 * (L - L.min()))
+        np.testing.assert_array_equal(hedge.weights, w / w.sum())
+        hedge.cumulative_losses += 5000.0  # exp(-0.5 * 5000) underflows to 0
+        np.testing.assert_array_equal(hedge.weights, w / w.sum())
 
 
-def test_one_exponential_weights_rule(partition8, monkeypatch):
-    """Hedge and DoublingMeta both weight through `exp_weights`."""
-    loss = LossSpec.of("binary_indicator")
-    hedge = HedgeLearner(partition8, loss, T=4, eta=0.5)
-    meta = DoublingMeta(partition8, loss, T=4, sigma_min=0.25, sigma_max=1.0)
-    hedge.update(1, 0, 1.0)
-    meta.predict(1, 0)
-    meta.update(1, 0, 1.0)
-    np.testing.assert_array_equal(
-        hedge.weights, exp_weights(hedge.cumulative_losses, 0.5))
-    np.testing.assert_array_equal(
-        meta.expert_weights, exp_weights(meta.expert_losses, meta.eta))
-    monkeypatch.setattr(learnermod, "exp_weights", lambda losses, eta: losses)
-    assert hedge.weights is hedge.cumulative_losses
-    assert meta.expert_weights is meta.expert_losses
+def test_stream_key_layout(partition8):
+    """Every stream is keyed by the four words (seed, run, round, purpose
+    tag); the tracked outputs were all drawn under this layout."""
+    learner = Alg2PoissonFTPL(partition8, LossSpec.of("binary_indicator"),
+                              T=4, n=4.0, seed=5, run=1)
+    expected = np.random.default_rng([5, 1, 1, 5]).random(4)
+    np.testing.assert_array_equal(rngmod.stream(5, 1, 1, "hallucinate").random(4),
+                                  expected)
+    np.testing.assert_array_equal(learner._stream(1, "hallucinate").random(4),
+                                  expected)
