@@ -18,7 +18,7 @@ from .core import (
     validate_smooth,
 )
 from .errors import CapacityError, ContractViolation, FitError, InputError
-from .oracle import OracleStats, TiePolicy, erm, mixed_opt
+from .oracle import OracleSession, OracleStats, TiePolicy, erm, mixed_opt
 from .adversary import (
     Adversary,
     AdversaryKind,

@@ -45,6 +45,10 @@ class FiniteDomain:
             raise InputError(f"domain size must be >= 1, got {self.size}")
 
 
+# the keys of a `HypothesisClass.to_json` document
+_CLASS_DOC_KEYS = {"domain_size", "hypotheses", "declared_dim", "binary"}
+
+
 class HypothesisClass:
     """An ordered finite set of hypotheses over a common domain.
 
@@ -54,9 +58,14 @@ class HypothesisClass:
 
     def __init__(self, values, declared_dim: int, binary: bool = False):
         try:
-            vals = np.array(values, dtype=float)
-        except (TypeError, ValueError):
-            raise InputError("hypothesis values must form a numeric table") from None
+            # numbers only: a float cast would read "1" as 1.0 and True as 1.0
+            vals = np.asarray(values)
+            numeric = vals.dtype.kind in "iuf"
+        except ValueError:  # ragged nesting
+            numeric = False
+        if not numeric:
+            raise InputError("hypothesis values must form a numeric table")
+        vals = np.array(vals, dtype=float)
         if vals.ndim != 2 or vals.shape[0] == 0:
             raise InputError("need a nonempty 2-D (hypothesis, domain) value table")
         if not np.all(np.abs(vals) <= 1.0):
@@ -89,8 +98,20 @@ class HypothesisClass:
 
     @classmethod
     def from_json(cls, doc: str) -> "HypothesisClass":
+        """The class of a `to_json` document: an object with exactly its
+        keys, whole-number sizes and a true/false `binary`."""
         obj = json.loads(doc)
-        hclass = cls(obj["hypotheses"], obj["declared_dim"], obj["binary"])
+        if not isinstance(obj, dict):
+            raise InputError(f"a class document must be an object, got {obj!r}")
+        if set(obj) != _CLASS_DOC_KEYS:
+            raise InputError(f"a class document needs exactly the keys "
+                             f"{sorted(_CLASS_DOC_KEYS)}, got {sorted(obj)}")
+        for key in ("domain_size", "declared_dim"):
+            if whole_numbers(obj[key], key).ndim:
+                raise InputError(f"{key} must be a whole number, got {obj[key]!r}")
+        if not isinstance(obj["binary"], bool):
+            raise InputError(f"binary must be true or false, got {obj['binary']!r}")
+        hclass = cls(obj["hypotheses"], int(obj["declared_dim"]), obj["binary"])
         if hclass.domain_size != obj["domain_size"]:
             raise InputError("hypothesis table width disagrees with domain_size")
         return hclass
@@ -238,6 +259,21 @@ def whole_numbers(values, name: str) -> np.ndarray:
     return np.asarray(a, dtype=int)
 
 
+def count_table(cells, rows: int | None = None) -> np.ndarray:
+    """`cells` as an int (rows, 2) table of (instance, sign) counts;
+    InputError unless it has that shape (any number of rows when `rows`
+    is None) and holds nonnegative whole numbers."""
+    cells = np.asarray(cells)
+    if (cells.ndim != 2 or cells.shape[1] != 2
+            or (rows is not None and cells.shape[0] != rows)):
+        raise InputError(f"cells must be a ({'|X|' if rows is None else rows}, 2) "
+                         f"count table, got shape {cells.shape}")
+    cells = whole_numbers(cells, "cells")
+    if (cells < 0).any():
+        raise InputError("cells must be a nonnegative count table")
+    return cells
+
+
 def _checked_columns(xs, ys, counts):
     """Aligned 1-D instance, label and count arrays; InputError unless
     every instance and count is a whole number, every count is >= 1 and
@@ -300,10 +336,7 @@ class ExampleMultiset:
     def from_cells(cls, cells) -> "ExampleMultiset":
         """The multiset of a (|X|, 2) table of (instance, sign) counts:
         column 0 counts label -1, column 1 label +1."""
-        cells = np.asarray(cells)
-        if cells.ndim != 2 or cells.shape[1] != 2 or not (cells >= 0).all():
-            raise InputError("cells must be a nonnegative (|X|, 2) count table")
-        flat = whole_numbers(cells, "cells").reshape(-1)
+        flat = count_table(cells).reshape(-1)
         nonzero = np.flatnonzero(flat)
         # row-major order over (x, sign) is already (x, y)-sorted
         return cls._of(*_frozen(nonzero // 2, np.where(nonzero % 2, 1.0, -1.0),

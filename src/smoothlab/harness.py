@@ -374,7 +374,7 @@ def run_game(config: ExperimentConfig, seed: int, run: int = 0) -> Transcript:
         prev_len = learner.stats.total_input_length
 
     # only the optimal value is read, so the default tie policy serves
-    _, bih_loss = erm(config.hclass, learner.history, loss, stats=learner.stats,
+    _, bih_loss = erm(config.hclass, learner.session, loss, stats=learner.stats,
                       tag="final")
     return Transcript(
         rounds=rounds,

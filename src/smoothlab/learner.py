@@ -20,11 +20,14 @@ of drawing one sample at a time: a Multinomial over the 2|X| cells for
 Alg 1 (`hint_cells`), a Binomial(c, 1/2) sign split of each future
 instance count for Alg 3, and i.i.d. Poisson cells for Alg 2
 (`hallucination_cells`).  A round therefore costs O(|X|) draws
-whatever K, T or n, and `ExampleMultiset.from_cells` turns a count
-table into the oracle's multiset without a per-pair loop.  The hint
-learners hand their (|X|, 2) hint count table to
-`hint_difference_prediction`, which builds both of the round's oracle
-multisets from it.
+whatever K, T or n.
+
+Each learner owns one `OracleSession` holding its history and the
+history objective, and passes the oracle the session and the round's
+(|X|, 2) count table as a `CountTable` view, so no round builds a
+multiset: an objective is the history vector plus one matvec.  The hint
+learners hand their hint count table to `hint_difference_prediction`,
+which makes both of the round's count tables from it.
 
 All per-round randomness comes from counter-based streams keyed by
 (seed, run, round, purpose), so each round's hint/label noise is fresh
@@ -38,9 +41,10 @@ import math
 import numpy as np
 
 from .adversary import HintSchedule
-from .core import ExampleMultiset, HypothesisClass, LossKind, LossSpec, loss_eval
+from .core import (ExampleMultiset, HypothesisClass, LossKind, LossSpec,
+                   count_table, loss_eval)
 from .errors import CapacityError, ContractViolation, InputError
-from .oracle import OracleStats, TiePolicy, erm, mixed_opt
+from .oracle import CountTable, OracleSession, OracleStats, TiePolicy, erm, mixed_opt
 from . import rng as rngmod
 
 PRED_TOL = 1e-9
@@ -67,7 +71,8 @@ def default_n(T: int, sigma: float, domain_size: int, d: int) -> float:
 
 
 class Learner:
-    """Base class: owns history, oracle stats, and per-run RNG keys."""
+    """Base class: owns the oracle session (history), oracle stats, and
+    per-run RNG keys."""
 
     name = "learner"
 
@@ -81,7 +86,11 @@ class Learner:
         self.run = int(run)
         self.tie = tie
         self.stats = OracleStats()
-        self.history = ExampleMultiset()
+        self.session = OracleSession(hclass, loss)
+
+    @property
+    def history(self) -> ExampleMultiset:
+        return self.session.history
 
     def _stream(self, t: int, purpose: str):
         return rngmod.stream(self.seed, self.run, t, purpose)
@@ -94,7 +103,7 @@ class Learner:
         raise NotImplementedError
 
     def update(self, t: int, x_t: int, y_t: float) -> None:
-        self.history.add(int(x_t), float(y_t))
+        self.session.add(x_t, y_t)
 
 
 def hint_cells(m: int, domain_size: int, rng) -> np.ndarray:
@@ -114,32 +123,28 @@ def hallucination_cells(n: float, domain_size: int, rng) -> np.ndarray:
     return rng.poisson(n / (2 * domain_size), size=(domain_size, 2))
 
 
-def hint_difference_prediction(hclass: HypothesisClass, history: ExampleMultiset,
-                               cells, x_t: int, loss: LossSpec,
+def hint_difference_prediction(session: OracleSession, cells, x_t: int,
                                stats: OracleStats | None) -> float:
     """The prediction rule of the hint-based learners (Algs 1 and 3).
 
     yhat_t = OPT(history; S+S+{(x_t,-1)}) - OPT(history; S+S+{(x_t,+1)})
-    where S is the round's Rademacher-labeled hint multiset, given as its
-    (|X|, 2) (instance, sign) count table `cells`; each mixed-oracle call
-    sees two copies of every hint plus the query point.  Only the optimal
-    values enter, so the oracle's tie policy cannot change the prediction
-    and the calls use the default one.
+    where the history is the session's and S is the round's
+    Rademacher-labeled hint multiset, given as its (|X|, 2) (instance,
+    sign) count table `cells`; each mixed-oracle call sees two copies of
+    every hint plus the query point, and the two count tables differ in
+    one cell.  Only the optimal values enter, so the oracle's tie policy
+    cannot change the prediction and the calls use the default one.
     """
-    cells = np.asarray(cells)
-    if cells.shape != (hclass.domain_size, 2):
-        raise InputError(f"hint cells must be a ({hclass.domain_size}, 2) "
-                         f"count table, got shape {cells.shape}")
+    hclass, loss = session.hclass, session.loss
+    doubled = 2 * count_table(cells, hclass.domain_size)
     x_t = int(x_t)
     if not 0 <= x_t < hclass.domain_size:
         raise InputError(f"x_t={x_t} outside the domain of size {hclass.domain_size}")
-    doubled = 2 * cells
-    doubled[x_t, 0] += 1
-    lo = ExampleMultiset.from_cells(doubled)
-    doubled[x_t] += (-1, 1)  # the query point's copy moves to label +1
-    hi = ExampleMultiset.from_cells(doubled)
-    _, v_minus = mixed_opt(hclass, history, lo, loss, stats=stats)
-    _, v_plus = mixed_opt(hclass, history, hi, loss, stats=stats)
+    lo, hi = doubled, doubled.copy()
+    lo[x_t, 0] += 1
+    hi[x_t, 1] += 1
+    _, v_minus = mixed_opt(hclass, session, CountTable(session, lo), loss, stats=stats)
+    _, v_plus = mixed_opt(hclass, session, CountTable(session, hi), loss, stats=stats)
     yhat = v_minus - v_plus
     if abs(yhat) > 1.0 + PRED_TOL:
         raise ContractViolation(f"prediction {yhat} escaped [-1, 1]")
@@ -156,8 +161,7 @@ class _HintDifferenceLearner(Learner):
 
     def predict(self, t: int, x_t: int) -> float:
         return hint_difference_prediction(
-            self.hclass, self.history, self._hints_for_round(t), x_t,
-            self.loss, self.stats)
+            self.session, self._hints_for_round(t), x_t, self.stats)
 
 
 class Alg3Transductive(_HintDifferenceLearner):
@@ -244,7 +248,7 @@ class Alg2PoissonFTPL(Learner):
         cells = hallucination_cells(self.n, self.hclass.domain_size,
                                     self._stream(t, "hallucinate"))
         self.last_hallucination_count = int(cells.sum())
-        S = self.history.union(ExampleMultiset.from_cells(cells))
+        S = CountTable(self.session, cells, with_history=True)
         idx, _ = erm(self.hclass, S, self.loss, tie=self.tie, stats=self.stats,
                      query_point=int(x_t), rng=self._tie_stream(t))
         return float(self.hclass.values[idx, x_t])
@@ -256,7 +260,7 @@ class FTL(Learner):
     name = "ftl"
 
     def predict(self, t: int, x_t: int) -> float:
-        idx, _ = erm(self.hclass, self.history, self.loss, tie=self.tie,
+        idx, _ = erm(self.hclass, self.session, self.loss, tie=self.tie,
                      stats=self.stats, query_point=int(x_t),
                      rng=self._tie_stream(t))
         return float(self.hclass.values[idx, x_t])

@@ -10,13 +10,29 @@ Both are pure functions of their inputs except for an explicit
 ``OracleStats`` accumulator owned by one run.  Learners must touch the
 hypothesis class only through these entry points.
 
-Each objective evaluates the unchecked `core.loss_kernel` over the
-distinct pairs of a multiset.  The arguments are checked once per call
-instead: instances against the domain, and the +-1 checks of
-`core.loss_eval` (`check_sign_args`) on the distinct labels and, under
-the indicator loss with a class not built binary, on the class values
-at the multiset's instances.  Labels were range-checked when they
-entered the multiset and class values when the class was built.
+A multiset slot takes an ``ExampleMultiset`` or, on a learner's path,
+an ``OracleSession`` or one of its ``CountTable`` views; each exposes
+``logical_size``, ``items()`` and ``arrays()``, and the input length
+recorded is the same either way.
+
+* An ``ExampleMultiset`` objective evaluates the unchecked
+  `core.loss_kernel` over its distinct pairs.  The arguments are checked
+  once per call: instances against the domain, and the +-1 checks of
+  `core.loss_eval` (`check_sign_args`) on the distinct labels and, under
+  the indicator loss with a class not built binary, on the class values
+  at the multiset's instances.
+* An ``OracleSession`` is one learner's history, kept incrementally.  It
+  builds the game-loss and centered hint-loss tables over the 2|X|
+  (instance, sign) cells once, checking the class values there, and
+  keeps the history objective, which `OracleSession.add` checks each
+  example into and bumps by one column.  A round's (|X|, 2) count table
+  is checked when its ``CountTable`` is made, and its objective is one
+  matvec of a cell table, plus the history vector when the view
+  includes the history.
+
+For a +-1 class under +-1 labels every term is an integer or a
+half-integer, so both ways give the same floats in any summation order;
+otherwise they agree up to rounding.
 """
 
 from __future__ import annotations
@@ -32,6 +48,7 @@ from .core import (
     LossKind,
     LossSpec,
     check_sign_args,
+    count_table,
     loss_kernel,
 )
 from .errors import InputError
@@ -83,6 +100,122 @@ def _objective_table(
 
 _HINT_LOSS = LossSpec(LossKind.CENTERED_BINARY)
 
+# the labels of the (instance, sign) cells: column 2x counts (x, -1),
+# column 2x+1 counts (x, +1)
+_CELL_SIGNS = np.array([-1.0, 1.0])
+
+
+class OracleSession:
+    """One learner's history, kept for its oracle calls.
+
+    Holds the history multiset, the (|H|,) history objective under the
+    learner's loss, and the (|H|, 2|X|) game-loss and centered hint-loss
+    tables over the (instance, sign) cells, built once.  The session
+    stands in a multiset slot for the history, and a `CountTable` over
+    it wraps a round's count table.  Append-only: `add` is the one
+    change.
+    """
+
+    def __init__(self, hclass: HypothesisClass, loss: LossSpec,
+                 history: ExampleMultiset | None = None):
+        values = hclass.values
+        # the tables hold every class value, so the class is checked here
+        check_sign_args(loss, values, _CELL_SIGNS, yhat_binary=hclass.binary)
+        self.hclass = hclass
+        self.loss = loss
+        self.history = ExampleMultiset()  # changed only through `add`
+        self._size = 0
+        self._objective = np.zeros(len(hclass))
+        self._tables = {kind: loss_kernel(kind, values[:, :, None], _CELL_SIGNS)
+                        .reshape(len(hclass), -1)
+                        for kind in {loss.kind, _HINT_LOSS.kind}}
+        for (x, y), count in ([] if history is None else history.items()):
+            self.add(x, y, count)
+
+    def add(self, x: int, y: float, count: int = 1) -> None:
+        """Add `count` copies of (x, y) to the history and its objective."""
+        x, y, count = int(x), float(y), int(count)
+        if not 0 <= x < self.hclass.domain_size:
+            raise InputError(f"instance {x} outside the domain of size "
+                             f"{self.hclass.domain_size}")
+        check_sign_args(self.loss, (), y, yhat_binary=True)
+        self.history.add(x, y, count)  # checks the label range and the count
+        if abs(y) == 1.0:
+            column = self._tables[self.loss.kind][:, 2 * x + (y > 0)]
+        else:
+            column = loss_kernel(self.loss.kind, self.hclass.values[:, x], y)
+        self._objective += count * column
+        self._size += count
+
+    @property
+    def logical_size(self) -> int:
+        return self._size
+
+    def items(self):
+        return self.history.items()
+
+    def arrays(self):
+        return self.history.arrays()
+
+    def _check_class(self, hclass: HypothesisClass) -> None:
+        if hclass is not self.hclass:
+            raise InputError("the session was built for another class")
+
+    def _cell_table(self, hclass: HypothesisClass, loss: LossSpec) -> np.ndarray:
+        self._check_class(hclass)
+        if loss.kind not in self._tables:
+            raise InputError(f"the session holds no {loss.kind.value} table")
+        return self._tables[loss.kind]
+
+    def objective(self, hclass: HypothesisClass, loss: LossSpec) -> np.ndarray:
+        """The history objective; read-only to callers."""
+        self._check_class(hclass)
+        if loss.kind is not self.loss.kind:
+            raise InputError(f"the session keeps its history under "
+                             f"{self.loss.kind.value}, not {loss.kind.value}")
+        return self._objective
+
+
+class CountTable:
+    """An (|X|, 2) (instance, sign) count table in a multiset slot, read
+    through its session's cell tables, optionally with the session's
+    history added.  The table is checked here; `items()` and `arrays()`
+    build the multiset only when asked."""
+
+    def __init__(self, session: OracleSession, cells, with_history: bool = False):
+        self.session = session
+        self.cells = count_table(cells, session.hclass.domain_size)
+        self.with_history = with_history
+        self._counts = self.cells.reshape(-1)
+        self._size = int(self._counts.sum())
+
+    @property
+    def logical_size(self) -> int:
+        return self._size + (self.session.logical_size if self.with_history else 0)
+
+    def _multiset(self) -> ExampleMultiset:
+        cells = ExampleMultiset.from_cells(self.cells)
+        return self.session.history.union(cells) if self.with_history else cells
+
+    def items(self):
+        return self._multiset().items()
+
+    def arrays(self):
+        return self._multiset().arrays()
+
+    def objective(self, hclass: HypothesisClass, loss: LossSpec) -> np.ndarray:
+        obj = self.session._cell_table(hclass, loss) @ self._counts
+        if self.with_history:
+            obj += self.session.objective(hclass, loss)
+        return obj
+
+
+def _objective(hclass: HypothesisClass, S, loss: LossSpec) -> np.ndarray:
+    """The objective of a multiset slot (see the module docstring)."""
+    if isinstance(S, ExampleMultiset):
+        return _objective_table(hclass, S, loss)
+    return S.objective(hclass, loss)
+
 
 def _select(
     obj: np.ndarray,
@@ -121,7 +254,7 @@ def erm(
     tag: str = "round",
 ) -> tuple[int, float]:
     """Cumulative-loss minimizer over the class; empty S has value 0."""
-    obj = _objective_table(hclass, S, loss)
+    obj = _objective(hclass, S, loss)
     idx = _select(obj, hclass, tie, query_point, rng)
     if stats is not None:
         stats.record(S.logical_size, tag)
@@ -140,8 +273,8 @@ def mixed_opt(
     tag: str = "round",
 ) -> tuple[int, float]:
     """Minimize sum of l(h(x),y)/(2G) over S_real plus -y'h(x')/2 over S_bin."""
-    obj = _objective_table(hclass, S_real, loss) / (2.0 * loss.lipschitz_G)
-    obj += _objective_table(hclass, S_bin, _HINT_LOSS)
+    obj = _objective(hclass, S_real, loss) / (2.0 * loss.lipschitz_G)
+    obj += _objective(hclass, S_bin, _HINT_LOSS)
     idx = _select(obj, hclass, tie, query_point, rng)
     if stats is not None:
         stats.record(S_real.logical_size + S_bin.logical_size, tag)

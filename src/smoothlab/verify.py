@@ -44,7 +44,7 @@ from .core import (
     loss_eval,
 )
 from .errors import CapacityError, InputError
-from .oracle import TiePolicy, _objective_table, erm
+from .oracle import CountTable, OracleSession, TiePolicy, _objective_table, erm
 from . import learner as learnermod
 
 TRUNC_TAIL = 1e-12
@@ -447,18 +447,19 @@ def admissibility_check(learner_kind: str, hclass: HypothesisClass,
 def _learner_action_distribution(kind, hclass, history, loss, future_hints,
                                  x_t, tie):
     """Exact law of yhat_t as (value, probability) pairs."""
+    session = OracleSession(hclass, loss, history)
     if kind == "ftl":
-        idx, _ = erm(hclass, history, loss, tie=tie, query_point=x_t)
+        idx, _ = erm(hclass, session, loss, tie=tie, query_point=x_t)
         return [(float(hclass.values[idx, x_t]), 1.0)]
     # one prediction of the production rule per Rademacher assignment,
     # with the hints counted into the (instance, sign) table it takes
     X = hclass.domain_size
     preds = [
         learnermod.hint_difference_prediction(
-            hclass, history,
+            session,
             np.bincount(2 * future_hints + np.array(plus, dtype=int),
                         minlength=2 * X).reshape(X, 2),
-            x_t, loss, None)
+            x_t, None)
         for plus in itertools.product((0, 1), repeat=len(future_hints))]
     p = 1.0 / len(preds)
     return [(yhat, p) for yhat in preds]
@@ -637,6 +638,7 @@ def generalization_gap_mc(hclass: HypothesisClass, D: SmoothDistribution,
         raise InputError("label_table must hold -1 or +1 for every instance")
     probs = D.array
     loss = LossSpec.of("binary_indicator")
+    session = OracleSession(hclass, loss, history)
     gaps = np.zeros(trials)
     for i in range(trials):
         cells = learnermod.hallucination_cells(n, hclass.domain_size, rng)
@@ -644,8 +646,8 @@ def generalization_gap_mc(hclass: HypothesisClass, D: SmoothDistribution,
         x_p = int(rng.choice(hclass.domain_size, p=probs))
         y_t, y_p = float(label_table[x_t]), float(label_table[x_p])
         cells[x_t, int(y_t > 0)] += 1  # the sample s joins the hallucinations
-        S = history.union(ExampleMultiset.from_cells(cells))
-        idx, _ = erm(hclass, S, loss, tie=tie, rng=rng)
+        idx, _ = erm(hclass, CountTable(session, cells, with_history=True), loss,
+                     tie=tie, rng=rng)
         h = hclass.values[idx]
         # centered loss L(h,(x,y)) = -y h(x)/2
         gaps[i] = (-y_p * h[x_p] / 2.0) - (-y_t * h[x_t] / 2.0)

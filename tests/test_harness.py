@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import smoothlab
-from smoothlab import cli, harness
+from smoothlab import cli, core, harness
+from smoothlab import learner as learnermod
+from smoothlab.core import ExampleMultiset
 from smoothlab.cli import EXIT_CAPACITY, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
 from smoothlab.errors import FitError, InputError
 from smoothlab.harness import (
@@ -51,11 +53,12 @@ def base_config(**overrides):
     return ExperimentConfig.from_dict(config_doc(**overrides))
 
 
-def json_class(hypotheses) -> dict:
-    """A `json` class block over a 2-point domain with these hypotheses."""
+def json_class(hypotheses, **keys) -> dict:
+    """A `json` class block over a 2-point domain with these hypotheses,
+    and any document key replaced by `keys`."""
     return {"kind": "json", "json": json.dumps(
         {"domain_size": 2, "hypotheses": hypotheses, "declared_dim": 1,
-         "binary": True})}
+         "binary": True} | keys)}
 
 
 class TestExperimentConfig:
@@ -228,6 +231,63 @@ class TestRunGame:
     def test_realizable_regret_nonnegative(self):
         for seed in range(3):
             assert run_game(base_config(T=24), seed).regret >= -1e-9
+
+
+# a T=16 game of each oracle learner, and its oracle calls per round
+_ORACLE_GAMES = {
+    "ftl": ({"learner": "ftl", "n": None}, 1),
+    "alg2": ({}, 1),
+    "alg1": ({"learner": "alg1", "loss": "absolute", "K": 2, "n": None}, 2),
+    "alg3": ({"learner": "alg3", "adversary": "transductive_cyclic",
+              "hints": {"kind": "cyclic", "K": 4}, "loss": "absolute",
+              "n": None}, 2),
+}
+
+
+class TestOracleBoundary:
+    """The learners reach the class only through `erm` and `mixed_opt`,
+    seen here the way an outside tracer sees them: wrapped where
+    `smoothlab.learner` binds them."""
+
+    @pytest.mark.parametrize("learner", sorted(_ORACLE_GAMES))
+    def test_calls_and_input_lengths(self, monkeypatch, learner):
+        overrides, per_round = _ORACLE_GAMES[learner]
+        calls, sizes = [], []
+
+        def traced(fn, slots):
+            def wrapper(hclass, *args, **kwargs):
+                for S in args[:slots]:
+                    assert isinstance(S.items(), list)
+                    sizes.append(S.logical_size)
+                calls.append(fn.__name__)
+                return fn(hclass, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(learnermod, "erm", traced(learnermod.erm, 1))
+        monkeypatch.setattr(learnermod, "mixed_opt",
+                            traced(learnermod.mixed_opt, 2))
+        tr = run_game(base_config(T=16, **overrides), seed=1)
+        assert len(calls) == per_round * 16 == tr.oracle_calls
+        assert set(calls) == {"erm" if per_round == 1 else "mixed_opt"}
+        assert sum(sizes) == tr.total_input_length
+
+    @pytest.mark.parametrize("learner", sorted(_ORACLE_GAMES))
+    def test_no_round_builds_a_multiset(self, monkeypatch, learner):
+        """Once the players exist, no round or final call aggregates pairs."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a round built a multiset")
+
+        def forbid_then_round(*args):
+            for name in ("from_cells", "union"):
+                monkeypatch.setattr(ExampleMultiset, name, forbidden)
+            monkeypatch.setattr(core, "_aggregate", forbidden)
+            return next_round(*args)
+
+        next_round = harness.next_round
+        monkeypatch.setattr(harness, "next_round", forbid_then_round)
+        overrides, per_round = _ORACLE_GAMES[learner]
+        tr = run_game(base_config(T=16, **overrides), seed=1)
+        assert tr.oracle_calls == per_round * 16
 
 
 class TestRunExperiment:
@@ -570,7 +630,20 @@ class TestCli:
         "json_class_flat_table": {"class": json_class([1, -1])},
         "json_class_ragged_table": {"class": json_class([[1, -1], [1]])},
         "json_class_text_values": {"class": json_class([["a", "b"]])},
+        "json_class_not_an_object": {"class": {"kind": "json", "json": "[1]"}},
+        "json_class_missing_keys": {"class": {"kind": "json", "json": "{}"}},
+        "json_class_text_declared_dim": {
+            "class": json_class([[1, -1]], declared_dim="1")},
+        "json_class_numeric_text_values": {"class": json_class([["1", "-1"]])},
         "sweep_T_empty": {"sweep": {"T": []}},
+    }
+
+    # cases whose error must also name what is wrong
+    _CONFIG_MESSAGES = {
+        "json_class_not_an_object": "must be an object",
+        "json_class_missing_keys": "exactly the keys",
+        "json_class_text_declared_dim": "declared_dim must hold integers",
+        "json_class_numeric_text_values": "numeric table",
     }
 
     @pytest.mark.parametrize("case", sorted(_CONFIG_ERRORS))
@@ -585,7 +658,9 @@ class TestCli:
         cfg.write_text(json.dumps(doc))
         command = "sweep" if "sweep" in doc else "run"
         assert main([command, str(cfg), "--jobs", jobs]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert self._CONFIG_MESSAGES.get(case, "") in err
 
     @pytest.mark.parametrize("xs, ys, message", [
         ([0, 1, 2, 3], [1.0, -1.0, math.nan, 1.0], "finite"),

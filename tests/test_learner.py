@@ -32,7 +32,7 @@ from smoothlab.learner import (
     hint_count,
     hint_difference_prediction,
 )
-from smoothlab.oracle import TiePolicy, mixed_opt
+from smoothlab.oracle import OracleSession, TiePolicy, mixed_opt
 
 
 class TestBudgets:
@@ -210,8 +210,9 @@ def _reference_hint_prediction(hclass, history, cells, x_t, loss):
 
 @st.composite
 def hint_rule_instances(draw):
-    """A binary or real-valued class, absolute or squared loss, a history,
-    a hint count table (rows may be zero) and a query point."""
+    """A binary or real-valued class, absolute or squared loss, a history
+    with +-1 or real labels, a hint count table (rows may be zero) and a
+    query point."""
     binary = draw(st.booleans())
     size = draw(st.integers(1, 5))
     n_h = draw(st.integers(1, 6))
@@ -221,7 +222,8 @@ def hint_rule_instances(draw):
     hclass = HypothesisClass(vals, declared_dim=0, binary=binary)
     loss = LossSpec.of(draw(st.sampled_from(["absolute", "squared"])))
     history = ExampleMultiset(draw(st.lists(
-        st.tuples(st.integers(0, size - 1), st.floats(-1, 1),
+        st.tuples(st.integers(0, size - 1),
+                  st.sampled_from([-1.0, 1.0]) | st.floats(-1, 1),
                   st.integers(1, 3)), max_size=6)))
     cells = np.array(draw(st.lists(
         st.lists(st.integers(0, 4), min_size=2, max_size=2),
@@ -233,8 +235,10 @@ def hint_rule_instances(draw):
 
 
 class TestHintDifferenceRule:
-    """`hint_difference_prediction` on a count table against the
-    multiset-based reference construction."""
+    """`hint_difference_prediction` on a session and a count table
+    against the multiset-based reference construction: the same float
+    for a +-1 class under +-1 labels, where every term is an integer or
+    a half-integer, and the same up to rounding otherwise."""
 
     @given(hint_rule_instances())
     @settings(max_examples=200, deadline=None)
@@ -248,11 +252,14 @@ class TestHintDifferenceRule:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(learnermod, "mixed_opt", recording)
-            yhat = hint_difference_prediction(hclass, history, cells, x_t,
-                                              loss, None)
+            yhat = hint_difference_prediction(
+                OracleSession(hclass, loss, history), cells, x_t, None)
         ref, lo, hi = _reference_hint_prediction(hclass, history, cells,
                                                  x_t, loss)
-        assert yhat == ref
+        if hclass.binary and np.all(np.abs(history.arrays()[1]) == 1.0):
+            assert yhat == ref
+        else:
+            assert abs(yhat - ref) <= 1e-12
         assert len(seen) == 2
         for got, want in zip(seen, (lo, hi)):
             for a, b in zip(got.arrays(), want.arrays()):
@@ -261,23 +268,23 @@ class TestHintDifferenceRule:
 
     def test_leaves_the_table_unchanged(self, partition8):
         cells = np.arange(16).reshape(8, 2)
-        hint_difference_prediction(partition8, ExampleMultiset(), cells, 3,
-                                   LossSpec.of("absolute"), None)
+        hint_difference_prediction(
+            OracleSession(partition8, LossSpec.of("absolute")), cells, 3, None)
         np.testing.assert_array_equal(cells, np.arange(16).reshape(8, 2))
 
     @pytest.mark.parametrize("x_t", [-1, 8, 100])
     def test_rejects_query_outside_domain(self, partition8, x_t):
         with pytest.raises(InputError, match="outside the domain"):
-            hint_difference_prediction(partition8, ExampleMultiset(),
-                                       np.zeros((8, 2), dtype=int), x_t,
-                                       LossSpec.of("absolute"), None)
+            hint_difference_prediction(
+                OracleSession(partition8, LossSpec.of("absolute")),
+                np.zeros((8, 2), dtype=int), x_t, None)
 
     @pytest.mark.parametrize("shape", [(8, 3), (7, 2), (9, 2), (16,), (8, 2, 1)])
     def test_rejects_wrong_shape_table(self, partition8, shape):
         with pytest.raises(InputError, match="count table"):
-            hint_difference_prediction(partition8, ExampleMultiset(),
-                                       np.zeros(shape, dtype=int), 0,
-                                       LossSpec.of("absolute"), None)
+            hint_difference_prediction(
+                OracleSession(partition8, LossSpec.of("absolute")),
+                np.zeros(shape, dtype=int), 0, None)
 
 
 class TestAlg3:

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smoothlab.core import (
@@ -20,8 +20,11 @@ from smoothlab.errors import InputError
 from smoothlab import oracle
 from smoothlab.oracle import (
     OBJ_TOL,
+    CountTable,
+    OracleSession,
     OracleStats,
     TiePolicy,
+    _objective_table,
     erm,
     mixed_opt,
 )
@@ -373,3 +376,174 @@ class TestChecksPerCall:
         expected = raises(lambda: per_pair_objective(hclass, S, loss))
         assert raises(lambda: erm(hclass, S, loss)) == expected
         assert raises(lambda: mixed_opt(hclass, S, ExampleMultiset(), loss)) == expected
+
+
+HINT_LOSS = LossSpec(LossKind.CENTERED_BINARY)
+SIGN = st.sampled_from([-1.0, 1.0])
+
+
+@st.composite
+def session_instances(draw):
+    """A +-1 or real-valued class (|X| <= 8, |H| <= 16), a loss (the
+    indicator only over +-1 values), a history in arrival order with +-1
+    labels, or also real ones under the real losses, a count table and a
+    query point."""
+    binary = draw(st.booleans())
+    size, n_h = draw(st.integers(1, 8)), draw(st.integers(1, 16))
+    vals = draw(st.lists(st.lists(SIGN if binary else st.floats(-1, 1),
+                                  min_size=size, max_size=size),
+                         min_size=n_h, max_size=n_h))
+    hclass = HypothesisClass(vals, declared_dim=0, binary=binary)
+    kinds = list(LossKind) if binary else [
+        LossKind.CENTERED_BINARY, LossKind.ABSOLUTE, LossKind.SQUARED]
+    loss = LossSpec(draw(st.sampled_from(kinds)))
+    sign_labels = loss.kind in (LossKind.BINARY_INDICATOR, LossKind.CENTERED_BINARY)
+    label = SIGN if sign_labels else SIGN | st.floats(-1, 1)
+    history = draw(st.lists(st.tuples(st.integers(0, size - 1), label,
+                                      st.integers(1, 3)), max_size=8))
+    cells = np.array(draw(st.lists(st.integers(0, 5), min_size=2 * size,
+                                   max_size=2 * size))).reshape(size, 2)
+    return hclass, loss, history, cells, draw(st.integers(0, size - 1))
+
+
+def _session(hclass, loss, history):
+    """A session fed the history one example at a time, as a learner is."""
+    session = OracleSession(hclass, loss)
+    for x, y, count in history:
+        session.add(x, y, count)
+    return session
+
+
+def _exact(hclass, history) -> bool:
+    """Every term an integer or a half-integer: +-1 values and labels."""
+    return bool(np.all(np.abs(hclass.values) == 1.0)
+                and all(abs(y) == 1.0 for _, y, _ in history))
+
+
+class TestOracleSession:
+    """The session path against the multiset path it replaces: the
+    objective over the materialized `history + from_cells(cells)`, the
+    oracles' choices and their accounting.  Bit for bit where every term
+    is an integer or a half-integer, within 1e-12 otherwise."""
+
+    @given(session_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_objectives_match_the_multiset_path(self, instance):
+        hclass, loss, history, cells, _ = instance
+        session = _session(hclass, loss, history)
+        past = ExampleMultiset(history)
+        table = ExampleMultiset.from_cells(cells)
+        pairs = [
+            (session.objective(hclass, loss), _objective_table(hclass, past, loss)),
+            (CountTable(session, cells, with_history=True).objective(hclass, loss),
+             _objective_table(hclass, past.union(table), loss)),
+            (CountTable(session, cells).objective(hclass, HINT_LOSS),
+             _objective_table(hclass, table, HINT_LOSS)),
+        ]
+        for got, want in pairs:
+            if _exact(hclass, history):
+                np.testing.assert_array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert session.logical_size == past.logical_size
+        assert session.items() == past.items()
+
+    @given(session_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_oracles_choose_and_record_alike(self, instance):
+        hclass, loss, history, cells, x_q = instance
+        session = _session(hclass, loss, history)
+        past = ExampleMultiset(history)
+        table = ExampleMultiset.from_cells(cells)
+        slots = {"session": (CountTable(session, cells, with_history=True), session,
+                             CountTable(session, cells)),
+                 "multiset": (past.union(table), past, table)}
+        if not _exact(hclass, history):
+            # rounding may move an objective across the tie band only
+            # when it sits at its edge
+            for obj in (_objective_table(hclass, past.union(table), loss),
+                        _objective_table(hclass, past, loss) / (2 * loss.lipschitz_G)
+                        + _objective_table(hclass, table, HINT_LOSS)):
+                assume(np.all(np.abs(obj - obj.min() - OBJ_TOL) > 1e-13))
+        for tie in TiePolicy:
+            seen = {}
+            for path, (S, S_real, S_bin) in slots.items():
+                stats, rng = OracleStats(), np.random.default_rng(5)
+                try:
+                    e = erm(hclass, S, loss, tie=tie, stats=stats,
+                            query_point=x_q, rng=rng)
+                    m = mixed_opt(hclass, S_real, S_bin, loss, tie=tie,
+                                  stats=stats, query_point=x_q, rng=rng)
+                except InputError:
+                    seen[path] = "InputError"
+                    continue
+                seen[path] = (e, m, stats)
+            if seen["session"] == "InputError" or _exact(hclass, history):
+                assert seen["session"] == seen["multiset"]
+                continue
+            (e, m, stats), (e_ref, m_ref, stats_ref) = seen["session"], seen["multiset"]
+            assert (e[0], m[0], stats) == (e_ref[0], m_ref[0], stats_ref)
+            assert abs(e[1] - e_ref[1]) <= 1e-12 and abs(m[1] - m_ref[1]) <= 1e-12
+
+    @pytest.mark.parametrize("x, y", [(-1, 1.0), (8, 1.0), (0, 1.5), (0, -2.0),
+                                      (0, float("nan"))])
+    def test_add_rejects_bad_examples(self, partition8, x, y):
+        session = OracleSession(partition8, LossSpec.of("absolute"))
+        session.add(1, 0.5)
+        before = session.objective(partition8, session.loss).copy()
+        with pytest.raises(InputError):
+            session.add(x, y)
+        assert session.logical_size == 1 and session.items() == [((1, 0.5), 1)]
+        np.testing.assert_array_equal(session.objective(partition8, session.loss),
+                                      before)
+
+    @pytest.mark.parametrize("kind", ["binary_indicator", "centered_binary"])
+    def test_add_rejects_non_sign_labels_under_sign_losses(self, partition8, kind):
+        session = OracleSession(partition8, LossSpec.of(kind))
+        with pytest.raises(InputError, match="label"):
+            session.add(0, 0.5)
+        assert session.logical_size == 0
+
+    @pytest.mark.parametrize("cells", [
+        -np.ones((8, 2), dtype=int),
+        np.full((8, 2), 0.5),
+        np.full((8, 2), np.nan),
+        np.zeros((8, 3), dtype=int),
+        np.zeros((9, 2), dtype=int),
+        np.zeros(16, dtype=int),
+        np.zeros((8, 2), dtype=bool),
+    ], ids=["negative", "fractional", "nan", "three_columns", "nine_rows",
+            "flat", "boolean"])
+    def test_table_rejects_bad_cells(self, partition8, cells):
+        session = OracleSession(partition8, LossSpec.of("absolute"))
+        with pytest.raises(InputError, match="cells"):
+            CountTable(session, cells)
+        with pytest.raises(InputError, match="cells"):
+            CountTable(session, cells, with_history=True)
+
+    def test_class_sign_check_at_build(self):
+        """Under the indicator loss every class value must be +-1, since
+        the cell tables hold them all."""
+        hclass = HypothesisClass([[0.5, 1.0], [1.0, -1.0]], declared_dim=0)
+        with pytest.raises(InputError, match="prediction"):
+            OracleSession(hclass, LossSpec.of("binary_indicator"))
+        OracleSession(hclass, LossSpec.of("absolute"))
+
+    def test_rejects_another_class_or_loss(self, partition8):
+        session = OracleSession(partition8, LossSpec.of("absolute"))
+        other = make_partition_class(FiniteDomain(8), 2)
+        with pytest.raises(InputError, match="another class"):
+            erm(other, session, LossSpec.of("absolute"))
+        with pytest.raises(InputError, match="history under absolute"):
+            erm(partition8, session, LossSpec.of("squared"))
+        with pytest.raises(InputError, match="no squared table"):
+            erm(partition8, CountTable(session, np.zeros((8, 2), dtype=int)),
+                LossSpec.of("squared"))
+
+    def test_built_from_a_multiset(self, partition8):
+        history = ExampleMultiset([(0, 1.0), (5, -1.0, 3)])
+        loss = LossSpec.of("binary_indicator")
+        session = OracleSession(partition8, loss, history)
+        assert session.items() == history.items()
+        np.testing.assert_array_equal(session.objective(partition8, loss),
+                                      _objective_table(partition8, history, loss))

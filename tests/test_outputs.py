@@ -1,10 +1,13 @@
 """The tracked outputs, pinned byte for byte: the `run` CSV of each
-`perfbench/configs` file at seed bases 0 and 7, and the
-`verify --suite all` JSON.  A change that moves any of them (a different
+`perfbench/configs` file at seed bases 0 and 7, the `verify --suite all`
+JSON, and the `run` CSV of a real-valued game (a non-binary `json`
+class under the absolute loss, with real labels), where sums of
+non-half-integer terms make the digest depend on rounding.  A change that moves any of them (a different
 amount of randomness drawn, a new column, a reordered sum) must re-pin
 the digest here and say why."""
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -24,6 +27,35 @@ RUN_SHA256 = {
     ("hint-mixed-alg3", 7): "6626e9fb9d3574a7b72292f42ccf16f9917408bf6b10dc5552d59e41d8c5cfca",
 }
 VERIFY_SHA256 = "c09da0386cd518ff9b8219efde3c53ee99ed891b4e63e1539ba55c806c7a6d77"
+
+# six real-valued hypotheses over eight instances
+REAL_CLASS = [
+    [-0.498351, 0.893506, -0.621359, -0.641417, -0.300222, -0.538918, 0.340891, -0.769841],
+    [0.792619, 0.716261, -0.994346, 0.082932, -0.786297, -0.48409, -0.166208, -0.092768],
+    [-0.063707, 0.855033, -0.482458, -0.62422, 0.341021, 0.893237, 0.845622, 0.7605],
+    [-0.871289, 0.873392, 0.298481, 0.743112, -0.183803, -0.56122, 0.58594, 0.323269],
+    [0.55768, -0.597311, -0.731297, 0.52725, -0.959543, 0.891201, -0.729824, 0.200221],
+    [-0.161986, -0.35221, -0.659507, 0.560766, 0.829049, 0.457743, 0.20057, 0.422908],
+]
+REAL_RUN_SHA256 = {
+    "alg3": "46fcddc508067f16464e819ba7d712d8e42014c3cd5d79861ac69ee261867fa7",
+    "ftl": "741500eb30c7a399c8c3e75c93b6e4491c5e44dc147599141e0130ed0b799815",
+}
+
+
+def real_valued_config(learner: str) -> dict:
+    """T=48 against a realizable-smooth adversary whose labels agree with
+    the real-valued h* w.p. 0.7 and are -h* otherwise."""
+    doc = {"domain_size": 8, "hypotheses": REAL_CLASS, "declared_dim": 2,
+           "binary": False}
+    config = {"schema_version": 1, "experiment_id": f"real-{learner}",
+              "learner": learner, "adversary": "realizable_smooth",
+              "class": {"kind": "json", "json": json.dumps(doc)},
+              "loss": "absolute", "T": 48, "sigma": 0.5, "d": 2,
+              "delta": 0.2, "seeds": [0, 1]}
+    if learner == "alg3":
+        config["hints"] = {"kind": "cyclic", "K": 2}
+    return config
 
 
 def sha256(path: Path) -> str:
@@ -48,3 +80,12 @@ def test_verify_suite_json_is_pinned(tmp_path, monkeypatch):
     out = tmp_path / "verify.json"
     assert main(["verify", "--suite", "all", "--out", str(out)]) == EXIT_OK
     assert sha256(out) == VERIFY_SHA256
+
+
+@pytest.mark.parametrize("learner", sorted(REAL_RUN_SHA256))
+def test_real_valued_run_csv_is_pinned(tmp_path, monkeypatch, learner):
+    monkeypatch.delenv("SMOOTHLAB_OUT", raising=False)
+    config, out = tmp_path / "config.json", tmp_path / "run.csv"
+    config.write_text(json.dumps(real_valued_config(learner)))
+    assert main(["run", str(config), "--out", str(out)]) == EXIT_OK
+    assert sha256(out) == REAL_RUN_SHA256[learner]
