@@ -6,9 +6,15 @@ for the realized instance is read off that table only after the learner
 has predicted, which enforces simultaneity: the adversary can adapt to
 everything up to round t-1 but not to the current prediction.
 
-Smooth kinds carry a smoothness certificate sigma checked every round;
-hint-constrained kinds instead certify that their distribution is
-supported inside the promised hint multiset Z_t.
+Smooth kinds carry a smoothness certificate sigma; hint-constrained
+kinds instead certify that their distribution is supported inside the
+promised hint multiset Z_t.  A certificate is checked once per distinct
+commitment, before any x_t is drawn from it: `Adversary` keeps each
+commitment and its CDF under a key naming everything the commitment
+depends on, and kinds whose commitment is random or fixed per round
+build and check one every round.  `next_round` draws x_t by searching
+that CDF for one uniform, the arithmetic of `Generator.choice(n,
+p=probs)`, so it draws the same index from the same stream.
 """
 
 from __future__ import annotations
@@ -101,6 +107,14 @@ class RoundCommitment:
     hint_row: np.ndarray | None  # support certificate (None if smooth)
     label_table: np.ndarray  # committed label for every x
 
+    def __post_init__(self) -> None:
+        # read-only views: a reused commitment cannot be written through
+        for name in ("probs", "hint_row", "label_table"):
+            if getattr(self, name) is not None:
+                view = np.asarray(getattr(self, name)).view()
+                view.setflags(write=False)
+                object.__setattr__(self, name, view)
+
     def check_contract(self) -> None:
         try:
             if self.sigma is None:
@@ -123,6 +137,15 @@ class RoundCommitment:
                 )
         if not (np.abs(self.label_table) <= 1.0).all():
             raise ContractViolation("committed labels leave [-1, 1]")
+
+
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The CDF that `Generator.choice(n, p=probs)` searches, computed
+    with its arithmetic; read-only."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    cdf.setflags(write=False)
+    return cdf
 
 
 def biased_label_rule(h_star_values, delta: float, rng) -> np.ndarray:
@@ -152,7 +175,9 @@ class Adversary:
         self.domain_size = hclass.domain_size
         self._visits: np.ndarray | None = None
         self._support: np.ndarray | None = None
-        self._blocks: list[np.ndarray] | None = None
+        self._block_of: np.ndarray | None = None  # instance -> block, -1 off it
+        # key -> (certified commitment, its CDF)
+        self._commitments: dict = {}
         self._setup()
 
     # -- construction ------------------------------------------------
@@ -185,8 +210,8 @@ class Adversary:
             d = spec.d
             if size % d != 0:
                 raise InputError(f"support size {size} not divisible by d={d}")
-            L = size // d
-            self._blocks = [self._support[j * L:(j + 1) * L] for j in range(d)]
+            self._block_of = np.full(self.domain_size, -1)
+            self._block_of[:size] = self._support // (size // d)
             self._visits = np.zeros(d, dtype=int)
         if kind is AdversaryKind.CUSTOM_TABLE:
             if spec.xs is None or spec.ys is None:
@@ -227,9 +252,10 @@ class Adversary:
             return self._hint_commit(t, h_star.copy())
 
         if kind is AdversaryKind.SUPPORT_ALTERNATING:
+            # each block's label flips with every visit to it
+            signs = np.where(self._visits % 2 == 0, 1.0, -1.0)
             labels = np.ones(n)
-            for j, block in enumerate(self._blocks):
-                labels[block] = 1.0 if self._visits[j] % 2 == 0 else -1.0
+            labels[self._support] = signs[self._block_of[self._support]]
             probs = np.zeros(n)
             probs[self._support] = 1.0 / self._support.size
             return RoundCommitment(probs, spec.sigma, None, labels)
@@ -250,21 +276,48 @@ class Adversary:
         probs = np.bincount(row, minlength=self.domain_size) / row.size
         return RoundCommitment(probs, None, row, labels)
 
+    def _key(self, t: int):
+        """Everything round t's commitment depends on, or None when it is
+        built afresh each round (labels drawn at delta < 1/2, or a fixed
+        sequence)."""
+        spec = self.spec
+        kind = spec.kind
+        if kind is AdversaryKind.SUPPORT_ALTERNATING:
+            return (self._visits % 2).tobytes()
+        if kind is AdversaryKind.TRANSDUCTIVE_CYCLIC or (
+                kind is AdversaryKind.REALIZABLE_SMOOTH and spec.delta == 0.5):
+            schedule = spec.hint_schedule
+            return () if schedule is None else schedule.row(t).tobytes()
+        return None
+
+    def _certified(self, t: int) -> tuple[RoundCommitment, np.ndarray]:
+        """Round t's commitment and its CDF.  A commitment is built and
+        its certificate checked when its key first appears; a repeated
+        key reuses both."""
+        key = self._key(t)
+        entry = None if key is None else self._commitments.get(key)
+        if entry is None:
+            commitment = self.commit(t)
+            commitment.check_contract()
+            entry = commitment, _cdf(commitment.probs)
+            if key is not None:
+                self._commitments[key] = entry
+        return entry
+
     def observe(self, t: int, x_t: int, yhat_t: float, y_t: float) -> None:
-        if self._blocks is not None:
-            for j, block in enumerate(self._blocks):
-                if x_t in block:
-                    self._visits[j] += 1
-                    break
+        if self._block_of is not None:
+            j = self._block_of[x_t]
+            if j >= 0:
+                self._visits[j] += 1
 
 
 def next_round(adv: Adversary, t: int, rng):
     """One protocol step: commit, sample x_t, return the label rule.
 
     Returns (commitment, x_t, label_rule) where label_rule(x) reads the
-    committed table — it is fixed before any prediction is made.
+    committed table — it is fixed before any prediction is made.  The
+    commitment is certified before any x_t is drawn from it.
     """
-    commitment = adv.commit(t)
-    commitment.check_contract()
-    x_t = int(rng.choice(adv.domain_size, p=commitment.probs))
+    commitment, cdf = adv._certified(t)
+    x_t = int(cdf.searchsorted(rng.random(), side="right"))
     return commitment, x_t, lambda x: float(commitment.label_table[x])

@@ -289,6 +289,14 @@ def _checked_columns(xs, ys, counts):
     return xs, ys, cs
 
 
+def check_example(y: float, count: int) -> None:
+    """InputError unless `count` >= 1 and the label `y` lies in [-1, 1]."""
+    if count < 1:
+        raise InputError("multiset counts must be >= 1")
+    if not -1.0 <= y <= 1.0:
+        raise InputError("label must lie in [-1, 1]")
+
+
 def _frozen(*arrays):
     for a in arrays:
         a.setflags(write=False)
@@ -356,10 +364,7 @@ class ExampleMultiset:
         """Add `count` copies of (x, y): bump the count of a present pair,
         or insert the pair at its sorted position."""
         x, y, count = int(x), float(y), int(count)
-        if count < 1:
-            raise InputError("multiset counts must be >= 1")
-        if not -1.0 <= y <= 1.0:
-            raise InputError("label must lie in [-1, 1]")
+        check_example(y, count)
         xs, ys, cs = self._xs, self._ys, self._cs
         lo, hi = xs.searchsorted(x, "left"), xs.searchsorted(x, "right")
         j = lo + ys[lo:hi].searchsorted(y)

@@ -4,8 +4,9 @@ The per-round protocol enforced by `run_game`:
 
 1. the adversary commits to a distribution over instances and a full
    label table (hashed into the transcript before any prediction);
-2. the harness samples x_t from the committed distribution and checks
-   the smoothness or hint-support certificate;
+2. the smoothness or hint-support certificate is checked, once per
+   distinct commitment and before any x_t is drawn from it, and the
+   harness samples x_t from the committed distribution;
 3. the learner predicts;
 4. the label is revealed from the committed table and the loss recorded.
 

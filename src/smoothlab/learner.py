@@ -143,8 +143,11 @@ def hint_difference_prediction(session: OracleSession, cells, x_t: int,
     lo, hi = doubled, doubled.copy()
     lo[x_t, 0] += 1
     hi[x_t, 1] += 1
-    _, v_minus = mixed_opt(hclass, session, CountTable(session, lo), loss, stats=stats)
-    _, v_plus = mixed_opt(hclass, session, CountTable(session, hi), loss, stats=stats)
+    # both tables derive from the checked one, so they enter unchecked
+    _, v_minus = mixed_opt(hclass, session, CountTable._of(session, lo), loss,
+                           stats=stats)
+    _, v_plus = mixed_opt(hclass, session, CountTable._of(session, hi), loss,
+                          stats=stats)
     yhat = v_minus - v_plus
     if abs(yhat) > 1.0 + PRED_TOL:
         raise ContractViolation(f"prediction {yhat} escaped [-1, 1]")

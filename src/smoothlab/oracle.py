@@ -25,9 +25,10 @@ recorded is the same either way.
   builds the game-loss and centered hint-loss tables over the 2|X|
   (instance, sign) cells once, checking the class values there, and
   keeps the history objective, which `OracleSession.add` checks each
-  example into and bumps by one column.  A round's (|X|, 2) count table
-  is checked when its ``CountTable`` is made, and its objective is one
-  matvec of a cell table, plus the history vector when the view
+  example into and bumps by one column.  The history multiset is built
+  only when read (`OracleSession.history`).  A round's (|X|, 2) count
+  table is checked when its ``CountTable`` is made, and its objective
+  is one matvec of a cell table, plus the history vector when the view
   includes the history.
 
 For a +-1 class under +-1 labels every term is an integer or a
@@ -47,6 +48,7 @@ from .core import (
     HypothesisClass,
     LossKind,
     LossSpec,
+    check_example,
     check_sign_args,
     count_table,
     loss_kernel,
@@ -108,12 +110,12 @@ _CELL_SIGNS = np.array([-1.0, 1.0])
 class OracleSession:
     """One learner's history, kept for its oracle calls.
 
-    Holds the history multiset, the (|H|,) history objective under the
-    learner's loss, and the (|H|, 2|X|) game-loss and centered hint-loss
-    tables over the (instance, sign) cells, built once.  The session
-    stands in a multiset slot for the history, and a `CountTable` over
-    it wraps a round's count table.  Append-only: `add` is the one
-    change.
+    Holds the (|H|,) history objective under the learner's loss, the
+    (|H|, 2|X|) game-loss and centered hint-loss tables over the
+    (instance, sign) cells, built once, and the examples added, which
+    `history` folds into a multiset when read.  The session stands in a
+    multiset slot for the history, and a `CountTable` over it wraps a
+    round's count table.  Append-only: `add` is the one change.
     """
 
     def __init__(self, hclass: HypothesisClass, loss: LossSpec,
@@ -123,7 +125,8 @@ class OracleSession:
         check_sign_args(loss, values, _CELL_SIGNS, yhat_binary=hclass.binary)
         self.hclass = hclass
         self.loss = loss
-        self.history = ExampleMultiset()  # changed only through `add`
+        self._history = ExampleMultiset()
+        self._pending: list[tuple[int, float, int]] = []  # added, not yet folded
         self._size = 0
         self._objective = np.zeros(len(hclass))
         self._tables = {kind: loss_kernel(kind, values[:, :, None], _CELL_SIGNS)
@@ -139,13 +142,23 @@ class OracleSession:
             raise InputError(f"instance {x} outside the domain of size "
                              f"{self.hclass.domain_size}")
         check_sign_args(self.loss, (), y, yhat_binary=True)
-        self.history.add(x, y, count)  # checks the label range and the count
+        check_example(y, count)
+        self._pending.append((x, y, count))
         if abs(y) == 1.0:
             column = self._tables[self.loss.kind][:, 2 * x + (y > 0)]
         else:
             column = loss_kernel(self.loss.kind, self.hclass.values[:, x], y)
         self._objective += count * column
         self._size += count
+
+    @property
+    def history(self) -> ExampleMultiset:
+        """The history multiset, with the examples added since the last
+        read folded in, in order."""
+        for example in self._pending:
+            self._history.add(*example)
+        self._pending.clear()
+        return self._history
 
     @property
     def logical_size(self) -> int:
@@ -183,10 +196,22 @@ class CountTable:
     build the multiset only when asked."""
 
     def __init__(self, session: OracleSession, cells, with_history: bool = False):
+        self._set(session, count_table(cells, session.hclass.domain_size),
+                  with_history)
+
+    @classmethod
+    def _of(cls, session: OracleSession, cells: np.ndarray) -> "CountTable":
+        """A view, without the history, of a table `core.count_table` has
+        already checked."""
+        out = cls.__new__(cls)
+        out._set(session, cells, False)
+        return out
+
+    def _set(self, session, cells, with_history) -> None:
         self.session = session
-        self.cells = count_table(cells, session.hclass.domain_size)
+        self.cells = cells
         self.with_history = with_history
-        self._counts = self.cells.reshape(-1)
+        self._counts = cells.reshape(-1)
         self._size = int(self._counts.sum())
 
     @property

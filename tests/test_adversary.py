@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothlab.adversary import (
     Adversary,
@@ -14,6 +16,7 @@ from smoothlab.adversary import (
     full_domain_schedule,
     known_sequence_schedule,
     next_round,
+    _cdf,
 )
 from smoothlab.core import (
     FiniteDomain,
@@ -330,3 +333,147 @@ class TestAdversaryStream:
         for t in range(1, 5):
             want = biased_label_rule(h_star, 0.2, rngmod.stream(9, 0, t, "adversary"))
             np.testing.assert_array_equal(adv.commit(t).label_table, want)
+
+
+@st.composite
+def committed_probs(draw):
+    """A distribution of each shape the adversaries commit: uniform,
+    uniform on a support, the `bincount` of a hint row, or arbitrary."""
+    n = draw(st.integers(1, 64))
+    shape = draw(st.sampled_from(["uniform", "support", "row", "random"]))
+    if shape == "uniform":
+        return np.full(n, 1.0 / n)
+    if shape == "support":
+        size = draw(st.integers(1, n))
+        probs = np.zeros(n)
+        probs[:size] = 1.0 / size
+        return probs
+    if shape == "row":
+        row = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=16)))
+        return np.bincount(row, minlength=n) / row.size
+    weights = np.array(draw(st.lists(st.floats(0, 1), min_size=n, max_size=n)))
+    weights[0] += weights.sum() == 0
+    return weights / weights.sum()
+
+
+class _OneCommitment:
+    """Stands in for an adversary whose every round has one commitment."""
+
+    def __init__(self, probs):
+        self.entry = (RoundCommitment(probs, None, None, np.ones(probs.size)),
+                      _cdf(probs))
+
+    def _certified(self, t):
+        return self.entry
+
+
+class TestCdfDraw:
+    @given(committed_probs(), st.integers(0, 2**32 - 1), st.integers(1, 1000))
+    @settings(max_examples=500, deadline=None)
+    def test_same_index_as_generator_choice(self, probs, seed, t):
+        _, x_t, _ = next_round(_OneCommitment(probs), t,
+                               rngmod.stream(seed, 0, t, "instance"))
+        want = rngmod.stream(seed, 0, t, "instance").choice(probs.size, p=probs)
+        assert x_t == want
+
+
+def _play(adv, T):
+    """T rounds through `next_round`, each realized round observed."""
+    for t in range(1, T + 1):
+        _, x_t, rule = next_round(adv, t, rngmod.stream(0, 0, t, "instance"))
+        adv.observe(t, x_t, 0.0, rule(x_t))
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """The commitments whose certificate is checked, in order."""
+    seen = []
+    real = RoundCommitment.check_contract
+
+    def counting(commitment):
+        seen.append(commitment)
+        return real(commitment)
+
+    monkeypatch.setattr(RoundCommitment, "check_contract", counting)
+    return seen
+
+
+_CYCLIC = cyclic_hint_schedule(16, [np.arange(j, j + 2) for j in range(0, 8, 2)])
+_SPECS = {
+    "smooth": AdversarySpec(AdversaryKind.REALIZABLE_SMOOTH),
+    "smooth_cyclic": AdversarySpec(AdversaryKind.REALIZABLE_SMOOTH,
+                                   hint_schedule=_CYCLIC),
+    "transductive_cyclic": AdversarySpec(AdversaryKind.TRANSDUCTIVE_CYCLIC,
+                                         hint_schedule=_CYCLIC),
+    "smooth_delta": AdversarySpec(AdversaryKind.REALIZABLE_SMOOTH, delta=0.2),
+    "smooth_delta_cyclic": AdversarySpec(AdversaryKind.REALIZABLE_SMOOTH, delta=0.2,
+                                         hint_schedule=_CYCLIC),
+    "custom_table": AdversarySpec(AdversaryKind.CUSTOM_TABLE, xs=tuple(range(8)) * 2,
+                                  ys=(1.0, -1.0) * 8),
+    "support_alternating": AdversarySpec(AdversaryKind.SUPPORT_ALTERNATING,
+                                         sigma=0.5, d=2),
+}
+
+
+class TestCertifiedOnce:
+    """Each distinct commitment is built and checked once per game;
+    random or per-round commitments are checked every round."""
+
+    @pytest.mark.parametrize("name, want", [
+        ("smooth", 1), ("smooth_cyclic", 4), ("transductive_cyclic", 4),
+        ("smooth_delta", 16), ("smooth_delta_cyclic", 16), ("custom_table", 16)])
+    def test_checks_per_game(self, partition8, checks, name, want):
+        _play(Adversary(_SPECS[name], partition8, T=16, seed=2), 16)
+        assert len(checks) == want
+
+    def test_support_alternating_checks_each_parity_pattern_once(self, checks):
+        hclass = make_support_partition_class(FiniteDomain(8), 4, 2)
+        adv = Adversary(_SPECS["support_alternating"], hclass, T=64, seed=0)
+        _play(adv, 64)
+        patterns = {tuple(np.flatnonzero(c.label_table < 0)) for c in checks}
+        assert len(checks) == len(patterns) <= 2**2
+
+    @pytest.mark.parametrize("name", sorted(_SPECS))
+    def test_each_round_gets_the_commitment_commit_builds(self, partition8, name):
+        hclass = (make_support_partition_class(FiniteDomain(8), 4, 2)
+                  if name == "support_alternating" else partition8)
+        adv = Adversary(_SPECS[name], hclass, T=16, seed=2)
+        for t in range(1, 17):
+            got, x_t, rule = next_round(adv, t, rngmod.stream(0, 0, t, "instance"))
+            want = adv.commit(t)
+            for a, b in zip((got.probs, got.label_table, got.hint_row),
+                            (want.probs, want.label_table, want.hint_row)):
+                np.testing.assert_array_equal(a, b)
+            assert got.sigma == want.sigma
+            adv.observe(t, x_t, 0.0, rule(x_t))
+
+    def test_a_later_distinct_commitment_is_still_checked(self, partition8,
+                                                          monkeypatch):
+        """A violation first committed in round 3, under the third hint
+        row, raises in round 3 although rounds 1 and 2 were certified."""
+        real = Adversary.commit
+
+        def escaping(adv, t):
+            c = real(adv, t)
+            if c.hint_row[0] == 4:  # the third block
+                return RoundCommitment(np.full(8, 1 / 8), None, c.hint_row,
+                                       c.label_table)
+            return c
+
+        monkeypatch.setattr(Adversary, "commit", escaping)
+        spec = AdversarySpec(AdversaryKind.TRANSDUCTIVE_CYCLIC, hint_schedule=_CYCLIC)
+        adv = Adversary(spec, partition8, T=16, seed=0)
+        _play(adv, 2)
+        with pytest.raises(ContractViolation, match="escapes"):
+            next_round(adv, 3, rngmod.stream(0, 0, 3, "instance"))
+
+    def test_committed_arrays_are_read_only(self, partition8):
+        spec = AdversarySpec(AdversaryKind.TRANSDUCTIVE_CYCLIC, hint_schedule=_CYCLIC)
+        adv = Adversary(spec, partition8, T=16, seed=0)
+        c, _, _ = next_round(adv, 1, rngmod.stream(0, 0, 1, "instance"))
+        cdf = adv._certified(1)[1]
+        for array in (c.probs, c.label_table, c.hint_row, cdf):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        # round 5 repeats round 1's hint row, so it reuses the commitment
+        assert next_round(adv, 5, rngmod.stream(0, 0, 5, "instance"))[0] is c

@@ -273,12 +273,13 @@ class TestOracleBoundary:
 
     @pytest.mark.parametrize("learner", sorted(_ORACLE_GAMES))
     def test_no_round_builds_a_multiset(self, monkeypatch, learner):
-        """Once the players exist, no round or final call aggregates pairs."""
+        """Once the players exist, no round or final call aggregates pairs
+        or folds the session's history."""
         def forbidden(*args, **kwargs):
             raise AssertionError("a round built a multiset")
 
         def forbid_then_round(*args):
-            for name in ("from_cells", "union"):
+            for name in ("from_cells", "union", "add"):
                 monkeypatch.setattr(ExampleMultiset, name, forbidden)
             monkeypatch.setattr(core, "_aggregate", forbidden)
             return next_round(*args)

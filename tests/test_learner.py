@@ -8,6 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smoothlab import core, oracle
 from smoothlab import learner as learnermod
 from smoothlab import rng as rngmod
 from smoothlab.adversary import HintSchedule, cyclic_hint_schedule, full_domain_schedule
@@ -265,6 +266,20 @@ class TestHintDifferenceRule:
             for a, b in zip(got.arrays(), want.arrays()):
                 np.testing.assert_array_equal(a, b)
                 assert a.dtype == b.dtype
+
+    def test_checks_the_table_once(self, partition8, monkeypatch):
+        """The two tables the oracle sees derive from the checked one."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return core.count_table(*args)
+
+        monkeypatch.setattr(learnermod, "count_table", counting)
+        monkeypatch.setattr(oracle, "count_table", counting)
+        hint_difference_prediction(OracleSession(partition8, LossSpec.of("absolute")),
+                                   np.ones((8, 2), dtype=int), 3, None)
+        assert len(calls) == 1
 
     def test_leaves_the_table_unchanged(self, partition8):
         cells = np.arange(16).reshape(8, 2)

@@ -547,3 +547,48 @@ class TestOracleSession:
         assert session.items() == history.items()
         np.testing.assert_array_equal(session.objective(partition8, loss),
                                       _objective_table(partition8, history, loss))
+
+
+# labels that sequential `ExampleMultiset.add` must merge or keep apart:
+# +-1, signed zeros (equal, so merged, keeping the first one's sign) and
+# reals
+HISTORY_LABEL = st.sampled_from([-1.0, 1.0, 0.0, -0.0, 0.5]) | st.floats(-1, 1)
+
+
+def _same_multiset(got: ExampleMultiset, want: ExampleMultiset) -> None:
+    """Equal arrays bit for bit, so the sign of a zero label counts."""
+    for a, b in zip(got.arrays(), want.arrays()):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestLazyHistory:
+    """`OracleSession.history` is folded from the examples on read; it
+    equals the multiset that adding each example in turn builds."""
+
+    @given(st.lists(st.tuples(st.integers(0, 7), HISTORY_LABEL, st.integers(1, 3)),
+                    max_size=24), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_history_matches_sequential_add(self, examples, data):
+        reads = data.draw(st.sets(st.integers(0, len(examples)), max_size=3))
+        session = OracleSession(make_partition_class(FiniteDomain(8), 2),
+                                LossSpec.of("absolute"))
+        ref = ExampleMultiset()
+        for i, (x, y, count) in enumerate(examples):
+            if i in reads:  # a read mid-game
+                _same_multiset(session.history, ref)
+            session.add(x, y, count)
+            ref.add(x, y, count)
+        _same_multiset(session.history, ref)
+        assert session.items() == ref.items()
+        assert session.logical_size == ref.logical_size
+
+    @pytest.mark.parametrize("y, count", [(0.5, 0), (0.5, -2), (1.5, 1),
+                                          (float("nan"), 2)])
+    def test_a_bad_example_raises_at_add_not_at_read(self, partition8, y, count):
+        session = OracleSession(partition8, LossSpec.of("absolute"))
+        session.add(2, -0.0, 2)
+        with pytest.raises(InputError):
+            session.add(3, y, count)
+        assert session.logical_size == 2
+        _same_multiset(session.history, ExampleMultiset([(2, -0.0, 2)]))
+
