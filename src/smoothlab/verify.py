@@ -19,15 +19,17 @@ Exact-mode results carry a rigorous truncation error bound instead of
 a statistical tolerance.
 
 scipy is used only by the Poisson TV/chi-square checks, which import
-``scipy.stats`` on their first call, so importing this module does not
+``scipy.special`` on their first call, so importing this module does not
 load it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from dataclasses import dataclass
 from enum import Enum
@@ -204,38 +206,70 @@ def _rademacher_args(hclass: HypothesisClass, Z, phi) -> tuple[np.ndarray, np.nd
     return Z, phi
 
 
+@functools.cache
+def _pascal(top: int) -> np.ndarray:
+    """C(c, k) for 0 <= c, k <= top, as a read-only (top + 1, top + 1)
+    table; top never exceeds EXACT_RADEMACHER_CAP."""
+    table = np.array([[math.comb(c, k) for k in range(top + 1)]
+                      for c in range(top + 1)])
+    table.setflags(write=False)
+    return table
+
+
+def _sign_counts(Z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The +1-count vectors of the Rademacher signs on Z.
+
+    A sum sum_i eps_i f(z_i) depends on the signs only through each
+    distinct instance's count k_z of +1 signs, so the 2^|Z| assignments
+    collapse to the count vectors k in prod_z [0..c_z].  Returns the
+    distinct instances in order of first appearance, their multiplicities
+    c, the count vectors as rows (the last instance's count fastest) and
+    the number prod_z C(c_z, k_z) of assignments behind each; distinct Z
+    is the case c_z = 1, where the rows are the assignments themselves.
+    """
+    tally = Counter(Z.tolist())  # in first-seen order
+    zs = np.array(list(tally), dtype=int)
+    counts = np.array(list(tally.values()), dtype=int)
+    dims = tuple(c + 1 for c in tally.values())
+    ks = np.indices(dims).reshape(len(dims), -1 if dims else 1).T
+    weights = _pascal(max(dims, default=1) - 1)[counts, ks].prod(axis=1)
+    return zs, counts, ks, weights
+
+
 def _rademacher_exact(vals, phi, Z) -> Fraction:
     """E_eps[sup_h{sum_i eps_i h(z_i) + phi(h)}] over all 2^|Z| sign
     assignments, exactly.
 
-    Every finite float is an integer times a power of two, so the value
-    table and phi are scaled to one common power of two and the
-    enumeration runs on Python ints; nothing is rounded.
+    The enumeration runs over the count vectors of `_sign_counts`: each
+    adds its weight times the supremum at the per-instance sign sums
+    2k_z - c_z.  Every finite float is an integer times a power of two,
+    so the value table and phi are scaled to one common power of two and
+    the enumeration runs on integers (int64 when the bound on every
+    partial sum allows, Python ints otherwise); nothing is rounded.
     """
     m = len(Z)
     if m > EXACT_RADEMACHER_CAP:
         raise CapacityError(f"|Z|={m} exceeds the exact enumeration cap")
-    table = np.column_stack((vals[:, Z], phi))  # (H, m + 1)
-    ratios = [v.as_integer_ratio() for v in table.ravel().tolist()]
+    zs, counts, ks, weights = _sign_counts(Z)
+    H = len(phi)
+    ratios = [v.as_integer_ratio()
+              for v in vals.T[zs].ravel().tolist() + phi.tolist()]
     scale = max(den for _, den in ratios)  # every den is a power of two
-    ints = np.array([num * (scale // den) for num, den in ratios],
-                    dtype=object).reshape(table.shape)
-    total = 0
-    chunk = 1 << 12
-    for start in range(0, 1 << m, chunk):
-        codes = np.arange(start, min(start + chunk, 1 << m))[:, None]
-        signs = (1 - 2 * ((codes >> np.arange(m)) & 1)).astype(object)
-        total += (signs @ ints[:, :m].T + ints[:, m]).max(axis=1).sum()
-    return Fraction(total, scale << m)
+    nums = [num * (scale // den) for num, den in ratios]
+    # int64 where it provably holds every partial sum, else Python ints
+    bound = max(map(abs, nums)) * (m + 1) << m
+    ints = np.array(nums, dtype=np.int64 if bound < 1 << 63 else object)
+    sups = ((2 * ks - counts) @ ints[:-H].reshape(-1, H) + ints[-H:]).max(axis=1)
+    return Fraction(int(weights @ sups), scale << m)
 
 
 def rademacher_estimate(hclass: HypothesisClass, Z, phi, mode: str = "exact",
                         trials: int = 10_000, rng=None) -> float:
     """E_eps[ sup_h { sum_i eps_i h(z_i) + phi(h) } ].
 
-    Exact mode enumerates all 2^|Z| sign assignments (|Z| <= 16) and
-    rounds the exact value once; Monte Carlo mode averages over sampled
-    assignments.
+    Exact mode enumerates the 2^|Z| sign assignments (|Z| <= 16) through
+    their per-instance +1 counts and rounds the exact value once; Monte
+    Carlo mode averages over sampled assignments.
     """
     Z, phi = _rademacher_args(hclass, Z, phi)
     if mode == "exact":
@@ -398,21 +432,28 @@ def admissibility_check(learner_kind: str, hclass: HypothesisClass,
     if tie is TiePolicy.SEEDED_RANDOM:
         raise InputError("the exact check needs a deterministic tie policy")
 
+    memo: dict = {}
+
+    def rel(t: int, history: ExampleMultiset) -> float:
+        """Rel(history) after round t, computed once per (t, multiset): the
+        hints are the schedule's rows after round t."""
+        key = (t, tuple(history.items()))
+        if key not in memo:
+            params = RelaxationParams(
+                RelaxationMode.TRANSDUCTIVE, loss.lipschitz_G, T, t)
+            memo[key] = relaxation_value(params, hclass, history, loss,
+                                         hints=hint_schedule.rows[t:T].reshape(-1))
+        return memo[key]
+
     min_slack = math.inf
     worst = ""
     for t in range(1, T + 1):
         xs_choices = [np.unique(hint_schedule.row(i)) for i in range(1, t)]
         future = hint_schedule.rows[t:T].reshape(-1)
-        params_prev = RelaxationParams(
-            RelaxationMode.TRANSDUCTIVE, loss.lipschitz_G, T, t - 1)
-        params_next = RelaxationParams(
-            RelaxationMode.TRANSDUCTIVE, loss.lipschitz_G, T, t)
         for xs in itertools.product(*xs_choices):
             for ys in itertools.product((-1.0, 1.0), repeat=t - 1):
                 history = ExampleMultiset(zip(map(int, xs), ys))
-                rel_prev = relaxation_value(
-                    params_prev, hclass, history, loss,
-                    hints=hint_schedule.rows[t - 1:T].reshape(-1))
+                rel_prev = rel(t - 1, history)
                 lhs = -math.inf
                 for x_t in np.unique(hint_schedule.row(t)):
                     preds = _learner_action_distribution(
@@ -422,15 +463,13 @@ def admissibility_check(learner_kind: str, hclass: HypothesisClass,
                                        for yhat, p in preds)
                         hist_next = history.union(
                             ExampleMultiset([(int(x_t), y_t)]))
-                        rel_next = relaxation_value(
-                            params_next, hclass, hist_next, loss, hints=future)
-                        lhs = max(lhs, exp_loss + rel_next)
+                        lhs = max(lhs, exp_loss + rel(t, hist_next))
                 slack = rel_prev - lhs
                 if slack < min_slack:
                     min_slack = slack
                     worst = f"t={t}, xs={xs}, ys={ys}"
 
-    cond2_gap = _condition2_gap(hclass, loss, hint_schedule)
+    cond2_gap = _condition2_gap(hclass, loss, hint_schedule, rel)
     passed = (min_slack >= -tol) and (abs(cond2_gap) <= tol)
     return VerificationReport(
         name=f"admissibility_{learner_kind}",
@@ -451,32 +490,30 @@ def _learner_action_distribution(kind, hclass, history, loss, future_hints,
     if kind == "ftl":
         idx, _ = erm(hclass, session, loss, tie=tie, query_point=x_t)
         return [(float(hclass.values[idx, x_t]), 1.0)]
-    # one prediction of the production rule per Rademacher assignment,
-    # with the hints counted into the (instance, sign) table it takes
-    X = hclass.domain_size
-    preds = [
-        learnermod.hint_difference_prediction(
-            session,
-            np.bincount(2 * future_hints + np.array(plus, dtype=int),
-                        minlength=2 * X).reshape(X, 2),
-            x_t, None)
-        for plus in itertools.product((0, 1), repeat=len(future_hints))]
-    p = 1.0 / len(preds)
-    return [(yhat, p) for yhat in preds]
+    # one prediction of the production rule per +1-count vector of the
+    # hints' Rademacher signs, with the hints counted into the (instance,
+    # sign) table it takes and the vector's share of the 2^m assignments
+    zs, counts, ks, weights = _sign_counts(future_hints)
+    cells = np.zeros((len(ks), hclass.domain_size, 2), dtype=int)
+    cells[:, zs, 0] = counts - ks
+    cells[:, zs, 1] = ks
+    assignments = 1 << len(future_hints)
+    return [(learnermod.hint_difference_prediction(session, table, x_t, None),
+             weight / assignments)
+            for table, weight in zip(cells, weights.tolist())]
 
 
-def _condition2_gap(hclass, loss, hint_schedule) -> float:
-    """max over full sequences of |Rel(s_{1:T}) + inf_h L(h, s_{1:T})|."""
+def _condition2_gap(hclass, loss, hint_schedule, rel) -> float:
+    """max over full sequences of |Rel(s_{1:T}) + inf_h L(h, s_{1:T})|,
+    with Rel read through the admissibility check's memo `rel`."""
     T = hint_schedule.T
-    params = RelaxationParams(RelaxationMode.TRANSDUCTIVE, loss.lipschitz_G, T, T)
     gap = 0.0
     xs_choices = [np.unique(hint_schedule.row(i)) for i in range(1, T + 1)]
     for xs in itertools.product(*xs_choices):
         for ys in itertools.product((-1.0, 1.0), repeat=T):
             seq = ExampleMultiset(zip(map(int, xs), ys))
-            rel = relaxation_value(params, hclass, seq, loss)
             best = _objective_table(hclass, seq, loss).min()
-            gap = max(gap, abs(rel + best))
+            gap = max(gap, abs(rel(T, seq) + best))
     return gap
 
 
@@ -492,14 +529,22 @@ class ExactValue(NamedTuple):
 
 
 def _poisson_support(lam: float, tail: float = TRUNC_TAIL) -> tuple[np.ndarray, np.ndarray]:
-    """Values 0..M covering all but `tail` of Poi(lam), with their pmf."""
+    """Values 0..M covering all but `tail` of Poi(lam), with their pmf.
+
+    The arithmetic is `scipy.stats.poisson`'s, bit for bit: M is two past
+    its ppf at 1 - tail/4 (the least k with pdtr(k, lam) >= q, found from
+    ceil(pdtrik(q, lam))) and the pmf is exp(k ln lam - ln k! - lam).
+    """
     if lam == 0:
         return np.array([0]), np.array([1.0])
-    # imported here: scipy.stats takes ~1 s to load, and only the Poisson checks use it
-    from scipy.stats import poisson
-    M = int(poisson.ppf(1.0 - tail / 4.0, lam)) + 2
-    ks = np.arange(M + 1)
-    return ks, poisson.pmf(ks, lam)
+    # imported here: only the Poisson checks use scipy
+    from scipy.special import gammaln, pdtr, pdtrik, xlogy
+    q = 1.0 - tail / 4.0
+    ppf = math.ceil(pdtrik(q, lam))
+    if ppf > 0 and pdtr(ppf - 1.0, lam) >= q:
+        ppf -= 1
+    ks = np.arange(ppf + 3)
+    return ks, np.exp(xlogy(ks, lam) - gammaln(ks + 1) - lam)
 
 
 def tv_exact_poisson(n: float, domain_size: int, D: SmoothDistribution,
@@ -510,42 +555,47 @@ def tv_exact_poisson(n: float, domain_size: int, D: SmoothDistribution,
     Coordinates are i.i.d. Poi(n/2|X|); only the |X| coordinates matched
     by the labeling enter the likelihood ratio, so
 
-        TV = (1/2) E_P | sum_x D(x) * (2|X| n_{y(x)}(x) / n) - 1 |
+        TV = (1/2) E_P | sum_x D(x) * (2|X| n_{y(x)}(x) / n) - 1 |.
 
-    evaluated by enumerating the relevant coordinates with per-
-    coordinate tails below 1e-12.  The returned error bound covers the
-    truncated mass of both P and Q.
+    Atoms of equal weight enter only through their sum, so the positive
+    atoms are grouped by weight: a group of m atoms of weight w is one
+    Poi(m n/2|X|) coordinate with coefficient 2|X| w/n.  Uniform D is a
+    single Poi(n/2) and all-distinct weights are one atom per group.  The
+    groups are enumerated with per-group tails below 1e-12, and the
+    returned error bound covers the truncated mass of both P and Q.
     """
     if domain_size > 4:
         raise CapacityError("exact Poisson TV capped at |X| <= 4")
     if len(D.probs) != domain_size:
         raise InputError("distribution size disagrees with the domain")
-    if labeling is not None and len(labeling) != domain_size:
-        raise InputError("labeling must cover the domain")
+    if labeling is not None:
+        labels = np.asarray(labeling, dtype=float)
+        if labels.shape != (domain_size,) or not np.all(np.abs(labels) == 1.0):
+            raise InputError("labeling must give -1 or +1 for every instance")
     if n <= 0:
         # Poi(0) is the point mass at zero; its unit shift is disjoint.
         return ExactValue(1.0, 0.0)
 
-    lam = n / (2.0 * domain_size)
     weights = np.asarray(D.probs, dtype=float)
-    atoms = np.flatnonzero(weights > 0)
-    coeffs = weights[atoms] * (2.0 * domain_size / n)
+    w, m = np.unique(weights[weights > 0], return_counts=True)
+    coeffs = w * (2.0 * domain_size) / n
+    supports = [_poisson_support(n * k / (2.0 * domain_size)) for k in m.tolist()]
 
-    ks, pmf = _poisson_support(lam)
-    covered_P = pmf.sum() ** atoms.size
-    # Under Q the shifted coordinate needs one more unit of support.
-    covered_Q_shift = pmf[:-1].sum()
-    covered_Q = covered_Q_shift * pmf.sum() ** (atoms.size - 1)
+    mass = np.array([pmf.sum() for _, pmf in supports])
+    covered_P = float(np.prod(mass))
+    # Under Q_{x*} the group of x* needs one more unit of support.
+    shifted = np.array([pmf[:-1].sum() for _, pmf in supports])
+    covered_Q = covered_P * float((w * m) @ (shifted / mass))
     err = 0.5 * ((1.0 - covered_P) + (1.0 - covered_Q))
 
-    # accumulate the partial sums over all but the last coordinate
+    # accumulate the partial sums over all but the last group
     sums = np.zeros(1)
     probs = np.ones(1)
-    for c in coeffs[:-1]:
+    for c, (ks, pmf) in zip(coeffs[:-1], supports[:-1]):
         sums = (sums[:, None] + c * ks[None, :]).reshape(-1)
         probs = (probs[:, None] * pmf[None, :]).reshape(-1)
     total = 0.0
-    c_last = coeffs[-1]
+    c_last, (ks, pmf) = coeffs[-1], supports[-1]
     for k, p in zip(ks, pmf):
         total += p * float(probs @ np.abs(sums + c_last * k - 1.0))
     return ExactValue(0.5 * total, float(err))

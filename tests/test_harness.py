@@ -383,8 +383,8 @@ class TestCli:
         return json.loads(done.stdout.splitlines()[-1])
 
     def test_games_never_load_scipy(self, tmp_path):
-        """scipy.stats takes about a second to import and only verify's
-        Poisson checks use it, so a game's process must not load it."""
+        """Only verify's Poisson checks use scipy, so a game's process must
+        not load it."""
         cfg = self._write_config(tmp_path, learner="ftl", T=4, n=None)
         seen, rcs = self._loaded_after("scipy", [
             "import smoothlab",
@@ -414,6 +414,19 @@ class TestCli:
         ], tmp_path)
         assert rcs == [EXIT_OK]
         assert seen == [False, True]
+
+    @pytest.mark.parametrize("module, loaded", [("scipy.special", True),
+                                                 ("scipy.stats", False)])
+    def test_verify_suite_loads_scipy_special_not_stats(self, tmp_path, module, loaded):
+        """The Poisson checks use scipy.special's arithmetic directly;
+        scipy.stats, several times larger, is never loaded."""
+        seen, rcs = self._loaded_after(module, [
+            "import smoothlab.cli",
+            "rcs.append(smoothlab.cli.main(['verify', '--suite', 'all', "
+            "'--out', 'all.json']))",
+        ], tmp_path)
+        assert rcs == [EXIT_OK]
+        assert seen == [False, loaded]
 
     def test_run_subcommand(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)

@@ -26,7 +26,7 @@ RUN_SHA256 = {
     ("hint-mixed-alg3", 0): "60b313e1270c0e30e0c9bc29374e227991a682c314930ed435162e216c59c173",
     ("hint-mixed-alg3", 7): "6626e9fb9d3574a7b72292f42ccf16f9917408bf6b10dc5552d59e41d8c5cfca",
 }
-VERIFY_SHA256 = "c09da0386cd518ff9b8219efde3c53ee99ed891b4e63e1539ba55c806c7a6d77"
+VERIFY_SHA256 = "79110cb68e75ae142d74e52b01f204c15807222899abc72a301fc9c0ee5f88c1"
 
 # six real-valued hypotheses over eight instances
 REAL_CLASS = [

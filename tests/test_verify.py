@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothlab import learner, verify
-from smoothlab.adversary import HintSchedule, full_domain_schedule
+from smoothlab.adversary import HintSchedule, cyclic_hint_schedule, full_domain_schedule
 from smoothlab.core import (
     ExampleMultiset,
     FiniteDomain,
@@ -20,9 +20,10 @@ from smoothlab.core import (
     LossSpec,
     SmoothDistribution,
     make_partition_class,
+    make_shatter_class,
 )
 from smoothlab.errors import CapacityError, InputError
-from smoothlab.oracle import TiePolicy, erm
+from smoothlab.oracle import OracleSession, TiePolicy, erm
 from smoothlab.verify import (
     RelaxationMode,
     RelaxationParams,
@@ -165,6 +166,47 @@ class TestRademacher:
         ref = _rademacher_reference(hclass.values, phi, Z)
         assert verify._rademacher_exact(hclass.values, phi, np.array(Z, dtype=int)) == ref
         assert rademacher_estimate(hclass, Z, phi) == float(ref)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_Z_matches_reference(self, data):
+        """Z with repeated instances: the count-vector enumeration equals
+        the sign-by-sign Fraction reference exactly."""
+        binary = data.draw(st.booleans())
+        n_h = data.draw(st.integers(1, 5))
+        size = data.draw(st.integers(1, 4))
+        entry = st.sampled_from([-1.0, 1.0]) if binary else st.floats(-1, 1)
+        vals = np.array(data.draw(st.lists(
+            st.lists(entry, min_size=size, max_size=size), min_size=n_h, max_size=n_h)))
+        reps = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=4))
+        counts = data.draw(st.lists(st.integers(2, 4), min_size=len(reps),
+                                    max_size=len(reps)))
+        Z = [z for z, c in zip(reps, counts) for _ in range(c)][:9]
+        Z = data.draw(st.permutations(Z))
+        phi = np.array(data.draw(st.lists(_PHI_ENTRY, min_size=n_h, max_size=n_h)))
+        got = verify._rademacher_exact(vals, phi, np.array(Z, dtype=int))
+        assert got == _rademacher_reference(vals, phi, Z)
+
+    @pytest.mark.parametrize("phi_scale", [2.0 ** 52, 2.0 ** 55, 2.0 ** 56, 2.0 ** 62],
+                             ids=["2^52", "2^55", "2^56", "2^62"])
+    def test_exact_across_the_int64_bound(self, phi_scale):
+        """Values near the int64 limit, on both sides of the bound that
+        chooses int64 or Python ints, stay exact."""
+        vals = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0]]) * phi_scale
+        phi = np.array([phi_scale, -phi_scale])
+        Z = [0, 1, 1, 2, 0]
+        got = verify._rademacher_exact(vals, phi, np.array(Z))
+        assert got == _rademacher_reference(vals, phi, Z)
+
+    def test_count_vectors_and_weights(self):
+        """Distinct instances in first-seen order; one row per +1-count
+        vector, the last instance fastest, weighted by prod C(c, k)."""
+        zs, counts, ks, weights = verify._sign_counts(np.array([3, 1, 3]))
+        assert zs.tolist() == [3, 1] and counts.tolist() == [2, 1]
+        assert ks.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1], [2, 0], [2, 1]]
+        assert weights.tolist() == [1, 1, 2, 2, 1, 1]
+        zs, counts, ks, weights = verify._sign_counts(np.array([], dtype=int))
+        assert ks.shape == (1, 0) and weights.tolist() == [1]
 
     @pytest.mark.parametrize("Z, phi", [
         ([-1], np.zeros(2)),
@@ -334,6 +376,59 @@ class TestAdmissibility:
         alg3 = learner.Alg3Transductive(const_class, loss, 2, sched)
         assert alg3.predict(1, 0) == 1.0
 
+    def test_relaxation_computed_once_per_history(self, monkeypatch):
+        """At T=3, K=2 the check reads Rel at 169 (round, history) points
+        but computes it once per distinct (round, multiset): 1 + 4 + 16 +
+        40 = 61 calls, condition 2 included."""
+        hclass = make_shatter_class(FiniteDomain(4), [0, 1, 2])
+        sched = cyclic_hint_schedule(3, [np.arange(2), np.arange(2, 4)])
+        loss = LossSpec.of("absolute")
+        seen = []
+        real = verify.relaxation_value
+
+        def counting(params, hclass, history, loss, hints=None, **kw):
+            seen.append((params.t, tuple(history.items())))
+            return real(params, hclass, history, loss, hints=hints, **kw)
+
+        monkeypatch.setattr(verify, "relaxation_value", counting)
+        report = admissibility_check("alg3", hclass, loss, sched)
+        assert report.passed
+        assert len(seen) == len(set(seen)) == 61
+        assert sorted(t for t, _ in set(seen)) == [0] + [1] * 4 + [2] * 16 + [3] * 40
+
+    @pytest.mark.parametrize("future", [[0], [1, 0], [0, 0], [2, 0, 2],
+                                        [1, 1, 1, 0], [2, 3, 2, 3, 2]],
+                             ids=lambda f: "-".join(map(str, f)))
+    def test_alg3_action_law_matches_sign_by_sign(self, future, monkeypatch):
+        """The count-level law of yhat_t equals the law from one
+        prediction per Rademacher sign vector, exactly, with one
+        prediction per count vector."""
+        hclass = make_shatter_class(FiniteDomain(4), [0, 1, 2])
+        loss = LossSpec.of("absolute")
+        history = ExampleMultiset([(0, 1.0), (3, -1.0), (3, 1.0)])
+        future = np.array(future)
+        x_t = 1
+        session = OracleSession(hclass, loss, history)
+        expect = {}
+        for plus in itertools.product((0, 1), repeat=future.size):
+            cells = np.bincount(2 * future + np.array(plus, dtype=int),
+                                minlength=8).reshape(4, 2)
+            yhat = learner.hint_difference_prediction(session, cells, x_t, None)
+            expect[yhat] = expect.get(yhat, 0.0) + 0.5 ** future.size
+
+        calls = []
+        rule = learner.hint_difference_prediction
+        monkeypatch.setattr(learner, "hint_difference_prediction",
+                            lambda *a: calls.append(a) or rule(*a))
+        preds = verify._learner_action_distribution(
+            "alg3", hclass, history, loss, future, x_t, TiePolicy.PREFER_NEGATIVE)
+        got = {}
+        for yhat, p in preds:
+            got[yhat] = got.get(yhat, 0.0) + p
+        assert got == expect
+        _, counts = np.unique(future, return_counts=True)
+        assert len(calls) == np.prod(counts + 1)
+
     def test_ftl_negative_control(self, const_class):
         sched = HintSchedule([[0], [0]])
         report = admissibility_check("ftl", const_class,
@@ -359,6 +454,38 @@ class TestAdmissibility:
         with pytest.raises(InputError, match="deterministic tie policy"):
             admissibility_check(kind, const_class, LossSpec.of("absolute"),
                                 sched, tie=TiePolicy.SEEDED_RANDOM)
+
+
+def _tv_reference(n, domain_size, D):
+    """The per-atom enumeration: every positive atom is its own
+    Poi(n/2|X|) coordinate, with the error bound of both truncations."""
+    lam = n / (2.0 * domain_size)
+    weights = np.asarray(D.probs, dtype=float)
+    coeffs = weights[weights > 0] * (2.0 * domain_size / n)
+    ks, pmf = verify._poisson_support(lam)
+    covered_P = pmf.sum() ** coeffs.size
+    covered_Q = pmf[:-1].sum() * pmf.sum() ** (coeffs.size - 1)
+    sums, probs = np.zeros(1), np.ones(1)
+    for c in coeffs[:-1]:
+        sums = (sums[:, None] + c * ks[None, :]).reshape(-1)
+        probs = (probs[:, None] * pmf[None, :]).reshape(-1)
+    total = sum(p * float(probs @ np.abs(sums + coeffs[-1] * k - 1.0))
+                for k, p in zip(ks, pmf))
+    return 0.5 * total, 0.5 * ((1.0 - covered_P) + (1.0 - covered_Q))
+
+
+def _tv_cases():
+    """(|X|, n, D, labeling) over uniform, polytope-vertex and Dirichlet D."""
+    rng = np.random.default_rng(14)
+    for size in (2, 3, 4):
+        Ds = [SmoothDistribution.uniform(size)]
+        Ds += [SmoothDistribution(v, 0.5) for v in smooth_polytope_vertices(size, 0.5)[:2]]
+        for _ in range(2):
+            p = rng.dirichlet(np.ones(size) * 2.0)
+            Ds.append(SmoothDistribution(p, 1.0 / (size * float(p.max()))))
+        for n in (4.0, 16.0, 64.0) + ((256.0,) if size <= 3 else ()):
+            for D in Ds:
+                yield size, n, D, list(rng.choice([-1.0, 1.0], size=size))
 
 
 class TestPoissonTv:
@@ -393,6 +520,55 @@ class TestPoissonTv:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             tv_exact_poisson(4.0, 5, SmoothDistribution.uniform(5))
+
+    @pytest.mark.parametrize("labeling", [[0.0, 5.0], [1.0, 0.0], [1.0],
+                                          [1.0, math.nan], [-1.0, 1.0, 1.0]],
+                             ids=["0-5", "1-0", "short", "nan", "long"])
+    def test_rejects_bad_labeling(self, labeling):
+        with pytest.raises(InputError):
+            tv_exact_poisson(4.0, 2, SmoothDistribution.uniform(2), labeling=labeling)
+
+    def test_matches_per_atom_enumeration(self):
+        """Grouping equal atoms moves the TV by no more than the two
+        truncation bounds together."""
+        for size, n, D, labeling in _tv_cases():
+            got = tv_exact_poisson(n, size, D, labeling=labeling)
+            ref, ref_err = _tv_reference(n, size, D)
+            assert abs(got.value - ref) <= got.error_bound + ref_err, (size, n, D)
+            assert got.error_bound <= 1e-9
+
+    @pytest.mark.parametrize("n", [4.0, 16.0, 64.0, 256.0])
+    def test_uniform_is_one_poisson_whatever_the_domain(self, n):
+        """Uniform D is a single Poi(n/2) group, so |X| = 2, 3 and 4 give
+        the same bits."""
+        got = {tv_exact_poisson(n, size, SmoothDistribution.uniform(size))
+               for size in (2, 3, 4)}
+        assert len(got) == 1
+
+
+# every Poisson mean the suite, criteria 2-3 and the benchmark reach: each
+# group of m atoms of an |X|-point domain, the chi-square check's n/2|X|,
+# the shifted-TV means, and fractional and tiny means
+_POISSON_MEANS = sorted(
+    {n * m / (2.0 * size) for n in (4.0, 16.0, 64.0, 256.0)
+     for size in (2, 3, 4) for m in range(1, size + 1)}
+    | set(range(1, 257)) | {0.5, 1.0, 4.0, 8.0, 17.3, 1024.0, 1e-3, 1.0 / 3.0})
+
+
+class TestPoissonSupport:
+    @pytest.mark.parametrize("tail", [verify.TRUNC_TAIL, 1e-14])
+    def test_matches_scipy_stats_bit_for_bit(self, tail):
+        """The end of the support is two past poisson.ppf(1 - tail/4) and
+        the pmf is poisson.pmf, bit for bit."""
+        for lam in _POISSON_MEANS:
+            ks, pmf = verify._poisson_support(lam, tail)
+            M = int(scipy.stats.poisson.ppf(1.0 - tail / 4.0, lam)) + 2
+            assert ks.tolist() == list(range(M + 1)), lam
+            assert pmf.tobytes() == scipy.stats.poisson.pmf(ks, lam).tobytes(), lam
+
+    def test_zero_mean_is_a_point_mass(self):
+        ks, pmf = verify._poisson_support(0.0)
+        assert ks.tolist() == [0] and pmf.tolist() == [1.0]
 
 
 class TestChiSquare:
