@@ -65,14 +65,13 @@ class HintSchedule:
 
 def known_sequence_schedule(xs) -> HintSchedule:
     """K=1 schedule equal to the true sequence: classical transduction."""
-    xs = np.asarray(xs, dtype=int)
-    return HintSchedule(xs.reshape(-1, 1))
+    return HintSchedule(whole_numbers(xs, "xs").reshape(-1, 1))
 
 
 def cyclic_hint_schedule(T: int, blocks) -> HintSchedule:
     """Round t's hints are block (t-1) mod len(blocks); all blocks must
     share one size K."""
-    blocks = [np.asarray(b, dtype=int) for b in blocks]
+    blocks = [whole_numbers(b, "hint blocks") for b in blocks]
     if not blocks:
         raise InputError("need at least one block")
     K = blocks[0].size

@@ -41,8 +41,7 @@ import math
 import numpy as np
 
 from .adversary import HintSchedule
-from .core import (ExampleMultiset, HypothesisClass, LossKind, LossSpec,
-                   count_table, loss_eval)
+from .core import HypothesisClass, LossKind, LossSpec, count_table
 from .errors import CapacityError, ContractViolation, InputError
 from .oracle import CountTable, OracleSession, OracleStats, TiePolicy, erm, mixed_opt
 from . import rng as rngmod
@@ -87,10 +86,6 @@ class Learner:
         self.tie = tie
         self.stats = OracleStats()
         self.session = OracleSession(hclass, loss)
-
-    @property
-    def history(self) -> ExampleMultiset:
-        return self.session.history
 
     def _stream(self, t: int, purpose: str):
         return rngmod.stream(self.seed, self.run, t, purpose)
@@ -286,13 +281,13 @@ class HedgeLearner(Learner):
         if eta <= 0:
             raise InputError("Hedge learning rate must be positive")
         self.eta = float(eta)
-        self.cumulative_losses = np.zeros(len(hclass))
 
     @property
     def weights(self) -> np.ndarray:
         """Normalized exp(-eta * cumulative loss), shifted by the smallest
-        loss so no weight underflows to zero for all."""
-        losses = self.cumulative_losses
+        loss so no weight underflows to zero for all; the cumulative
+        losses are the session's history objective."""
+        losses = self.session.objective(self.hclass, self.loss)
         w = np.exp(-self.eta * (losses - losses.min()))
         return w / w.sum()
 
@@ -300,8 +295,3 @@ class HedgeLearner(Learner):
         rng = self._stream(t, "hedge")
         idx = int(rng.choice(len(self.hclass), p=self.weights))
         return float(self.hclass.values[idx, x_t])
-
-    def update(self, t: int, x_t: int, y_t: float) -> None:
-        self.cumulative_losses += loss_eval(
-            self.loss, self.hclass.values[:, x_t], float(y_t))
-        super().update(t, x_t, y_t)

@@ -12,7 +12,7 @@ hypothesis class only through these entry points.
 
 A multiset slot takes an ``ExampleMultiset`` or, on a learner's path,
 an ``OracleSession`` or one of its ``CountTable`` views; each exposes
-``logical_size``, ``items()`` and ``arrays()``, and the input length
+``logical_size``, ``items()`` and ``objective()``, and the input length
 recorded is the same either way.
 
 * An ``ExampleMultiset`` objective evaluates the unchecked
@@ -24,12 +24,11 @@ recorded is the same either way.
 * An ``OracleSession`` is one learner's history, kept incrementally.  It
   builds the game-loss and centered hint-loss tables over the 2|X|
   (instance, sign) cells once, checking the class values there, and
-  keeps the history objective, which `OracleSession.add` checks each
-  example into and bumps by one column.  The history multiset is built
-  only when read (`OracleSession.history`).  A round's (|X|, 2) count
-  table is checked when its ``CountTable`` is made, and its objective
-  is one matvec of a cell table, plus the history vector when the view
-  includes the history.
+  keeps the history as one (x, y) -> count dict beside the history
+  objective; `OracleSession.add` checks each example into both.  A
+  round's (|X|, 2) count table is checked when its ``CountTable`` is
+  made, and its objective is one matvec of a cell table, plus the
+  history vector when the view includes the history.
 
 For a +-1 class under +-1 labels every term is an integer or a
 half-integer, so both ways give the same floats in any summation order;
@@ -112,10 +111,10 @@ class OracleSession:
 
     Holds the (|H|,) history objective under the learner's loss, the
     (|H|, 2|X|) game-loss and centered hint-loss tables over the
-    (instance, sign) cells, built once, and the examples added, which
-    `history` folds into a multiset when read.  The session stands in a
-    multiset slot for the history, and a `CountTable` over it wraps a
-    round's count table.  Append-only: `add` is the one change.
+    (instance, sign) cells, built once, and the history itself as one
+    (x, y) -> count dict.  The session stands in a multiset slot for the
+    history, and a `CountTable` over it wraps a round's count table.
+    Append-only: `add` is the one change.
     """
 
     def __init__(self, hclass: HypothesisClass, loss: LossSpec,
@@ -125,8 +124,7 @@ class OracleSession:
         check_sign_args(loss, values, _CELL_SIGNS, yhat_binary=hclass.binary)
         self.hclass = hclass
         self.loss = loss
-        self._history = ExampleMultiset()
-        self._pending: list[tuple[int, float, int]] = []  # added, not yet folded
+        self._counts: dict[tuple[int, float], int] = {}
         self._size = 0
         self._objective = np.zeros(len(hclass))
         self._tables = {kind: loss_kernel(kind, values[:, :, None], _CELL_SIGNS)
@@ -143,7 +141,7 @@ class OracleSession:
                              f"{self.hclass.domain_size}")
         check_sign_args(self.loss, (), y, yhat_binary=True)
         check_example(y, count)
-        self._pending.append((x, y, count))
+        self._counts[x, y] = self._counts.get((x, y), 0) + count
         if abs(y) == 1.0:
             column = self._tables[self.loss.kind][:, 2 * x + (y > 0)]
         else:
@@ -152,23 +150,12 @@ class OracleSession:
         self._size += count
 
     @property
-    def history(self) -> ExampleMultiset:
-        """The history multiset, with the examples added since the last
-        read folded in, in order."""
-        for example in self._pending:
-            self._history.add(*example)
-        self._pending.clear()
-        return self._history
-
-    @property
     def logical_size(self) -> int:
         return self._size
 
-    def items(self):
-        return self.history.items()
-
-    def arrays(self):
-        return self.history.arrays()
+    def items(self) -> list[tuple[tuple[int, float], int]]:
+        """((x, y), count) for each distinct pair, in first-seen order."""
+        return list(self._counts.items())
 
     def _check_class(self, hclass: HypothesisClass) -> None:
         if hclass is not self.hclass:
@@ -192,8 +179,7 @@ class OracleSession:
 class CountTable:
     """An (|X|, 2) (instance, sign) count table in a multiset slot, read
     through its session's cell tables, optionally with the session's
-    history added.  The table is checked here; `items()` and `arrays()`
-    build the multiset only when asked."""
+    history added.  The table is checked here."""
 
     def __init__(self, session: OracleSession, cells, with_history: bool = False):
         self._set(session, count_table(cells, session.hclass.domain_size),
@@ -218,15 +204,13 @@ class CountTable:
     def logical_size(self) -> int:
         return self._size + (self.session.logical_size if self.with_history else 0)
 
-    def _multiset(self) -> ExampleMultiset:
-        cells = ExampleMultiset.from_cells(self.cells)
-        return self.session.history.union(cells) if self.with_history else cells
-
-    def items(self):
-        return self._multiset().items()
-
-    def arrays(self):
-        return self._multiset().arrays()
+    def items(self) -> list[tuple[tuple[int, float], int]]:
+        """((x, y), count) for each distinct pair: the table's in (x, y)
+        order, or with the history, merged into the session's."""
+        merged = dict(self.session._counts) if self.with_history else {}
+        for pair, count in ExampleMultiset.from_cells(self.cells).items():
+            merged[pair] = merged.get(pair, 0) + count
+        return list(merged.items())
 
     def objective(self, hclass: HypothesisClass, loss: LossSpec) -> np.ndarray:
         obj = self.session._cell_table(hclass, loss) @ self._counts

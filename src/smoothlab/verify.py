@@ -44,14 +44,15 @@ from .core import (
     LossSpec,
     SmoothDistribution,
     loss_eval,
+    whole_numbers,
 )
 from .errors import CapacityError, InputError
-from .oracle import CountTable, OracleSession, TiePolicy, _objective_table, erm
+from .oracle import CountTable, OracleSession, TiePolicy, _objective, erm
 from . import learner as learnermod
 
 TRUNC_TAIL = 1e-12
 EXACT_RADEMACHER_CAP = 16
-ADMISSIBILITY_CAPS = {"domain": 4, "T": 3, "K": 2, "class": 8}
+ADMISSIBILITY_CAPS = {"domain": 4, "T": 5, "K": 2, "class": 8}
 
 
 @dataclass
@@ -139,7 +140,7 @@ def coupling_select(samples, P, Q, sigma: float, rng):
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
     _check_ratio(P, Q, sigma)
-    samples = np.asarray(samples, dtype=int)
+    samples = whole_numbers(samples, "samples")
     p_accept = sigma * P[samples] / Q[samples]
     accepted = np.flatnonzero(rng.random(samples.size) < p_accept)
     if accepted.size == 0:
@@ -197,7 +198,7 @@ def coupling_montecarlo(P, Q, sigma: float, m: int, trials: int, rng,
 
 def _rademacher_args(hclass: HypothesisClass, Z, phi) -> tuple[np.ndarray, np.ndarray]:
     """Z as domain indices and phi as one finite real per hypothesis."""
-    Z = np.asarray(Z, dtype=int).reshape(-1)
+    Z = whole_numbers(Z, "Z").reshape(-1)
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (len(hclass),) or not np.all(np.isfinite(phi)):
         raise InputError("phi must assign one finite real to each hypothesis")
@@ -307,9 +308,10 @@ def monotonicity_check(hclass: HypothesisClass, Z, phi, x: int) -> VerificationR
 # ---------------------------------------------------------------------------
 
 def relaxation_value(params: RelaxationParams, hclass: HypothesisClass,
-                     history: ExampleMultiset, loss: LossSpec,
+                     history, loss: LossSpec,
                      hints=None, trials: int = 2000, rng=None) -> float:
-    """Value of the relaxation potential after history s_{1:t}.
+    """Value of the relaxation potential after history s_{1:t}, any
+    multiset slot of the oracles.
 
     transductive:  2G * E_eps sup_h { sum eps h(z) - L^r(h, history) }
                    over the supplied future hints (exact when small).
@@ -320,10 +322,10 @@ def relaxation_value(params: RelaxationParams, hclass: HypothesisClass,
                    with the centered binary loss L(h,(x,y)) = -y h(x)/2.
     """
     G = params.G
-    hist_loss = _objective_table(hclass, history, loss)
+    hist_loss = _objective(hclass, history, loss)
 
     if params.mode is RelaxationMode.TRANSDUCTIVE:
-        Z = np.asarray([] if hints is None else hints, dtype=int)
+        Z = whole_numbers([] if hints is None else hints, "hints")
         mode = "exact" if Z.size <= EXACT_RADEMACHER_CAP else "mc"
         return 2.0 * G * rademacher_estimate(hclass, Z, -hist_loss / (2.0 * G),
                                              mode=mode, trials=trials, rng=rng)
@@ -344,8 +346,7 @@ def relaxation_value(params: RelaxationParams, hclass: HypothesisClass,
         return 2.0 * G * acc / trials + 2.0 * G * beta * (params.T - params.t)
 
     if params.mode is RelaxationMode.FTPL:
-        phi = -_objective_table(hclass, history,
-                                LossSpec(LossKind.CENTERED_BINARY))
+        phi = -_objective(hclass, history, LossSpec(LossKind.CENTERED_BINARY))
         eta = eta_budget(params.n, params.sigma, params.d, params.T,
                          params.c) if params.n > 0 else 0.0
         slack = eta * (params.T - params.t)
@@ -409,7 +410,7 @@ def admissibility_check(learner_kind: str, hclass: HypothesisClass,
     """Exact per-round admissibility of a learner against the
     hint-based (transductive) relaxation.
 
-    Enumerates every prefix (instances from the hint rows, labels in
+    Enumerates every history (instances from the hint rows, labels in
     {-1,+1}), the full Rademacher assignment of the learner's internal
     randomness, and the point masses of the hint support, and reports
     the minimum slack
@@ -418,11 +419,15 @@ def admissibility_check(learner_kind: str, hclass: HypothesisClass,
             { E_{yhat ~ Q_t} l(yhat, y) + Rel(s_{1:t-1} + (x,y)) }
 
     together with the final-round identity Rel(s_{1:T}) = -inf_h L.
+
+    Both read a prefix only through its history objective, whose terms
+    are integers or half-integers here, so each distinct history (its
+    (|X|, 2) count table) is visited once per round, with one session
+    and one Rel, and named by its first prefix in (xs, ys) order.
     """
     T = hint_schedule.T
-    K = hint_schedule.K
     if (hclass.domain_size > ADMISSIBILITY_CAPS["domain"]
-            or T > ADMISSIBILITY_CAPS["T"] or K > ADMISSIBILITY_CAPS["K"]
+            or T > ADMISSIBILITY_CAPS["T"] or hint_schedule.K > ADMISSIBILITY_CAPS["K"]
             or len(hclass) > ADMISSIBILITY_CAPS["class"]):
         raise CapacityError("instance exceeds the exact-enumeration caps")
     if not hclass.binary:
@@ -432,44 +437,49 @@ def admissibility_check(learner_kind: str, hclass: HypothesisClass,
     if tie is TiePolicy.SEEDED_RANDOM:
         raise InputError("the exact check needs a deterministic tie policy")
 
-    memo: dict = {}
+    def rel(t: int, history) -> float:  # hints: the rows after round t
+        params = RelaxationParams(RelaxationMode.TRANSDUCTIVE, loss.lipschitz_G, T, t)
+        return relaxation_value(params, hclass, history, loss,
+                                hints=hint_schedule.rows[t:T].reshape(-1))
 
-    def rel(t: int, history: ExampleMultiset) -> float:
-        """Rel(history) after round t, computed once per (t, multiset): the
-        hints are the schedule's rows after round t."""
-        key = (t, tuple(history.items()))
-        if key not in memo:
-            params = RelaxationParams(
-                RelaxationMode.TRANSDUCTIVE, loss.lipschitz_G, T, t)
-            memo[key] = relaxation_value(params, hclass, history, loss,
-                                         hints=hint_schedule.rows[t:T].reshape(-1))
-        return memo[key]
-
-    min_slack = math.inf
-    worst = ""
+    # count-table bytes -> (table, Rel, first prefix (xs, ys)) of each
+    # history before round t
+    empty = np.zeros((hclass.domain_size, 2), dtype=int)
+    histories = {empty.tobytes(): (empty, rel(0, ExampleMultiset()), ((), ()))}
+    min_slack, worst = math.inf, ""
     for t in range(1, T + 1):
-        xs_choices = [np.unique(hint_schedule.row(i)) for i in range(1, t)]
         future = hint_schedule.rows[t:T].reshape(-1)
-        for xs in itertools.product(*xs_choices):
-            for ys in itertools.product((-1.0, 1.0), repeat=t - 1):
-                history = ExampleMultiset(zip(map(int, xs), ys))
-                rel_prev = rel(t - 1, history)
-                lhs = -math.inf
-                for x_t in np.unique(hint_schedule.row(t)):
-                    preds = _learner_action_distribution(
-                        learner_kind, hclass, history, loss, future, int(x_t), tie)
-                    for y_t in (-1.0, 1.0):
-                        exp_loss = sum(p * loss_eval(loss, yhat, y_t)
-                                       for yhat, p in preds)
-                        hist_next = history.union(
-                            ExampleMultiset([(int(x_t), y_t)]))
-                        lhs = max(lhs, exp_loss + rel(t, hist_next))
-                slack = rel_prev - lhs
-                if slack < min_slack:
-                    min_slack = slack
-                    worst = f"t={t}, xs={xs}, ys={ys}"
+        reached: dict = {}
+        best = (math.inf, ((), ()))
+        for table, rel_prev, (xs, ys) in histories.values():
+            session = OracleSession(hclass, loss, ExampleMultiset.from_cells(table))
+            lhs = -math.inf
+            for x_t in np.unique(hint_schedule.row(t)):
+                preds = _learner_action_distribution(
+                    learner_kind, session, future, int(x_t), tie)
+                for y_t in (-1.0, 1.0):
+                    exp_loss = sum(p * loss_eval(loss, yhat, y_t)
+                                   for yhat, p in preds)
+                    grown = table.copy()
+                    grown[x_t, int(y_t > 0)] += 1
+                    prefix = (xs + (x_t,), ys + (y_t,))
+                    key = grown.tobytes()
+                    if key not in reached:
+                        reached[key] = (grown, rel(t, CountTable._of(session, grown)),
+                                        prefix)
+                    _, rel_next, first = reached[key]
+                    reached[key] = (grown, rel_next, min(first, prefix))
+                    lhs = max(lhs, exp_loss + rel_next)
+            best = min(best, (rel_prev - lhs, (xs, ys)))
+        if best[0] < min_slack:
+            min_slack, (xs, ys) = best
+            worst = f"t={t}, xs={xs}, ys={ys}"
+        histories = reached
 
-    cond2_gap = _condition2_gap(hclass, loss, hint_schedule, rel)
+    # condition 2 over the full sequences' histories
+    cond2_gap = float(max(
+        abs(rel_T + CountTable._of(session, table).objective(hclass, loss).min())
+        for table, rel_T, _ in histories.values()))
     passed = (min_slack >= -tol) and (abs(cond2_gap) <= tol)
     return VerificationReport(
         name=f"admissibility_{learner_kind}",
@@ -483,12 +493,12 @@ def admissibility_check(learner_kind: str, hclass: HypothesisClass,
     )
 
 
-def _learner_action_distribution(kind, hclass, history, loss, future_hints,
-                                 x_t, tie):
-    """Exact law of yhat_t as (value, probability) pairs."""
-    session = OracleSession(hclass, loss, history)
+def _learner_action_distribution(kind, session, future_hints, x_t, tie):
+    """Exact law of yhat_t after the session's history, as (value,
+    probability) pairs."""
+    hclass = session.hclass
     if kind == "ftl":
-        idx, _ = erm(hclass, session, loss, tie=tie, query_point=x_t)
+        idx, _ = erm(hclass, session, session.loss, tie=tie, query_point=x_t)
         return [(float(hclass.values[idx, x_t]), 1.0)]
     # one prediction of the production rule per +1-count vector of the
     # hints' Rademacher signs, with the hints counted into the (instance,
@@ -501,20 +511,6 @@ def _learner_action_distribution(kind, hclass, history, loss, future_hints,
     return [(learnermod.hint_difference_prediction(session, table, x_t, None),
              weight / assignments)
             for table, weight in zip(cells, weights.tolist())]
-
-
-def _condition2_gap(hclass, loss, hint_schedule, rel) -> float:
-    """max over full sequences of |Rel(s_{1:T}) + inf_h L(h, s_{1:T})|,
-    with Rel read through the admissibility check's memo `rel`."""
-    T = hint_schedule.T
-    gap = 0.0
-    xs_choices = [np.unique(hint_schedule.row(i)) for i in range(1, T + 1)]
-    for xs in itertools.product(*xs_choices):
-        for ys in itertools.product((-1.0, 1.0), repeat=T):
-            seq = ExampleMultiset(zip(map(int, xs), ys))
-            best = _objective_table(hclass, seq, loss).min()
-            gap = max(gap, abs(rel(T, seq) + best))
-    return gap
 
 
 # ---------------------------------------------------------------------------

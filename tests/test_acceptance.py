@@ -5,6 +5,7 @@ pytest with -s, enabled by default in pyproject) and then asserts, so a
 red run still reports every criterion's verdict.
 """
 
+import hashlib
 import itertools
 import math
 import time
@@ -214,6 +215,24 @@ def test_criterion_5_admissibility():
            f"{count} instances, min slack {min_slack:.2e}, "
            f"max terminal gap {max_gap:.2e}, "
            f"negative-control slack {ftl.measured['min_slack']:.3f}")
+
+
+# SHA-256 of criterion 5's reports, alg3 then ftl per instance, one JSON
+# line each
+CRITERION_5_REPORTS_SHA256 = (
+    "04c23b5261f1f96471972025662f8aad66a7a790dfab382628d16fe728a3bb55")
+
+
+def test_criterion_5_reports_are_pinned():
+    """Every admissibility report over criterion 5's grid, byte for byte:
+    slacks, gaps and the prefix that names the worst history."""
+    loss = LossSpec.of("absolute")
+    lines = [admissibility_check(kind, hclass, loss, sched).to_json()
+             for hclass, sched in _tiny_admissibility_instances()
+             for kind in ("alg3", "ftl")]
+    assert len(lines) == 62
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CRITERION_5_REPORTS_SHA256
 
 
 def test_criterion_6_oracle_accounting():

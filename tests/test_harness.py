@@ -148,7 +148,7 @@ class TestExperimentConfig:
         c = base_config()
         (a1, l1), (a2, l2) = c.players(0), c.players(0)
         assert a1 is not a2 and l1 is not l2
-        assert l1.history is not l2.history
+        assert l1.session is not l2.session
         assert a1.h_star_index == a2.h_star_index
 
     @pytest.mark.parametrize("tie", ["random", "", "LOWEST_INDEX"])

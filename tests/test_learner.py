@@ -263,7 +263,8 @@ class TestHintDifferenceRule:
             assert abs(yhat - ref) <= 1e-12
         assert len(seen) == 2
         for got, want in zip(seen, (lo, hi)):
-            for a, b in zip(got.arrays(), want.arrays()):
+            for a, b in zip(ExampleMultiset.from_cells(got.cells).arrays(),
+                            want.arrays()):
                 np.testing.assert_array_equal(a, b)
                 assert a.dtype == b.dtype
 
@@ -531,15 +532,25 @@ class TestHedge:
             HedgeLearner(const_class, LossSpec.of("binary_indicator"), T=4, eta=0.0)
 
     def test_weights_are_shifted_exponential_weights(self, partition8):
-        """`weights` is exp(-eta (L - min L)), normalized; the shift keeps
-        the weights defined when every cumulative loss is large."""
-        hedge = HedgeLearner(partition8, LossSpec.of("binary_indicator"), T=4, eta=0.5)
+        """`weights` is exp(-eta (L - min L)), normalized, with L the
+        session's history objective; the shift keeps the weights defined
+        when every cumulative loss is large."""
+        loss = LossSpec.of("binary_indicator")
+        hedge = HedgeLearner(partition8, loss, T=4, eta=0.5)
         hedge.update(1, 0, 1.0)
         hedge.update(2, 5, -1.0)
-        L = hedge.cumulative_losses
+        L = (loss_eval(loss, partition8.values[:, 0], 1.0)
+             + loss_eval(loss, partition8.values[:, 5], -1.0))
+        np.testing.assert_array_equal(hedge.session.objective(partition8, loss), L)
         w = np.exp(-0.5 * (L - L.min()))
         np.testing.assert_array_equal(hedge.weights, w / w.sum())
-        hedge.cumulative_losses += 5000.0  # exp(-0.5 * 5000) underflows to 0
+        # one of (0, +1) and (0, -1) costs every hypothesis exactly 1, so
+        # 5000 copies of each shift every loss by 5000, and exp(-0.5 *
+        # 5000) underflows to 0
+        hedge.session.add(0, 1.0, 5000)
+        hedge.session.add(0, -1.0, 5000)
+        np.testing.assert_array_equal(hedge.session.objective(partition8, loss),
+                                      L + 5000.0)
         np.testing.assert_array_equal(hedge.weights, w / w.sum())
 
 

@@ -1,5 +1,6 @@
 """Oracles checked against an independent brute-force re-enumeration."""
 
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -446,7 +447,10 @@ class TestOracleSession:
             else:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert session.logical_size == past.logical_size
-        assert session.items() == past.items()
+        assert Counter(session.items()) == Counter(past.items())
+        assert (Counter(CountTable(session, cells, with_history=True).items())
+                == Counter(past.union(table).items()))
+        assert CountTable(session, cells).items() == table.items()
 
     @given(session_instances())
     @settings(max_examples=300, deadline=None)
@@ -555,15 +559,14 @@ class TestOracleSession:
 HISTORY_LABEL = st.sampled_from([-1.0, 1.0, 0.0, -0.0, 0.5]) | st.floats(-1, 1)
 
 
-def _same_multiset(got: ExampleMultiset, want: ExampleMultiset) -> None:
-    """Equal arrays bit for bit, so the sign of a zero label counts."""
-    for a, b in zip(got.arrays(), want.arrays()):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+def _signed(items) -> Counter:
+    """The pairs as a Counter in which the sign of a zero label counts."""
+    return Counter({(x, y.hex()): count for (x, y), count in items})
 
 
 class TestLazyHistory:
-    """`OracleSession.history` is folded from the examples on read; it
-    equals the multiset that adding each example in turn builds."""
+    """`OracleSession.items()` lists the history when read: the multiset
+    that adding each example in turn builds, in first-seen order."""
 
     @given(st.lists(st.tuples(st.integers(0, 7), HISTORY_LABEL, st.integers(1, 3)),
                     max_size=24), st.data())
@@ -575,12 +578,14 @@ class TestLazyHistory:
         ref = ExampleMultiset()
         for i, (x, y, count) in enumerate(examples):
             if i in reads:  # a read mid-game
-                _same_multiset(session.history, ref)
+                assert _signed(session.items()) == _signed(ref.items())
             session.add(x, y, count)
             ref.add(x, y, count)
-        _same_multiset(session.history, ref)
-        assert session.items() == ref.items()
+        assert _signed(session.items()) == _signed(ref.items())
         assert session.logical_size == ref.logical_size
+        firsts = [next(i for i, (x, y, _) in enumerate(examples) if (x, y) == pair)
+                  for pair, _ in session.items()]
+        assert firsts == sorted(firsts)
 
     @pytest.mark.parametrize("y, count", [(0.5, 0), (0.5, -2), (1.5, 1),
                                           (float("nan"), 2)])
@@ -590,5 +595,4 @@ class TestLazyHistory:
         with pytest.raises(InputError):
             session.add(3, y, count)
         assert session.logical_size == 2
-        _same_multiset(session.history, ExampleMultiset([(2, -0.0, 2)]))
-
+        assert _signed(session.items()) == _signed([((2, -0.0), 2)])

@@ -40,6 +40,8 @@ REAL_CLASS = [
 REAL_RUN_SHA256 = {
     "alg3": "46fcddc508067f16464e819ba7d712d8e42014c3cd5d79861ac69ee261867fa7",
     "ftl": "741500eb30c7a399c8c3e75c93b6e4491c5e44dc147599141e0130ed0b799815",
+    # Hedge's weights read the session's history objective
+    "hedge": "0f3262972eab52158129db31c4b1c0197d49fea77a00f1f9755858eacc08bd9d",
 }
 
 

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothlab import learner, verify
-from smoothlab.adversary import HintSchedule, cyclic_hint_schedule, full_domain_schedule
+from smoothlab.adversary import (HintSchedule, cyclic_hint_schedule,
+                                 full_domain_schedule, known_sequence_schedule)
 from smoothlab.core import (
     ExampleMultiset,
     FiniteDomain,
@@ -347,6 +348,31 @@ class TestSmoothPolytope:
             smooth_polytope_vertices(13, 1.0)
 
 
+def _longer_admissibility_instances():
+    """(class, schedule) pairs with T in {4, 5}, K <= 2 and |X| <= 4,
+    repeated rows included."""
+    const2 = HypothesisClass([[1.0, 1.0], [-1.0, -1.0]], declared_dim=1,
+                             binary=True)
+    classes = {
+        2: [const2, make_shatter_class(FiniteDomain(2), [0, 1])],
+        3: [make_shatter_class(FiniteDomain(3), [0]),
+            make_shatter_class(FiniteDomain(3), [0, 2])],
+        4: [make_partition_class(FiniteDomain(4), 2),
+            make_shatter_class(FiniteDomain(4), [1, 3])],
+    }
+    schedules = {
+        2: [HintSchedule([[0]] * 5), HintSchedule([[0, 1]] * 4),
+            cyclic_hint_schedule(5, [[0], [1]]),
+            HintSchedule([[0, 1], [0, 0], [1, 1], [0, 1]])],
+        3: [HintSchedule([[0, 2]] * 4), cyclic_hint_schedule(5, [[0], [2], [1]]),
+            HintSchedule([[0, 1], [1, 2], [0, 2], [0, 2]])],
+        4: [HintSchedule([[0, 1]] * 4), cyclic_hint_schedule(4, [[0, 1], [2, 3]]),
+            cyclic_hint_schedule(5, [[1], [3]]), HintSchedule([[0, 3]] * 5)],
+    }
+    return [(hclass, sched) for size, hclasses in classes.items()
+            for hclass in hclasses for sched in schedules[size]]
+
+
 class TestAdmissibility:
     def test_alg3_passes_tiny_instance(self, const_class):
         sched = HintSchedule([[0], [0]])
@@ -421,13 +447,45 @@ class TestAdmissibility:
         monkeypatch.setattr(learner, "hint_difference_prediction",
                             lambda *a: calls.append(a) or rule(*a))
         preds = verify._learner_action_distribution(
-            "alg3", hclass, history, loss, future, x_t, TiePolicy.PREFER_NEGATIVE)
+            "alg3", session, future, x_t, TiePolicy.PREFER_NEGATIVE)
         got = {}
         for yhat, p in preds:
             got[yhat] = got.get(yhat, 0.0) + p
         assert got == expect
         _, counts = np.unique(future, return_counts=True)
         assert len(calls) == np.prod(counts + 1)
+
+    @pytest.mark.parametrize("kind", ["alg3", "ftl"])
+    @pytest.mark.parametrize("sched, sessions", [
+        (cyclic_hint_schedule(3, [np.arange(2), np.arange(2, 4)]), 1 + 4 + 16),
+        (HintSchedule([[0, 1]] * 3), 1 + 4 + 10),
+    ], ids=["cyclic", "repeated"])
+    def test_one_session_per_history(self, monkeypatch, kind, sched, sessions):
+        """One session per distinct history before each round: with a
+        repeated row, different orders reach one multiset (1 + 4 + 10)."""
+        built = []
+
+        class Counting(OracleSession):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "OracleSession", Counting)
+        hclass = make_shatter_class(FiniteDomain(4), [0, 1, 2])
+        admissibility_check(kind, hclass, LossSpec.of("absolute"), sched)
+        assert len(built) == sessions
+
+    @pytest.mark.parametrize("hclass, sched", _longer_admissibility_instances())
+    def test_alg3_admissible_and_ftl_violates_at_t_4_5(self, hclass, sched):
+        """Past criterion 5's T <= 3: alg3 keeps every per-round inequality
+        and the terminal identity, and follow-the-leader breaks one."""
+        loss = LossSpec.of("absolute")
+        alg3 = admissibility_check("alg3", hclass, loss, sched)
+        assert alg3.passed
+        assert alg3.measured["min_slack"] >= -1e-12
+        assert abs(alg3.measured["condition2_gap"]) <= 1e-12
+        ftl = admissibility_check("ftl", hclass, loss, sched)
+        assert not ftl.passed and ftl.measured["min_slack"] < -0.1
 
     def test_ftl_negative_control(self, const_class):
         sched = HintSchedule([[0], [0]])
@@ -702,3 +760,22 @@ class TestGeneralizationGap:
         report = generalization_gap_mc(partition8, D, labels, history, 6.0,
                                        200, np.random.default_rng(11), T=8)
         assert report.measured["gap"] == float(np.mean(gaps))
+
+
+@pytest.mark.parametrize("call", [
+    lambda h: rademacher_estimate(h, [0.9], np.zeros(len(h))),
+    lambda h: monotonicity_check(h, [0], np.zeros(len(h)), 0.5),
+    lambda h: relaxation_value(
+        RelaxationParams(RelaxationMode.TRANSDUCTIVE, 0.5, 2, 1), h,
+        ExampleMultiset(), LossSpec.of("absolute"), hints=[0.5]),
+    lambda h: coupling_select([0.5, 1.5], [0.5, 0.5], [0.5, 0.5], 1.0,
+                              np.random.default_rng(0)),
+    lambda h: known_sequence_schedule([0.5, 1.7]),
+    lambda h: cyclic_hint_schedule(2, [[0.5, 1.5]]),
+], ids=["rademacher_Z", "monotonicity_x", "relaxation_hints", "coupling_samples",
+        "known_sequence", "cyclic_blocks"])
+def test_non_integral_instances_rejected(const_class, call):
+    """An instance index that is not a whole number raises instead of
+    being truncated to a neighbouring instance."""
+    with pytest.raises(InputError, match="must hold integers"):
+        call(const_class)
