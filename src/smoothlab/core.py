@@ -9,11 +9,10 @@ Conventions used everywhere:
 * a distribution is sigma-smooth iff every atom has mass at most
   ``1 / (sigma * size)`` (the subset condition reduces to singletons on
   a finite domain);
-* an ``ExampleMultiset`` is read-only (instance, label, count) arrays
-  over its distinct pairs, sorted by (instance, label); it is built from
-  (instance, label[, count]) pairs or a (size, 2) table of (instance,
-  sign) counts, and one aggregation step serves the pair constructor
-  and `union`.
+* an ``ExampleMultiset`` is an (instance, label) -> count record in
+  first-seen order, built from (instance, label[, count]) pairs or a
+  (size, 2) table of (instance, sign) counts; the oracles read it
+  through an ``oracle.OracleSession`` built over it.
 """
 
 from __future__ import annotations
@@ -178,8 +177,8 @@ def check_sign_args(loss: LossSpec, yhat, y, *, yhat_binary: bool = False) -> No
 
 def loss_kernel(kind: LossKind, yhat: np.ndarray, y) -> np.ndarray:
     """The loss formula, elementwise and unchecked.  `loss_eval` checks
-    its arguments first; the oracle checks once per call over the
-    distinct pairs it evaluates."""
+    its arguments first; an oracle session checks the class when it
+    builds its tables and each example as it enters."""
     if kind is LossKind.BINARY_INDICATOR:
         return (1.0 - y * yhat) / 2.0
     if kind is LossKind.CENTERED_BINARY:
@@ -274,124 +273,72 @@ def count_table(cells, rows: int | None = None) -> np.ndarray:
     return cells
 
 
-def _checked_columns(xs, ys, counts):
-    """Aligned 1-D instance, label and count arrays; InputError unless
-    every instance and count is a whole number, every count is >= 1 and
-    every label lies in [-1, 1]."""
-    xs = whole_numbers(xs, "instances")
-    ys = np.asarray(ys, dtype=float)
-    cs = whole_numbers(counts, "multiset counts")
-    if not (xs.ndim == 1 and xs.shape == ys.shape == cs.shape):
-        raise InputError("xs, ys and counts must be aligned 1-D arrays")
-    if np.any(cs < 1):
-        raise InputError("multiset counts must be >= 1")
-    _check_range(ys, "label")
-    return xs, ys, cs
+_BOOL_TYPES = (bool, np.bool_)
 
 
-def check_example(y: float, count: int) -> None:
-    """InputError unless `count` >= 1 and the label `y` lies in [-1, 1]."""
-    if count < 1:
+def check_example(x, y, count) -> tuple[int, float, int]:
+    """(x, y, count) as (int, float, int); InputError unless the instance
+    and the count are whole numbers (not text or booleans), the count is
+    >= 1 and the label lies in [-1, 1]."""
+    try:
+        xi, ci = int(x), int(count)
+    except (TypeError, ValueError, OverflowError):  # text, NaN, +-inf
+        xi = ci = None
+    if (xi != x or ci != count or isinstance(x, _BOOL_TYPES)
+            or isinstance(count, _BOOL_TYPES)):
+        raise InputError(f"an example's instance and count must hold integers, "
+                         f"got {x!r} and {count!r}")
+    if ci < 1:
         raise InputError("multiset counts must be >= 1")
-    if not -1.0 <= y <= 1.0:
+    if not -1.0 <= (y := float(y)) <= 1.0:
         raise InputError("label must lie in [-1, 1]")
-
-
-def _frozen(*arrays):
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
-def _aggregate(xs: np.ndarray, ys: np.ndarray, cs: np.ndarray):
-    """Sum the counts of equal (x, y) pairs; the distinct pairs come out
-    sorted by (x, y), each carrying the first label of its group."""
-    order = np.lexsort((ys, xs))
-    xs, ys, cs = xs[order], ys[order], cs[order]
-    if xs.size:
-        starts = np.flatnonzero(np.concatenate(
-            ([True], (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1]))))
-        xs, ys, cs = xs[starts], ys[starts], np.add.reduceat(cs, starts)
-    return _frozen(xs, ys, cs)
+    return xi, y, ci
 
 
 class ExampleMultiset:
     """Multiset of (instance, label) pairs; the currency of oracle calls.
 
-    Held as three read-only arrays over the distinct pairs, sorted by
-    (x, y): instances, labels and counts.  Oracle objectives therefore
-    cost O(distinct pairs), while the logical size (what oracle
-    input-length accounting uses) is the sum of the counts.  Labels and
-    counts are checked once per array when they enter; no operation
-    changes an array another multiset may hold, so `union` and `add`
-    never alter an operand seen elsewhere.
+    One (x, y) -> count dict in first-seen order, each example checked
+    (`check_example`) when it enters.  The logical size, what oracle
+    input-length accounting uses, is the sum of the counts.
     """
 
-    __slots__ = ("_xs", "_ys", "_cs")
+    __slots__ = ("_counts",)
 
     def __init__(self, pairs=()):
-        cols = [(x, y, c[0] if c else 1) for x, y, *c in pairs]
-        xs, ys, cs = zip(*cols) if cols else ((), (), ())
-        self._xs, self._ys, self._cs = _aggregate(*_checked_columns(xs, ys, cs))
-
-    @classmethod
-    def _of(cls, xs, ys, cs) -> "ExampleMultiset":
-        out = cls.__new__(cls)
-        out._xs, out._ys, out._cs = xs, ys, cs
-        return out
+        self._counts: dict[tuple[int, float], int] = {}
+        for x, y, *c in pairs:
+            x, y, count = check_example(x, y, c[0] if c else 1)
+            self._counts[x, y] = self._counts.get((x, y), 0) + count
 
     @classmethod
     def from_cells(cls, cells) -> "ExampleMultiset":
         """The multiset of a (|X|, 2) table of (instance, sign) counts:
-        column 0 counts label -1, column 1 label +1."""
+        column 0 counts label -1, column 1 label +1.  Its pairs come in
+        (x, y) order."""
         flat = count_table(cells).reshape(-1)
         nonzero = np.flatnonzero(flat)
-        # row-major order over (x, sign) is already (x, y)-sorted
-        return cls._of(*_frozen(nonzero // 2, np.where(nonzero % 2, 1.0, -1.0),
-                                flat[nonzero]))
-
-    def union(self, other: "ExampleMultiset") -> "ExampleMultiset":
-        """A new multiset holding both operands' counts."""
-        # arrays are never written in place, so the result may share them
-        if not other._cs.size:
-            return self._of(*self.arrays())
-        if not self._cs.size:
-            return self._of(*other.arrays())
-        return self._of(*_aggregate(*(np.concatenate(pair) for pair in zip(
-            self.arrays(), other.arrays()))))
+        out = cls()
+        out._counts = dict(zip(zip((nonzero // 2).tolist(),
+                                   np.where(nonzero % 2, 1.0, -1.0).tolist()),
+                               flat[nonzero].tolist()))
+        return out
 
     def add(self, x: int, y: float, count: int = 1) -> None:
-        """Add `count` copies of (x, y): bump the count of a present pair,
-        or insert the pair at its sorted position."""
-        x, y, count = int(x), float(y), int(count)
-        check_example(y, count)
-        xs, ys, cs = self._xs, self._ys, self._cs
-        lo, hi = xs.searchsorted(x, "left"), xs.searchsorted(x, "right")
-        j = lo + ys[lo:hi].searchsorted(y)
-        if j < hi and ys[j] == y:
-            cs = cs.copy()
-            cs[j] += count
-        else:
-            xs, ys, cs = (np.insert(xs, j, x), np.insert(ys, j, y),
-                          np.insert(cs, j, count))
-        self._xs, self._ys, self._cs = _frozen(xs, ys, cs)
+        """Add `count` copies of (x, y)."""
+        x, y, count = check_example(x, y, count)
+        self._counts[x, y] = self._counts.get((x, y), 0) + count
 
     @property
     def logical_size(self) -> int:
-        return int(self._cs.sum())
+        return sum(self._counts.values())
 
     def __len__(self) -> int:
         return self.logical_size
 
     def items(self) -> list[tuple[tuple[int, float], int]]:
-        """((x, y), count) for each distinct pair, in sorted order."""
-        return list(zip(zip(self._xs.tolist(), self._ys.tolist()),
-                        self._cs.tolist()))
-
-    def arrays(self):
-        """Read-only (xs, ys, counts) arrays over the distinct pairs,
-        sorted by (x, y)."""
-        return self._xs, self._ys, self._cs
+        """((x, y), count) for each distinct pair, in first-seen order."""
+        return list(self._counts.items())
 
 
 def make_partition_class(domain: FiniteDomain, d: int) -> HypothesisClass:

@@ -10,29 +10,25 @@ Both are pure functions of their inputs except for an explicit
 ``OracleStats`` accumulator owned by one run.  Learners must touch the
 hypothesis class only through these entry points.
 
-A multiset slot takes an ``ExampleMultiset`` or, on a learner's path,
-an ``OracleSession`` or one of its ``CountTable`` views; each exposes
-``logical_size``, ``items()`` and ``objective()``, and the input length
-recorded is the same either way.
+A multiset slot takes an ``ExampleMultiset``, an ``OracleSession`` or
+one of its ``CountTable`` views; each exposes ``logical_size`` and
+``items()``, and the input length recorded is the same either way.
+Every objective comes from a session: an ``ExampleMultiset`` is read
+through an ``OracleSession`` built over it for the call.
 
-* An ``ExampleMultiset`` objective evaluates the unchecked
-  `core.loss_kernel` over its distinct pairs.  The arguments are checked
-  once per call: instances against the domain, and the +-1 checks of
-  `core.loss_eval` (`check_sign_args`) on the distinct labels and, under
-  the indicator loss with a class not built binary, on the class values
-  at the multiset's instances.
-* An ``OracleSession`` is one learner's history, kept incrementally.  It
-  builds the game-loss and centered hint-loss tables over the 2|X|
-  (instance, sign) cells once, checking the class values there, and
-  keeps the history as one (x, y) -> count dict beside the history
-  objective; `OracleSession.add` checks each example into both.  A
-  round's (|X|, 2) count table is checked when its ``CountTable`` is
-  made, and its objective is one matvec of a cell table, plus the
-  history vector when the view includes the history.
+An ``OracleSession`` is one learner's history, kept incrementally.  It
+builds the game-loss and centered hint-loss tables over the 2|X|
+(instance, sign) cells once, checking every class value there with the
++-1 checks of `core.loss_eval` (`check_sign_args`), and keeps the
+history as one (x, y) -> count dict beside the history objective;
+`OracleSession.add` checks each example into both.  A round's (|X|, 2)
+count table is checked when its ``CountTable`` is made, and its
+objective is one matvec of a cell table, plus the history vector when
+the view includes the history.
 
 For a +-1 class under +-1 labels every term is an integer or a
-half-integer, so both ways give the same floats in any summation order;
-otherwise they agree up to rounding.
+half-integer, so the floats do not depend on the summation order;
+otherwise they agree with a per-pair sum up to rounding.
 """
 
 from __future__ import annotations
@@ -82,23 +78,6 @@ class TiePolicy(Enum):
 OBJ_TOL = 1e-12
 
 
-def _objective_table(
-    hclass: HypothesisClass, S: ExampleMultiset, loss: LossSpec
-) -> np.ndarray:
-    """Vector of cumulative losses, one entry per hypothesis: the loss
-    table over (hypothesis, distinct pair) dotted with the pair counts.
-    The arguments are checked here, once per call (see the module
-    docstring)."""
-    xs, ys, counts = S.arrays()
-    # xs is sorted, so its ends bound every instance
-    if xs.size and (xs[0] < 0 or xs[-1] >= hclass.domain_size):
-        raise InputError(f"multiset names an instance outside the domain "
-                         f"of size {hclass.domain_size}")
-    preds = hclass.values[:, xs]
-    check_sign_args(loss, preds, ys, yhat_binary=hclass.binary)
-    return loss_kernel(loss.kind, preds, ys) @ counts
-
-
 _HINT_LOSS = LossSpec(LossKind.CENTERED_BINARY)
 
 # the labels of the (instance, sign) cells: column 2x counts (x, -1),
@@ -118,7 +97,7 @@ class OracleSession:
     """
 
     def __init__(self, hclass: HypothesisClass, loss: LossSpec,
-                 history: ExampleMultiset | None = None):
+                 history: Slot | None = None):
         values = hclass.values
         # the tables hold every class value, so the class is checked here
         check_sign_args(loss, values, _CELL_SIGNS, yhat_binary=hclass.binary)
@@ -135,12 +114,11 @@ class OracleSession:
 
     def add(self, x: int, y: float, count: int = 1) -> None:
         """Add `count` copies of (x, y) to the history and its objective."""
-        x, y, count = int(x), float(y), int(count)
+        x, y, count = check_example(x, y, count)
         if not 0 <= x < self.hclass.domain_size:
             raise InputError(f"instance {x} outside the domain of size "
                              f"{self.hclass.domain_size}")
         check_sign_args(self.loss, (), y, yhat_binary=True)
-        check_example(y, count)
         self._counts[x, y] = self._counts.get((x, y), 0) + count
         if abs(y) == 1.0:
             column = self._tables[self.loss.kind][:, 2 * x + (y > 0)]
@@ -219,10 +197,14 @@ class CountTable:
         return obj
 
 
-def _objective(hclass: HypothesisClass, S, loss: LossSpec) -> np.ndarray:
-    """The objective of a multiset slot (see the module docstring)."""
+# what a multiset slot takes (see the module docstring)
+Slot = ExampleMultiset | OracleSession | CountTable
+
+
+def _objective(hclass: HypothesisClass, S: Slot, loss: LossSpec) -> np.ndarray:
+    """The objective of a multiset slot, read through a session."""
     if isinstance(S, ExampleMultiset):
-        return _objective_table(hclass, S, loss)
+        S = OracleSession(hclass, loss, S)
     return S.objective(hclass, loss)
 
 
@@ -254,7 +236,7 @@ def _select(
 
 def erm(
     hclass: HypothesisClass,
-    S: ExampleMultiset,
+    S: Slot,
     loss: LossSpec,
     tie: TiePolicy = TiePolicy.LOWEST_INDEX,
     stats: OracleStats | None = None,
@@ -272,8 +254,8 @@ def erm(
 
 def mixed_opt(
     hclass: HypothesisClass,
-    S_real: ExampleMultiset,
-    S_bin: ExampleMultiset,
+    S_real: Slot,
+    S_bin: Slot,
     loss: LossSpec,
     tie: TiePolicy = TiePolicy.LOWEST_INDEX,
     stats: OracleStats | None = None,

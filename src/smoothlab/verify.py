@@ -47,7 +47,7 @@ from .core import (
     whole_numbers,
 )
 from .errors import CapacityError, InputError
-from .oracle import CountTable, OracleSession, TiePolicy, _objective, erm
+from .oracle import CountTable, OracleSession, Slot, TiePolicy, _objective, erm
 from . import learner as learnermod
 
 TRUNC_TAIL = 1e-12
@@ -308,7 +308,7 @@ def monotonicity_check(hclass: HypothesisClass, Z, phi, x: int) -> VerificationR
 # ---------------------------------------------------------------------------
 
 def relaxation_value(params: RelaxationParams, hclass: HypothesisClass,
-                     history, loss: LossSpec,
+                     history: Slot, loss: LossSpec,
                      hints=None, trials: int = 2000, rng=None) -> float:
     """Value of the relaxation potential after history s_{1:t}, any
     multiset slot of the oracles.
@@ -669,7 +669,7 @@ def beta_budget(T: int, K: int, sigma: float) -> float:
 # ---------------------------------------------------------------------------
 
 def generalization_gap_mc(hclass: HypothesisClass, D: SmoothDistribution,
-                          label_table, history: ExampleMultiset, n: float,
+                          label_table, history: Slot, n: float,
                           trials: int, rng, T: int = 2, c: float = 1.0,
                           tie: TiePolicy = TiePolicy.LOWEST_INDEX) -> VerificationReport:
     """Monte Carlo estimate of the modified generalization error

@@ -25,7 +25,6 @@ from smoothlab.oracle import (
     OracleSession,
     OracleStats,
     TiePolicy,
-    _objective_table,
     erm,
     mixed_opt,
 )
@@ -33,10 +32,9 @@ from smoothlab.oracle import (
 
 def per_pair_objective(hclass, S, loss):
     """Reference: the objective accumulated one distinct pair at a time."""
-    xs, ys, counts = S.arrays()
     obj = np.zeros(len(hclass))
-    for x, y, c in zip(xs, ys, counts):
-        obj += c * loss_eval(loss, hclass.values[:, x], float(y))
+    for (x, y), c in S.items():
+        obj += c * loss_eval(loss, hclass.values[:, x], y)
     return obj
 
 
@@ -220,12 +218,12 @@ class TestMixedOpt:
         loss = LossSpec.of("absolute")
         S_real = ExampleMultiset(data.draw(st.lists(
             st.tuples(st.integers(0, size - 1), st.floats(-1, 1)), max_size=5)))
-        B = ExampleMultiset(data.draw(st.lists(
+        B = data.draw(st.lists(
             st.tuples(st.integers(0, size - 1), st.sampled_from([-1.0, 1.0])),
-            max_size=5)))
+            max_size=5))
         x = data.draw(st.integers(0, size - 1))
-        lo = B.union(ExampleMultiset([(x, -1.0)]))
-        hi = B.union(ExampleMultiset([(x, 1.0)]))
+        lo = ExampleMultiset(B + [(x, -1.0)])
+        hi = ExampleMultiset(B + [(x, 1.0)])
         _, v_minus = mixed_opt(hclass, S_real, lo, loss)
         _, v_plus = mixed_opt(hclass, S_real, hi, loss)
         assert abs(v_minus - v_plus) <= 1.0 + 1e-9
@@ -315,8 +313,9 @@ class TestInstanceDomain:
 
 
 class TestChecksPerCall:
-    """The oracles evaluate the unchecked loss kernel and check their
-    arguments once per call, rejecting what `loss_eval` rejects."""
+    """The oracles evaluate the unchecked loss kernel through a session
+    and reject what `loss_eval` rejects over the whole class under the
+    real loss and over each slot's labels under that slot's loss."""
 
     @pytest.mark.parametrize("kind", ["binary_indicator", "centered_binary"])
     def test_half_label_rejected_under_sign_losses(self, const_class, kind):
@@ -328,10 +327,18 @@ class TestChecksPerCall:
 
     @pytest.mark.parametrize("kind", list(LossKind))
     def test_half_hint_label_rejected(self, real_class, kind):
-        """The hint term uses the centered loss whatever the real loss."""
-        with pytest.raises(InputError, match="label"):
+        """The hint term uses the centered loss whatever the real loss.  A
+        class the real loss rejects (real values under the indicator) is
+        rejected first, whatever the slots hold."""
+        loss = LossSpec(kind)
+        with pytest.raises(InputError, match="prediction" if loss.binary_only
+                           else "label"):
             mixed_opt(real_class, ExampleMultiset(), ExampleMultiset([(0, 0.5)]),
-                      LossSpec(kind))
+                      loss)
+        # +-1 values pass the class check under every loss, built binary or not
+        signs = HypothesisClass([[1.0], [-1.0]], declared_dim=1)
+        with pytest.raises(InputError, match="label"):
+            mixed_opt(signs, ExampleMultiset(), ExampleMultiset([(0, 0.5)]), loss)
 
     @pytest.mark.parametrize("kind", ["absolute", "squared"])
     def test_half_label_accepted_under_real_losses(self, const_class, kind):
@@ -340,18 +347,19 @@ class TestChecksPerCall:
         mixed_opt(const_class, S, ExampleMultiset([(0, 1.0)]), LossSpec.of(kind))
 
     def test_non_sign_class_rejected_under_indicator(self):
-        """Checked at the multiset's instances only, as `loss_eval` does."""
+        """Checked over the whole class, whatever instances the multiset
+        names, since a session's cell tables hold every class value."""
         hclass = HypothesisClass([[0.5, 1.0], [1.0, -1.0]], declared_dim=0)
         loss = LossSpec.of("binary_indicator")
         at_half, elsewhere = ExampleMultiset([(0, 1.0)]), ExampleMultiset([(1, 1.0)])
-        with pytest.raises(InputError, match="prediction"):
-            erm(hclass, at_half, loss)
-        with pytest.raises(InputError, match="prediction"):
-            mixed_opt(hclass, at_half, ExampleMultiset(), loss)
-        assert erm(hclass, elsewhere, loss) == (0, 0.0)
-        assert mixed_opt(hclass, elsewhere, ExampleMultiset(), loss)[0] == 0
+        for S in (at_half, elsewhere, ExampleMultiset()):
+            with pytest.raises(InputError, match="prediction"):
+                erm(hclass, S, loss)
+            with pytest.raises(InputError, match="prediction"):
+                mixed_opt(hclass, S, ExampleMultiset(), loss)
         # the hint term's centered loss takes real predictions
-        mixed_opt(hclass, ExampleMultiset(), at_half, LossSpec.of("absolute"))
+        assert mixed_opt(hclass, ExampleMultiset(), at_half,
+                         LossSpec.of("absolute")) == (1, -0.5)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -374,9 +382,15 @@ class TestChecksPerCall:
                 return True
             return False
 
-        expected = raises(lambda: per_pair_objective(hclass, S, loss))
+        # the whole class under the real loss, then the slot's labels
+        bad_class = raises(lambda: loss_eval(loss, hclass.values, 1.0))
+        expected = bad_class or raises(lambda: per_pair_objective(hclass, S, loss))
         assert raises(lambda: erm(hclass, S, loss)) == expected
         assert raises(lambda: mixed_opt(hclass, S, ExampleMultiset(), loss)) == expected
+        # the hint slot's labels under the centered loss
+        expected = bad_class or raises(
+            lambda: per_pair_objective(hclass, S, HINT_LOSS))
+        assert raises(lambda: mixed_opt(hclass, ExampleMultiset(), S, loss)) == expected
 
 
 HINT_LOSS = LossSpec(LossKind.CENTERED_BINARY)
@@ -421,25 +435,44 @@ def _exact(hclass, history) -> bool:
                 and all(abs(y) == 1.0 for _, y, _ in history))
 
 
+def _multisets(history, cells):
+    """Reference records for the history, the table's pairs and both
+    merged (a `Counter` sum), in that order."""
+    past = Counter()
+    for x, y, count in history:
+        past[x, y] += count
+    table = Counter({(x, (-1.0, 1.0)[sign]): int(c)
+                     for (x, sign), c in np.ndenumerate(cells) if c})
+    return tuple(ExampleMultiset((x, y, c) for (x, y), c in counts.items())
+                 for counts in (past, table, past + table))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except InputError:
+        return "InputError"
+
+
 class TestOracleSession:
-    """The session path against the multiset path it replaces: the
-    objective over the materialized `history + from_cells(cells)`, the
-    oracles' choices and their accounting.  Bit for bit where every term
-    is an integer or a half-integer, within 1e-12 otherwise."""
+    """The session path against the per-pair loop over the merged pairs
+    of `history + cells`: the objectives, the oracles' choices and their
+    accounting.  Bit for bit where every term is an integer or a
+    half-integer, within 1e-12 otherwise.  Multiset records in the slots
+    take the same choices and accounting."""
 
     @given(session_instances())
     @settings(max_examples=300, deadline=None)
     def test_objectives_match_the_multiset_path(self, instance):
         hclass, loss, history, cells, _ = instance
         session = _session(hclass, loss, history)
-        past = ExampleMultiset(history)
-        table = ExampleMultiset.from_cells(cells)
+        past, table, merged = _multisets(history, cells)
         pairs = [
-            (session.objective(hclass, loss), _objective_table(hclass, past, loss)),
+            (session.objective(hclass, loss), per_pair_objective(hclass, past, loss)),
             (CountTable(session, cells, with_history=True).objective(hclass, loss),
-             _objective_table(hclass, past.union(table), loss)),
+             per_pair_objective(hclass, merged, loss)),
             (CountTable(session, cells).objective(hclass, HINT_LOSS),
-             _objective_table(hclass, table, HINT_LOSS)),
+             per_pair_objective(hclass, table, HINT_LOSS)),
         ]
         for got, want in pairs:
             if _exact(hclass, history):
@@ -449,7 +482,7 @@ class TestOracleSession:
         assert session.logical_size == past.logical_size
         assert Counter(session.items()) == Counter(past.items())
         assert (Counter(CountTable(session, cells, with_history=True).items())
-                == Counter(past.union(table).items()))
+                == Counter(merged.items()))
         assert CountTable(session, cells).items() == table.items()
 
     @given(session_instances())
@@ -457,37 +490,38 @@ class TestOracleSession:
     def test_oracles_choose_and_record_alike(self, instance):
         hclass, loss, history, cells, x_q = instance
         session = _session(hclass, loss, history)
-        past = ExampleMultiset(history)
-        table = ExampleMultiset.from_cells(cells)
-        slots = {"session": (CountTable(session, cells, with_history=True), session,
-                             CountTable(session, cells)),
-                 "multiset": (past.union(table), past, table)}
-        if not _exact(hclass, history):
+        past, table, merged = _multisets(history, cells)
+        refs = (per_pair_objective(hclass, merged, loss),
+                per_pair_objective(hclass, past, loss) / (2 * loss.lipschitz_G)
+                + per_pair_objective(hclass, table, HINT_LOSS))
+        exact = _exact(hclass, history)
+        if not exact:
             # rounding may move an objective across the tie band only
             # when it sits at its edge
-            for obj in (_objective_table(hclass, past.union(table), loss),
-                        _objective_table(hclass, past, loss) / (2 * loss.lipschitz_G)
-                        + _objective_table(hclass, table, HINT_LOSS)):
+            for obj in refs:
                 assume(np.all(np.abs(obj - obj.min() - OBJ_TOL) > 1e-13))
+        slots = {"session": (CountTable(session, cells, with_history=True), session,
+                             CountTable(session, cells)),
+                 "multiset": (merged, past, table)}
+        sizes = (merged.logical_size, past.logical_size + table.logical_size)
         for tie in TiePolicy:
-            seen = {}
-            for path, (S, S_real, S_bin) in slots.items():
+            rng = np.random.default_rng(5)
+            want = _outcome(lambda: [oracle._select(obj, hclass, tie, x_q, rng)
+                                     for obj in refs])
+            for S, S_real, S_bin in slots.values():
                 stats, rng = OracleStats(), np.random.default_rng(5)
-                try:
-                    e = erm(hclass, S, loss, tie=tie, stats=stats,
-                            query_point=x_q, rng=rng)
-                    m = mixed_opt(hclass, S_real, S_bin, loss, tie=tie,
-                                  stats=stats, query_point=x_q, rng=rng)
-                except InputError:
-                    seen[path] = "InputError"
+                got = _outcome(lambda: [
+                    erm(hclass, S, loss, tie=tie, stats=stats, query_point=x_q,
+                        rng=rng),
+                    mixed_opt(hclass, S_real, S_bin, loss, tie=tie, stats=stats,
+                              query_point=x_q, rng=rng)])
+                if want == "InputError":
+                    assert got == want
                     continue
-                seen[path] = (e, m, stats)
-            if seen["session"] == "InputError" or _exact(hclass, history):
-                assert seen["session"] == seen["multiset"]
-                continue
-            (e, m, stats), (e_ref, m_ref, stats_ref) = seen["session"], seen["multiset"]
-            assert (e[0], m[0], stats) == (e_ref[0], m_ref[0], stats_ref)
-            assert abs(e[1] - e_ref[1]) <= 1e-12 and abs(m[1] - m_ref[1]) <= 1e-12
+                assert [idx for idx, _ in got] == want
+                for (idx, val), obj in zip(got, refs):
+                    assert val == obj[idx] if exact else abs(val - obj[idx]) <= 1e-12
+                assert stats == OracleStats(2, sum(sizes), max(sizes))
 
     @pytest.mark.parametrize("x, y", [(-1, 1.0), (8, 1.0), (0, 1.5), (0, -2.0),
                                       (0, float("nan"))])
@@ -550,7 +584,7 @@ class TestOracleSession:
         session = OracleSession(partition8, loss, history)
         assert session.items() == history.items()
         np.testing.assert_array_equal(session.objective(partition8, loss),
-                                      _objective_table(partition8, history, loss))
+                                      per_pair_objective(partition8, history, loss))
 
 
 # labels that sequential `ExampleMultiset.add` must merge or keep apart:

@@ -746,19 +746,20 @@ class TestGeneralizationGap:
         """Each trial's ERM input is history + hallucinations + {s}: the
         report matches a loop that merges the three multisets."""
         D, labels = SmoothDistribution.uniform(8), partition8.values[2]
-        history = ExampleMultiset([(0, 1.0), (5, -1.0, 3)])
+        past = [(0, 1.0, 1), (5, -1.0, 3)]
         loss = LossSpec.of("binary_indicator")
         rng = np.random.default_rng(11)
         gaps = []
         for _ in range(200):
             cells = learner.hallucination_cells(6.0, 8, rng)
             x_t, x_p = (int(rng.choice(8, p=D.array)) for _ in range(2))
-            S = history.union(ExampleMultiset.from_cells(cells)).union(
-                ExampleMultiset([(x_t, labels[x_t])]))
+            hallucinated = [(x, (-1.0, 1.0)[sign], c)
+                            for (x, sign), c in np.ndenumerate(cells) if c]
+            S = ExampleMultiset(past + hallucinated + [(x_t, labels[x_t], 1)])
             h = partition8.values[erm(partition8, S, loss)[0]]
             gaps.append(-labels[x_p] * h[x_p] / 2 + labels[x_t] * h[x_t] / 2)
-        report = generalization_gap_mc(partition8, D, labels, history, 6.0,
-                                       200, np.random.default_rng(11), T=8)
+        report = generalization_gap_mc(partition8, D, labels, ExampleMultiset(past),
+                                       6.0, 200, np.random.default_rng(11), T=8)
         assert report.measured["gap"] == float(np.mean(gaps))
 
 
@@ -772,8 +773,13 @@ class TestGeneralizationGap:
                               np.random.default_rng(0)),
     lambda h: known_sequence_schedule([0.5, 1.7]),
     lambda h: cyclic_hint_schedule(2, [[0.5, 1.5]]),
+    lambda h: OracleSession(h, LossSpec.of("absolute")).add(0.9, 1.0),
+    lambda h: OracleSession(h, LossSpec.of("absolute")).add(1, 1.0, 2.7),
+    lambda h: ExampleMultiset().add(0.9, 1.0),
+    lambda h: ExampleMultiset().add(1, 1.0, 2.7),
 ], ids=["rademacher_Z", "monotonicity_x", "relaxation_hints", "coupling_samples",
-        "known_sequence", "cyclic_blocks"])
+        "known_sequence", "cyclic_blocks", "session_add_instance", "session_add_count",
+        "multiset_add_instance", "multiset_add_count"])
 def test_non_integral_instances_rejected(const_class, call):
     """An instance index that is not a whole number raises instead of
     being truncated to a neighbouring instance."""
