@@ -278,8 +278,8 @@ _BOOL_TYPES = (bool, np.bool_)
 
 def check_example(x, y, count) -> tuple[int, float, int]:
     """(x, y, count) as (int, float, int); InputError unless the instance
-    and the count are whole numbers (not text or booleans), the count is
-    >= 1 and the label lies in [-1, 1]."""
+    and the count are whole numbers, the count is >= 1 and the label is a
+    real number in [-1, 1] (none of them text or booleans)."""
     try:
         xi, ci = int(x), int(count)
     except (TypeError, ValueError, OverflowError):  # text, NaN, +-inf
@@ -290,9 +290,14 @@ def check_example(x, y, count) -> tuple[int, float, int]:
                          f"got {x!r} and {count!r}")
     if ci < 1:
         raise InputError("multiset counts must be >= 1")
-    if not -1.0 <= (y := float(y)) <= 1.0:
-        raise InputError("label must lie in [-1, 1]")
-    return xi, y, ci
+    try:
+        yf = float(y)
+    except (TypeError, ValueError):
+        yf = None
+    if (yf is None or isinstance(y, (str, bytes, *_BOOL_TYPES))
+            or not -1.0 <= yf <= 1.0):
+        raise InputError(f"label must be a real number in [-1, 1], got {y!r}")
+    return xi, yf, ci
 
 
 class ExampleMultiset:

@@ -233,6 +233,8 @@ class ExperimentConfig:
             raise InputError(f"sigma must be in (0, 1], got {self.sigma}")
         if not self.seeds:
             raise InputError("need at least one seed")
+        if min(self.seeds) < 0:
+            raise InputError(f"seeds must be nonnegative, got {list(self.seeds)}")
         if self.learner in ("alg1", "alg3") and self.loss == "binary_indicator":
             raise InputError(
                 f"{self.learner} predicts in [-1, 1] and needs a real-valued loss; "

@@ -41,7 +41,7 @@ import math
 import numpy as np
 
 from .adversary import HintSchedule
-from .core import HypothesisClass, LossKind, LossSpec, count_table
+from .core import HypothesisClass, LossKind, LossSpec, count_table, whole_numbers
 from .errors import CapacityError, ContractViolation, InputError
 from .oracle import CountTable, OracleSession, OracleStats, TiePolicy, erm, mixed_opt
 from . import rng as rngmod
@@ -132,9 +132,10 @@ def hint_difference_prediction(session: OracleSession, cells, x_t: int,
     """
     hclass, loss = session.hclass, session.loss
     doubled = 2 * count_table(cells, hclass.domain_size)
-    x_t = int(x_t)
-    if not 0 <= x_t < hclass.domain_size:
-        raise InputError(f"x_t={x_t} outside the domain of size {hclass.domain_size}")
+    x = whole_numbers(x_t, "x_t")
+    if x.ndim or not 0 <= x < hclass.domain_size:
+        raise InputError(f"x_t={x_t!r} outside the domain of size {hclass.domain_size}")
+    x_t = int(x)
     lo, hi = doubled, doubled.copy()
     lo[x_t, 0] += 1
     hi[x_t, 1] += 1

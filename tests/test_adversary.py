@@ -373,7 +373,8 @@ class TestCdfDraw:
     def test_same_index_as_generator_choice(self, probs, seed, t):
         _, x_t, _ = next_round(_OneCommitment(probs), t,
                                rngmod.stream(seed, 0, t, "instance"))
-        want = rngmod.stream(seed, 0, t, "instance").choice(probs.size, p=probs)
+        key = [seed, 0, t, rngmod.purpose_tag("instance")]
+        want = np.random.default_rng(key).choice(probs.size, p=probs)
         assert x_t == want
 
 

@@ -335,3 +335,17 @@ class TestArrayMultisetAgainstDict:
     def test_rejects_nan_labels_and_bad_counts(self, build):
         with pytest.raises(InputError):
             build()
+
+    @pytest.mark.parametrize("y", ["0.5", b"0.5", "a", True, np.bool_(False), None])
+    def test_rejects_text_and_boolean_labels(self, y):
+        """The text label "0.5" and True used to enter as 0.5 and 1.0."""
+        with pytest.raises(InputError, match="label must be a real number"):
+            ExampleMultiset([(0, y)])
+        with pytest.raises(InputError, match="label must be a real number"):
+            ExampleMultiset().add(0, y)
+
+    @pytest.mark.parametrize("y", [1, -1, 0, 0.5, np.float64(-0.25), np.float32(0.5),
+                                   np.int64(-1), np.int8(1)])
+    def test_accepts_python_and_numpy_numbers_as_labels(self, y):
+        assert ExampleMultiset([(0, y)]).items() == [((0, float(y)), 1)]
+        assert type(ExampleMultiset([(0, y)]).items()[0][0][1]) is float

@@ -393,6 +393,19 @@ class TestCli:
         assert rcs == [EXIT_OK]
         assert seen == [False, False, False]
 
+    def test_loading_a_config_never_loads_numpy_random(self, tmp_path):
+        """NumPy 2 loads numpy.random on first use; import and config
+        loading (the set-up every run pays) draw nothing, so leave it
+        unloaded."""
+        cfg = self._write_config(tmp_path, learner="ftl", T=4, n=None)
+        seen, rcs = self._loaded_after("numpy.random", [
+            "import smoothlab.cli",
+            f"smoothlab.cli.ExperimentConfig.from_json(open({cfg!r}).read())",
+            f"rcs.append(smoothlab.cli.main(['run', {cfg!r}, '--out', 'out.csv']))",
+        ], tmp_path)
+        assert rcs == [EXIT_OK]
+        assert seen == [False, False, True]
+
     def test_one_worker_never_loads_the_process_pool(self, tmp_path):
         """concurrent.futures.process loads multiprocessing, which only
         --jobs > 1 uses."""
@@ -649,6 +662,7 @@ class TestCli:
             "class": json_class([[1, -1]], declared_dim="1")},
         "json_class_numeric_text_values": {"class": json_class([["1", "-1"]])},
         "sweep_T_empty": {"sweep": {"T": []}},
+        "seeds_negative": {"seeds": [0, -1]},
     }
 
     # cases whose error must also name what is wrong
@@ -657,6 +671,7 @@ class TestCli:
         "json_class_missing_keys": "exactly the keys",
         "json_class_text_declared_dim": "declared_dim must hold integers",
         "json_class_numeric_text_values": "numeric table",
+        "seeds_negative": "seeds must be nonnegative",
     }
 
     @pytest.mark.parametrize("case", sorted(_CONFIG_ERRORS))
@@ -674,6 +689,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert self._CONFIG_MESSAGES.get(case, "") in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_negative_seed_base_fails_before_any_game(
+            self, tmp_path, capsys, monkeypatch, command):
+        """A --seed-base that makes a seed negative used to load and then die
+        in round 1 inside numpy."""
+        def no_game(*args, **kwargs):
+            raise AssertionError("a game was started")
+        monkeypatch.setattr(harness, "run_game", no_game)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config_doc(seeds=[0, 1, 2], sweep={"T": [2, 4]})))
+        assert main([command, str(cfg), "--seed-base", "-1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "seeds must be nonnegative" in err
 
     @pytest.mark.parametrize("xs, ys, message", [
         ([0, 1, 2, 3], [1.0, -1.0, math.nan, 1.0], "finite"),

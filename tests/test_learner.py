@@ -294,6 +294,20 @@ class TestHintDifferenceRule:
                 OracleSession(partition8, LossSpec.of("absolute")),
                 np.zeros((8, 2), dtype=int), x_t, None)
 
+    @pytest.mark.parametrize("x_t", [0.9, 2.5, "3", True, [3]])
+    def test_rejects_non_integral_query(self, partition8, x_t):
+        """x_t = 0.9 used to be truncated to instance 0 and predicted for."""
+        with pytest.raises(InputError, match="x_t"):
+            hint_difference_prediction(
+                OracleSession(partition8, LossSpec.of("absolute")),
+                np.zeros((8, 2), dtype=int), x_t, None)
+
+    def test_accepts_a_whole_float_query(self, partition8):
+        session = OracleSession(partition8, LossSpec.of("absolute"))
+        cells = np.ones((8, 2), dtype=int)
+        assert (hint_difference_prediction(session, cells, 3.0, None)
+                == hint_difference_prediction(session, cells, np.int64(3), None))
+
     @pytest.mark.parametrize("shape", [(8, 3), (7, 2), (9, 2), (16,), (8, 2, 1)])
     def test_rejects_wrong_shape_table(self, partition8, shape):
         with pytest.raises(InputError, match="count table"):
