@@ -40,22 +40,20 @@ from .learner import (
     hint_count,
 )
 from .verify import (
-    RelaxationMode,
-    RelaxationParams,
     VerificationReport,
     admissibility_check,
     beta_budget,
     chi2_mixture,
     chi2_mixture_direct,
     coupling_montecarlo,
-    coupling_select,
     eta_budget,
+    ftpl_relaxation,
     generalization_gap_mc,
     monotonicity_check,
     rademacher_estimate,
-    relaxation_value,
     shifted_poisson_tv,
     smooth_polytope_vertices,
+    transductive_relaxation,
     tv_exact_poisson,
 )
 from .harness import (

@@ -213,12 +213,17 @@ def check_probs(probs, tol: float = PROB_TOL) -> np.ndarray:
     return p
 
 
+def check_sigma(sigma: float) -> None:
+    """InputError unless 0 < sigma <= 1 (NaN fails it)."""
+    if not (0.0 < sigma <= 1.0):
+        raise InputError(f"sigma must be in (0, 1], got {sigma}")
+
+
 def validate_smooth(probs, sigma: float, tol: float = PROB_TOL) -> bool:
     """True iff `probs` is a probability vector whose atoms obey the
     sigma-smooth singleton bound max_x p(x) <= 1/(sigma*|X|) + tol."""
     p = check_probs(probs, tol)
-    if not (0.0 < sigma <= 1.0):
-        raise InputError(f"sigma must be in (0, 1], got {sigma}")
+    check_sigma(sigma)
     return bool(p.max() <= 1.0 / (sigma * p.size) + tol)
 
 

@@ -49,7 +49,9 @@ from .core import (
     HypothesisClass,
     LossKind,
     LossSpec,
-    loss_eval,
+    check_sigma,
+    check_sign_args,
+    loss_kernel,
     make_partition_class,
     make_shatter_class,
     make_support_partition_class,
@@ -229,8 +231,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.T < 0:
             raise InputError("T must be nonnegative")
-        if not (0.0 < self.sigma <= 1.0):
-            raise InputError(f"sigma must be in (0, 1], got {self.sigma}")
+        check_sigma(self.sigma)
         if not self.seeds:
             raise InputError("need at least one seed")
         if min(self.seeds) < 0:
@@ -249,6 +250,8 @@ class ExperimentConfig:
         if self.T >= 1:
             # build one game's players now, so their checks fail at load
             self.players(self.seeds[0])
+        if self.custom_ys is not None:  # the labels a game would reveal
+            check_sign_args(LossSpec.of(self.loss), (), self.custom_ys, yhat_binary=True)
 
     def players(self, seed: int, run: int = 0) -> tuple[Adversary, Learner]:
         """A fresh (adversary, learner) pair for one game."""
@@ -364,7 +367,8 @@ def run_game(config: ExperimentConfig, seed: int, run: int = 0) -> Transcript:
         label_hash.update(commitment.label_table.tobytes())
         yhat = learner.predict(t, x_t)
         y_t = label_rule(x_t)
-        loss_val = loss_eval(loss, yhat, y_t)
+        # unchecked: yhat's class and y_t were checked where they entered
+        loss_val = loss_kernel(loss.kind, yhat, y_t)
         learner.update(t, x_t, y_t)
         adversary.observe(t, x_t, yhat, y_t)
         total_loss += loss_val

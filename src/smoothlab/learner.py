@@ -41,7 +41,8 @@ import math
 import numpy as np
 
 from .adversary import HintSchedule
-from .core import HypothesisClass, LossKind, LossSpec, count_table, whole_numbers
+from .core import (HypothesisClass, LossKind, LossSpec, check_sigma, count_table,
+                   whole_numbers)
 from .errors import CapacityError, ContractViolation, InputError
 from .oracle import CountTable, OracleSession, OracleStats, TiePolicy, erm, mixed_opt
 from . import rng as rngmod
@@ -53,8 +54,7 @@ def hint_count(T: int, sigma: float, c_K: float = 100.0) -> int:
     """Number of hints per future round: max(1, ceil(c_K * ln T / sigma))."""
     if T < 1:
         raise InputError("T must be >= 1")
-    if not (0.0 < sigma <= 1.0):
-        raise InputError(f"sigma must be in (0, 1], got {sigma}")
+    check_sigma(sigma)
     return max(1, int(math.ceil(c_K * math.log(T) / sigma)))
 
 
@@ -62,8 +62,7 @@ def default_n(T: int, sigma: float, domain_size: int, d: int) -> float:
     """Hallucination rate min{T/sqrt(sigma), T*sqrt(|X|/d)}."""
     if T < 1:
         raise InputError("T must be >= 1")
-    if not (0.0 < sigma <= 1.0):
-        raise InputError(f"sigma must be in (0, 1], got {sigma}")
+    check_sigma(sigma)
     if d < 1 or d > domain_size:
         raise InputError(f"need 1 <= d <= |X|, got d={d}, |X|={domain_size}")
     return min(T / math.sqrt(sigma), T * math.sqrt(domain_size / d))
@@ -207,8 +206,7 @@ class Alg1Smoothed(_HintDifferenceLearner):
                  c_K: float = 100.0, max_hints_per_round: int | None = None,
                  seed=0, run=0, tie=TiePolicy.LOWEST_INDEX):
         super().__init__(hclass, loss, T, seed, run, tie)
-        if not (0.0 < sigma <= 1.0):
-            raise InputError(f"sigma must be in (0, 1], got {sigma}")
+        check_sigma(sigma)
         self.sigma = sigma
         self.c_K = c_K
         self.K = hint_count(T, sigma, c_K) if K is None else int(K)

@@ -7,16 +7,20 @@ Covers:
   P with bounded likelihood ratio dP/dQ <= 1/sigma;
 * exact total-variation and chi-square computations for the
   product-Poisson hallucination model and its single-shift mixtures;
-* regularized Rademacher complexity, its monotonicity in the dataset,
-  and the relaxation values used by the learners;
+* regularized Rademacher complexity and its monotonicity in the
+  dataset, both by exact enumeration;
+* the transductive relaxation of Algs 1 and 3, exact, and the FTPL
+  relaxation of Alg 2, by Monte Carlo;
 * exact admissibility checks of the hint-difference prediction rule on
   tiny enumerable instances (with follow-the-leader as the negative
   control);
 * the eta/beta budget formulas and a Monte Carlo generalization-gap
   estimate.
 
-Exact-mode results carry a rigorous truncation error bound instead of
-a statistical tolerance.
+Each check has one implementation.  An exact check above its
+enumeration cap raises `CapacityError` instead of switching to Monte
+Carlo, and exact results carry a rigorous truncation error bound
+instead of a statistical tolerance.
 
 scipy is used only by the Poisson TV/chi-square checks, which import
 ``scipy.special`` on their first call, so importing this module does not
@@ -32,7 +36,6 @@ import math
 from collections import Counter
 from fractions import Fraction
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +46,7 @@ from .core import (
     LossKind,
     LossSpec,
     SmoothDistribution,
+    check_sigma,
     loss_eval,
     whole_numbers,
 )
@@ -90,62 +94,15 @@ class VerificationReport:
         return json.dumps(self.to_dict())
 
 
-class RelaxationMode(Enum):
-    TRANSDUCTIVE = "transductive"
-    SMOOTHED_REAL = "smoothed_real"
-    FTPL = "ftpl"
-
-
-@dataclass(frozen=True)
-class RelaxationParams:
-    mode: RelaxationMode
-    G: float
-    T: int
-    t: int
-    K: int = 0
-    n: float = 0.0
-    sigma: float = 1.0
-    c: float = 1.0
-    d: int = 1
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.t <= self.T):
-            raise InputError("need 0 <= t <= T")
-        if self.mode is RelaxationMode.SMOOTHED_REAL and self.K < 1:
-            raise InputError("smoothed_real mode needs K >= 1")
-        if self.mode is RelaxationMode.FTPL and self.n < 0:
-            raise InputError("ftpl mode needs n >= 0")
-
-
 # ---------------------------------------------------------------------------
 # Coupling (bounded likelihood ratio -> exact conditional law)
 # ---------------------------------------------------------------------------
 
 def _check_ratio(P: np.ndarray, Q: np.ndarray, sigma: float) -> None:
-    if not (0.0 < sigma <= 1.0):
-        raise InputError(f"sigma must be in (0, 1], got {sigma}")
+    check_sigma(sigma)
     bad = (P > 0) & (sigma * P > Q + 1e-12)
     if np.any(bad):
         raise InputError("likelihood ratio dP/dQ exceeds 1/sigma on the support")
-
-
-def coupling_select(samples, P, Q, sigma: float, rng):
-    """One run of the selection procedure.
-
-    Each sample X_i drawn from Q is accepted independently with
-    probability sigma*dP/dQ(X_i); on the success event E (at least one
-    acceptance) the returned index I is uniform over the accepted set,
-    and X_I | E, X_\\I is distributed as P.
-    """
-    P = np.asarray(P, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    _check_ratio(P, Q, sigma)
-    samples = whole_numbers(samples, "samples")
-    p_accept = sigma * P[samples] / Q[samples]
-    accepted = np.flatnonzero(rng.random(samples.size) < p_accept)
-    if accepted.size == 0:
-        return False, None
-    return True, int(rng.choice(accepted))
 
 
 def coupling_montecarlo(P, Q, sigma: float, m: int, trials: int, rng,
@@ -264,23 +221,12 @@ def _rademacher_exact(vals, phi, Z) -> Fraction:
     return Fraction(int(weights @ sups), scale << m)
 
 
-def rademacher_estimate(hclass: HypothesisClass, Z, phi, mode: str = "exact",
-                        trials: int = 10_000, rng=None) -> float:
-    """E_eps[ sup_h { sum_i eps_i h(z_i) + phi(h) } ].
-
-    Exact mode enumerates the 2^|Z| sign assignments (|Z| <= 16) through
-    their per-instance +1 counts and rounds the exact value once; Monte
-    Carlo mode averages over sampled assignments.
-    """
+def rademacher_estimate(hclass: HypothesisClass, Z, phi) -> float:
+    """E_eps[ sup_h { sum_i eps_i h(z_i) + phi(h) } ], exactly: the 2^|Z|
+    sign assignments (|Z| <= 16) are enumerated through their per-instance
+    +1 counts and the exact value is rounded once."""
     Z, phi = _rademacher_args(hclass, Z, phi)
-    if mode == "exact":
-        return float(_rademacher_exact(hclass.values, phi, Z))
-    if mode == "mc":
-        if rng is None:
-            raise InputError("Monte Carlo mode needs an rng")
-        signs = rng.integers(0, 2, size=(trials, Z.size)) * 2.0 - 1.0
-        return float((signs @ hclass.values[:, Z].T + phi).max(axis=1).mean())
-    raise InputError(f"unknown mode {mode!r}")
+    return float(_rademacher_exact(hclass.values, phi, Z))
 
 
 def monotonicity_check(hclass: HypothesisClass, Z, phi, x: int) -> VerificationReport:
@@ -307,62 +253,38 @@ def monotonicity_check(hclass: HypothesisClass, Z, phi, x: int) -> VerificationR
 # Relaxation values
 # ---------------------------------------------------------------------------
 
-def relaxation_value(params: RelaxationParams, hclass: HypothesisClass,
-                     history: Slot, loss: LossSpec,
-                     hints=None, trials: int = 2000, rng=None) -> float:
-    """Value of the relaxation potential after history s_{1:t}, any
-    multiset slot of the oracles.
+def transductive_relaxation(hclass: HypothesisClass, history: Slot,
+                            loss: LossSpec, hints) -> float:
+    """Rel = 2G E_eps sup_h {sum_z eps_z h(z) - L(h, history)/(2G)} over the
+    future hints Z, exactly, with G = loss.lipschitz_G; any history slot."""
+    G = loss.lipschitz_G
+    return 2.0 * G * rademacher_estimate(
+        hclass, hints, -_objective(hclass, history, loss) / (2.0 * G))
 
-    transductive:  2G * E_eps sup_h { sum eps h(z) - L^r(h, history) }
-                   over the supplied future hints (exact when small).
-    smoothed_real: the same with K(T-t) fresh uniform hints, estimated
-                   by Monte Carlo, plus 2G*beta*(T-t).
-    ftpl:          E over Poisson hallucinations of
-                   sup_h(-sum Lt(h) - L(h, history)) + eta*(T-t),
-                   with the centered binary loss L(h,(x,y)) = -y h(x)/2.
-    """
-    G = params.G
-    hist_loss = _objective(hclass, history, loss)
 
-    if params.mode is RelaxationMode.TRANSDUCTIVE:
-        Z = whole_numbers([] if hints is None else hints, "hints")
-        mode = "exact" if Z.size <= EXACT_RADEMACHER_CAP else "mc"
-        return 2.0 * G * rademacher_estimate(hclass, Z, -hist_loss / (2.0 * G),
-                                             mode=mode, trials=trials, rng=rng)
-
-    if params.mode is RelaxationMode.SMOOTHED_REAL:
-        m = params.K * (params.T - params.t)
-        phi = -hist_loss / (2.0 * G)
-        beta = beta_budget(params.T, params.K, params.sigma)
-        if m == 0:
-            return 2.0 * G * float(phi.max())
-        if rng is None:
-            raise InputError("smoothed_real mode needs an rng")
-        acc = 0.0
-        for _ in range(trials):
-            # sum_i eps_i h(V_i) over the hints = values @ (plus - minus)
-            cells = learnermod.hint_cells(m, hclass.domain_size, rng)
-            acc += (hclass.values @ (cells[:, 1] - cells[:, 0]) + phi).max()
-        return 2.0 * G * acc / trials + 2.0 * G * beta * (params.T - params.t)
-
-    if params.mode is RelaxationMode.FTPL:
-        phi = -_objective(hclass, history, LossSpec(LossKind.CENTERED_BINARY))
-        eta = eta_budget(params.n, params.sigma, params.d, params.T,
-                         params.c) if params.n > 0 else 0.0
-        slack = eta * (params.T - params.t)
-        if params.n == 0:
-            return float(phi.max()) + slack
-        if rng is None:
-            raise InputError("ftpl mode needs an rng")
-        acc = 0.0
-        for _ in range(trials):
-            cells = learnermod.hallucination_cells(params.n, hclass.domain_size, rng)
-            # -sum L(h, s~) = sum y h(x)/2
-            halluc = hclass.values @ ((cells[:, 1] - cells[:, 0]) / 2.0)
-            acc += (halluc + phi).max()
-        return acc / trials + slack
-
-    raise InputError(f"unknown relaxation mode {params.mode!r}")
+def ftpl_relaxation(hclass: HypothesisClass, history: Slot, n: float,
+                    sigma: float, d: int, T: int, t: int, c: float = 1.0,
+                    trials: int = 2000, rng=None) -> float:
+    """E over Poi(n) hallucinations s~ of sup_h(-L(h, s~) - L(h, history))
+    + eta*(T-t), with the centered binary loss L(h,(x,y)) = -y h(x)/2,
+    estimated by Monte Carlo over `trials` draws."""
+    if not 0 <= t <= T:
+        raise InputError("need 0 <= t <= T")
+    if n < 0:
+        raise InputError("ftpl relaxation needs n >= 0")
+    phi = -_objective(hclass, history, LossSpec(LossKind.CENTERED_BINARY))
+    slack = (eta_budget(n, sigma, d, T, c) if n > 0 else 0.0) * (T - t)
+    if n == 0:
+        return float(phi.max()) + slack
+    if rng is None:
+        raise InputError("ftpl relaxation needs an rng")
+    acc = 0.0
+    for _ in range(trials):
+        cells = learnermod.hallucination_cells(n, hclass.domain_size, rng)
+        # -sum L(h, s~) = sum y h(x)/2
+        halluc = hclass.values @ ((cells[:, 1] - cells[:, 0]) / 2.0)
+        acc += (halluc + phi).max()
+    return acc / trials + slack
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +300,7 @@ def smooth_polytope_vertices(domain_size: int, sigma: float) -> list[np.ndarray]
     """
     if domain_size > 12:
         raise CapacityError("vertex enumeration capped at |X| <= 12")
-    if not (0.0 < sigma <= 1.0):
-        raise InputError(f"sigma must be in (0, 1], got {sigma}")
+    check_sigma(sigma)
     cap = 1.0 / (sigma * domain_size)
     k = sigma * domain_size
     out = []
@@ -438,9 +359,8 @@ def admissibility_check(learner_kind: str, hclass: HypothesisClass,
         raise InputError("the exact check needs a deterministic tie policy")
 
     def rel(t: int, history) -> float:  # hints: the rows after round t
-        params = RelaxationParams(RelaxationMode.TRANSDUCTIVE, loss.lipschitz_G, T, t)
-        return relaxation_value(params, hclass, history, loss,
-                                hints=hint_schedule.rows[t:T].reshape(-1))
+        return transductive_relaxation(hclass, history, loss,
+                                       hint_schedule.rows[t:T].reshape(-1))
 
     # count-table bytes -> (table, Rel, first prefix (xs, ys)) of each
     # history before round t
@@ -647,8 +567,7 @@ def eta_budget(n: float, sigma: float, d: int, T: int, c: float = 1.0) -> float:
         raise InputError("n must be positive")
     if T < 2:
         raise InputError("T must be >= 2")
-    if not (0.0 < sigma <= 1.0):
-        raise InputError(f"sigma must be in (0, 1], got {sigma}")
+    check_sigma(sigma)
     ns = n * sigma
     lnT = math.log(T)
     return (1.0 / math.sqrt(ns) + c * math.sqrt(d * lnT / ns)
@@ -659,8 +578,7 @@ def beta_budget(T: int, K: int, sigma: float) -> float:
     """Coupling failure budget 10*T*K*(1-sigma)^K."""
     if T < 1 or K < 1:
         raise InputError("T and K must be >= 1")
-    if not (0.0 < sigma <= 1.0):
-        raise InputError(f"sigma must be in (0, 1], got {sigma}")
+    check_sigma(sigma)
     return 10.0 * T * K * (1.0 - sigma) ** K
 
 

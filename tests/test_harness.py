@@ -709,6 +709,7 @@ class TestCli:
         ([0, 1, 7, 3], [1.0, -1.0, 1.0, 1.0], "domain"),
         ([0, -1, 2, 3], [1.0, -1.0, 1.0, 1.0], "domain"),
         ([0, 1, 2, 3], [1.0, -1.0, 2.0, 1.0], "finite"),
+        ([0, 1, 2, 3], [1.0, -1.0, 0.5, 1.0], "label must be exactly -1 or +1"),
     ])
     def test_bad_custom_table_fails_before_any_round(
             self, tmp_path, capsys, monkeypatch, xs, ys, message):
@@ -723,3 +724,20 @@ class TestCli:
         assert main(["run", str(cfg)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert rounds == []
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_non_sign_custom_label_fails_before_any_game(
+            self, tmp_path, capsys, monkeypatch, command):
+        """A custom label of 0.5 under a +-1 loss used to load and then
+        fail in the round that revealed it, after the sweep's T = 2 point
+        had been played."""
+        def no_game(*args, **kwargs):
+            raise AssertionError("a game was started")
+        monkeypatch.setattr(harness, "run_game", no_game)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config_doc(
+            learner="ftl", loss="centered_binary", adversary="custom_table", T=3,
+            custom_xs=[0, 1, 2], custom_ys=[1, 1, 0.5], sweep={"T": [2, 3]})))
+        assert main([command, str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "exactly -1 or +1" in err

@@ -26,22 +26,20 @@ from smoothlab.core import (
 from smoothlab.errors import CapacityError, InputError
 from smoothlab.oracle import OracleSession, TiePolicy, erm
 from smoothlab.verify import (
-    RelaxationMode,
-    RelaxationParams,
     VerificationReport,
     admissibility_check,
     beta_budget,
     chi2_mixture,
     chi2_mixture_direct,
     coupling_montecarlo,
-    coupling_select,
     eta_budget,
+    ftpl_relaxation,
     generalization_gap_mc,
     monotonicity_check,
     rademacher_estimate,
-    relaxation_value,
     shifted_poisson_tv,
     smooth_polytope_vertices,
+    transductive_relaxation,
     tv_exact_poisson,
 )
 
@@ -66,15 +64,15 @@ class TestCoupling:
     def test_ratio_violation_rejected(self, rng):
         P = np.array([0.9, 0.1])
         Q = np.array([0.1, 0.9])
-        with pytest.raises(InputError):
-            coupling_select(np.zeros(3, dtype=int), P, Q, 0.5, rng)
+        with pytest.raises(InputError, match="likelihood ratio"):
+            coupling_montecarlo(P, Q, 0.5, m=3, trials=10, rng=rng)
 
     def test_select_accepts_with_sigma_when_P_equals_Q(self, rng):
+        """With P = Q each draw is accepted with probability sigma, so
+        the selection fails with probability (1 - sigma)^m."""
         P = Q = np.full(4, 0.25)
-        hits = sum(coupling_select(rng.integers(0, 4, size=5), P, Q, 0.3, rng)[0]
-                   for _ in range(20000))
-        expect = 1.0 - 0.7 ** 5
-        assert abs(hits / 20000 - expect) < 0.01
+        report = coupling_montecarlo(P, Q, 0.3, m=5, trials=20000, rng=rng)
+        assert abs(report.measured["fail_rate"] - 0.7 ** 5) < 0.01
 
     def test_montecarlo_passes_smooth_pair(self, rng):
         # P uniform over half the domain, Q uniform: dP/dQ = 2 = 1/sigma
@@ -134,21 +132,11 @@ class TestRademacher:
         val = rademacher_estimate(const_class, [0], np.array([10.0, -10.0]))
         assert val == 10.0
 
-    def test_mc_matches_exact(self, partition8, rng):
-        Z = [0, 2, 4, 6, 1]
-        phi = rng.normal(size=4)
-        exact = rademacher_estimate(partition8, Z, phi, mode="exact")
-        mc = rademacher_estimate(partition8, Z, phi, mode="mc",
-                                 trials=40000, rng=rng)
-        assert abs(mc - exact) < 0.05
-
-    def test_capacity_and_validation(self, const_class, rng):
+    def test_capacity_and_validation(self, const_class):
         with pytest.raises(CapacityError):
             rademacher_estimate(const_class, [0] * 17, np.zeros(2))
         with pytest.raises(InputError):
             rademacher_estimate(const_class, [0], np.zeros(3))
-        with pytest.raises(InputError):
-            rademacher_estimate(const_class, [0], np.zeros(2), mode="mc")
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -215,11 +203,11 @@ class TestRademacher:
         ([0], np.array([np.nan, 0.0])),
         ([0], np.array([np.inf, 0.0])),
         ([0], np.array([0.0, -np.inf])),
-    ], ids=["negative-index", "index-past-domain", "nan-phi", "inf-phi", "neg-inf-phi"])
-    @pytest.mark.parametrize("mode", ["exact", "mc"])
-    def test_estimate_rejects_bad_input(self, const_class, rng, Z, phi, mode):
+    ], ids=["exact-negative-index", "exact-index-past-domain", "exact-nan-phi",
+            "exact-inf-phi", "exact-neg-inf-phi"])
+    def test_estimate_rejects_bad_input(self, const_class, Z, phi):
         with pytest.raises(InputError):
-            rademacher_estimate(const_class, Z, phi, mode=mode, rng=rng)
+            rademacher_estimate(const_class, Z, phi)
 
     @pytest.mark.parametrize("Z, phi, x", [
         ([-1], np.zeros(2), 0),
@@ -273,54 +261,41 @@ class TestRelaxations:
     def test_transductive_matches_rademacher(self, const_class):
         loss = LossSpec.of("absolute")
         history = ExampleMultiset([(0, 1.0)])
-        params = RelaxationParams(RelaxationMode.TRANSDUCTIVE, G=0.5, T=2, t=1)
-        got = relaxation_value(params, const_class, history, loss, hints=[1])
+        got = transductive_relaxation(const_class, history, loss, [1])
         # history losses: h=+1 -> 0, h=-1 -> |(-1)-1|/2 = 1; phi = -loss/(2G)
         # = (0, -1).  E_eps sup_h{eps h + phi} = (max(1, -2) + max(-1, 0))/2
         expect = 2 * 0.5 * 0.5 * (max(1, -2) + max(-1, 0))
         assert got == pytest.approx(expect)
 
-    def test_smoothed_real_terminal_round(self, const_class):
+    def test_transductive_capacity(self, const_class):
+        """More than 16 hints raise like every other exact check; there
+        is no Monte Carlo fallback."""
         loss = LossSpec.of("absolute")
-        params = RelaxationParams(RelaxationMode.SMOOTHED_REAL, G=0.5,
-                                  T=3, t=3, K=2, sigma=0.5)
-        got = relaxation_value(params, const_class, ExampleMultiset(), loss)
-        assert got == 0.0  # phi = 0 at empty history, no future rounds
-
-    def test_smoothed_real_enumerable_case(self, const_class, rng):
-        """K=1, one future round, const class: sup_h eps h(V) = 1 for
-        every draw, so the MC part is exactly 2G and only the beta term
-        is added."""
-        loss = LossSpec.of("absolute")
-        params = RelaxationParams(RelaxationMode.SMOOTHED_REAL, G=0.5,
-                                  T=2, t=1, K=1, sigma=0.5)
-        got = relaxation_value(params, const_class, ExampleMultiset(), loss,
-                               trials=200, rng=rng)
-        expect = 1.0 + 2 * 0.5 * beta_budget(2, 1, 0.5) * 1
-        assert got == pytest.approx(expect)
+        # E|eps_1 + ... + eps_16| = 16 C(16, 8) / 2^16, and 2G = 1
+        assert transductive_relaxation(const_class, ExampleMultiset(), loss,
+                                       [0] * 16) == 16 * math.comb(16, 8) / 2 ** 16
+        with pytest.raises(CapacityError):
+            transductive_relaxation(const_class, ExampleMultiset(), loss, [0] * 17)
 
     def test_ftpl_n_zero_is_negated_best_loss(self, const_class):
-        loss = LossSpec.of("binary_indicator")
         history = ExampleMultiset([(0, 1.0), (1, 1.0)])
-        params = RelaxationParams(RelaxationMode.FTPL, G=0.5, T=4, t=4, n=0.0)
-        got = relaxation_value(params, const_class, history, loss)
+        got = ftpl_relaxation(const_class, history, n=0.0, sigma=1.0, d=1, T=4, t=4)
         # centered loss of h=+1 is -1, of h=-1 is +1; max of negations = 1
         assert got == 1.0
 
     def test_ftpl_mc_adds_eta_slack(self, const_class, rng):
-        loss = LossSpec.of("binary_indicator")
-        params = RelaxationParams(RelaxationMode.FTPL, G=0.5, T=4, t=2,
-                                  n=8.0, sigma=0.5, d=1)
-        got = relaxation_value(params, const_class, ExampleMultiset(), loss,
-                               trials=3000, rng=rng)
+        got = ftpl_relaxation(const_class, ExampleMultiset(), n=8.0, sigma=0.5,
+                              d=1, T=4, t=2, trials=3000, rng=rng)
         slack = eta_budget(8.0, 0.5, 1, 4) * 2
         assert got >= slack  # the hallucination supremum is nonnegative
 
-    def test_param_validation(self):
-        with pytest.raises(InputError):
-            RelaxationParams(RelaxationMode.TRANSDUCTIVE, G=0.5, T=2, t=3)
-        with pytest.raises(InputError):
-            RelaxationParams(RelaxationMode.SMOOTHED_REAL, G=0.5, T=2, t=1, K=0)
+    def test_param_validation(self, const_class):
+        with pytest.raises(InputError, match="t <= T"):
+            ftpl_relaxation(const_class, ExampleMultiset(), 0.0, 1.0, 1, T=2, t=3)
+        with pytest.raises(InputError, match="n >= 0"):
+            ftpl_relaxation(const_class, ExampleMultiset(), -1.0, 1.0, 1, T=2, t=1)
+        with pytest.raises(InputError, match="rng"):
+            ftpl_relaxation(const_class, ExampleMultiset(), 4.0, 1.0, 1, T=2, t=1)
 
 
 class TestSmoothPolytope:
@@ -410,13 +385,14 @@ class TestAdmissibility:
         sched = cyclic_hint_schedule(3, [np.arange(2), np.arange(2, 4)])
         loss = LossSpec.of("absolute")
         seen = []
-        real = verify.relaxation_value
+        real = verify.transductive_relaxation
 
-        def counting(params, hclass, history, loss, hints=None, **kw):
-            seen.append((params.t, tuple(history.items())))
-            return real(params, hclass, history, loss, hints=hints, **kw)
+        def counting(hclass, history, loss, hints):
+            # the hints are the K = 2 rows of rounds t+1..T
+            seen.append((3 - len(hints) // 2, tuple(history.items())))
+            return real(hclass, history, loss, hints)
 
-        monkeypatch.setattr(verify, "relaxation_value", counting)
+        monkeypatch.setattr(verify, "transductive_relaxation", counting)
         report = admissibility_check("alg3", hclass, loss, sched)
         assert report.passed
         assert len(seen) == len(set(seen)) == 61
@@ -766,19 +742,15 @@ class TestGeneralizationGap:
 @pytest.mark.parametrize("call", [
     lambda h: rademacher_estimate(h, [0.9], np.zeros(len(h))),
     lambda h: monotonicity_check(h, [0], np.zeros(len(h)), 0.5),
-    lambda h: relaxation_value(
-        RelaxationParams(RelaxationMode.TRANSDUCTIVE, 0.5, 2, 1), h,
-        ExampleMultiset(), LossSpec.of("absolute"), hints=[0.5]),
-    lambda h: coupling_select([0.5, 1.5], [0.5, 0.5], [0.5, 0.5], 1.0,
-                              np.random.default_rng(0)),
+    lambda h: transductive_relaxation(h, ExampleMultiset(), LossSpec.of("absolute"),
+                                      [0.5]),
     lambda h: known_sequence_schedule([0.5, 1.7]),
     lambda h: cyclic_hint_schedule(2, [[0.5, 1.5]]),
     lambda h: OracleSession(h, LossSpec.of("absolute")).add(0.9, 1.0),
     lambda h: OracleSession(h, LossSpec.of("absolute")).add(1, 1.0, 2.7),
     lambda h: ExampleMultiset().add(0.9, 1.0),
     lambda h: ExampleMultiset().add(1, 1.0, 2.7),
-], ids=["rademacher_Z", "monotonicity_x", "relaxation_hints", "coupling_samples",
-        "known_sequence", "cyclic_blocks", "session_add_instance", "session_add_count",
+], ids=["rademacher_Z", "monotonicity_x", "relaxation_hints", "known_sequence", "cyclic_blocks", "session_add_instance", "session_add_count",
         "multiset_add_instance", "multiset_add_count"])
 def test_non_integral_instances_rejected(const_class, call):
     """An instance index that is not a whole number raises instead of
