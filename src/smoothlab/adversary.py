@@ -26,7 +26,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import HypothesisClass, check_probs, validate_smooth, whole_numbers
+from .core import (HypothesisClass, check_probs, choice_cdf, validate_smooth,
+                   whole_numbers)
 from .errors import ContractViolation, InputError
 from . import rng as rngmod
 
@@ -136,15 +137,6 @@ class RoundCommitment:
                 )
         if not (np.abs(self.label_table) <= 1.0).all():
             raise ContractViolation("committed labels leave [-1, 1]")
-
-
-def _cdf(probs: np.ndarray) -> np.ndarray:
-    """The CDF that `Generator.choice(n, p=probs)` searches, computed
-    with its arithmetic; read-only."""
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    cdf.setflags(write=False)
-    return cdf
 
 
 def biased_label_rule(h_star_values, delta: float, rng) -> np.ndarray:
@@ -298,7 +290,7 @@ class Adversary:
         if entry is None:
             commitment = self.commit(t)
             commitment.check_contract()
-            entry = commitment, _cdf(commitment.probs)
+            entry = commitment, choice_cdf(commitment.probs)
             if key is not None:
                 self._commitments[key] = entry
         return entry

@@ -213,6 +213,16 @@ def check_probs(probs, tol: float = PROB_TOL) -> np.ndarray:
     return p
 
 
+def choice_cdf(probs: np.ndarray) -> np.ndarray:
+    """The CDF that `Generator.choice(n, p=probs)` searches, computed
+    with its arithmetic; read-only.  Its index for a uniform u is the
+    number of entries <= u, `searchsorted(u, side="right")`."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    cdf.setflags(write=False)
+    return cdf
+
+
 def check_sigma(sigma: float) -> None:
     """InputError unless 0 < sigma <= 1 (NaN fails it)."""
     if not (0.0 < sigma <= 1.0):

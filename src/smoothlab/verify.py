@@ -4,7 +4,8 @@ Covers:
 
 * the coupling procedure that extracts, from m draws of a base
   distribution Q, one sample whose conditional law is exactly a target
-  P with bounded likelihood ratio dP/dQ <= 1/sigma;
+  P with bounded likelihood ratio dP/dQ <= 1/sigma, by Monte Carlo over
+  row blocks that read the one-shot draws from advanced PCG64 copies;
 * exact total-variation and chi-square computations for the
   product-Poisson hallucination model and its single-shift mixtures;
 * regularized Rademacher complexity and its monotonicity in the
@@ -29,10 +30,12 @@ load it.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import json
 import math
+import numbers
 from collections import Counter
 from fractions import Fraction
 from dataclasses import dataclass
@@ -46,7 +49,9 @@ from .core import (
     LossKind,
     LossSpec,
     SmoothDistribution,
+    check_probs,
     check_sigma,
+    choice_cdf,
     loss_eval,
     whole_numbers,
 )
@@ -57,6 +62,8 @@ from . import learner as learnermod
 TRUNC_TAIL = 1e-12
 EXACT_RADEMACHER_CAP = 16
 ADMISSIBILITY_CAPS = {"domain": 4, "T": 5, "K": 2, "class": 8}
+COUPLING_BLOCK = 1 << 17  # draws of each kind that coupling_montecarlo holds
+_COUNTED_CDF_MAX = 32  # longer CDFs are binary-searched
 
 
 @dataclass
@@ -98,11 +105,16 @@ class VerificationReport:
 # Coupling (bounded likelihood ratio -> exact conditional law)
 # ---------------------------------------------------------------------------
 
-def _check_ratio(P: np.ndarray, Q: np.ndarray, sigma: float) -> None:
-    check_sigma(sigma)
-    bad = (P > 0) & (sigma * P > Q + 1e-12)
-    if np.any(bad):
-        raise InputError("likelihood ratio dP/dQ exceeds 1/sigma on the support")
+def _choice_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """`cdf.searchsorted(u, side="right")` on a nondecreasing cdf: the
+    number of entries <= u, counted entry by entry on a short CDF, where
+    that takes half the time of the binary search."""
+    if cdf.size > _COUNTED_CDF_MAX:
+        return cdf.searchsorted(u, side="right")
+    index = np.zeros(u.shape, dtype=np.intp)
+    for c in cdf.tolist():
+        index += u >= c
+    return index
 
 
 def coupling_montecarlo(P, Q, sigma: float, m: int, trials: int, rng,
@@ -112,23 +124,55 @@ def coupling_montecarlo(P, Q, sigma: float, m: int, trials: int, rng,
     Passes when the empirical failure rate sits inside the 4-sigma
     binomial band around (1-sigma)^m and the TV distance between the
     empirical conditional law of X_I and P is at most `tv_tol`.
-    """
-    P = np.asarray(P, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    _check_ratio(P, Q, sigma)
-    xs = rng.choice(P.size, size=(trials, m), p=Q)
-    accept = rng.random((trials, m)) < sigma * P[xs] / Q[xs]
-    success = accept.any(axis=1)
-    # uniform pick among accepted entries per row: argmax of uniforms
-    # masked to the accepted set
-    keys = np.where(accept, rng.random((trials, m)), -1.0)
-    picked = xs[np.arange(trials), np.argmax(keys, axis=1)]
-    selected = picked[success]
 
-    fail_rate = 1.0 - success.mean()
+    The draws are those of N = trials * m `choice(p=Q)` uniforms, then N
+    acceptance uniforms, then N keys, from `rng` as (trials, m) arrays.
+    Each is one double, one 64-bit output, so with a PCG64-family `rng`
+    the rows are drawn in blocks of COUPLING_BLOCK draws from copies of
+    its bit generator advanced by 0, N and 2N (`PCG64.advance`, with
+    streams stable under NEP 19), and `rng` ends advanced by 3N.  Other
+    bit generators draw all rows at once from `rng`.
+    """
+    if not isinstance(rng, np.random.Generator):
+        raise InputError(f"rng must be a numpy.random.Generator, got {rng!r}")
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, (bool, np.bool_))
+               and v >= 1 for v in (m, trials)):
+        raise InputError(f"m and trials must be integers >= 1, got {m!r}, {trials!r}")
+    if not (isinstance(tv_tol, numbers.Real) and 0.0 <= tv_tol < math.inf):
+        raise InputError(f"tv_tol must be finite and >= 0, got {tv_tol!r}")
+    P, Q, m, trials = check_probs(P), check_probs(Q), int(m), int(trials)
+    if P.size != Q.size:
+        raise InputError("P and Q must have the same length")
+    check_sigma(sigma)
+    if np.any((P > 0) & (sigma * P > Q + 1e-12)):
+        raise InputError("likelihood ratio dP/dQ exceeds 1/sigma on the support")
+    cdf = choice_cdf(Q)
+    ratio = np.divide(sigma * P, Q, out=np.zeros_like(P), where=Q > 0)
+    streams, rows, bits = [rng] * 3, trials, rng.bit_generator
+    if isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
+        def advanced(k: int):  # a copy of bits moved on by k * N doubles
+            clone = copy.deepcopy(bits)
+            return clone.advance(k * trials * m)
+        streams = [np.random.Generator(advanced(k)) for k in range(3)]
+        state = bits.state  # its 32-bit buffer stays as it was
+        state["state"] = advanced(3).state["state"]
+        bits.state, rows = state, max(1, COUPLING_BLOCK // m)
+    successes, counts = 0, np.zeros(P.size, dtype=np.int64)
+    for start in range(0, trials, rows):
+        shape = (min(rows, trials - start), m)
+        xs = _choice_index(cdf, streams[0].random(shape))
+        accept = streams[1].random(shape) < ratio[xs]
+        success = accept.any(axis=1)
+        # uniform pick among accepted entries per row: argmax of uniforms
+        # masked to the accepted set
+        keys = np.where(accept, streams[2].random(shape), -1.0)
+        picked = xs[np.arange(shape[0]), keys.argmax(axis=1)]
+        successes += int(success.sum())
+        counts += np.bincount(picked[success], minlength=P.size)
+    fail_rate = 1.0 - successes / trials
     fail_exact = (1.0 - sigma) ** m
     band = 4.0 * math.sqrt(max(fail_exact * (1 - fail_exact), 1e-300) / trials)
-    emp = np.bincount(selected, minlength=P.size) / max(selected.size, 1)
+    emp = counts / max(successes, 1)
     tv = 0.5 * np.abs(emp - P).sum()
 
     passed = (abs(fail_rate - fail_exact) <= band) and (tv <= tv_tol)

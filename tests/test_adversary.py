@@ -16,10 +16,10 @@ from smoothlab.adversary import (
     full_domain_schedule,
     known_sequence_schedule,
     next_round,
-    _cdf,
 )
 from smoothlab.core import (
     FiniteDomain,
+    choice_cdf,
     LossSpec,
     loss_eval,
     make_partition_class,
@@ -361,7 +361,7 @@ class _OneCommitment:
 
     def __init__(self, probs):
         self.entry = (RoundCommitment(probs, None, None, np.ones(probs.size)),
-                      _cdf(probs))
+                      choice_cdf(probs))
 
     def _certified(self, t):
         return self.entry

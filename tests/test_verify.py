@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from smoothlab.core import (
     HypothesisClass,
     LossSpec,
     SmoothDistribution,
+    choice_cdf,
     make_partition_class,
     make_shatter_class,
 )
@@ -67,6 +69,31 @@ class TestCoupling:
         with pytest.raises(InputError, match="likelihood ratio"):
             coupling_montecarlo(P, Q, 0.5, m=3, trials=10, rng=rng)
 
+    @pytest.mark.parametrize("args", [
+        dict(trials=0),
+        dict(m=0),
+        dict(m=2.5),
+        dict(trials=True),
+        dict(P=[0.6, 0.6]),
+        dict(P=[0.5 + 1e-9, 0.5 - 2e-9]),
+        dict(Q=[0.5, 0.6]),
+        dict(P=[1.0, 0.0], Q=[1.5, -0.5]),
+        dict(Q=[0.25, 0.25, 0.5]),
+        dict(P=[[0.5, 0.5]]),
+        dict(tv_tol=float("nan")),
+        dict(tv_tol=-0.01),
+        dict(tv_tol=float("inf")),
+        dict(rng=None),
+        dict(rng=np.random.RandomState(0)),
+    ], ids=["trials-0", "m-0", "m-float", "trials-bool", "P-sum", "P-sum-1e-9",
+            "Q-sum", "Q-negative", "length", "P-2d", "tol-nan", "tol-negative",
+            "tol-inf", "rng-none", "rng-legacy"])
+    def test_bad_arguments_rejected(self, rng, args):
+        call = dict(P=[0.5, 0.5], Q=[0.5, 0.5], sigma=0.5, m=3, trials=10, rng=rng)
+        call.update(args)
+        with pytest.raises(InputError):
+            coupling_montecarlo(**call)
+
     def test_select_accepts_with_sigma_when_P_equals_Q(self, rng):
         """With P = Q each draw is accepted with probability sigma, so
         the selection fails with probability (1 - sigma)^m."""
@@ -91,6 +118,116 @@ class TestCoupling:
         # rebuild the report against the wrong reference by hand
         wrong_tv = 0.5 * np.abs(np.array([0.25] * 4) - P).sum()
         assert report.passed and wrong_tv > report.tolerance
+
+
+def _coupling_reference(P, Q, sigma, m, trials, rng, tv_tol=0.02):
+    """Reference: the one-shot body of `coupling_montecarlo`, holding all
+    three (trials, m) arrays at once."""
+    P = np.asarray(P, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    xs = rng.choice(P.size, size=(trials, m), p=Q)
+    accept = rng.random((trials, m)) < sigma * P[xs] / Q[xs]
+    success = accept.any(axis=1)
+    keys = np.where(accept, rng.random((trials, m)), -1.0)
+    picked = xs[np.arange(trials), np.argmax(keys, axis=1)]
+    selected = picked[success]
+    fail_rate = 1.0 - success.mean()
+    fail_exact = (1.0 - sigma) ** m
+    band = 4.0 * math.sqrt(max(fail_exact * (1 - fail_exact), 1e-300) / trials)
+    emp = np.bincount(selected, minlength=P.size) / max(selected.size, 1)
+    tv = 0.5 * np.abs(emp - P).sum()
+    return VerificationReport(
+        name="coupling_montecarlo", mode="monte_carlo",
+        measured={"fail_rate": fail_rate, "fail_exact": fail_exact,
+                  "fail_band": band, "conditional_tv": tv},
+        bound=tv_tol, tolerance=tv_tol, trials=trials,
+        passed=bool((abs(fail_rate - fail_exact) <= band) and (tv <= tv_tol)),
+        details=f"m={m}, sigma={sigma}")
+
+
+@st.composite
+def coupling_pairs(draw):
+    """(P, Q, sigma) with dP/dQ <= 1/sigma: Q with zero atoms (leading,
+    trailing or inside) outside P's support, and P = Q w / <Q, w>."""
+    n = draw(st.integers(1, 48))
+    q = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0, 3.0]),
+                               min_size=n, max_size=n)))
+    q[draw(st.integers(0, n - 1))] += 1.0  # one positive atom at least
+    Q = q / q.sum()
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    w[np.argmax(Q)] = 1.0
+    P = Q * w / (Q @ w)
+    sigma = float((Q @ w) * draw(st.floats(0.05, 1.0)))
+    return P, Q, sigma
+
+
+def _block_rows(m):
+    return verify.COUPLING_BLOCK // m
+
+
+class TestCouplingBlocks:
+    """The blocked kernel against the one-shot reference, bit for bit."""
+
+    @given(coupling_pairs(), st.integers(1, 40), st.sampled_from(range(5)),
+           st.integers(0, 2**32 - 1), st.booleans(),
+           st.sampled_from([np.random.PCG64, np.random.PCG64DXSM]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_one_shot_reference(self, pair, m, where, seed, buffered,
+                                       bit_generator):
+        P, Q, sigma = pair
+        B = _block_rows(m)
+        trials = (1, B - 1, B, B + 1, 2 * B + 3)[where]
+        got_rng = np.random.Generator(bit_generator(seed))
+        want_rng = np.random.Generator(bit_generator(seed))
+        if buffered:  # a pending 32-bit half survives the call
+            got_rng.integers(10, dtype=np.uint32)
+            want_rng.integers(10, dtype=np.uint32)
+        got = coupling_montecarlo(P, Q, sigma, m=m, trials=trials, rng=got_rng)
+        want = _coupling_reference(P, Q, sigma, m, trials, want_rng)
+        assert got == want
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64])
+    def test_generators_without_advance(self, bit_generator):
+        P = np.array([0.0, 0.5, 0.0, 0.5, 0.0])
+        Q = np.array([0.0, 0.25, 0.25, 0.25, 0.25])
+        got_rng = np.random.Generator(bit_generator(3))
+        want_rng = np.random.Generator(bit_generator(3))
+        trials = _block_rows(7) + 1
+        got = coupling_montecarlo(P, Q, 0.5, m=7, trials=trials, rng=got_rng)
+        assert got == _coupling_reference(P, Q, 0.5, 7, trials, want_rng)
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("probs", [
+        [1.0],
+        [0.0, 0.5, 0.0, 0.0, 0.5, 0.0],
+        [0.1] * 10,
+        np.where(np.arange(40) % 3 == 0, 0.0, 1.0) / np.count_nonzero(np.arange(40) % 3),
+    ], ids=["point", "zeros", "uniform-10", "zeros-40"])
+    def test_counted_index_is_searchsorted_right(self, probs):
+        cdf = choice_cdf(np.asarray(probs, dtype=float))
+        u = np.concatenate([cdf, np.nextafter(cdf, -np.inf),
+                            np.nextafter(cdf, np.inf), [0.0, 0.5]])
+        want = cdf.searchsorted(u, side="right")
+        np.testing.assert_array_equal(verify._choice_index(cdf, u), want)
+        np.testing.assert_array_equal(verify._choice_index(cdf, u.reshape(-1, 1)),
+                                      want.reshape(-1, 1))
+
+    def test_peak_memory_is_a_few_blocks(self):
+        size, sigma = 10, 0.3
+        cap = 1.0 / (sigma * size)
+        P = np.full(size, (1.0 - cap) / (size - 1))
+        P[0] = cap
+        Q = np.full(size, 1.0 / size)
+        tracemalloc.start()
+        try:
+            coupling_montecarlo(P, Q, sigma, m=20, trials=100_000,
+                                rng=np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 def _rademacher_reference(vals, phi, Z) -> Fraction:
