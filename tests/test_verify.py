@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothlab import learner, verify
+from smoothlab import rng as rngmod
 from smoothlab.adversary import (HintSchedule, cyclic_hint_schedule,
                                  full_domain_schedule, known_sequence_schedule)
 from smoothlab.core import (
@@ -21,7 +22,6 @@ from smoothlab.core import (
     HypothesisClass,
     LossSpec,
     SmoothDistribution,
-    choice_cdf,
     make_partition_class,
     make_shatter_class,
 )
@@ -199,20 +199,23 @@ class TestCouplingBlocks:
         assert got == _coupling_reference(P, Q, 0.5, 7, trials, want_rng)
         assert got_rng.random() == want_rng.random()
 
-    @pytest.mark.parametrize("probs", [
-        [1.0],
-        [0.0, 0.5, 0.0, 0.0, 0.5, 0.0],
-        [0.1] * 10,
-        np.where(np.arange(40) % 3 == 0, 0.0, 1.0) / np.count_nonzero(np.arange(40) % 3),
-    ], ids=["point", "zeros", "uniform-10", "zeros-40"])
-    def test_counted_index_is_searchsorted_right(self, probs):
-        cdf = choice_cdf(np.asarray(probs, dtype=float))
-        u = np.concatenate([cdf, np.nextafter(cdf, -np.inf),
-                            np.nextafter(cdf, np.inf), [0.0, 0.5]])
-        want = cdf.searchsorted(u, side="right")
-        np.testing.assert_array_equal(verify._choice_index(cdf, u), want)
-        np.testing.assert_array_equal(verify._choice_index(cdf, u.reshape(-1, 1)),
-                                      want.reshape(-1, 1))
+    def test_precomputed_lane_stream(self):
+        """A lane's later streams are PCG64s seeded from precomputed words
+        (`rng.stream`), as `verify --suite all` gets on every pass after
+        the first in one process; the copies must advance those too."""
+        P = np.array([0.0, 0.5, 0.0, 0.5, 0.0])
+        Q = np.array([0.0, 0.25, 0.25, 0.25, 0.25])
+        rngmod.stream(19_190_019, purpose="verify")
+        got_rng = rngmod.stream(19_190_019, purpose="verify")
+        assert isinstance(got_rng.bit_generator.seed_seq, rngmod._Words)
+        got_rng.random(3)  # a state other than the seeded one
+        want_rng = np.random.Generator(np.random.PCG64())
+        want_rng.bit_generator.state = got_rng.bit_generator.state
+        trials = 2 * _block_rows(7) + 3
+        got = coupling_montecarlo(P, Q, 0.5, m=7, trials=trials, rng=got_rng)
+        assert got == _coupling_reference(P, Q, 0.5, 7, trials, want_rng)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.random() == want_rng.random()
 
     def test_peak_memory_is_a_few_blocks(self):
         size, sigma = 10, 0.3
