@@ -20,8 +20,9 @@ Covers:
 
 Each check has one implementation.  An exact check above its
 enumeration cap raises `CapacityError` instead of switching to Monte
-Carlo, and exact results carry a rigorous truncation error bound
-instead of a statistical tolerance.
+Carlo (Rademacher's cap is 2^16 +1-count vectors, whatever |Z|), and
+exact results carry a rigorous truncation error bound instead of a
+statistical tolerance.
 
 scipy is used only by the Poisson TV/chi-square checks, which import
 ``scipy.special`` on their first call, so importing this module does not
@@ -31,7 +32,6 @@ load it.
 from __future__ import annotations
 
 import copy
-import functools
 import itertools
 import json
 import math
@@ -60,7 +60,7 @@ from .oracle import CountTable, OracleSession, Slot, TiePolicy, _objective, erm
 from . import learner as learnermod
 
 TRUNC_TAIL = 1e-12
-EXACT_RADEMACHER_CAP = 16
+EXACT_RADEMACHER_VECTORS = 1 << 16  # +1-count vectors prod(c_z + 1) of one enumeration
 ADMISSIBILITY_CAPS = {"domain": 4, "T": 5, "K": 2, "class": 8}
 COUPLING_BLOCK = 1 << 17  # draws of each kind that coupling_montecarlo holds
 
@@ -104,6 +104,28 @@ class VerificationReport:
 # Coupling (bounded likelihood ratio -> exact conditional law)
 # ---------------------------------------------------------------------------
 
+def _guided_search(cdf: np.ndarray):
+    """`u -> cdf.searchsorted(u, side="right")` on arrays of uniforms in
+    [0, 1), through a guide table (Chen & Asau's indexed search).
+
+    With G = 2|cdf| buckets, guide[j] counts the entries whose bucket
+    int(c * G) is below j.  Float products with G are monotone, so those
+    entries are < u when j = int(u * G): guide[j] never passes the answer
+    (u * G rounding up to G has its own slot).  One step forward settles
+    almost every u and searchsorted the rest; cdf[-1] == 1.0 > u keeps
+    every read inside the CDF."""
+    G = 2 * cdf.size
+    guide = (cdf * G).astype(np.intp).searchsorted(np.arange(G + 1))
+
+    def index(u: np.ndarray) -> np.ndarray:
+        idx = guide[(u * G).astype(np.intp)]
+        idx += cdf[idx] <= u
+        short = cdf[idx] <= u
+        idx[short] = cdf.searchsorted(u[short], side="right")
+        return idx
+    return index
+
+
 def coupling_montecarlo(P, Q, sigma: float, m: int, trials: int, rng,
                         tv_tol: float = 0.02) -> VerificationReport:
     """Estimate Pr[E^c] and the conditional law of X_I given E.
@@ -118,7 +140,10 @@ def coupling_montecarlo(P, Q, sigma: float, m: int, trials: int, rng,
     the rows are drawn in blocks of COUPLING_BLOCK draws from copies of
     its bit generator advanced by 0, N and 2N (`PCG64.advance`, with
     streams stable under NEP 19), and `rng` ends advanced by 3N.  Other
-    bit generators draw all rows at once from `rng`.
+    bit generators draw all rows at once from `rng`.  A uniform's atom is
+    `choice`'s, the number of CDF entries <= u, found through a guide
+    table built once per call (`_guided_search`), which returns exactly
+    `searchsorted(u, side="right")` in O(1) expected steps at any |Q|.
     """
     if not isinstance(rng, np.random.Generator):
         raise InputError(f"rng must be a numpy.random.Generator, got {rng!r}")
@@ -133,7 +158,7 @@ def coupling_montecarlo(P, Q, sigma: float, m: int, trials: int, rng,
     check_sigma(sigma)
     if np.any((P > 0) & (sigma * P > Q + 1e-12)):
         raise InputError("likelihood ratio dP/dQ exceeds 1/sigma on the support")
-    cdf = choice_cdf(Q)
+    index = _guided_search(choice_cdf(Q))
     ratio = np.divide(sigma * P, Q, out=np.zeros_like(P), where=Q > 0)
     streams, rows, bits = [rng] * 3, trials, rng.bit_generator
     if isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
@@ -147,7 +172,7 @@ def coupling_montecarlo(P, Q, sigma: float, m: int, trials: int, rng,
     successes, counts = 0, np.zeros(P.size, dtype=np.int64)
     for start in range(0, trials, rows):
         shape = (min(rows, trials - start), m)
-        xs = cdf.searchsorted(streams[0].random(shape), side="right")
+        xs = index(streams[0].random(shape))
         accept = streams[1].random(shape) < ratio[xs]
         success = accept.any(axis=1)
         # uniform pick among accepted entries per row: argmax of uniforms
@@ -195,16 +220,6 @@ def _rademacher_args(hclass: HypothesisClass, Z, phi) -> tuple[np.ndarray, np.nd
     return Z, phi
 
 
-@functools.cache
-def _pascal(top: int) -> np.ndarray:
-    """C(c, k) for 0 <= c, k <= top, as a read-only (top + 1, top + 1)
-    table; top never exceeds EXACT_RADEMACHER_CAP."""
-    table = np.array([[math.comb(c, k) for k in range(top + 1)]
-                      for c in range(top + 1)])
-    table.setflags(write=False)
-    return table
-
-
 def _sign_counts(Z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The +1-count vectors of the Rademacher signs on Z.
 
@@ -213,15 +228,21 @@ def _sign_counts(Z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     collapse to the count vectors k in prod_z [0..c_z].  Returns the
     distinct instances in order of first appearance, their multiplicities
     c, the count vectors as rows (the last instance's count fastest) and
-    the number prod_z C(c_z, k_z) of assignments behind each; distinct Z
-    is the case c_z = 1, where the rows are the assignments themselves.
+    the number prod_z C(c_z, k_z) of assignments behind each, from one
+    binomial row per instance; distinct Z is the case c_z = 1, where the
+    rows are the assignments; `CapacityError` above EXACT_RADEMACHER_VECTORS.
     """
     tally = Counter(Z.tolist())  # in first-seen order
     zs = np.array(list(tally), dtype=int)
     counts = np.array(list(tally.values()), dtype=int)
     dims = tuple(c + 1 for c in tally.values())
+    if math.prod(dims) > EXACT_RADEMACHER_VECTORS:
+        raise CapacityError(f"|Z|={len(Z)} has {math.prod(dims)} sign count vectors")
     ks = np.indices(dims).reshape(len(dims), -1 if dims else 1).T
-    weights = _pascal(max(dims, default=1) - 1)[counts, ks].prod(axis=1)
+    # every weight is at most 2^|Z|, so int64 holds them below |Z| = 63
+    weights = np.ones(len(ks), dtype=np.int64 if len(Z) < 63 else object)
+    for j, c in enumerate(tally.values()):
+        weights *= np.array([math.comb(c, k) for k in range(c + 1)], weights.dtype)[ks[:, j]]
     return zs, counts, ks, weights
 
 
@@ -236,11 +257,8 @@ def _rademacher_exact(vals, phi, Z) -> Fraction:
     the enumeration runs on integers (int64 when the bound on every
     partial sum allows, Python ints otherwise); nothing is rounded.
     """
-    m = len(Z)
-    if m > EXACT_RADEMACHER_CAP:
-        raise CapacityError(f"|Z|={m} exceeds the exact enumeration cap")
     zs, counts, ks, weights = _sign_counts(Z)
-    H = len(phi)
+    m, H = len(Z), len(phi)
     ratios = [v.as_integer_ratio()
               for v in vals.T[zs].ravel().tolist() + phi.tolist()]
     scale = max(den for _, den in ratios)  # every den is a power of two
@@ -254,8 +272,9 @@ def _rademacher_exact(vals, phi, Z) -> Fraction:
 
 def rademacher_estimate(hclass: HypothesisClass, Z, phi) -> float:
     """E_eps[ sup_h { sum_i eps_i h(z_i) + phi(h) } ], exactly: the 2^|Z|
-    sign assignments (|Z| <= 16) are enumerated through their per-instance
-    +1 counts and the exact value is rounded once."""
+    sign assignments are enumerated through their per-instance +1 counts
+    (at most EXACT_RADEMACHER_VECTORS of them) and the exact value is
+    rounded once."""
     Z, phi = _rademacher_args(hclass, Z, phi)
     return float(_rademacher_exact(hclass.values, phi, Z))
 
@@ -631,14 +650,17 @@ def generalization_gap_mc(hclass: HypothesisClass, D: SmoothDistribution,
     label_table = np.asarray(label_table, dtype=float)
     if not np.all(np.abs(label_table) == 1.0):
         raise InputError("label_table must hold -1 or +1 for every instance")
-    probs = D.array
+    if len(D.probs) != hclass.domain_size:
+        raise InputError("distribution size disagrees with the domain")
+    # one double per draw, as the scalar `rng.choice(|X|, p=D)` spends it
+    cdf = choice_cdf(D.array)
     loss = LossSpec.of("binary_indicator")
     session = OracleSession(hclass, loss, history)
     gaps = np.zeros(trials)
     for i in range(trials):
         cells = learnermod.hallucination_cells(n, hclass.domain_size, rng)
-        x_t = int(rng.choice(hclass.domain_size, p=probs))
-        x_p = int(rng.choice(hclass.domain_size, p=probs))
+        x_t = int(cdf.searchsorted(rng.random(), side="right"))
+        x_p = int(cdf.searchsorted(rng.random(), side="right"))
         y_t, y_p = float(label_table[x_t]), float(label_table[x_p])
         cells[x_t, int(y_t > 0)] += 1  # the sample s joins the hallucinations
         idx, _ = erm(hclass, CountTable(session, cells, with_history=True), loss,

@@ -22,11 +22,12 @@ from smoothlab.core import (
     HypothesisClass,
     LossSpec,
     SmoothDistribution,
+    choice_cdf,
     make_partition_class,
     make_shatter_class,
 )
 from smoothlab.errors import CapacityError, InputError
-from smoothlab.oracle import OracleSession, TiePolicy, erm
+from smoothlab.oracle import CountTable, OracleSession, TiePolicy, erm
 from smoothlab.verify import (
     VerificationReport,
     admissibility_check,
@@ -165,6 +166,61 @@ def _block_rows(m):
     return verify.COUPLING_BLOCK // m
 
 
+def _normalized(w):
+    w = np.asarray(w, dtype=float)
+    return w / w.sum()
+
+
+# 1,000 atoms; 999 tiny atoms crowding the first or the last bucket of the
+# guide table next to one atom holding nearly all the mass
+_ATOMS_1000 = _normalized(np.random.default_rng(1000).random(1000))
+_CROWDED_LOW = _normalized([1e-9] * 999 + [1.0])
+_CROWDED_HIGH = _normalized([1.0] + [1e-9] * 999)
+
+
+@st.composite
+def cdfs(draw):
+    """choice_cdf of weights with zero atoms (leading, interior, trailing),
+    hence duplicate entries, and tiny atoms that crowd one bucket."""
+    n = draw(st.integers(1, 64))
+    w = np.array(draw(st.lists(
+        st.sampled_from([0.0, 0.0, 1e-300, 1e-12, 1e-6, 0.1, 1.0, 1e3]),
+        min_size=n, max_size=n)))
+    w[draw(st.integers(0, n - 1))] += 1.0
+    return choice_cdf(w / w.sum())
+
+
+def _probes(cdf):
+    """Every CDF entry and bucket edge j/G with both float neighbours,
+    0.0 and the largest double below 1, kept to [0, 1)."""
+    G = 2 * cdf.size
+    u = np.concatenate([cdf, np.arange(G + 1) / G, [0.0, 1.0]])
+    u = np.concatenate([u, np.nextafter(u, -1.0), np.nextafter(u, 2.0)])
+    return np.unique(u[(u >= 0.0) & (u < 1.0)])
+
+
+class TestGuidedSearch:
+    """`verify._guided_search` against `searchsorted(side="right")`."""
+
+    @given(cdfs())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_searchsorted_right(self, cdf):
+        u = _probes(cdf)
+        got = verify._guided_search(cdf)(u)
+        assert got.tolist() == cdf.searchsorted(u, side="right").tolist()
+
+    @pytest.mark.parametrize("probs", [[1.0], [0.0, 1.0, 0.0], _ATOMS_1000,
+                                       _CROWDED_LOW, _CROWDED_HIGH],
+                             ids=["one-atom", "zero-atoms", "1000-atoms",
+                                  "crowded-low", "crowded-high"])
+    def test_fixed_cdfs(self, probs):
+        cdf = choice_cdf(np.asarray(probs, dtype=float))
+        index, u = verify._guided_search(cdf), _probes(cdf)
+        assert index(u).tolist() == cdf.searchsorted(u, side="right").tolist()
+        u = np.random.default_rng(0).random((500, 20))  # a block's shape
+        assert (index(u) == cdf.searchsorted(u, side="right")).all()
+
+
 class TestCouplingBlocks:
     """The blocked kernel against the one-shot reference, bit for bit."""
 
@@ -217,6 +273,21 @@ class TestCouplingBlocks:
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
         assert got_rng.random() == want_rng.random()
 
+    @pytest.mark.parametrize("Q", [_ATOMS_1000, _CROWDED_LOW, _CROWDED_HIGH],
+                             ids=["1000-atoms", "crowded-low", "crowded-high"])
+    @pytest.mark.parametrize("trials", [1, _block_rows(7) + 1, 2 * _block_rows(7) + 3],
+                             ids=["one-row", "two-blocks", "three-blocks"])
+    def test_large_and_crowded_cdfs(self, Q, trials):
+        """The guide-table index on 1,000 atoms and on CDFs whose entries
+        crowd one bucket, across block boundaries."""
+        P = Q * np.linspace(0.5, 1.0, Q.size)
+        P /= P.sum()
+        sigma = float(0.9 * (Q[P > 0] / P[P > 0]).min())
+        got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = coupling_montecarlo(P, Q, sigma, m=7, trials=trials, rng=got_rng)
+        assert got == _coupling_reference(P, Q, sigma, 7, trials, want_rng)
+        assert got_rng.random() == want_rng.random()
+
     def test_peak_memory_is_a_few_blocks(self):
         size, sigma = 10, 0.3
         cap = 1.0 / (sigma * size)
@@ -248,6 +319,12 @@ def _rademacher_reference(vals, phi, Z) -> Fraction:
     return total / (1 << m)
 
 
+def _mean_abs_walk(m: int) -> float:
+    """E|eps_1 + ... + eps_m| = m C(m-1, floor((m-1)/2)) / 2^(m-1), correctly
+    rounded; m C(m, m/2) / 2^m for even m, and E|S_(2n-1)| = E|S_2n|."""
+    return m * math.comb(m - 1, (m - 1) // 2) / 2 ** (m - 1)
+
+
 # dyadic k/1024 values mixed with magnitudes from 1e-300 to 1e300
 _PHI_ENTRY = st.one_of(
     st.integers(-4096, 4096).map(lambda k: k / 1024),
@@ -273,8 +350,12 @@ class TestRademacher:
         assert val == 10.0
 
     def test_capacity_and_validation(self, const_class):
+        """The cap counts +1-count vectors, prod_z (c_z + 1) <= 2^16, not
+        points: 17 distinct points are 2^17 vectors, 17 copies of one 18."""
+        const17 = HypothesisClass([[1.0] * 17, [-1.0] * 17], declared_dim=1, binary=True)
         with pytest.raises(CapacityError):
-            rademacher_estimate(const_class, [0] * 17, np.zeros(2))
+            rademacher_estimate(const17, list(range(17)), np.zeros(2))
+        assert rademacher_estimate(const_class, [0] * 17, np.zeros(2)) == _mean_abs_walk(17)
         with pytest.raises(InputError):
             rademacher_estimate(const_class, [0], np.zeros(3))
 
@@ -336,6 +417,22 @@ class TestRademacher:
         assert weights.tolist() == [1, 1, 2, 2, 1, 1]
         zs, counts, ks, weights = verify._sign_counts(np.array([], dtype=int))
         assert ks.shape == (1, 0) and weights.tolist() == [1]
+
+    def test_weights_past_int64(self):
+        """From |Z| = 63 a weight can pass 2^63, so the weights are Python
+        ints: 40 copies each of two instances give C(40, 20)^2 ~ 2^74."""
+        _, _, ks, weights = verify._sign_counts(np.array([0, 1] * 40))
+        assert len(ks) == 41 ** 2 and weights.dtype == object
+        assert sum(weights) == 2 ** 80 and max(weights) == math.comb(40, 20) ** 2
+        _, _, _, weights = verify._sign_counts(np.array([0, 1, 2] * 20 + [3, 3]))
+        assert weights.dtype == np.int64 and int(weights.sum()) == 2 ** 62
+
+    def test_cap_counts_vectors(self):
+        """2^16 count vectors are enumerated, one more raises."""
+        Z = np.repeat(np.arange(4), 15)  # 16^4 = 2^16 vectors
+        assert len(verify._sign_counts(Z)[2]) == verify.EXACT_RADEMACHER_VECTORS
+        with pytest.raises(CapacityError):
+            verify._sign_counts(np.append(Z, 4))
 
     @pytest.mark.parametrize("Z, phi", [
         ([-1], np.zeros(2)),
@@ -408,14 +505,19 @@ class TestRelaxations:
         assert got == pytest.approx(expect)
 
     def test_transductive_capacity(self, const_class):
-        """More than 16 hints raise like every other exact check; there
-        is no Monte Carlo fallback."""
+        """Repeated hints are exact up to 2^16 +1-count vectors, whatever
+        their number; 17 distinct hints (2^17 vectors) raise like every
+        other exact check, with no Monte Carlo fallback."""
         loss = LossSpec.of("absolute")
         # E|eps_1 + ... + eps_16| = 16 C(16, 8) / 2^16, and 2G = 1
         assert transductive_relaxation(const_class, ExampleMultiset(), loss,
                                        [0] * 16) == 16 * math.comb(16, 8) / 2 ** 16
+        for m in (16, 17, 200):
+            assert transductive_relaxation(const_class, ExampleMultiset(), loss,
+                                           [0] * m) == _mean_abs_walk(m)
+        const17 = HypothesisClass([[1.0] * 17, [-1.0] * 17], declared_dim=1, binary=True)
         with pytest.raises(CapacityError):
-            transductive_relaxation(const_class, ExampleMultiset(), loss, [0] * 17)
+            transductive_relaxation(const17, ExampleMultiset(), loss, list(range(17)))
 
     def test_ftpl_n_zero_is_negated_best_loss(self, const_class):
         history = ExampleMultiset([(0, 1.0), (1, 1.0)])
@@ -815,7 +917,63 @@ class TestBudgets:
         assert beta_budget(100, 2000, 0.1) < beta_budget(100, 100, 0.1)
 
 
+def _gengap_reference(hclass, D, label_table, history, n, trials, rng, T=2,
+                     tie=TiePolicy.LOWEST_INDEX):
+    """Reference: the body of `generalization_gap_mc` that drew x_t and
+    x_p with `rng.choice(|X|, p=D)`."""
+    loss = LossSpec.of("binary_indicator")
+    session = OracleSession(hclass, loss, history)
+    gaps = np.zeros(trials)
+    for i in range(trials):
+        cells = learner.hallucination_cells(n, hclass.domain_size, rng)
+        x_t = int(rng.choice(hclass.domain_size, p=D.array))
+        x_p = int(rng.choice(hclass.domain_size, p=D.array))
+        y_t, y_p = float(label_table[x_t]), float(label_table[x_p])
+        cells[x_t, int(y_t > 0)] += 1
+        idx, _ = erm(hclass, CountTable(session, cells, with_history=True), loss,
+                     tie=tie, rng=rng)
+        h = hclass.values[idx]
+        gaps[i] = (-y_p * h[x_p] / 2.0) - (-y_t * h[x_t] / 2.0)
+    mean = float(gaps.mean())
+    stderr = float(gaps.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    lnT = math.log(max(T, 2))
+    budget = (math.sqrt(hclass.declared_dim * lnT / (n * D.sigma))
+              + n * D.sigma / (4.0 * T * T * lnT) + math.exp(-n / 8.0))
+    return VerificationReport(
+        name="generalization_gap", mode="monte_carlo",
+        measured={"gap": mean, "stderr": stderr}, bound=budget,
+        tolerance=3.0 * stderr, trials=trials,
+        passed=bool(mean <= budget + 3.0 * stderr),
+        details=f"n={n}, sigma={D.sigma}, d={hclass.declared_dim}")
+
+
 class TestGeneralizationGap:
+    @pytest.mark.parametrize("D, tie, history", [
+        (SmoothDistribution.uniform(8), TiePolicy.LOWEST_INDEX, []),
+        (SmoothDistribution((0.25, 0.0, 0.2, 0.15, 0.1, 0.1, 0.1, 0.1), 0.5),
+         TiePolicy.LOWEST_INDEX, [(2, 1.0), (6, -1.0)]),
+        (SmoothDistribution((0.0, 0.25, 0.25, 0.15, 0.1, 0.0, 0.25, 0.0), 0.5),
+         TiePolicy.SEEDED_RANDOM, [(0, 1.0), (7, -1.0)]),
+    ], ids=["uniform", "non-uniform", "seeded-random-ties"])
+    def test_equals_choice_reference(self, partition8, D, tie, history):
+        """Each instance is drawn from one CDF with one double, as the
+        scalar `rng.choice(p=D)` drew it: the report and the caller's
+        next draw are unchanged.  The labels are no hypothesis, and each
+        D weighs the class's two blocks unequally, so every draw counts."""
+        labels = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
+        got_rng, want_rng = np.random.default_rng(23), np.random.default_rng(23)
+        got = generalization_gap_mc(partition8, D, labels, ExampleMultiset(history),
+                                    6.0, 300, got_rng, T=8, tie=tie)
+        want = _gengap_reference(partition8, D, labels, ExampleMultiset(history),
+                                 6.0, 300, want_rng, T=8, tie=tie)
+        assert got == want
+        assert got_rng.random() == want_rng.random()
+
+    def test_rejects_distribution_of_another_size(self, partition8, rng):
+        with pytest.raises(InputError, match="disagrees with the domain"):
+            generalization_gap_mc(partition8, SmoothDistribution.uniform(7),
+                                  partition8.values[1], ExampleMultiset(), 16.0, 10, rng)
+
     def test_realizable_case_passes(self, partition8, rng):
         D = SmoothDistribution.uniform(8)
         labels = partition8.values[1]
