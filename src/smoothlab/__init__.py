@@ -39,23 +39,6 @@ from .learner import (
     default_n,
     hint_count,
 )
-from .verify import (
-    VerificationReport,
-    admissibility_check,
-    beta_budget,
-    chi2_mixture,
-    chi2_mixture_direct,
-    coupling_montecarlo,
-    eta_budget,
-    ftpl_relaxation,
-    generalization_gap_mc,
-    monotonicity_check,
-    rademacher_estimate,
-    shifted_poisson_tv,
-    smooth_polytope_vertices,
-    transductive_relaxation,
-    tv_exact_poisson,
-)
 from .harness import (
     ExperimentConfig,
     FitResult,

@@ -5,8 +5,8 @@ Subcommands:
 * ``run <config.json>`` — play every seed of one experiment, emit CSV;
 * ``sweep <config.json>`` — grid over T/sigma/K/n values in the
   config's ``sweep`` block, one CSV with all rows;
-* ``verify [--suite NAME]`` — run the lemma-check suite, emit a JSON
-  array of reports, exit 2 on any failure;
+* ``verify [--suite NAME]`` — run `smoothlab.verify.run_suite`, emit a
+  JSON array of reports, exit 2 on any failure;
 * ``fit <csv>`` — fit the regret-vs-T scaling exponent from a CSV.
 
 Exit codes: 0 success, 1 config/input error, 2 verification failure,
@@ -14,6 +14,8 @@ Exit codes: 0 success, 1 config/input error, 2 verification failure,
 resolves it, and a sweep loads every grid point first, so a config error
 exits 1 before the first game, with or without ``--jobs``.  The
 ``SMOOTHLAB_OUT`` environment variable overrides the output directory.
+Only ``verify`` imports `smoothlab.verify`, so ``run``, ``sweep`` and
+``fit`` never load the lemma checks.
 """
 
 from __future__ import annotations
@@ -21,23 +23,13 @@ from __future__ import annotations
 import argparse
 import csv as csvmod
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
-from . import verify as V
-from .adversary import HintSchedule
-from .core import (
-    FiniteDomain,
-    LossSpec,
-    SmoothDistribution,
-    make_partition_class,
-)
 from .errors import CapacityError, FitError, InputError
 from .harness import ExperimentConfig, fit_scaling, run_experiment
-from . import rng as rngmod
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -105,108 +97,9 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _suite_reports(suite: str) -> list[V.VerificationReport]:
-    reports: list[V.VerificationReport] = []
-    rng = rngmod.stream(20260823, purpose="verify")
-
-    if suite in ("all", "coupling"):
-        size = 10
-        base = np.full(size, 1.0 / size)
-        sigma = 0.3
-        cap = 1.0 / (sigma * size)
-        P = np.full(size, (1.0 - cap) / (size - 1))
-        P[0] = cap
-        reports.append(V.coupling_montecarlo(P, base, sigma, m=20,
-                                             trials=100_000, rng=rng))
-
-    if suite in ("all", "tv"):
-        for size in (2, 3):
-            for n in (4, 16, 64):
-                D = SmoothDistribution.uniform(size)
-                tv = V.tv_exact_poisson(n, size, D)
-                bound = 1.0 / math.sqrt(n * D.sigma)
-                reports.append(V.VerificationReport(
-                    name="tv_poisson_mixture", mode="exact",
-                    measured={"tv": tv.value, "trunc_error": tv.error_bound},
-                    bound=bound, tolerance=1e-9, trials=None,
-                    passed=bool(tv.value <= bound + tv.error_bound + 1e-9),
-                    details=f"|X|={size}, n={n}, D=uniform"))
-
-    if suite in ("all", "chi2"):
-        for size in (2, 3):
-            for n in (4, 16):
-                D = SmoothDistribution.uniform(size)
-                closed = V.chi2_mixture(n, size, D)
-                direct = V.chi2_mixture_direct(n, size, D)
-                tv = V.tv_exact_poisson(n, size, D)
-                ok = (abs(closed - direct) <= 1e-9
-                      and tv.value <= math.sqrt(closed / 2.0) + tv.error_bound)
-                reports.append(V.VerificationReport(
-                    name="chi2_mixture_identity", mode="exact",
-                    measured={"closed": closed, "direct": direct, "tv": tv.value},
-                    bound=math.sqrt(closed / 2.0), tolerance=1e-9, trials=None,
-                    passed=bool(ok), details=f"|X|={size}, n={n}"))
-
-    if suite in ("all", "monotonicity"):
-        hclass = make_partition_class(FiniteDomain(8), 2)
-        worst = None
-        ok = True
-        for i in range(50):
-            Z = rng.integers(0, 8, size=int(rng.integers(0, 6)))
-            phi = rng.integers(-512, 513, size=len(hclass)) / 1024.0
-            x = int(rng.integers(0, 8))
-            rep = V.monotonicity_check(hclass, Z, phi, x)
-            ok = ok and rep.passed
-            if not rep.passed:
-                worst = rep.details
-        reports.append(V.VerificationReport(
-            name="rademacher_monotonicity_batch", mode="exact",
-            measured={"instances": 50.0}, bound=None, tolerance=0.0,
-            trials=None, passed=bool(ok), details=worst or "50 random instances"))
-
-    if suite in ("all", "shifted"):
-        ok = True
-        worst = 0.0
-        for lam in (1, 2, 4, 8, 16, 32, 64, 128, 256):
-            tv = V.shifted_poisson_tv(lam)
-            bound = math.sqrt(1.0 / (2.0 * lam))
-            ok = ok and tv <= bound + 1e-12
-            worst = max(worst, tv - bound)
-        reports.append(V.VerificationReport(
-            name="shifted_poisson_tv", mode="exact",
-            measured={"max_excess": worst}, bound=0.0, tolerance=1e-12,
-            trials=None, passed=bool(ok), details="lambda in powers of 2 up to 256"))
-
-    if suite in ("all", "admissibility"):
-        hclass = make_partition_class(FiniteDomain(2), 1)
-        loss = LossSpec.of("absolute")
-        schedule = HintSchedule(np.zeros((2, 1), dtype=int))
-        alg3 = V.admissibility_check("alg3", hclass, loss, schedule)
-        reports.append(alg3)
-        ftl = V.admissibility_check("ftl", hclass, loss, schedule)
-        reports.append(V.VerificationReport(
-            name="admissibility_ftl_negative_control", mode="exact",
-            measured=ftl.measured, bound=0.0, tolerance=ftl.tolerance,
-            trials=None, passed=bool(not ftl.passed),
-            details="follow-the-leader must violate the per-round condition"))
-
-    if suite in ("all", "budgets"):
-        eta = V.eta_budget(16, 1.0, 1, 3, 1.0)
-        beta = V.beta_budget(10, 5, 0.5)
-        ok = abs(eta - 1.05191) <= 1e-4 and abs(beta - 15.625) <= 1e-9
-        reports.append(V.VerificationReport(
-            name="budget_fixtures", mode="exact",
-            measured={"eta": eta, "beta": beta}, bound=None, tolerance=1e-4,
-            trials=None, passed=bool(ok),
-            details="eta(16,1,1,3,1) and beta(10,5,0.5) hand fixtures"))
-
-    if not reports:
-        raise InputError(f"unknown verification suite {suite!r}")
-    return reports
-
-
 def cmd_verify(args) -> int:
-    reports = _suite_reports(args.suite)
+    from . import verify  # the lemma checks load only for this subcommand
+    reports = verify.run_suite(args.suite)
     doc = json.dumps([r.to_dict() for r in reports], indent=2)
     out = _resolve_out(args.out, "verify_report.json")
     _write(doc + "\n", out)

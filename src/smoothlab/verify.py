@@ -24,7 +24,9 @@ Carlo (Rademacher's cap is 2^16 +1-count vectors, whatever |Z|), and
 exact results carry a rigorous truncation error bound instead of a
 statistical tolerance.
 
-scipy is used only by the Poisson TV/chi-square checks, which import
+`run_suite` holds the named suites behind ``smoothlab verify``.  Neither
+``import smoothlab`` nor the CLI's game subcommands import this module,
+and scipy is used only by the Poisson TV/chi-square checks, which import
 ``scipy.special`` on their first call, so importing this module does not
 load it.
 """
@@ -43,8 +45,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .adversary import HintSchedule
 from .core import (
     ExampleMultiset,
+    FiniteDomain,
     HypothesisClass,
     LossKind,
     LossSpec,
@@ -53,11 +57,12 @@ from .core import (
     check_sigma,
     choice_cdf,
     loss_eval,
+    make_partition_class,
     whole_numbers,
 )
 from .errors import CapacityError, InputError
 from .oracle import CountTable, OracleSession, Slot, TiePolicy, _objective, erm
-from . import learner as learnermod
+from . import learner as learnermod, rng as rngmod
 
 TRUNC_TAIL = 1e-12
 EXACT_RADEMACHER_VECTORS = 1 << 16  # +1-count vectors prod(c_z + 1) of one enumeration
@@ -684,3 +689,110 @@ def generalization_gap_mc(hclass: HypothesisClass, D: SmoothDistribution,
         passed=bool(passed),
         details=f"n={n}, sigma={D.sigma}, d={hclass.declared_dim}",
     )
+
+
+# ---------------------------------------------------------------------------
+# The CLI suite (`smoothlab verify --suite NAME`)
+# ---------------------------------------------------------------------------
+
+def run_suite(suite: str) -> list[VerificationReport]:
+    """The reports of one named suite: `all`, `coupling`, `tv`, `chi2`,
+    `monotonicity`, `shifted`, `admissibility` or `budgets`.  `all` runs
+    every check in that order, from one stream drawn in that order."""
+    reports: list[VerificationReport] = []
+    rng = rngmod.stream(20260823, purpose="verify")
+
+    if suite in ("all", "coupling"):
+        size = 10
+        base = np.full(size, 1.0 / size)
+        sigma = 0.3
+        cap = 1.0 / (sigma * size)
+        P = np.full(size, (1.0 - cap) / (size - 1))
+        P[0] = cap
+        reports.append(coupling_montecarlo(P, base, sigma, m=20,
+                                           trials=100_000, rng=rng))
+
+    if suite in ("all", "tv"):
+        for size in (2, 3):
+            for n in (4, 16, 64):
+                D = SmoothDistribution.uniform(size)
+                tv = tv_exact_poisson(n, size, D)
+                bound = 1.0 / math.sqrt(n * D.sigma)
+                reports.append(VerificationReport(
+                    name="tv_poisson_mixture", mode="exact",
+                    measured={"tv": tv.value, "trunc_error": tv.error_bound},
+                    bound=bound, tolerance=1e-9, trials=None,
+                    passed=bool(tv.value <= bound + tv.error_bound + 1e-9),
+                    details=f"|X|={size}, n={n}, D=uniform"))
+
+    if suite in ("all", "chi2"):
+        for size in (2, 3):
+            for n in (4, 16):
+                D = SmoothDistribution.uniform(size)
+                closed = chi2_mixture(n, size, D)
+                direct = chi2_mixture_direct(n, size, D)
+                tv = tv_exact_poisson(n, size, D)
+                ok = (abs(closed - direct) <= 1e-9
+                      and tv.value <= math.sqrt(closed / 2.0) + tv.error_bound)
+                reports.append(VerificationReport(
+                    name="chi2_mixture_identity", mode="exact",
+                    measured={"closed": closed, "direct": direct, "tv": tv.value},
+                    bound=math.sqrt(closed / 2.0), tolerance=1e-9, trials=None,
+                    passed=bool(ok), details=f"|X|={size}, n={n}"))
+
+    if suite in ("all", "monotonicity"):
+        hclass = make_partition_class(FiniteDomain(8), 2)
+        worst = None
+        ok = True
+        for i in range(50):
+            Z = rng.integers(0, 8, size=int(rng.integers(0, 6)))
+            phi = rng.integers(-512, 513, size=len(hclass)) / 1024.0
+            x = int(rng.integers(0, 8))
+            rep = monotonicity_check(hclass, Z, phi, x)
+            ok = ok and rep.passed
+            if not rep.passed:
+                worst = rep.details
+        reports.append(VerificationReport(
+            name="rademacher_monotonicity_batch", mode="exact",
+            measured={"instances": 50.0}, bound=None, tolerance=0.0,
+            trials=None, passed=bool(ok), details=worst or "50 random instances"))
+
+    if suite in ("all", "shifted"):
+        ok = True
+        worst = 0.0
+        for lam in (1, 2, 4, 8, 16, 32, 64, 128, 256):
+            tv = shifted_poisson_tv(lam)
+            bound = math.sqrt(1.0 / (2.0 * lam))
+            ok = ok and tv <= bound + 1e-12
+            worst = max(worst, tv - bound)
+        reports.append(VerificationReport(
+            name="shifted_poisson_tv", mode="exact",
+            measured={"max_excess": worst}, bound=0.0, tolerance=1e-12,
+            trials=None, passed=bool(ok), details="lambda in powers of 2 up to 256"))
+
+    if suite in ("all", "admissibility"):
+        hclass = make_partition_class(FiniteDomain(2), 1)
+        loss = LossSpec.of("absolute")
+        schedule = HintSchedule(np.zeros((2, 1), dtype=int))
+        alg3 = admissibility_check("alg3", hclass, loss, schedule)
+        reports.append(alg3)
+        ftl = admissibility_check("ftl", hclass, loss, schedule)
+        reports.append(VerificationReport(
+            name="admissibility_ftl_negative_control", mode="exact",
+            measured=ftl.measured, bound=0.0, tolerance=ftl.tolerance,
+            trials=None, passed=bool(not ftl.passed),
+            details="follow-the-leader must violate the per-round condition"))
+
+    if suite in ("all", "budgets"):
+        eta = eta_budget(16, 1.0, 1, 3, 1.0)
+        beta = beta_budget(10, 5, 0.5)
+        ok = abs(eta - 1.05191) <= 1e-4 and abs(beta - 15.625) <= 1e-9
+        reports.append(VerificationReport(
+            name="budget_fixtures", mode="exact",
+            measured={"eta": eta, "beta": beta}, bound=None, tolerance=1e-4,
+            trials=None, passed=bool(ok),
+            details="eta(16,1,1,3,1) and beta(10,5,0.5) hand fixtures"))
+
+    if not reports:
+        raise InputError(f"unknown verification suite {suite!r}")
+    return reports

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import smoothlab
-from smoothlab import cli, harness
+from smoothlab import harness
 from smoothlab import learner as learnermod
 from smoothlab.core import ExampleMultiset
 from smoothlab.cli import EXIT_CAPACITY, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
@@ -393,6 +393,24 @@ class TestCli:
         assert rcs == [EXIT_OK]
         assert seen == [False, False, False]
 
+    def test_games_never_load_verify(self, tmp_path):
+        """The lemma checks load only for `verify`: import, config loading,
+        `run`, `sweep` and `fit` leave `smoothlab.verify` unloaded."""
+        cfg = self._write_config(tmp_path, learner="ftl", T=4, n=None,
+                                 sweep={"T": [4, 8, 16]})
+        seen, rcs = self._loaded_after("smoothlab.verify", [
+            "import smoothlab",
+            "import smoothlab.cli",
+            f"smoothlab.cli.ExperimentConfig.from_json(open({cfg!r}).read())",
+            f"rcs.append(smoothlab.cli.main(['run', {cfg!r}, '--out', 'out.csv']))",
+            f"rcs.append(smoothlab.cli.main(['sweep', {cfg!r}, '--out', 'sweep.csv']))",
+            "rcs.append(smoothlab.cli.main(['fit', 'sweep.csv']))",
+            "rcs.append(smoothlab.cli.main(['verify', '--suite', 'budgets', "
+            "'--out', 'budgets.json']))",
+        ], tmp_path)
+        assert rcs == [EXIT_OK] * 4
+        assert seen == [False] * 6 + [True]
+
     def test_loading_a_config_never_loads_numpy_random(self, tmp_path):
         """NumPy 2 loads numpy.random on first use; import and config
         loading (the set-up every run pays) draw nothing, so leave it
@@ -564,7 +582,7 @@ class TestCli:
         failed = VerificationReport(
             name="forced", mode="exact", measured={}, bound=None,
             tolerance=0.0, trials=None, passed=False)
-        monkeypatch.setattr(cli, "_suite_reports", lambda suite: [failed])
+        monkeypatch.setattr(smoothlab.verify, "run_suite", lambda suite: [failed])
         out = str(tmp_path / "verify.json")
         assert main(["verify", "--out", out]) == EXIT_VERIFY
         assert "FAILED: forced" in capsys.readouterr().err
