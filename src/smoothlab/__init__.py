@@ -4,7 +4,6 @@ lemmas (coupling, Poisson TV/chi-square bounds, Rademacher monotonicity,
 admissibility) and a reproducible experiment harness."""
 
 from .core import (
-    ExampleMultiset,
     FiniteDomain,
     HypothesisClass,
     LossKind,

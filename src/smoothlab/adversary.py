@@ -199,6 +199,8 @@ class Adversary:
                 )
             self._support = np.arange(size)
             d = spec.d
+            if d < 1:
+                raise InputError(f"d must be >= 1, got {d}")
             if size % d != 0:
                 raise InputError(f"support size {size} not divisible by d={d}")
             self._block_of = np.full(self.domain_size, -1)

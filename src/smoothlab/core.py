@@ -9,10 +9,10 @@ Conventions used everywhere:
 * a distribution is sigma-smooth iff every atom has mass at most
   ``1 / (sigma * size)`` (the subset condition reduces to singletons on
   a finite domain);
-* an ``ExampleMultiset`` is an (instance, label) -> count record in
-  first-seen order, built from (instance, label[, count]) pairs or a
-  (size, 2) table of (instance, sign) counts; the oracles read it
-  through an ``oracle.OracleSession`` built over it.
+* an ``ExampleMultiset`` is an (instance, label) -> count history
+  record in first-seen order, built from (instance, label[, count])
+  pairs; it is no oracle slot, but an ``oracle.OracleSession`` can be
+  seeded from it.
 """
 
 from __future__ import annotations
@@ -318,11 +318,12 @@ def check_example(x, y, count) -> tuple[int, float, int]:
 
 
 class ExampleMultiset:
-    """Multiset of (instance, label) pairs; the currency of oracle calls.
+    """Multiset of (instance, label) pairs: a history record, which an
+    `oracle.OracleSession` can be seeded from.
 
     One (x, y) -> count dict in first-seen order, each example checked
-    (`check_example`) when it enters.  The logical size, what oracle
-    input-length accounting uses, is the sum of the counts.
+    (`check_example`) when it enters.  The logical size is the sum of
+    the counts, as is that of a session seeded from it.
     """
 
     __slots__ = ("_counts",)
@@ -332,19 +333,6 @@ class ExampleMultiset:
         for x, y, *c in pairs:
             x, y, count = check_example(x, y, c[0] if c else 1)
             self._counts[x, y] = self._counts.get((x, y), 0) + count
-
-    @classmethod
-    def from_cells(cls, cells) -> "ExampleMultiset":
-        """The multiset of a (|X|, 2) table of (instance, sign) counts:
-        column 0 counts label -1, column 1 label +1.  Its pairs come in
-        (x, y) order."""
-        flat = count_table(cells).reshape(-1)
-        nonzero = np.flatnonzero(flat)
-        out = cls()
-        out._counts = dict(zip(zip((nonzero // 2).tolist(),
-                                   np.where(nonzero % 2, 1.0, -1.0).tolist()),
-                               flat[nonzero].tolist()))
-        return out
 
     def add(self, x: int, y: float, count: int = 1) -> None:
         """Add `count` copies of (x, y)."""
@@ -366,15 +354,7 @@ class ExampleMultiset:
 def make_partition_class(domain: FiniteDomain, d: int) -> HypothesisClass:
     """All 2^d sign assignments that are constant on each of d equal
     contiguous blocks of the domain."""
-    if d < 1:
-        raise InputError("d must be >= 1")
-    if domain.size % d != 0:
-        raise InputError(f"domain size {domain.size} not divisible by d={d}")
-    block = domain.size // d
-    rows = []
-    for pattern in itertools.product((1.0, -1.0), repeat=d):
-        rows.append(np.repeat(pattern, block))
-    return HypothesisClass(np.array(rows), declared_dim=d, binary=True)
+    return make_support_partition_class(domain, domain.size, d)
 
 
 def make_shatter_class(domain: FiniteDomain, special) -> HypothesisClass:
@@ -398,6 +378,8 @@ def make_support_partition_class(
 ) -> HypothesisClass:
     """All 2^d sign assignments constant on each of d equal contiguous
     blocks of the first `support_size` indices, +1 off the support."""
+    if d < 1:
+        raise InputError(f"d must be >= 1, got {d}")
     if not (1 <= support_size <= domain.size):
         raise InputError("support_size out of range")
     if support_size % d != 0:

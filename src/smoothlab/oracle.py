@@ -10,11 +10,10 @@ Both are pure functions of their inputs except for an explicit
 ``OracleStats`` accumulator owned by one run.  Learners must touch the
 hypothesis class only through these entry points.
 
-A multiset slot takes an ``ExampleMultiset``, an ``OracleSession`` or
-one of its ``CountTable`` views; each exposes ``logical_size`` and
-``items()``, and the input length recorded is the same either way.
-Every objective comes from a session: an ``ExampleMultiset`` is read
-through an ``OracleSession`` built over it for the call.
+A multiset slot takes an ``OracleSession`` or one of its ``CountTable``
+views; each exposes ``logical_size``, ``items()`` and ``objective``, so
+every objective comes from a session.  A history record, such as the
+multiset of `core`, reaches an oracle only as the seed of a session.
 
 An ``OracleSession`` is one learner's history, kept incrementally.  It
 builds the game-loss and centered hint-loss tables over the 2|X|
@@ -35,11 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Protocol
 
 import numpy as np
 
 from .core import (
-    ExampleMultiset,
     HypothesisClass,
     LossKind,
     LossSpec,
@@ -97,7 +96,7 @@ class OracleSession:
     """
 
     def __init__(self, hclass: HypothesisClass, loss: LossSpec,
-                 history: Slot | None = None):
+                 history: History | None = None):
         values = hclass.values
         # the tables hold every class value, so the class is checked here
         check_sign_args(loss, values, _CELL_SIGNS, yhat_binary=hclass.binary)
@@ -157,26 +156,22 @@ class OracleSession:
 class CountTable:
     """An (|X|, 2) (instance, sign) count table in a multiset slot, read
     through its session's cell tables, optionally with the session's
-    history added.  The table is checked here."""
+    history added.  The constructor checks the table and `_of` views one
+    already checked."""
 
-    def __init__(self, session: OracleSession, cells, with_history: bool = False):
-        self._set(session, count_table(cells, session.hclass.domain_size),
-                  with_history)
+    def __new__(cls, session: OracleSession, cells, with_history: bool = False):
+        return cls._of(session, count_table(cells, session.hclass.domain_size),
+                       with_history)
 
     @classmethod
-    def _of(cls, session: OracleSession, cells: np.ndarray) -> "CountTable":
-        """A view, without the history, of a table `core.count_table` has
-        already checked."""
-        out = cls.__new__(cls)
-        out._set(session, cells, False)
+    def _of(cls, session: OracleSession, cells: np.ndarray,
+            with_history: bool = False) -> "CountTable":
+        """The view of a table `core.count_table` has already checked."""
+        out = object.__new__(cls)
+        out.session, out.cells, out.with_history = session, cells, with_history
+        out._counts = cells.reshape(-1)
+        out._size = int(out._counts.sum())
         return out
-
-    def _set(self, session, cells, with_history) -> None:
-        self.session = session
-        self.cells = cells
-        self.with_history = with_history
-        self._counts = cells.reshape(-1)
-        self._size = int(self._counts.sum())
 
     @property
     def logical_size(self) -> int:
@@ -186,7 +181,9 @@ class CountTable:
         """((x, y), count) for each distinct pair: the table's in (x, y)
         order, or with the history, merged into the session's."""
         merged = dict(self.session._counts) if self.with_history else {}
-        for pair, count in ExampleMultiset.from_cells(self.cells).items():
+        nonzero = np.flatnonzero(self._counts)
+        pairs = zip((nonzero // 2).tolist(), _CELL_SIGNS[nonzero % 2].tolist())
+        for pair, count in zip(pairs, self._counts[nonzero].tolist()):
             merged[pair] = merged.get(pair, 0) + count
         return list(merged.items())
 
@@ -198,14 +195,13 @@ class CountTable:
 
 
 # what a multiset slot takes (see the module docstring)
-Slot = ExampleMultiset | OracleSession | CountTable
+Slot = OracleSession | CountTable
 
 
-def _objective(hclass: HypothesisClass, S: Slot, loss: LossSpec) -> np.ndarray:
-    """The objective of a multiset slot, read through a session."""
-    if isinstance(S, ExampleMultiset):
-        S = OracleSession(hclass, loss, S)
-    return S.objective(hclass, loss)
+class History(Protocol):
+    """What a session is seeded from: a slot or a `core` history record."""
+
+    def items(self) -> list[tuple[tuple[int, float], int]]: ...
 
 
 def _select(
@@ -245,7 +241,7 @@ def erm(
     tag: str = "round",
 ) -> tuple[int, float]:
     """Cumulative-loss minimizer over the class; empty S has value 0."""
-    obj = _objective(hclass, S, loss)
+    obj = S.objective(hclass, loss)
     idx = _select(obj, hclass, tie, query_point, rng)
     if stats is not None:
         stats.record(S.logical_size, tag)
@@ -264,8 +260,8 @@ def mixed_opt(
     tag: str = "round",
 ) -> tuple[int, float]:
     """Minimize sum of l(h(x),y)/(2G) over S_real plus -y'h(x')/2 over S_bin."""
-    obj = _objective(hclass, S_real, loss) / (2.0 * loss.lipschitz_G)
-    obj += _objective(hclass, S_bin, _HINT_LOSS)
+    obj = S_real.objective(hclass, loss) / (2.0 * loss.lipschitz_G)
+    obj += S_bin.objective(hclass, _HINT_LOSS)
     idx = _select(obj, hclass, tie, query_point, rng)
     if stats is not None:
         stats.record(S_real.logical_size + S_bin.logical_size, tag)

@@ -47,7 +47,6 @@ import numpy as np
 
 from .adversary import HintSchedule
 from .core import (
-    ExampleMultiset,
     FiniteDomain,
     HypothesisClass,
     LossKind,
@@ -61,7 +60,7 @@ from .core import (
     whole_numbers,
 )
 from .errors import CapacityError, InputError
-from .oracle import CountTable, OracleSession, Slot, TiePolicy, _objective, erm
+from .oracle import CountTable, History, OracleSession, Slot, TiePolicy, erm
 from . import learner as learnermod, rng as rngmod
 
 TRUNC_TAIL = 1e-12
@@ -314,10 +313,10 @@ def transductive_relaxation(hclass: HypothesisClass, history: Slot,
     future hints Z, exactly, with G = loss.lipschitz_G; any history slot."""
     G = loss.lipschitz_G
     return 2.0 * G * rademacher_estimate(
-        hclass, hints, -_objective(hclass, history, loss) / (2.0 * G))
+        hclass, hints, -history.objective(hclass, loss) / (2.0 * G))
 
 
-def ftpl_relaxation(hclass: HypothesisClass, history: Slot, n: float,
+def ftpl_relaxation(hclass: HypothesisClass, history: History, n: float,
                     sigma: float, d: int, T: int, t: int, c: float = 1.0,
                     trials: int = 2000, rng=None) -> float:
     """E over Poi(n) hallucinations s~ of sup_h(-L(h, s~) - L(h, history))
@@ -327,7 +326,8 @@ def ftpl_relaxation(hclass: HypothesisClass, history: Slot, n: float,
         raise InputError("need 0 <= t <= T")
     if n < 0:
         raise InputError("ftpl relaxation needs n >= 0")
-    phi = -_objective(hclass, history, LossSpec(LossKind.CENTERED_BINARY))
+    centered = LossSpec(LossKind.CENTERED_BINARY)
+    phi = -OracleSession(hclass, centered, history).objective(hclass, centered)
     slack = (eta_budget(n, sigma, d, T, c) if n > 0 else 0.0) * (T - t)
     if n == 0:
         return float(phi.max()) + slack
@@ -420,14 +420,15 @@ def admissibility_check(learner_kind: str, hclass: HypothesisClass,
     # count-table bytes -> (table, Rel, first prefix (xs, ys)) of each
     # history before round t
     empty = np.zeros((hclass.domain_size, 2), dtype=int)
-    histories = {empty.tobytes(): (empty, rel(0, ExampleMultiset()), ((), ()))}
+    base = OracleSession(hclass, loss)
+    histories = {empty.tobytes(): (empty, rel(0, base), ((), ()))}
     min_slack, worst = math.inf, ""
     for t in range(1, T + 1):
         future = hint_schedule.rows[t:T].reshape(-1)
         reached: dict = {}
         best = (math.inf, ((), ()))
         for table, rel_prev, (xs, ys) in histories.values():
-            session = OracleSession(hclass, loss, ExampleMultiset.from_cells(table))
+            session = OracleSession(hclass, loss, CountTable._of(base, table))
             lhs = -math.inf
             for x_t in np.unique(hint_schedule.row(t)):
                 preds = _learner_action_distribution(
@@ -642,7 +643,7 @@ def beta_budget(T: int, K: int, sigma: float) -> float:
 # ---------------------------------------------------------------------------
 
 def generalization_gap_mc(hclass: HypothesisClass, D: SmoothDistribution,
-                          label_table, history: Slot, n: float,
+                          label_table, history: History, n: float,
                           trials: int, rng, T: int = 2, c: float = 1.0,
                           tie: TiePolicy = TiePolicy.LOWEST_INDEX) -> VerificationReport:
     """Monte Carlo estimate of the modified generalization error
@@ -668,7 +669,7 @@ def generalization_gap_mc(hclass: HypothesisClass, D: SmoothDistribution,
         x_p = int(cdf.searchsorted(rng.random(), side="right"))
         y_t, y_p = float(label_table[x_t]), float(label_table[x_p])
         cells[x_t, int(y_t > 0)] += 1  # the sample s joins the hallucinations
-        idx, _ = erm(hclass, CountTable(session, cells, with_history=True), loss,
+        idx, _ = erm(hclass, CountTable._of(session, cells, with_history=True), loss,
                      tie=tie, rng=rng)
         h = hclass.values[idx]
         # centered loss L(h,(x,y)) = -y h(x)/2

@@ -25,6 +25,7 @@ from smoothlab.core import (
     whole_numbers,
 )
 from smoothlab.errors import CapacityError, InputError
+from smoothlab.oracle import CountTable, OracleSession
 
 
 class TestLossEval:
@@ -275,11 +276,18 @@ def _signed(items) -> list:
     return [((x, y.hex()), count) for (x, y), count in items]
 
 
+def _table(cells):
+    """`cells` as a `CountTable` over a session on len(cells) instances."""
+    hclass = make_partition_class(FiniteDomain(len(cells)), 1)
+    return CountTable(OracleSession(hclass, LossSpec.of("absolute")), cells)
+
+
 class TestArrayMultisetAgainstDict:
     """Random operation sequences on the multiset record against the dict
     reference: the same items in the same first-seen order (a merged
     signed zero keeps its first sign), the same logical size, and an
-    `add` changes only the record it is called on."""
+    `add` changes only the record it is called on.  A record built from a
+    count table's pairs lists them in (x, y) order."""
 
     @given(_operations)
     @settings(max_examples=300, deadline=None)
@@ -294,7 +302,8 @@ class TestArrayMultisetAgainstDict:
                              DictMultiset(zip(*cols))))
             elif op == "cells":
                 cells = np.array(args[0])
-                pool.append((ExampleMultiset.from_cells(cells),
+                pool.append((ExampleMultiset((x, y, c) for (x, y), c
+                                             in _table(cells).items()),
                              DictMultiset.from_cells(cells)))
             else:
                 i, x, y, c = args
@@ -314,8 +323,9 @@ class TestArrayMultisetAgainstDict:
         np.zeros((2, 3), dtype=int), np.array([[0.5, 0.0]]),
         np.array([[0.0, 1.7]])])
     def test_from_cells_rejects_bad_tables(self, cells):
+        """A `CountTable` made from bad cells raises at construction."""
         with pytest.raises(InputError):
-            ExampleMultiset.from_cells(cells)
+            _table(cells)
 
     @pytest.mark.parametrize("build", [
         lambda: ExampleMultiset([(0, math.nan)]),

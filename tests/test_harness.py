@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import smoothlab
-from smoothlab import harness
+from smoothlab import harness, verify
 from smoothlab import learner as learnermod
 from smoothlab.core import ExampleMultiset
 from smoothlab.cli import EXIT_CAPACITY, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
@@ -271,21 +271,30 @@ class TestOracleBoundary:
         assert set(calls) == {"erm" if per_round == 1 else "mixed_opt"}
         assert sum(sizes) == tr.total_input_length
 
-    @pytest.mark.parametrize("learner", sorted(_ORACLE_GAMES))
-    def test_no_round_builds_a_multiset(self, monkeypatch, learner):
+    @pytest.mark.parametrize("case", sorted(_ORACLE_GAMES) + ["verify_suite_all"])
+    def test_no_round_builds_a_multiset(self, monkeypatch, case):
         """Once the players exist, no round or final call builds or adds
-        to a multiset record: the oracles see sessions and count tables."""
+        to a multiset record: the oracles see sessions and count tables.
+        Nor does any check of the verify suite."""
         def forbidden(*args, **kwargs):
-            raise AssertionError("a round built a multiset")
+            raise AssertionError("a multiset record was built")
+
+        def forbid():
+            for name in ("__init__", "add"):
+                monkeypatch.setattr(ExampleMultiset, name, forbidden)
+
+        if case == "verify_suite_all":
+            forbid()
+            assert all(report.passed for report in verify.run_suite("all"))
+            return
 
         def forbid_then_round(*args):
-            for name in ("__init__", "from_cells", "add"):
-                monkeypatch.setattr(ExampleMultiset, name, forbidden)
+            forbid()
             return next_round(*args)
 
         next_round = harness.next_round
         monkeypatch.setattr(harness, "next_round", forbid_then_round)
-        overrides, per_round = _ORACLE_GAMES[learner]
+        overrides, per_round = _ORACLE_GAMES[case]
         tr = run_game(base_config(T=16, **overrides), seed=1)
         assert tr.oracle_calls == per_round * 16
 
@@ -657,6 +666,12 @@ class TestCli:
         "hints_K_2.5": {**_ALG3, "hints": {"kind": "cyclic", "K": 2.5}},
         "support_not_divisible_by_d": {"adversary": "support_alternating",
                                        "sigma": 0.375},
+        "support_alternating_d_0": {"adversary": "support_alternating", "d": 0},
+        "support_alternating_d_-1": {"adversary": "support_alternating", "d": -1},
+        "support_partition_d_0": {"class": {
+            "kind": "support_partition", "domain_size": 8, "support_size": 4, "d": 0}},
+        "support_partition_d_-2": {"class": {
+            "kind": "support_partition", "domain_size": 8, "support_size": 4, "d": -2}},
         "sweep_T_2.5": {"sweep": {"T": [4, 2.5]}},
         "sigma_text": {"sigma": "x"},
         "n_text": {"n": "x"},
@@ -690,6 +705,10 @@ class TestCli:
         "json_class_text_declared_dim": "declared_dim must hold integers",
         "json_class_numeric_text_values": "numeric table",
         "seeds_negative": "seeds must be nonnegative",
+        "support_alternating_d_0": "d must be >= 1",
+        "support_alternating_d_-1": "d must be >= 1",
+        "support_partition_d_0": "d must be >= 1",
+        "support_partition_d_-2": "d must be >= 1",
     }
 
     @pytest.mark.parametrize("case", sorted(_CONFIG_ERRORS))

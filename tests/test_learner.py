@@ -33,7 +33,7 @@ from smoothlab.learner import (
     hint_count,
     hint_difference_prediction,
 )
-from smoothlab.oracle import OracleSession, TiePolicy, mixed_opt
+from smoothlab.oracle import CountTable, OracleSession, TiePolicy, mixed_opt
 
 
 class TestBudgets:
@@ -143,13 +143,17 @@ class TestPoissonSampler:
         assert abs(draws.var() / 200.0 - 1.0) < 0.05
 
 
+def _hints(learner, t):
+    """Round t's hint count table as a `CountTable` view."""
+    return CountTable(learner.session, learner._hints_for_round(t))
+
+
 class TestHintCountLaws:
     def test_alg1_total_is_exactly_k_future_rounds(self, partition8):
         learner = Alg1Smoothed(partition8, LossSpec.of("absolute"),
                                T=40, sigma=0.5, K=7, seed=3)
         for t in (40, 1, 17, 39):
-            assert ExampleMultiset.from_cells(
-                learner._hints_for_round(t)).logical_size == 7 * (40 - t)
+            assert _hints(learner, t).logical_size == 7 * (40 - t)
 
     def test_alg1_cell_matches_per_sample_reference(self, rng):
         """Two-sample chi-square on the (x=0, +1) cell: Multinomial(m,
@@ -173,8 +177,7 @@ class TestHintCountLaws:
                                    HintSchedule(rows), seed=2)
         for t in (T, 3, 1, 7):  # out of order: a pure function of t
             totals = np.zeros(8, dtype=int)
-            for (x, _), c in ExampleMultiset.from_cells(
-                    learner._hints_for_round(t)).items():
+            for (x, _), c in _hints(learner, t).items():
                 totals[x] += c
             np.testing.assert_array_equal(
                 totals, np.bincount(rows[t:T].reshape(-1), minlength=8))
@@ -187,8 +190,7 @@ class TestHintCountLaws:
         for seed in range(4000):
             learner = Alg3Transductive(partition8, LossSpec.of("absolute"), 2,
                                        sched, seed=seed)
-            hints = dict(ExampleMultiset.from_cells(
-                learner._hints_for_round(1)).items())
+            hints = dict(_hints(learner, 1).items())
             for x in plus:
                 plus[x].append(hints.get((x, 1.0), 0))
         for x, c in ((0, 9), (1, 4), (2, 1)):
@@ -204,8 +206,10 @@ def _reference_hint_prediction(hclass, history, cells, x_t, loss):
                for (x, sign), c in np.ndenumerate(cells) if c]
     lo = ExampleMultiset(doubled + [(x_t, -1.0)])
     hi = ExampleMultiset(doubled + [(x_t, 1.0)])
-    _, v_minus = mixed_opt(hclass, history, lo, loss)
-    _, v_plus = mixed_opt(hclass, history, hi, loss)
+    real = OracleSession(hclass, loss, history)
+    hint_loss = LossSpec.of("centered_binary")
+    _, v_minus = mixed_opt(hclass, real, OracleSession(hclass, hint_loss, lo), loss)
+    _, v_plus = mixed_opt(hclass, real, OracleSession(hclass, hint_loss, hi), loss)
     return float(min(1.0, max(-1.0, v_minus - v_plus))), lo, hi
 
 
@@ -387,10 +391,8 @@ class TestAlg1:
     def test_hint_volume_and_calls(self, partition8):
         learner = Alg1Smoothed(partition8, LossSpec.of("binary_indicator"),
                                T=4, sigma=1.0, K=3, seed=2)
-        hints = ExampleMultiset.from_cells(learner._hints_for_round(1))
-        assert hints.logical_size == 3 * (4 - 1)
-        assert ExampleMultiset.from_cells(
-            learner._hints_for_round(4)).logical_size == 0
+        assert _hints(learner, 1).logical_size == 3 * (4 - 1)
+        assert _hints(learner, 4).logical_size == 0
         learner.predict(1, 0)
         assert learner.stats.call_count == 2
 
@@ -409,7 +411,7 @@ class TestAlg1:
         learner = Alg1Smoothed(partition8, LossSpec.of("binary_indicator"),
                                T=3, sigma=1.0, K=50, seed=9)
         def hints(t):
-            return dict(ExampleMultiset.from_cells(learner._hints_for_round(t)).items())
+            return dict(_hints(learner, t).items())
         h1, h1_again, h2 = hints(1), hints(1), hints(2)
         assert h1 == h1_again  # same round -> same stream
         assert h1 != h2       # different round -> fresh stream

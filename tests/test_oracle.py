@@ -30,6 +30,20 @@ from smoothlab.oracle import (
 )
 
 
+HINT_LOSS = LossSpec(LossKind.CENTERED_BINARY)
+
+
+def seeded(hclass, loss, *pairs):
+    """A session seeded from the record `ExampleMultiset(pairs)`: how a
+    history record reaches an oracle slot."""
+    return OracleSession(hclass, loss, ExampleMultiset(pairs))
+
+
+def hints(hclass, *pairs):
+    """A hint slot: a session under the centered loss."""
+    return seeded(hclass, HINT_LOSS, *pairs)
+
+
 def per_pair_objective(hclass, S, loss):
     """Reference: the objective accumulated one distinct pair at a time."""
     obj = np.zeros(len(hclass))
@@ -72,33 +86,33 @@ def brute_force_mixed(hclass, S_real, S_bin, loss):
 class TestErm:
     def test_realizable_singleton(self, const_class):
         loss = LossSpec.of("binary_indicator")
-        idx, val = erm(const_class, ExampleMultiset([(0, 1.0)]), loss)
+        idx, val = erm(const_class, seeded(const_class, loss, (0, 1.0)), loss)
         assert (idx, val) == (0, 0.0)
 
     def test_split_labels(self, const_class):
         loss = LossSpec.of("binary_indicator")
-        S = ExampleMultiset([(0, 1.0), (1, -1.0)])
+        S = seeded(const_class, loss, (0, 1.0), (1, -1.0))
         idx, val = erm(const_class, S, loss)
         assert val == 1.0 and idx == 0  # tie broken to the lowest index
 
     def test_empty_multiset(self, const_class):
-        idx, val = erm(const_class, ExampleMultiset(),
-                       LossSpec.of("binary_indicator"))
+        loss = LossSpec.of("binary_indicator")
+        idx, val = erm(const_class, seeded(const_class, loss), loss)
         assert (idx, val) == (0, 0.0)
 
     def test_stats_accounting(self, const_class):
-        stats = OracleStats()
-        S = ExampleMultiset([(0, 1.0, 3)])
-        erm(const_class, S, LossSpec.of("binary_indicator"), stats=stats)
-        erm(const_class, S, LossSpec.of("binary_indicator"), stats=stats)
+        stats, loss = OracleStats(), LossSpec.of("binary_indicator")
+        S = seeded(const_class, loss, (0, 1.0, 3))
+        erm(const_class, S, loss, stats=stats)
+        erm(const_class, S, loss, stats=stats)
         assert stats.call_count == 2
         assert stats.total_input_length == 6
         assert stats.max_input_length == 3
 
     def test_final_tag_separate(self, const_class):
-        stats = OracleStats()
-        erm(const_class, ExampleMultiset([(0, 1.0)]),
-            LossSpec.of("binary_indicator"), stats=stats, tag="final")
+        stats, loss = OracleStats(), LossSpec.of("binary_indicator")
+        erm(const_class, seeded(const_class, loss, (0, 1.0)), loss, stats=stats,
+            tag="final")
         assert stats.call_count == 0 and stats.final_call_count == 1
 
     @given(st.data())
@@ -115,7 +129,7 @@ class TestErm:
             max_size=12))
         S = ExampleMultiset(pairs)
         loss = LossSpec.of("binary_indicator")
-        idx, val = erm(hclass, S, loss)
+        idx, val = erm(hclass, OracleSession(hclass, loss, S), loss)
         ref_idx, ref_val = brute_force_erm(hclass, S, loss)
         assert abs(val - ref_val) < 1e-9
         assert idx == ref_idx  # lowest-index tie policy in both routes
@@ -124,24 +138,26 @@ class TestErm:
 class TestTiePolicies:
     def test_prefer_negative(self, const_class):
         loss = LossSpec.of("binary_indicator")
-        idx, _ = erm(const_class, ExampleMultiset(), loss,
+        idx, _ = erm(const_class, seeded(const_class, loss), loss,
                      tie=TiePolicy.PREFER_NEGATIVE, query_point=0)
         assert const_class.values[idx, 0] == -1.0
 
     def test_prefer_negative_falls_back(self):
         pos_only = HypothesisClass([[1.0], [1.0]], declared_dim=0, binary=True)
-        idx, _ = erm(pos_only, ExampleMultiset(), LossSpec.of("binary_indicator"),
+        loss = LossSpec.of("binary_indicator")
+        idx, _ = erm(pos_only, seeded(pos_only, loss), loss,
                      tie=TiePolicy.PREFER_NEGATIVE, query_point=0)
         assert idx == 0
 
     def test_prefer_negative_requires_binary(self, real_class):
+        loss = LossSpec.of("absolute")
         with pytest.raises(InputError):
-            erm(real_class, ExampleMultiset(), LossSpec.of("absolute"),
+            erm(real_class, seeded(real_class, loss), loss,
                 tie=TiePolicy.PREFER_NEGATIVE, query_point=0)
 
     def test_seeded_random_is_reproducible(self, const_class, rng):
         loss = LossSpec.of("binary_indicator")
-        picks = {erm(const_class, ExampleMultiset(), loss,
+        picks = {erm(const_class, seeded(const_class, loss), loss,
                      tie=TiePolicy.SEEDED_RANDOM,
                      rng=np.random.default_rng(7))[0] for _ in range(5)}
         assert len(picks) == 1
@@ -149,41 +165,42 @@ class TestTiePolicies:
 
 class TestMixedOpt:
     def test_both_empty(self, const_class):
-        _, val = mixed_opt(const_class, ExampleMultiset(), ExampleMultiset(),
-                           LossSpec.of("binary_indicator"))
+        loss = LossSpec.of("binary_indicator")
+        _, val = mixed_opt(const_class, seeded(const_class, loss),
+                           hints(const_class), loss)
         assert val == 0.0
 
     def test_real_class_tie(self, real_class):
         # class {+1 const, 0 const}, absolute loss (G = 1/2):
         # +1 const scores 0 + 0.5, 0 const scores 0.5 + 0
         loss = LossSpec.of("absolute")
-        idx, val = mixed_opt(real_class, ExampleMultiset([(0, 1.0)]),
-                             ExampleMultiset([(0, -1.0)]), loss)
+        idx, val = mixed_opt(real_class, seeded(real_class, loss, (0, 1.0)),
+                             hints(real_class, (0, -1.0)), loss)
         assert val == pytest.approx(0.5)
         assert idx == 0
 
     def test_two_hint_copies(self, real_class):
         loss = LossSpec.of("absolute")
-        S_bin = ExampleMultiset([(0, 1.0, 2)])
-        idx, val = mixed_opt(real_class, ExampleMultiset(), S_bin, loss)
+        S_bin = hints(real_class, (0, 1.0, 2))
+        idx, val = mixed_opt(real_class, seeded(real_class, loss), S_bin, loss)
         assert val == pytest.approx(-1.0)
         assert real_class.values[idx, 0] == 1.0
 
     def test_agrees_with_erm_when_no_hints(self, partition8, rng):
         loss = LossSpec.of("binary_indicator")
-        S = ExampleMultiset(
+        S = seeded(partition8, loss, *(
             (int(rng.integers(8)), float(rng.choice([-1.0, 1.0])))
-            for _ in range(10))
-        idx_m, val_m = mixed_opt(partition8, S, ExampleMultiset(), loss)
+            for _ in range(10)))
+        idx_m, val_m = mixed_opt(partition8, S, hints(partition8), loss)
         idx_e, val_e = erm(partition8, S, loss)
         assert idx_m == idx_e
         assert val_m == pytest.approx(val_e / (2 * loss.lipschitz_G))
 
     def test_binary_hint_labels_enforced(self, const_class):
+        loss = LossSpec.of("binary_indicator")
         with pytest.raises(InputError):
-            mixed_opt(const_class, ExampleMultiset(),
-                      ExampleMultiset([(0, 0.5)]),
-                      LossSpec.of("binary_indicator"))
+            mixed_opt(const_class, seeded(const_class, loss),
+                      hints(const_class, (0, 0.5)), loss)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -201,7 +218,8 @@ class TestMixedOpt:
             st.tuples(st.integers(0, size - 1), st.sampled_from([-1.0, 1.0])),
             max_size=6))
         S_real, S_bin = ExampleMultiset(real_pairs), ExampleMultiset(bin_pairs)
-        _, val = mixed_opt(hclass, S_real, S_bin, loss)
+        _, val = mixed_opt(hclass, OracleSession(hclass, loss, S_real),
+                           OracleSession(hclass, HINT_LOSS, S_bin), loss)
         _, ref = brute_force_mixed(hclass, S_real, S_bin, loss)
         assert abs(val - ref) < 1e-9
 
@@ -216,14 +234,14 @@ class TestMixedOpt:
             min_size=n_h, max_size=n_h))
         hclass = HypothesisClass(vals, declared_dim=0)
         loss = LossSpec.of("absolute")
-        S_real = ExampleMultiset(data.draw(st.lists(
+        S_real = seeded(hclass, loss, *data.draw(st.lists(
             st.tuples(st.integers(0, size - 1), st.floats(-1, 1)), max_size=5)))
         B = data.draw(st.lists(
             st.tuples(st.integers(0, size - 1), st.sampled_from([-1.0, 1.0])),
             max_size=5))
         x = data.draw(st.integers(0, size - 1))
-        lo = ExampleMultiset(B + [(x, -1.0)])
-        hi = ExampleMultiset(B + [(x, 1.0)])
+        lo = hints(hclass, *B, (x, -1.0))
+        hi = hints(hclass, *B, (x, 1.0))
         _, v_minus = mixed_opt(hclass, S_real, lo, loss)
         _, v_plus = mixed_opt(hclass, S_real, hi, loss)
         assert abs(v_minus - v_plus) <= 1.0 + 1e-9
@@ -270,7 +288,8 @@ class TestVectorizedObjective:
     @settings(max_examples=200, deadline=None)
     def test_erm_matches_per_pair_loop(self, instance):
         hclass, loss, S, _ = instance
-        obj, (idx, val) = _objective_seen_by_select(lambda: erm(hclass, S, loss))
+        obj, (idx, val) = _objective_seen_by_select(
+            lambda: erm(hclass, OracleSession(hclass, loss, S), loss))
         ref = per_pair_objective(hclass, S, loss)
         assert argmin_set(obj) == argmin_set(ref)
         np.testing.assert_allclose(obj, ref, rtol=0, atol=1e-12)
@@ -281,35 +300,37 @@ class TestVectorizedObjective:
     def test_mixed_opt_matches_per_pair_loop(self, instance):
         hclass, loss, S_real, S_bin = instance
         obj, (idx, val) = _objective_seen_by_select(
-            lambda: mixed_opt(hclass, S_real, S_bin, loss))
-        hint_loss = LossSpec(LossKind.CENTERED_BINARY)
+            lambda: mixed_opt(hclass, OracleSession(hclass, loss, S_real),
+                              OracleSession(hclass, HINT_LOSS, S_bin), loss))
         ref = (per_pair_objective(hclass, S_real, loss) / (2 * loss.lipschitz_G)
-               + per_pair_objective(hclass, S_bin, hint_loss))
+               + per_pair_objective(hclass, S_bin, HINT_LOSS))
         assert argmin_set(obj) == argmin_set(ref)
         np.testing.assert_allclose(obj, ref, rtol=0, atol=1e-12)
         assert idx == min(argmin_set(ref)) and abs(val - ref[idx]) <= 1e-12
 
 
 class TestInstanceDomain:
-    """Both oracles reject a multiset naming an instance outside
-    [0, |X|) instead of reading some other instance's value."""
+    """A session seeded for either oracle slot rejects a record naming an
+    instance outside [0, |X|) instead of reading some other instance's
+    value."""
 
     @pytest.mark.parametrize("x", [-1, 4, 100])
     def test_erm_rejects_out_of_domain(self, x):
         hclass = make_partition_class(FiniteDomain(4), 2)
-        loss = LossSpec.of("binary_indicator")
-        S = ExampleMultiset([(0, 1.0), (x, -1.0)])
+        loss, real = LossSpec.of("binary_indicator"), LossSpec.of("absolute")
+        pairs = [(0, 1.0), (x, -1.0)]
         with pytest.raises(InputError, match="outside the domain"):
-            erm(hclass, S, loss)
+            erm(hclass, seeded(hclass, loss, *pairs), loss)
         with pytest.raises(InputError, match="outside the domain"):
-            mixed_opt(hclass, S, ExampleMultiset(), LossSpec.of("absolute"))
+            mixed_opt(hclass, seeded(hclass, real, *pairs), hints(hclass), real)
         with pytest.raises(InputError, match="outside the domain"):
-            mixed_opt(hclass, ExampleMultiset(), S, LossSpec.of("absolute"))
+            mixed_opt(hclass, seeded(hclass, real), hints(hclass, *pairs), real)
 
     def test_domain_ends_accepted(self):
         hclass = make_partition_class(FiniteDomain(4), 2)
-        S = ExampleMultiset([(0, 1.0), (3, -1.0)])
-        assert erm(hclass, S, LossSpec.of("binary_indicator")) == (1, 0.0)
+        loss = LossSpec.of("binary_indicator")
+        S = seeded(hclass, loss, (0, 1.0), (3, -1.0))
+        assert erm(hclass, S, loss) == (1, 0.0)
 
 
 class TestChecksPerCall:
@@ -319,11 +340,12 @@ class TestChecksPerCall:
 
     @pytest.mark.parametrize("kind", ["binary_indicator", "centered_binary"])
     def test_half_label_rejected_under_sign_losses(self, const_class, kind):
-        loss, half = LossSpec.of(kind), ExampleMultiset([(0, 1.0), (1, 0.5)])
+        loss, half = LossSpec.of(kind), [(0, 1.0), (1, 0.5)]
         with pytest.raises(InputError, match="label"):
-            erm(const_class, half, loss)
+            erm(const_class, seeded(const_class, loss, *half), loss)
         with pytest.raises(InputError, match="label"):
-            mixed_opt(const_class, half, ExampleMultiset(), loss)
+            mixed_opt(const_class, seeded(const_class, loss, *half),
+                      hints(const_class), loss)
 
     @pytest.mark.parametrize("kind", list(LossKind))
     def test_half_hint_label_rejected(self, real_class, kind):
@@ -333,33 +355,34 @@ class TestChecksPerCall:
         loss = LossSpec(kind)
         with pytest.raises(InputError, match="prediction" if loss.binary_only
                            else "label"):
-            mixed_opt(real_class, ExampleMultiset(), ExampleMultiset([(0, 0.5)]),
-                      loss)
+            mixed_opt(real_class, seeded(real_class, loss),
+                      hints(real_class, (0, 0.5)), loss)
         # +-1 values pass the class check under every loss, built binary or not
         signs = HypothesisClass([[1.0], [-1.0]], declared_dim=1)
         with pytest.raises(InputError, match="label"):
-            mixed_opt(signs, ExampleMultiset(), ExampleMultiset([(0, 0.5)]), loss)
+            mixed_opt(signs, seeded(signs, loss), hints(signs, (0, 0.5)), loss)
 
     @pytest.mark.parametrize("kind", ["absolute", "squared"])
     def test_half_label_accepted_under_real_losses(self, const_class, kind):
-        S = ExampleMultiset([(1, 0.5)])
-        assert erm(const_class, S, LossSpec.of(kind))[0] == 0
-        mixed_opt(const_class, S, ExampleMultiset([(0, 1.0)]), LossSpec.of(kind))
+        loss = LossSpec.of(kind)
+        S = seeded(const_class, loss, (1, 0.5))
+        assert erm(const_class, S, loss)[0] == 0
+        mixed_opt(const_class, S, hints(const_class, (0, 1.0)), loss)
 
     def test_non_sign_class_rejected_under_indicator(self):
-        """Checked over the whole class, whatever instances the multiset
+        """Checked over the whole class, whatever instances the history
         names, since a session's cell tables hold every class value."""
         hclass = HypothesisClass([[0.5, 1.0], [1.0, -1.0]], declared_dim=0)
-        loss = LossSpec.of("binary_indicator")
-        at_half, elsewhere = ExampleMultiset([(0, 1.0)]), ExampleMultiset([(1, 1.0)])
-        for S in (at_half, elsewhere, ExampleMultiset()):
+        loss, real = LossSpec.of("binary_indicator"), LossSpec.of("absolute")
+        at_half, elsewhere = [(0, 1.0)], [(1, 1.0)]
+        for pairs in (at_half, elsewhere, []):
             with pytest.raises(InputError, match="prediction"):
-                erm(hclass, S, loss)
+                erm(hclass, seeded(hclass, loss, *pairs), loss)
             with pytest.raises(InputError, match="prediction"):
-                mixed_opt(hclass, S, ExampleMultiset(), loss)
+                mixed_opt(hclass, seeded(hclass, loss, *pairs), hints(hclass), loss)
         # the hint term's centered loss takes real predictions
-        assert mixed_opt(hclass, ExampleMultiset(), at_half,
-                         LossSpec.of("absolute")) == (1, -0.5)
+        assert mixed_opt(hclass, seeded(hclass, real), hints(hclass, *at_half),
+                         real) == (1, -0.5)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -382,18 +405,22 @@ class TestChecksPerCall:
                 return True
             return False
 
+        def real():
+            return OracleSession(hclass, loss, S)
+
         # the whole class under the real loss, then the slot's labels
         bad_class = raises(lambda: loss_eval(loss, hclass.values, 1.0))
         expected = bad_class or raises(lambda: per_pair_objective(hclass, S, loss))
-        assert raises(lambda: erm(hclass, S, loss)) == expected
-        assert raises(lambda: mixed_opt(hclass, S, ExampleMultiset(), loss)) == expected
+        assert raises(lambda: erm(hclass, real(), loss)) == expected
+        assert raises(lambda: mixed_opt(hclass, real(), hints(hclass), loss)) == expected
         # the hint slot's labels under the centered loss
         expected = bad_class or raises(
             lambda: per_pair_objective(hclass, S, HINT_LOSS))
-        assert raises(lambda: mixed_opt(hclass, ExampleMultiset(), S, loss)) == expected
+        assert raises(lambda: mixed_opt(hclass, seeded(hclass, loss),
+                                        OracleSession(hclass, HINT_LOSS, S),
+                                        loss)) == expected
 
 
-HINT_LOSS = LossSpec(LossKind.CENTERED_BINARY)
 SIGN = st.sampled_from([-1.0, 1.0])
 
 
@@ -458,8 +485,8 @@ class TestOracleSession:
     """The session path against the per-pair loop over the merged pairs
     of `history + cells`: the objectives, the oracles' choices and their
     accounting.  Bit for bit where every term is an integer or a
-    half-integer, within 1e-12 otherwise.  Multiset records in the slots
-    take the same choices and accounting."""
+    half-integer, within 1e-12 otherwise.  Sessions seeded from the
+    multiset records take the same choices and accounting."""
 
     @given(session_instances())
     @settings(max_examples=300, deadline=None)
@@ -502,7 +529,9 @@ class TestOracleSession:
                 assume(np.all(np.abs(obj - obj.min() - OBJ_TOL) > 1e-13))
         slots = {"session": (CountTable(session, cells, with_history=True), session,
                              CountTable(session, cells)),
-                 "multiset": (merged, past, table)}
+                 "seeded": (OracleSession(hclass, loss, merged),
+                            OracleSession(hclass, loss, past),
+                            OracleSession(hclass, HINT_LOSS, table))}
         sizes = (merged.logical_size, past.logical_size + table.logical_size)
         for tie in TiePolicy:
             rng = np.random.default_rng(5)

@@ -497,7 +497,7 @@ class TestRademacher:
 class TestRelaxations:
     def test_transductive_matches_rademacher(self, const_class):
         loss = LossSpec.of("absolute")
-        history = ExampleMultiset([(0, 1.0)])
+        history = OracleSession(const_class, loss, ExampleMultiset([(0, 1.0)]))
         got = transductive_relaxation(const_class, history, loss, [1])
         # history losses: h=+1 -> 0, h=-1 -> |(-1)-1|/2 = 1; phi = -loss/(2G)
         # = (0, -1).  E_eps sup_h{eps h + phi} = (max(1, -2) + max(-1, 0))/2
@@ -509,15 +509,17 @@ class TestRelaxations:
         their number; 17 distinct hints (2^17 vectors) raise like every
         other exact check, with no Monte Carlo fallback."""
         loss = LossSpec.of("absolute")
+        empty = OracleSession(const_class, loss, ExampleMultiset())
         # E|eps_1 + ... + eps_16| = 16 C(16, 8) / 2^16, and 2G = 1
-        assert transductive_relaxation(const_class, ExampleMultiset(), loss,
+        assert transductive_relaxation(const_class, empty, loss,
                                        [0] * 16) == 16 * math.comb(16, 8) / 2 ** 16
         for m in (16, 17, 200):
-            assert transductive_relaxation(const_class, ExampleMultiset(), loss,
+            assert transductive_relaxation(const_class, empty, loss,
                                            [0] * m) == _mean_abs_walk(m)
         const17 = HypothesisClass([[1.0] * 17, [-1.0] * 17], declared_dim=1, binary=True)
         with pytest.raises(CapacityError):
-            transductive_relaxation(const17, ExampleMultiset(), loss, list(range(17)))
+            transductive_relaxation(const17, OracleSession(const17, loss), loss,
+                                    list(range(17)))
 
     def test_ftpl_n_zero_is_negated_best_loss(self, const_class):
         history = ExampleMultiset([(0, 1.0), (1, 1.0)])
@@ -680,7 +682,9 @@ class TestAdmissibility:
     ], ids=["cyclic", "repeated"])
     def test_one_session_per_history(self, monkeypatch, kind, sched, sessions):
         """One session per distinct history before each round: with a
-        repeated row, different orders reach one multiset (1 + 4 + 10)."""
+        repeated row, different orders reach one multiset (1 + 4 + 10).
+        One more, empty, is the base that the count tables are read
+        through."""
         built = []
 
         class Counting(OracleSession):
@@ -691,7 +695,7 @@ class TestAdmissibility:
         monkeypatch.setattr(verify, "OracleSession", Counting)
         hclass = make_shatter_class(FiniteDomain(4), [0, 1, 2])
         admissibility_check(kind, hclass, LossSpec.of("absolute"), sched)
-        assert len(built) == sessions
+        assert len(built) == 1 + sessions
 
     @pytest.mark.parametrize("hclass, sched", _longer_admissibility_instances())
     def test_alg3_admissible_and_ftl_violates_at_t_4_5(self, hclass, sched):
@@ -1030,7 +1034,8 @@ class TestGeneralizationGap:
             hallucinated = [(x, (-1.0, 1.0)[sign], c)
                             for (x, sign), c in np.ndenumerate(cells) if c]
             S = ExampleMultiset(past + hallucinated + [(x_t, labels[x_t], 1)])
-            h = partition8.values[erm(partition8, S, loss)[0]]
+            h = partition8.values[erm(partition8, OracleSession(partition8, loss, S),
+                                      loss)[0]]
             gaps.append(-labels[x_p] * h[x_p] / 2 + labels[x_t] * h[x_t] / 2)
         report = generalization_gap_mc(partition8, D, labels, ExampleMultiset(past),
                                        6.0, 200, np.random.default_rng(11), T=8)
@@ -1040,8 +1045,8 @@ class TestGeneralizationGap:
 @pytest.mark.parametrize("call", [
     lambda h: rademacher_estimate(h, [0.9], np.zeros(len(h))),
     lambda h: monotonicity_check(h, [0], np.zeros(len(h)), 0.5),
-    lambda h: transductive_relaxation(h, ExampleMultiset(), LossSpec.of("absolute"),
-                                      [0.5]),
+    lambda h: transductive_relaxation(h, OracleSession(h, LossSpec.of("absolute")),
+                                      LossSpec.of("absolute"), [0.5]),
     lambda h: known_sequence_schedule([0.5, 1.7]),
     lambda h: cyclic_hint_schedule(2, [[0.5, 1.5]]),
     lambda h: OracleSession(h, LossSpec.of("absolute")).add(0.9, 1.0),
