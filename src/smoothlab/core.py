@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -259,6 +260,14 @@ class SmoothDistribution:
     @classmethod
     def uniform(cls, size: int) -> "SmoothDistribution":
         return cls(tuple([1.0 / size] * size), 1.0)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform reports one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def whole_numbers(values, name: str) -> np.ndarray:

@@ -29,7 +29,6 @@ import hashlib
 import io
 import json
 import math
-import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
@@ -55,6 +54,7 @@ from .core import (
     make_partition_class,
     make_shatter_class,
     make_support_partition_class,
+    usable_cpus,
     whole_numbers,
 )
 from .errors import FitError, InputError
@@ -236,6 +236,8 @@ class ExperimentConfig:
             raise InputError("need at least one seed")
         if min(self.seeds) < 0:
             raise InputError(f"seeds must be nonnegative, got {list(self.seeds)}")
+        if self.d is not None and self.d < 1:
+            raise InputError(f"d must be >= 1, got {self.d}")
         if self.learner in ("alg1", "alg3") and self.loss == "binary_indicator":
             raise InputError(
                 f"{self.learner} predicts in [-1, 1] and needs a real-valued loss; "
@@ -273,7 +275,7 @@ class ExperimentConfig:
                                    **common)
         elif self.learner == "alg2":
             n = self.n if self.n is not None else default_n(
-                T, self.sigma, hclass.domain_size, max(1, d))
+                T, self.sigma, hclass.domain_size, d)
             learner = Alg2PoissonFTPL(hclass, loss, T, n=n, **common)
         elif self.learner == "ftl":
             learner = FTL(hclass, loss, T, **common)
@@ -416,8 +418,8 @@ def _csv_row(config: ExperimentConfig, **cols) -> str:
 
 def _worker_count(jobs: int, n_seeds: int) -> int:
     """Processes used for `jobs` requested workers: never more than the
-    seeds to play or the CPUs available."""
-    return min(jobs, n_seeds, os.cpu_count() or 1)
+    seeds to play or the CPUs this process may run on."""
+    return min(jobs, n_seeds, usable_cpus())
 
 
 def run_experiment(config: ExperimentConfig,

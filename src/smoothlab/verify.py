@@ -5,7 +5,9 @@ Covers:
 * the coupling procedure that extracts, from m draws of a base
   distribution Q, one sample whose conditional law is exactly a target
   P with bounded likelihood ratio dP/dQ <= 1/sigma, by Monte Carlo over
-  row blocks that read the one-shot draws from advanced PCG64 copies;
+  row ranges, one thread per usable CPU, whose blocks read the one-shot
+  draws from advanced PCG64 copies, so the report is identical at any
+  CPU count;
 * exact total-variation and chi-square computations for the
   product-Poisson hallucination model and its single-shift mixtures;
 * regularized Rademacher complexity and its monotonicity in the
@@ -57,6 +59,7 @@ from .core import (
     choice_cdf,
     loss_eval,
     make_partition_class,
+    usable_cpus,
     whole_numbers,
 )
 from .errors import CapacityError, InputError
@@ -66,7 +69,13 @@ from . import learner as learnermod, rng as rngmod
 TRUNC_TAIL = 1e-12
 EXACT_RADEMACHER_VECTORS = 1 << 16  # +1-count vectors prod(c_z + 1) of one enumeration
 ADMISSIBILITY_CAPS = {"domain": 4, "T": 5, "K": 2, "class": 8}
-COUPLING_BLOCK = 1 << 17  # draws of each kind that coupling_montecarlo holds
+COUPLING_BLOCK = 1 << 16  # draws of each kind alive across coupling_montecarlo's threads
+
+
+def _is_count(v) -> bool:
+    """An integer >= 1 that is not a bool."""
+    return (isinstance(v, numbers.Integral) and not isinstance(v, (bool, np.bool_))
+            and v >= 1)
 
 
 @dataclass
@@ -130,6 +139,26 @@ def _guided_search(cdf: np.ndarray):
     return index
 
 
+def _coupling_rows(index, ratio: np.ndarray, streams, m: int, rows: int,
+                   n: int) -> tuple[int, np.ndarray]:
+    """(successes, per-atom counts of the picks) of n coupling rows, drawn
+    `rows` rows at a time from `streams` (choice uniforms, acceptance
+    uniforms, keys).  Only numpy runs here, so worker threads can call it."""
+    successes, counts = 0, np.zeros(ratio.size, dtype=np.int64)
+    for start in range(0, n, rows):
+        shape = (min(rows, n - start), m)
+        xs = index(streams[0].random(shape))
+        accept = streams[1].random(shape) < ratio[xs]
+        success = accept.any(axis=1)
+        # uniform pick among accepted entries per row: argmax of uniforms
+        # masked to the accepted set
+        keys = np.where(accept, streams[2].random(shape), -1.0)
+        picked = xs[np.arange(shape[0]), keys.argmax(axis=1)]
+        successes += int(success.sum())
+        counts += np.bincount(picked[success], minlength=ratio.size)
+    return successes, counts
+
+
 def coupling_montecarlo(P, Q, sigma: float, m: int, trials: int, rng,
                         tv_tol: float = 0.02) -> VerificationReport:
     """Estimate Pr[E^c] and the conditional law of X_I given E.
@@ -141,18 +170,23 @@ def coupling_montecarlo(P, Q, sigma: float, m: int, trials: int, rng,
     The draws are those of N = trials * m `choice(p=Q)` uniforms, then N
     acceptance uniforms, then N keys, from `rng` as (trials, m) arrays.
     Each is one double, one 64-bit output, so with a PCG64-family `rng`
-    the rows are drawn in blocks of COUPLING_BLOCK draws from copies of
-    its bit generator advanced by 0, N and 2N (`PCG64.advance`, with
-    streams stable under NEP 19), and `rng` ends advanced by 3N.  Other
-    bit generators draw all rows at once from `rng`.  A uniform's atom is
-    `choice`'s, the number of CDF entries <= u, found through a guide
-    table built once per call (`_guided_search`), which returns exactly
-    `searchsorted(u, side="right")` in O(1) expected steps at any |Q|.
+    any range of rows starting at row lo reads its draws from copies of
+    the bit generator advanced by k * N + lo * m for k = 0, 1, 2
+    (`PCG64.advance`, with streams stable under NEP 19), and `rng` ends
+    advanced by 3N with its pending 32-bit half kept.  The rows are split
+    into W contiguous ranges, one per thread, with W the CPUs the process
+    may use (`usable_cpus`) capped by the number of COUPLING_BLOCK-draw
+    blocks; a call of one block runs inline.  Each thread draws blocks of
+    COUPLING_BLOCK / W draws of each kind, so memory stays a few MB, and
+    returns integer sums, so the report is the same bit for bit at any W.
+    Other bit generators draw all rows at once from `rng`.  A uniform's
+    atom is `choice`'s, the number of CDF entries <= u, found through a
+    guide table built once per call (`_guided_search`), which returns
+    exactly `searchsorted(u, side="right")` in O(1) expected steps.
     """
     if not isinstance(rng, np.random.Generator):
         raise InputError(f"rng must be a numpy.random.Generator, got {rng!r}")
-    if not all(isinstance(v, numbers.Integral) and not isinstance(v, (bool, np.bool_))
-               and v >= 1 for v in (m, trials)):
+    if not (_is_count(m) and _is_count(trials)):
         raise InputError(f"m and trials must be integers >= 1, got {m!r}, {trials!r}")
     if not (isinstance(tv_tol, numbers.Real) and 0.0 <= tv_tol < math.inf):
         raise InputError(f"tv_tol must be finite and >= 0, got {tv_tol!r}")
@@ -164,27 +198,36 @@ def coupling_montecarlo(P, Q, sigma: float, m: int, trials: int, rng,
         raise InputError("likelihood ratio dP/dQ exceeds 1/sigma on the support")
     index = _guided_search(choice_cdf(Q))
     ratio = np.divide(sigma * P, Q, out=np.zeros_like(P), where=Q > 0)
-    streams, rows, bits = [rng] * 3, trials, rng.bit_generator
-    if isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
-        def advanced(k: int):  # a copy of bits moved on by k * N doubles
+    bits = rng.bit_generator
+    if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
+        successes, counts = _coupling_rows(index, ratio, [rng] * 3, m, trials, trials)
+    else:
+        def advanced(k: int):  # a copy of bits moved on by k doubles
             clone = copy.deepcopy(bits)
-            return clone.advance(k * trials * m)
-        streams = [np.random.Generator(advanced(k)) for k in range(3)]
+            return clone.advance(k)
+
+        def streams(lo: int) -> list:  # the three kinds of draw from row lo on
+            return [np.random.Generator(advanced(k * trials * m + lo * m))
+                    for k in range(3)]
+        blocks = -(-trials // max(1, COUPLING_BLOCK // m))
+        workers = min(usable_cpus(), blocks)
+        rows = max(1, COUPLING_BLOCK // (workers * m))
+        if workers == 1:
+            successes, counts = _coupling_rows(index, ratio, streams(0), m, rows, trials)
+        else:
+            # imported here: `import smoothlab.verify` starts no pool
+            from concurrent.futures import ThreadPoolExecutor
+            edges = [trials * w // workers for w in range(workers + 1)]
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                parts = [pool.submit(_coupling_rows, index, ratio, streams(lo), m,
+                                     rows, hi - lo)
+                         for lo, hi in zip(edges, edges[1:])]
+                parts = [part.result() for part in parts]
+            successes = sum(s for s, _ in parts)
+            counts = sum(c for _, c in parts)
         state = bits.state  # its 32-bit buffer stays as it was
-        state["state"] = advanced(3).state["state"]
-        bits.state, rows = state, max(1, COUPLING_BLOCK // m)
-    successes, counts = 0, np.zeros(P.size, dtype=np.int64)
-    for start in range(0, trials, rows):
-        shape = (min(rows, trials - start), m)
-        xs = index(streams[0].random(shape))
-        accept = streams[1].random(shape) < ratio[xs]
-        success = accept.any(axis=1)
-        # uniform pick among accepted entries per row: argmax of uniforms
-        # masked to the accepted set
-        keys = np.where(accept, streams[2].random(shape), -1.0)
-        picked = xs[np.arange(shape[0]), keys.argmax(axis=1)]
-        successes += int(success.sum())
-        counts += np.bincount(picked[success], minlength=P.size)
+        state["state"] = advanced(3 * trials * m).state["state"]
+        bits.state = state
     fail_rate = 1.0 - successes / trials
     fail_exact = (1.0 - sigma) ** m
     band = 4.0 * math.sqrt(max(fail_exact * (1 - fail_exact), 1e-300) / trials)
@@ -651,8 +694,8 @@ def generalization_gap_mc(hclass: HypothesisClass, D: SmoothDistribution,
     history + hallucination + {s}, against the stated budget."""
     if not hclass.binary:
         raise InputError("generalization check requires a binary class")
-    if n <= 0 or trials < 1:
-        raise InputError("need n > 0 and trials >= 1")
+    if not (n > 0 and _is_count(trials)):
+        raise InputError(f"need n > 0 and an integer trials >= 1, got {n!r}, {trials!r}")
     label_table = np.asarray(label_table, dtype=float)
     if not np.all(np.abs(label_table) == 1.0):
         raise InputError("label_table must hold -1 or +1 for every instance")

@@ -144,6 +144,16 @@ class TestExperimentConfig:
         assert "hclass" not in c.to_dict() and "hclass" not in repr(c)
         assert c == ExperimentConfig.from_dict(c.to_dict())
 
+    @pytest.mark.parametrize("learner", ["alg2", "ftl"])
+    def test_class_of_declared_dim_zero_loads(self, learner):
+        """Only an explicit `d` key must be >= 1; a one-hypothesis class
+        declares dimension 0 and plays (alg2 with its n given)."""
+        c = base_config(learner=learner, **{"class": json_class([[1, 1]], declared_dim=0)})
+        assert c.resolved_d == 0
+        _, csv_text = run_experiment(c, 1)
+        d = CSV_COLUMNS.index("d")
+        assert {row.split(",")[d] for row in csv_text.strip().split("\n")[1:]} == {"0"}
+
     def test_players_are_fresh_pairs(self):
         c = base_config()
         (a1, l1), (a2, l2) = c.players(0), c.players(0)
@@ -340,10 +350,14 @@ class TestRunExperiment:
         assert list(tmp_path.iterdir()) == []
 
     def test_worker_count_clamped(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        """Clamped to the CPUs in the affinity mask, not the machine's."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert _worker_count(10_000, 5) == 2
         assert _worker_count(10_000, 1) == 1
         assert _worker_count(1, 5) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _worker_count(10_000, 5) == 5
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _worker_count(10_000, 5) == 1
 
@@ -443,6 +457,16 @@ class TestCli:
             "'--out', 'out.csv']))",
         ], tmp_path)
         assert rcs == [EXIT_OK]
+        assert seen == [False, False]
+
+    def test_importing_verify_never_loads_the_thread_pool(self, tmp_path):
+        """`coupling_montecarlo` imports concurrent.futures only on a call
+        that splits its rows over threads; a one-block call does not."""
+        seen, _ = self._loaded_after("concurrent.futures", [
+            "import smoothlab.verify as verify",
+            "verify.coupling_montecarlo([0.5, 0.5], [0.5, 0.5], 0.5, m=3, "
+            "trials=10, rng=verify.np.random.default_rng(0))",
+        ], tmp_path)
         assert seen == [False, False]
 
     def test_verify_tv_loads_scipy_on_first_use(self, tmp_path):
@@ -668,6 +692,11 @@ class TestCli:
                                        "sigma": 0.375},
         "support_alternating_d_0": {"adversary": "support_alternating", "d": 0},
         "support_alternating_d_-1": {"adversary": "support_alternating", "d": -1},
+        "alg2_d_0": {"d": 0},
+        "alg2_default_n_class_dim_0": {"class": json_class([[1, 1]], declared_dim=0),
+                                       "n": None},
+        "alg2_default_n_d_-1": {"d": -1, "n": None},
+        "ftl_d_-1": {"learner": "ftl", "d": -1},
         "support_partition_d_0": {"class": {
             "kind": "support_partition", "domain_size": 8, "support_size": 4, "d": 0}},
         "support_partition_d_-2": {"class": {
@@ -707,6 +736,10 @@ class TestCli:
         "seeds_negative": "seeds must be nonnegative",
         "support_alternating_d_0": "d must be >= 1",
         "support_alternating_d_-1": "d must be >= 1",
+        "alg2_d_0": "d must be >= 1",
+        "alg2_default_n_class_dim_0": "need 1 <= d",
+        "alg2_default_n_d_-1": "d must be >= 1",
+        "ftl_d_-1": "d must be >= 1",
         "support_partition_d_0": "d must be >= 1",
         "support_partition_d_-2": "d must be >= 1",
     }

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -162,8 +163,10 @@ def coupling_pairs(draw):
     return P, Q, sigma
 
 
-def _block_rows(m):
-    return verify.COUPLING_BLOCK // m
+def _block_rows(m, workers=1):
+    """Rows of one block of a worker when `workers` threads share the
+    COUPLING_BLOCK draws of each kind."""
+    return max(1, verify.COUPLING_BLOCK // (workers * m))
 
 
 def _normalized(w):
@@ -302,6 +305,91 @@ class TestCouplingBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+# Q with a leading zero atom; P on two of Q's atoms, where dP/dQ = 2
+_P5 = np.array([0.0, 0.5, 0.0, 0.5, 0.0])
+_Q5 = np.array([0.0, 0.25, 0.25, 0.25, 0.25])
+
+
+@pytest.fixture(params=[1, 2, 3], ids=["W1", "W2", "W3"])
+def workers(request, monkeypatch):
+    """The CPUs `coupling_montecarlo` may use, forced to 1, 2 or 3."""
+    monkeypatch.setattr(verify, "usable_cpus", lambda: request.param)
+    return request.param
+
+
+def _split_edges(W):
+    """Trials at block edges (one block runs inline, B + 1 is two) and
+    around 2W one-worker blocks, where each of W workers takes exactly
+    two blocks of _block_rows(7, W) rows."""
+    B, BW = _block_rows(7), _block_rows(7, W)
+    return [1, B, B + 1, 2 * W * BW - 1, 2 * W * BW, 2 * W * BW + 1, 2 * B + 3]
+
+
+class TestCouplingThreads:
+    """The rows split over W threads against the one-shot reference, bit
+    for bit, at W = 1, 2 and 3 whatever the CPUs of the host."""
+
+    @pytest.mark.parametrize("where", range(7))
+    @pytest.mark.parametrize("buffered", [False, True], ids=["plain", "buffered"])
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
+    def test_equals_one_shot_reference(self, workers, where, buffered, bit_generator):
+        trials = _split_edges(workers)[where]
+        got_rng = np.random.Generator(bit_generator(where))
+        want_rng = np.random.Generator(bit_generator(where))
+        if buffered:  # a pending 32-bit half survives the call
+            got_rng.integers(10, dtype=np.uint32)
+            want_rng.integers(10, dtype=np.uint32)
+        got = coupling_montecarlo(_P5, _Q5, 0.5, m=7, trials=trials, rng=got_rng)
+        assert got == _coupling_reference(_P5, _Q5, 0.5, 7, trials, want_rng)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.random() == want_rng.random()
+
+    def test_precomputed_lane_stream(self, workers):
+        """The precomputed-words stream of `rng.stream`, advanced per worker."""
+        rngmod.stream(19_190_023, purpose="verify")
+        got_rng = rngmod.stream(19_190_023, purpose="verify")
+        assert isinstance(got_rng.bit_generator.seed_seq, rngmod._Words)
+        got_rng.random(3)
+        want_rng = np.random.Generator(np.random.PCG64())
+        want_rng.bit_generator.state = got_rng.bit_generator.state
+        trials = 2 * _block_rows(7) + 3
+        got = coupling_montecarlo(_P5, _Q5, 0.5, m=7, trials=trials, rng=got_rng)
+        assert got == _coupling_reference(_P5, _Q5, 0.5, 7, trials, want_rng)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.random() == want_rng.random()
+
+    def test_suite_report_at_any_worker_count(self, workers, monkeypatch):
+        """The CLI's coupling report (2 * 10^6 draws) is the same at every W."""
+        got = verify.run_suite("coupling")
+        monkeypatch.setattr(verify, "usable_cpus", lambda: 1)
+        assert got == verify.run_suite("coupling")
+
+    @pytest.mark.parametrize("W", [2, 3])
+    def test_threads_end_with_the_call(self, monkeypatch, W):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(verify, "usable_cpus", lambda: W)
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: (started.append(self), start(self))[1])
+        before = threading.active_count()
+        coupling_montecarlo(_P5, _Q5, 0.5, m=7, trials=3 * _block_rows(7),
+                            rng=np.random.default_rng(1))
+        assert 1 <= len(started) <= W
+        assert threading.active_count() == before
+        assert not any(t.is_alive() for t in started)
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(verify, "usable_cpus", lambda: 3)
+
+        def no_thread(self):
+            raise AssertionError("a one-block call started a thread")
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        got_rng, want_rng = np.random.default_rng(2), np.random.default_rng(2)
+        trials = _block_rows(7)
+        got = coupling_montecarlo(_P5, _Q5, 0.5, m=7, trials=trials, rng=got_rng)
+        assert got == _coupling_reference(_P5, _Q5, 0.5, 7, trials, want_rng)
 
 
 def _rademacher_reference(vals, phi, Z) -> Fraction:
@@ -995,6 +1083,16 @@ class TestGeneralizationGap:
             generalization_gap_mc(partition8, SmoothDistribution.uniform(8),
                                   partition8.values[1], ExampleMultiset(),
                                   n=n, trials=trials, rng=rng)
+
+    @pytest.mark.parametrize("trials", [10.5, True, np.bool_(True), "10", np.float64(10.0)],
+                             ids=["float", "bool", "numpy-bool", "text", "numpy-float"])
+    def test_rejects_non_integer_trials(self, partition8, rng, trials):
+        """`trials` follows `coupling_montecarlo`'s rule: an integer >= 1,
+        not a bool; these used to escape as a raw numpy TypeError or run."""
+        with pytest.raises(InputError, match="integer trials"):
+            generalization_gap_mc(partition8, SmoothDistribution.uniform(8),
+                                  partition8.values[1], ExampleMultiset(),
+                                  n=16.0, trials=trials, rng=rng)
 
     def test_requires_binary(self, real_class, rng):
         with pytest.raises(InputError):
