@@ -157,12 +157,11 @@ class Adversary:
     """
 
     def __init__(self, spec: AdversarySpec, hclass: HypothesisClass, T: int,
-                 seed: int, run: int = 0):
+                 seed: int):
         self.spec = spec
         self.hclass = hclass
         self.T = int(T)
         self.seed = int(seed)
-        self.run = int(run)
         self.domain_size = hclass.domain_size
         self._visits: np.ndarray | None = None
         self._support: np.ndarray | None = None
@@ -174,7 +173,7 @@ class Adversary:
     # -- construction ------------------------------------------------
 
     def _rng(self, t: int):
-        return rngmod.stream(self.seed, self.run, t, "adversary")
+        return rngmod.stream(self.seed, t, "adversary")
 
     @functools.cached_property
     def h_star_index(self) -> int:

@@ -124,7 +124,8 @@ class LossKind(Enum):
     SQUARED = "squared"
 
 
-_DEFAULT_G = {
+# the Lipschitz constant G of each loss in its prediction
+_LIPSCHITZ_G = {
     LossKind.BINARY_INDICATOR: 0.5,
     LossKind.CENTERED_BINARY: 0.5,
     LossKind.ABSOLUTE: 0.5,
@@ -138,13 +139,10 @@ _SIGN_LABEL_KINDS = {LossKind.BINARY_INDICATOR, LossKind.CENTERED_BINARY}
 @dataclass(frozen=True)
 class LossSpec:
     kind: LossKind
-    lipschitz_G: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.lipschitz_G == 0.0:
-            object.__setattr__(self, "lipschitz_G", _DEFAULT_G[self.kind])
-        if self.lipschitz_G <= 0:
-            raise InputError("lipschitz_G must be positive")
+    @property
+    def lipschitz_G(self) -> float:
+        return _LIPSCHITZ_G[self.kind]
 
     @property
     def binary_only(self) -> bool:

@@ -255,14 +255,14 @@ class ExperimentConfig:
         if self.custom_ys is not None:  # the labels a game would reveal
             check_sign_args(LossSpec.of(self.loss), (), self.custom_ys, yhat_binary=True)
 
-    def players(self, seed: int, run: int = 0) -> tuple[Adversary, Learner]:
+    def players(self, seed: int) -> tuple[Adversary, Learner]:
         """A fresh (adversary, learner) pair for one game."""
         hclass, schedule, d, T = self.hclass, self.schedule, self.resolved_d, self.T
         adversary = Adversary(AdversarySpec(
             kind=AdversaryKind(self.adversary), sigma=self.sigma, d=d,
             delta=self.delta, hint_schedule=schedule, xs=self.custom_xs,
-            ys=self.custom_ys), hclass, T, seed, run)
-        common = dict(seed=seed, run=run, tie=TiePolicy(self.tie_policy))
+            ys=self.custom_ys), hclass, T, seed)
+        common = dict(seed=seed, tie=TiePolicy(self.tie_policy))
         loss = LossSpec.of(self.loss)
         if self.learner == "alg3":
             if schedule is None:
@@ -337,7 +337,10 @@ def build_hint_schedule(config: ExperimentConfig, domain_size: int) -> HintSched
         return None
     kind = config.hints["kind"]
     if kind == "cyclic":
-        K = config.hints.get("K") or config.K or 1
+        K = config.hints.get("K", config.K)
+        K = 1 if K is None else K
+        if K < 1:
+            raise InputError(f"cyclic hints need K >= 1, got K={K}")
         if domain_size % K != 0:
             raise InputError(f"domain size {domain_size} not divisible by K={K}")
         blocks = [np.arange(j * K, (j + 1) * K) for j in range(domain_size // K)]
@@ -349,13 +352,13 @@ def build_hint_schedule(config: ExperimentConfig, domain_size: int) -> HintSched
     return full_domain_schedule(config.T, domain_size)
 
 
-def run_game(config: ExperimentConfig, seed: int, run: int = 0) -> Transcript:
+def run_game(config: ExperimentConfig, seed: int) -> Transcript:
     """Play one T-round game and return its full transcript."""
     if config.T == 0:
         return Transcript([], 0.0, 0.0, 0.0, 0, 0, 0, 0, seed,
                           config.config_hash(), hashlib.sha256(b"").hexdigest()[:16])
     loss = LossSpec.of(config.loss)
-    adversary, learner = config.players(seed, run)
+    adversary, learner = config.players(seed)
 
     rounds: list[RoundRecord] = []
     label_hash = hashlib.sha256()
@@ -364,7 +367,7 @@ def run_game(config: ExperimentConfig, seed: int, run: int = 0) -> Transcript:
     prev_len = 0
     for t in range(1, config.T + 1):
         commitment, x_t, label_rule = next_round(
-            adversary, t, rngmod.stream(seed, run, t, "instance"))
+            adversary, t, rngmod.stream(seed, t, "instance"))
         # the label rule is committed (hashed) before the prediction
         label_hash.update(commitment.label_table.tobytes())
         yhat = learner.predict(t, x_t)

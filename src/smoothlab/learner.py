@@ -30,7 +30,7 @@ learners hand their hint count table to `hint_difference_prediction`,
 which makes both of the round's count tables from it.
 
 All per-round randomness comes from counter-based streams keyed by
-(seed, run, round, purpose), so each round's hint/label noise is fresh
+(seed, round, purpose), so each round's hint/label noise is fresh
 and disjoint from every other round's.
 """
 
@@ -70,24 +70,22 @@ def default_n(T: int, sigma: float, domain_size: int, d: int) -> float:
 
 class Learner:
     """Base class: owns the oracle session (history), oracle stats, and
-    per-run RNG keys."""
+    the game's RNG seed."""
 
     name = "learner"
 
     def __init__(self, hclass: HypothesisClass, loss: LossSpec, T: int,
-                 seed: int = 0, run: int = 0,
-                 tie: TiePolicy = TiePolicy.LOWEST_INDEX):
+                 seed: int = 0, tie: TiePolicy = TiePolicy.LOWEST_INDEX):
         self.hclass = hclass
         self.loss = loss
         self.T = int(T)
         self.seed = int(seed)
-        self.run = int(run)
         self.tie = tie
         self.stats = OracleStats()
         self.session = OracleSession(hclass, loss)
 
     def _stream(self, t: int, purpose: str):
-        return rngmod.stream(self.seed, self.run, t, purpose)
+        return rngmod.stream(self.seed, t, purpose)
 
     def _tie_stream(self, t: int):
         """The round's "tie" stream, built only under the policy that reads it."""
@@ -168,8 +166,8 @@ class Alg3Transductive(_HintDifferenceLearner):
     name = "alg3"
 
     def __init__(self, hclass, loss, T, hint_schedule: HintSchedule,
-                 seed=0, run=0, tie=TiePolicy.LOWEST_INDEX):
-        super().__init__(hclass, loss, T, seed, run, tie)
+                 seed=0, tie=TiePolicy.LOWEST_INDEX):
+        super().__init__(hclass, loss, T, seed, tie)
         if hint_schedule.T < T:
             raise InputError("hint schedule shorter than the horizon")
         rows = hint_schedule.rows[:T]
@@ -204,8 +202,8 @@ class Alg1Smoothed(_HintDifferenceLearner):
 
     def __init__(self, hclass, loss, T, sigma: float, K: int | None = None,
                  c_K: float = 100.0, max_hints_per_round: int | None = None,
-                 seed=0, run=0, tie=TiePolicy.LOWEST_INDEX):
-        super().__init__(hclass, loss, T, seed, run, tie)
+                 seed=0, tie=TiePolicy.LOWEST_INDEX):
+        super().__init__(hclass, loss, T, seed, tie)
         check_sigma(sigma)
         self.sigma = sigma
         self.c_K = c_K
@@ -229,7 +227,7 @@ class Alg2PoissonFTPL(Learner):
 
     name = "alg2"
 
-    def __init__(self, hclass, loss, T, n: float, seed=0, run=0,
+    def __init__(self, hclass, loss, T, n: float, seed=0,
                  tie=TiePolicy.LOWEST_INDEX):
         if not hclass.binary:
             raise InputError("Poissonized FTPL requires a binary class")
@@ -237,7 +235,7 @@ class Alg2PoissonFTPL(Learner):
             raise InputError("Poissonized FTPL requires the binary indicator loss")
         if n < 0:
             raise InputError("n must be nonnegative")
-        super().__init__(hclass, loss, T, seed, run, tie)
+        super().__init__(hclass, loss, T, seed, tie)
         self.n = float(n)
         self.last_hallucination_count = 0
 
@@ -245,7 +243,8 @@ class Alg2PoissonFTPL(Learner):
         cells = hallucination_cells(self.n, self.hclass.domain_size,
                                     self._stream(t, "hallucinate"))
         self.last_hallucination_count = int(cells.sum())
-        S = CountTable(self.session, cells, with_history=True)
+        # Poisson draws are whole and nonnegative, so the table enters unchecked
+        S = CountTable._of(self.session, cells, with_history=True)
         idx, _ = erm(self.hclass, S, self.loss, tie=self.tie, stats=self.stats,
                      query_point=int(x_t), rng=self._tie_stream(t))
         return float(self.hclass.values[idx, x_t])
@@ -273,10 +272,11 @@ class HedgeLearner(Learner):
     name = "hedge"
 
     def __init__(self, hclass, loss, T, eta: float | None = None,
-                 seed=0, run=0, tie=TiePolicy.LOWEST_INDEX):
-        super().__init__(hclass, loss, T, seed, run, tie)
+                 seed=0, tie=TiePolicy.LOWEST_INDEX):
+        super().__init__(hclass, loss, T, seed, tie)
         if eta is None:
-            eta = math.sqrt(8.0 * math.log(len(hclass)) / max(T, 1))
+            # ln 2 on a one-hypothesis class, whose every rate plays the same
+            eta = math.sqrt(8.0 * math.log(max(len(hclass), 2)) / max(T, 1))
         if eta <= 0:
             raise InputError("Hedge learning rate must be positive")
         self.eta = float(eta)

@@ -1,25 +1,25 @@
 """Counter-based RNG streams.
 
 All randomness in a run derives from a single 64-bit base seed via
-`stream(seed, run, round, purpose)`.  Its definition is the generator
-``numpy.random.default_rng([seed, run, round, tag])``: a PCG64 keyed by
-`SeedSequence` on the full tuple.  Because each (run, round, purpose)
-triple gets its own stream, adversary and learner randomness never
-interleave, and the fresh-per-round requirement for hint/label noise
-holds mechanically: round t's stream is disjoint from every other
-round's.
+`stream(seed, round, purpose)`.  Its definition is the generator
+``numpy.random.default_rng([seed, 0, round, tag])``: a PCG64 keyed by
+`SeedSequence` on the full tuple, whose second word is a fixed 0 (every
+tracked output was drawn under this four-word layout).  Because each
+(round, purpose) pair gets its own stream, adversary and learner
+randomness never interleave, and the fresh-per-round requirement for
+hint/label noise holds mechanically: round t's stream is disjoint from
+every other round's.
 
-A game asks for one stream per round of each (seed, run, purpose) lane.
-After a lane's first stream, `stream` computes `SeedSequence`'s hashing
-(the uint32 pool mixing and ``generate_state(4, uint64)``) for a block
-of rounds at once as numpy vector ops, keeps the blocks in a small LRU
-cache and seeds each round's PCG64 from its row of four words: the same
-generator, bit for bit, at about a sixth of the cost.  `default_rng`
-itself serves each lane's first stream, so one-shot callers build no
-block, and every key with a word outside [0, 2**32), which
-`SeedSequence` would split in two.  The word path relies on NumPy
-keeping `SeedSequence` and PCG64 seeding stable, as its compatibility
-policy (NEP 19) promises; ``tests/test_rng.py`` is the guard.
+A game asks for one stream per round of each (seed, purpose) lane.
+`stream` computes `SeedSequence`'s hashing (the uint32 pool mixing and
+``generate_state(4, uint64)``) for a block of rounds at once as numpy
+vector ops, keeps the blocks in a small LRU cache and seeds each round's
+PCG64 from its row of four words: the same generator, bit for bit, at
+about a sixth of the cost.  Only a key with a word outside [0, 2**32),
+which `SeedSequence` would split in two, goes through `default_rng`.
+The word path relies on NumPy keeping `SeedSequence` and PCG64 seeding
+stable, as its compatibility policy (NEP 19) promises;
+``tests/test_rng.py`` is the guard.
 
 Purpose tags used across the package:
 
@@ -40,7 +40,6 @@ verify           Monte Carlo lemma checks
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -70,22 +69,16 @@ def purpose_tag(purpose: str) -> int:
         raise ValueError(f"unknown RNG purpose {purpose!r}") from None
 
 
-def stream(seed: int, run: int = 0, round_idx: int = 0, purpose: str = "verify"):
-    """Independent generator keyed by (seed, run, round, purpose):
-    ``numpy.random.default_rng([seed, run, round, tag])``."""
-    key = [int(seed), int(run), int(round_idx), purpose_tag(purpose)]
-    seed, run, t, tag = key
-    if 0 <= min(key) and max(key) < _WORD and next(_uses(seed, run, tag)):
+def stream(seed: int, round_idx: int = 0, purpose: str = "verify"):
+    """Independent generator keyed by (seed, round, purpose):
+    ``numpy.random.default_rng([seed, 0, round, tag])``."""
+    key = [int(seed), 0, int(round_idx), purpose_tag(purpose)]
+    seed, _, t, tag = key
+    if 0 <= min(key) and max(key) < _WORD:
         block, row = divmod(t - 1, _BLOCK)
-        words = _block(seed, run, tag, block)[row]
+        words = _block(seed, tag, block)[row]
         return np.random.Generator(np.random.PCG64(_Words(words)))
     return np.random.default_rng(key)
-
-
-@functools.lru_cache(maxsize=64)
-def _uses(seed: int, run: int, tag: int):
-    """Counts the streams served for one lane; its first is 0."""
-    return itertools.count()
 
 
 class _Words:
@@ -113,9 +106,9 @@ def _hasher(hash_const: int, mult: int):
     return hashmix
 
 
-@functools.lru_cache(maxsize=16)  # 256 KB; a game reads at most four lanes
-def _block(seed: int, run: int, tag: int, block: int) -> np.ndarray:
-    """The (_BLOCK, 4) uint64 words `SeedSequence([seed, run, t, tag])`
+@functools.lru_cache(maxsize=16)  # 256 KB; a game of T <= _BLOCK reads at most five
+def _block(seed: int, tag: int, block: int) -> np.ndarray:
+    """The (_BLOCK, 4) uint64 words `SeedSequence([seed, 0, t, tag])`
     hands PCG64 for each round t = block * _BLOCK + 1, ..., (block + 1) *
     _BLOCK, computed as `SeedSequence` computes them, each step one vector
     op over all the rounds.  A game plays rounds 1..T, so one block serves
@@ -128,7 +121,7 @@ def _block(seed: int, run: int, tag: int, block: int) -> np.ndarray:
     u32 = np.uint32
     rounds = np.arange(_BLOCK, dtype=u32) + u32((block * _BLOCK + 1) % _WORD)
     hash_a = _hasher(_INIT_A, _MULT_A)
-    pool = [hash_a(w) for w in (np.array([seed], u32), np.array([run], u32),
+    pool = [hash_a(w) for w in (np.array([seed], u32), np.zeros(1, u32),
                                 rounds, np.array([tag], u32))]
     for src in range(4):
         for dst in range(4):

@@ -12,8 +12,7 @@ Covers:
   product-Poisson hallucination model and its single-shift mixtures;
 * regularized Rademacher complexity and its monotonicity in the
   dataset, both by exact enumeration;
-* the transductive relaxation of Algs 1 and 3, exact, and the FTPL
-  relaxation of Alg 2, by Monte Carlo;
+* the transductive relaxation of Algs 1 and 3, exact;
 * exact admissibility checks of the hint-difference prediction rule on
   tiny enumerable instances (with follow-the-leader as the negative
   control);
@@ -51,7 +50,6 @@ from .adversary import HintSchedule
 from .core import (
     FiniteDomain,
     HypothesisClass,
-    LossKind,
     LossSpec,
     SmoothDistribution,
     check_probs,
@@ -347,7 +345,7 @@ def monotonicity_check(hclass: HypothesisClass, Z, phi, x: int) -> VerificationR
 
 
 # ---------------------------------------------------------------------------
-# Relaxation values
+# The transductive relaxation
 # ---------------------------------------------------------------------------
 
 def transductive_relaxation(hclass: HypothesisClass, history: Slot,
@@ -357,32 +355,6 @@ def transductive_relaxation(hclass: HypothesisClass, history: Slot,
     G = loss.lipschitz_G
     return 2.0 * G * rademacher_estimate(
         hclass, hints, -history.objective(hclass, loss) / (2.0 * G))
-
-
-def ftpl_relaxation(hclass: HypothesisClass, history: History, n: float,
-                    sigma: float, d: int, T: int, t: int, c: float = 1.0,
-                    trials: int = 2000, rng=None) -> float:
-    """E over Poi(n) hallucinations s~ of sup_h(-L(h, s~) - L(h, history))
-    + eta*(T-t), with the centered binary loss L(h,(x,y)) = -y h(x)/2,
-    estimated by Monte Carlo over `trials` draws."""
-    if not 0 <= t <= T:
-        raise InputError("need 0 <= t <= T")
-    if n < 0:
-        raise InputError("ftpl relaxation needs n >= 0")
-    centered = LossSpec(LossKind.CENTERED_BINARY)
-    phi = -OracleSession(hclass, centered, history).objective(hclass, centered)
-    slack = (eta_budget(n, sigma, d, T, c) if n > 0 else 0.0) * (T - t)
-    if n == 0:
-        return float(phi.max()) + slack
-    if rng is None:
-        raise InputError("ftpl relaxation needs an rng")
-    acc = 0.0
-    for _ in range(trials):
-        cells = learnermod.hallucination_cells(n, hclass.domain_size, rng)
-        # -sum L(h, s~) = sum y h(x)/2
-        halluc = hclass.values @ ((cells[:, 1] - cells[:, 0]) / 2.0)
-        acc += (halluc + phi).max()
-    return acc / trials + slack
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +469,7 @@ def admissibility_check(learner_kind: str, hclass: HypothesisClass,
 
     # condition 2 over the full sequences' histories
     cond2_gap = float(max(
-        abs(rel_T + CountTable._of(session, table).objective(hclass, loss).min())
+        abs(rel_T + CountTable._of(base, table).objective(hclass, loss).min())
         for table, rel_T, _ in histories.values()))
     passed = (min_slack >= -tol) and (abs(cond2_gap) <= tol)
     return VerificationReport(

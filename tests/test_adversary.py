@@ -310,7 +310,7 @@ class TestAdversaryStream:
         real = rngmod.stream
 
         def counting(*args):
-            purposes.append((args[2], args[3]))
+            purposes.append((args[1], args[2]))
             return real(*args)
 
         monkeypatch.setattr(rngmod, "stream", counting)
@@ -331,7 +331,7 @@ class TestAdversaryStream:
         adv = Adversary(spec, partition8, T=4, seed=9)
         h_star = partition8.values[adv.h_star_index]
         for t in range(1, 5):
-            want = biased_label_rule(h_star, 0.2, rngmod.stream(9, 0, t, "adversary"))
+            want = biased_label_rule(h_star, 0.2, rngmod.stream(9, t, "adversary"))
             np.testing.assert_array_equal(adv.commit(t).label_table, want)
 
 
@@ -372,7 +372,7 @@ class TestCdfDraw:
     @settings(max_examples=500, deadline=None)
     def test_same_index_as_generator_choice(self, probs, seed, t):
         _, x_t, _ = next_round(_OneCommitment(probs), t,
-                               rngmod.stream(seed, 0, t, "instance"))
+                               rngmod.stream(seed, t, "instance"))
         key = [seed, 0, t, rngmod.purpose_tag("instance")]
         want = np.random.default_rng(key).choice(probs.size, p=probs)
         assert x_t == want
@@ -381,7 +381,7 @@ class TestCdfDraw:
 def _play(adv, T):
     """T rounds through `next_round`, each realized round observed."""
     for t in range(1, T + 1):
-        _, x_t, rule = next_round(adv, t, rngmod.stream(0, 0, t, "instance"))
+        _, x_t, rule = next_round(adv, t, rngmod.stream(0, t, "instance"))
         adv.observe(t, x_t, 0.0, rule(x_t))
 
 
@@ -440,7 +440,7 @@ class TestCertifiedOnce:
                   if name == "support_alternating" else partition8)
         adv = Adversary(_SPECS[name], hclass, T=16, seed=2)
         for t in range(1, 17):
-            got, x_t, rule = next_round(adv, t, rngmod.stream(0, 0, t, "instance"))
+            got, x_t, rule = next_round(adv, t, rngmod.stream(0, t, "instance"))
             want = adv.commit(t)
             for a, b in zip((got.probs, got.label_table, got.hint_row),
                             (want.probs, want.label_table, want.hint_row)):
@@ -466,15 +466,15 @@ class TestCertifiedOnce:
         adv = Adversary(spec, partition8, T=16, seed=0)
         _play(adv, 2)
         with pytest.raises(ContractViolation, match="escapes"):
-            next_round(adv, 3, rngmod.stream(0, 0, 3, "instance"))
+            next_round(adv, 3, rngmod.stream(0, 3, "instance"))
 
     def test_committed_arrays_are_read_only(self, partition8):
         spec = AdversarySpec(AdversaryKind.TRANSDUCTIVE_CYCLIC, hint_schedule=_CYCLIC)
         adv = Adversary(spec, partition8, T=16, seed=0)
-        c, _, _ = next_round(adv, 1, rngmod.stream(0, 0, 1, "instance"))
+        c, _, _ = next_round(adv, 1, rngmod.stream(0, 1, "instance"))
         cdf = adv._certified(1)[1]
         for array in (c.probs, c.label_table, c.hint_row, cdf):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
         # round 5 repeats round 1's hint row, so it reuses the commitment
-        assert next_round(adv, 5, rngmod.stream(0, 0, 5, "instance"))[0] is c
+        assert next_round(adv, 5, rngmod.stream(0, 5, "instance"))[0] is c

@@ -196,6 +196,15 @@ class TestBuilders:
             base_config(learner="alg3", adversary="transductive_cyclic",
                         hints={"kind": "cyclic", "K": 3}, loss="absolute")
 
+    @pytest.mark.parametrize("hints, top, K", [
+        ({"kind": "cyclic"}, None, 1), ({"kind": "cyclic"}, 4, 4),
+        ({"kind": "cyclic", "K": 2}, 4, 2), ({"kind": "cyclic", "K": None}, 2, 2)])
+    def test_cyclic_K_falls_back_only_when_absent(self, hints, top, K):
+        """The block size is the hints' K, else the top-level K, else 1."""
+        c = base_config(learner="alg3", adversary="transductive_cyclic",
+                        hints=hints, K=top, loss="absolute")
+        assert c.schedule.K == K
+
     def test_no_hints_returns_none(self):
         assert build_hint_schedule(base_config(), 8) is None
 
@@ -680,6 +689,9 @@ class TestCli:
     _CONFIG_ERRORS = {
         "unknown_class_kind": {"class": {"kind": "mystery"}},
         "cyclic_K_3_over_8": {**_ALG3, "hints": {"kind": "cyclic", "K": 3}},
+        "hints_K_0": {**_ALG3, "hints": {"kind": "cyclic", "K": 0}},
+        "hints_K_-2": {**_ALG3, "hints": {"kind": "cyclic", "K": -2}},
+        "cyclic_top_level_K_0": {**_ALG3, "K": 0, "hints": {"kind": "cyclic"}},
         "learner_doubling_removed": {"learner": "doubling"},
         "unknown_adversary": {"adversary": "mystery"},
         "unknown_loss": {"learner": "ftl", "loss": "mystery"},
@@ -734,6 +746,9 @@ class TestCli:
         "json_class_text_declared_dim": "declared_dim must hold integers",
         "json_class_numeric_text_values": "numeric table",
         "seeds_negative": "seeds must be nonnegative",
+        "hints_K_0": "cyclic hints need K >= 1",
+        "hints_K_-2": "cyclic hints need K >= 1",
+        "cyclic_top_level_K_0": "cyclic hints need K >= 1",
         "support_alternating_d_0": "d must be >= 1",
         "support_alternating_d_-1": "d must be >= 1",
         "alg2_d_0": "d must be >= 1",

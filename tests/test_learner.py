@@ -19,6 +19,7 @@ from smoothlab.core import (
     LossSpec,
     loss_eval,
     make_partition_class,
+    make_shatter_class,
 )
 from smoothlab.errors import CapacityError, ContractViolation, InputError
 from smoothlab.learner import (
@@ -504,7 +505,7 @@ class TestTieStream:
         real = rngmod.stream
 
         def counting(*args):
-            purposes.append(args[3])
+            purposes.append(args[2])
             return real(*args)
 
         monkeypatch.setattr(rngmod, "stream", counting)
@@ -546,6 +547,15 @@ class TestHedge:
         with pytest.raises(InputError):
             HedgeLearner(const_class, LossSpec.of("binary_indicator"), T=4, eta=0.0)
 
+    def test_one_hypothesis_class_plays(self):
+        """The default rate sqrt(8 ln|H| / T) reads ln 2 at |H| = 1, so a
+        one-hypothesis class plays instead of failing its positivity check."""
+        single = make_shatter_class(FiniteDomain(8), [])
+        assert len(single) == 1
+        hedge = HedgeLearner(single, LossSpec.of("binary_indicator"), T=8, seed=1)
+        assert hedge.eta == math.sqrt(8.0 * math.log(2) / 8)
+        assert hedge.predict(1, 3) == single.values[0, 3]
+
     def test_weights_are_shifted_exponential_weights(self, partition8):
         """`weights` is exp(-eta (L - min L)), normalized, with L the
         session's history objective; the shift keeps the weights defined
@@ -570,12 +580,12 @@ class TestHedge:
 
 
 def test_stream_key_layout(partition8):
-    """Every stream is keyed by the four words (seed, run, round, purpose
+    """Every stream is keyed by the four words (seed, 0, round, purpose
     tag); the tracked outputs were all drawn under this layout."""
     learner = Alg2PoissonFTPL(partition8, LossSpec.of("binary_indicator"),
-                              T=4, n=4.0, seed=5, run=1)
-    expected = np.random.default_rng([5, 1, 1, 5]).random(4)
-    np.testing.assert_array_equal(rngmod.stream(5, 1, 1, "hallucinate").random(4),
+                              T=4, n=4.0, seed=5)
+    expected = np.random.default_rng([5, 0, 1, 5]).random(4)
+    np.testing.assert_array_equal(rngmod.stream(5, 1, "hallucinate").random(4),
                                   expected)
     np.testing.assert_array_equal(learner._stream(1, "hallucinate").random(4),
                                   expected)

@@ -1,4 +1,4 @@
-"""`rng.stream` is `numpy.random.default_rng([seed, run, round, tag])`,
+"""`rng.stream` is `numpy.random.default_rng([seed, 0, round, tag])`,
 bit for bit, on the word path and on the fallback alike."""
 
 import numpy as np
@@ -26,15 +26,10 @@ DRAWS = {
 assert set(DRAWS) == set(rngmod._PURPOSES)
 
 
-def fresh_caches():
-    rngmod._uses.cache_clear()
-    rngmod._block.cache_clear()
-
-
-def assert_same_draw(seed, run, t, purpose):
-    got = DRAWS[purpose](rngmod.stream(seed, run, t, purpose))
+def assert_same_draw(seed, t, purpose):
+    got = DRAWS[purpose](rngmod.stream(seed, t, purpose))
     want = DRAWS[purpose](np.random.default_rng(
-        [seed, run, t, rngmod.purpose_tag(purpose)]))
+        [seed, 0, t, rngmod.purpose_tag(purpose)]))
     if not isinstance(got, tuple):
         got, want = (got,), (want,)
     for a, b in zip(got, want, strict=True):
@@ -44,77 +39,71 @@ def assert_same_draw(seed, run, t, purpose):
 EDGE_ROUNDS = [0, 1, 2, BLOCK, BLOCK + 1, WORD - BLOCK, WORD - 2, WORD - 1]
 
 
-@given(st.integers(0, WORD - 1), st.integers(0, WORD - 1),
+@given(st.integers(0, WORD - 1),
        st.integers(0, WORD - 1) | st.sampled_from(EDGE_ROUNDS),
        st.sampled_from(sorted(DRAWS)))
 @settings(max_examples=200, deadline=None)
-def test_same_draw_as_default_rng(seed, run, t, purpose):
+def test_same_draw_as_default_rng(seed, t, purpose):
     """The key's first call and its second, the next round, and the rounds
     on both sides of the block boundary that follows."""
-    fresh_caches()
+    rngmod._block.cache_clear()
     last = ((t - 1) // BLOCK + 1) * BLOCK  # the last round of t's block
     for r in (t, t, t + 1, last, last + 1):
         if r < WORD:
-            assert_same_draw(seed, run, r, purpose)
+            assert_same_draw(seed, r, purpose)
 
 
 @pytest.mark.parametrize("purpose", sorted(DRAWS))
 def test_every_round_of_a_game(purpose):
     """Round 0, then rounds 1..BLOCK+2 of one lane, as a game asks for them."""
-    fresh_caches()
+    rngmod._block.cache_clear()
     for t in range(BLOCK + 3):
-        assert_same_draw(20260823, 1, t, purpose)
+        assert_same_draw(20260823, t, purpose)
 
 
-@pytest.mark.parametrize("seed, run, t", [
-    (WORD, 0, 5), (0, WORD, 5), (3, 1, WORD), (2**64 - 1, 2**40, WORD + 1)])
-def test_keys_with_a_long_word_fall_back(seed, run, t):
+@pytest.mark.parametrize("seed, t", [(WORD, 5), (3, WORD), (2**64 - 1, WORD + 1)])
+def test_keys_with_a_long_word_fall_back(seed, t):
     """SeedSequence splits a word >= 2**32 in two, so such keys go through
     default_rng every time and build no block."""
-    fresh_caches()
+    rngmod._block.cache_clear()
     for purpose in sorted(DRAWS):
         for _ in range(2):
-            assert_same_draw(seed, run, t, purpose)
+            assert_same_draw(seed, t, purpose)
     assert rngmod._block.cache_info().misses == 0
 
 
-@pytest.mark.parametrize("key", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+@pytest.mark.parametrize("key", [(-1, 0), (0, -1), (-1, WORD)])
 def test_negative_words_raise_as_default_rng_does(key):
-    fresh_caches()
     for _ in range(2):
         with pytest.raises(ValueError, match="non-negative"):
             rngmod.stream(*key, "instance")
 
 
-def test_one_shot_streams_build_no_block():
-    """A lane's first stream comes from default_rng; its second builds the
-    block, which serves the rest of a game of BLOCK rounds."""
-    fresh_caches()
-    rngmod.stream(7, 0, 0, "adversary")
-    rngmod.stream(7, 0, 1, "instance")
-    assert rngmod._block.cache_info().misses == 0
-    for t in range(2, BLOCK + 1):
-        rngmod.stream(7, 0, t, "instance")
+def test_every_lane_reads_its_block():
+    """Round 0 is the last row of block -1; rounds 1..BLOCK, a game of
+    BLOCK rounds, share block 0."""
+    rngmod._block.cache_clear()
+    rngmod.stream(7, 0, "adversary")
+    for t in range(1, BLOCK + 1):
+        rngmod.stream(7, t, "instance")
     info = rngmod._block.cache_info()
-    assert (info.misses, info.hits) == (1, BLOCK - 2)
+    assert (info.misses, info.hits) == (2, BLOCK - 1)
 
 
 def test_streams_are_fresh_generators():
-    fresh_caches()
-    first = [rngmod.stream(4, 0, 9, "hints").random(3) for _ in range(3)]
+    first = [rngmod.stream(4, 9, "hints").random(3) for _ in range(3)]
     np.testing.assert_array_equal(first[1], first[0])
     np.testing.assert_array_equal(first[2], first[0])
 
 
-@pytest.mark.parametrize("seed, run, tag, block", [
-    (0, 0, 1, 0), (WORD - 1, WORD - 1, 8, (WORD - 2) // BLOCK), (12345, 3, 5, 7),
-    (5, 0, 2, -1)])
-def test_block_rows_are_seed_sequence_state(seed, run, tag, block):
+@pytest.mark.parametrize("seed, tag, block", [
+    (0, 1, 0), (WORD - 1, 8, (WORD - 2) // BLOCK), (12345, 5, 7), (5, 2, -1)])
+def test_block_rows_are_seed_sequence_state(seed, tag, block):
     """Row i of block b holds round b * BLOCK + 1 + i."""
-    words = rngmod._block(seed, run, tag, block)
+    words = rngmod._block(seed, tag, block)
     assert words.dtype == np.uint64 and words.shape == (BLOCK, 4)
     for i in (0, 1, BLOCK // 2, BLOCK - 1):
         t = block * BLOCK + 1 + i
         if 0 <= t < WORD:
-            want = np.random.SeedSequence([seed, run, t, tag])
+            want = np.random.SeedSequence([seed, 0, t, tag])
             np.testing.assert_array_equal(words[i], want.generate_state(4, np.uint64))

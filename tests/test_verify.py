@@ -37,7 +37,6 @@ from smoothlab.verify import (
     chi2_mixture_direct,
     coupling_montecarlo,
     eta_budget,
-    ftpl_relaxation,
     generalization_gap_mc,
     monotonicity_check,
     rademacher_estimate,
@@ -259,12 +258,10 @@ class TestCouplingBlocks:
         assert got_rng.random() == want_rng.random()
 
     def test_precomputed_lane_stream(self):
-        """A lane's later streams are PCG64s seeded from precomputed words
-        (`rng.stream`), as `verify --suite all` gets on every pass after
-        the first in one process; the copies must advance those too."""
+        """`rng.stream` seeds its PCG64s from precomputed words, as
+        `verify --suite all` gets them; the copies must advance those too."""
         P = np.array([0.0, 0.5, 0.0, 0.5, 0.0])
         Q = np.array([0.0, 0.25, 0.25, 0.25, 0.25])
-        rngmod.stream(19_190_019, purpose="verify")
         got_rng = rngmod.stream(19_190_019, purpose="verify")
         assert isinstance(got_rng.bit_generator.seed_seq, rngmod._Words)
         got_rng.random(3)  # a state other than the seeded one
@@ -348,7 +345,6 @@ class TestCouplingThreads:
 
     def test_precomputed_lane_stream(self, workers):
         """The precomputed-words stream of `rng.stream`, advanced per worker."""
-        rngmod.stream(19_190_023, purpose="verify")
         got_rng = rngmod.stream(19_190_023, purpose="verify")
         assert isinstance(got_rng.bit_generator.seed_seq, rngmod._Words)
         got_rng.random(3)
@@ -608,26 +604,6 @@ class TestRelaxations:
         with pytest.raises(CapacityError):
             transductive_relaxation(const17, OracleSession(const17, loss), loss,
                                     list(range(17)))
-
-    def test_ftpl_n_zero_is_negated_best_loss(self, const_class):
-        history = ExampleMultiset([(0, 1.0), (1, 1.0)])
-        got = ftpl_relaxation(const_class, history, n=0.0, sigma=1.0, d=1, T=4, t=4)
-        # centered loss of h=+1 is -1, of h=-1 is +1; max of negations = 1
-        assert got == 1.0
-
-    def test_ftpl_mc_adds_eta_slack(self, const_class, rng):
-        got = ftpl_relaxation(const_class, ExampleMultiset(), n=8.0, sigma=0.5,
-                              d=1, T=4, t=2, trials=3000, rng=rng)
-        slack = eta_budget(8.0, 0.5, 1, 4) * 2
-        assert got >= slack  # the hallucination supremum is nonnegative
-
-    def test_param_validation(self, const_class):
-        with pytest.raises(InputError, match="t <= T"):
-            ftpl_relaxation(const_class, ExampleMultiset(), 0.0, 1.0, 1, T=2, t=3)
-        with pytest.raises(InputError, match="n >= 0"):
-            ftpl_relaxation(const_class, ExampleMultiset(), -1.0, 1.0, 1, T=2, t=1)
-        with pytest.raises(InputError, match="rng"):
-            ftpl_relaxation(const_class, ExampleMultiset(), 4.0, 1.0, 1, T=2, t=1)
 
 
 class TestSmoothPolytope:
