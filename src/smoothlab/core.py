@@ -123,6 +123,10 @@ class LossKind(Enum):
     ABSOLUTE = "absolute"
     SQUARED = "squared"
 
+    # members are singletons, so identity serves as a C-level hash in
+    # the per-round dict and set lookups (Enum's own hashes the name)
+    __hash__ = object.__hash__
+
 
 # the Lipschitz constant G of each loss in its prediction
 _LIPSCHITZ_G = {

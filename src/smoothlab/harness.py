@@ -252,6 +252,9 @@ class ExperimentConfig:
         if self.T >= 1:
             # build one game's players now, so their checks fail at load
             self.players(self.seeds[0])
+        # after the players, so that alg1 and cyclic hints name their own K rule
+        if self.K is not None and self.K < 1:
+            raise InputError(f"K must be >= 1, got {self.K}")
         if self.custom_ys is not None:  # the labels a game would reveal
             check_sign_args(LossSpec.of(self.loss), (), self.custom_ys, yhat_binary=True)
 

@@ -29,6 +29,11 @@ multiset: an objective is the history vector plus one matvec.  The hint
 learners hand their hint count table to `hint_difference_prediction`,
 which makes both of the round's count tables from it.
 
+Every `predict` runs one query check, `check_query`: x_t must be one
+whole number in [0, |X|) (3.0 passes; 0.9, text and booleans do not).
+Alg 3 also checks that x_t is in the round's hint multiset, in O(1),
+from a (T, |X|) membership table built with its future hint counts.
+
 All per-round randomness comes from counter-based streams keyed by
 (seed, round, purpose), so each round's hint/label noise is fresh
 and disjoint from every other round's.
@@ -48,6 +53,24 @@ from .oracle import CountTable, OracleSession, OracleStats, TiePolicy, erm, mixe
 from . import rng as rngmod
 
 PRED_TOL = 1e-9
+
+
+def _whole_query(x_t, domain_size: int) -> int:
+    """x_t as an int; InputError unless it is one whole number."""
+    x = whole_numbers(x_t, "x_t")
+    if x.ndim:
+        raise InputError(f"x_t={x_t!r} outside the domain of size {domain_size}")
+    return int(x)
+
+
+def check_query(x_t, domain_size: int) -> int:
+    """The query check of every `predict`: x_t as an int, InputError
+    unless it is one whole number in [0, |X|).  An exact int, the
+    games' case, skips the array check."""
+    x = x_t if type(x_t) is int else _whole_query(x_t, domain_size)
+    if not 0 <= x < domain_size:
+        raise InputError(f"x_t={x_t!r} outside the domain of size {domain_size}")
+    return x
 
 
 def hint_count(T: int, sigma: float, c_K: float = 100.0) -> int:
@@ -129,10 +152,7 @@ def hint_difference_prediction(session: OracleSession, cells, x_t: int,
     """
     hclass, loss = session.hclass, session.loss
     doubled = 2 * count_table(cells, hclass.domain_size)
-    x = whole_numbers(x_t, "x_t")
-    if x.ndim or not 0 <= x < hclass.domain_size:
-        raise InputError(f"x_t={x_t!r} outside the domain of size {hclass.domain_size}")
-    x_t = int(x)
+    x_t = check_query(x_t, hclass.domain_size)
     lo, hi = doubled, doubled.copy()
     lo[x_t, 0] += 1
     hi[x_t, 1] += 1
@@ -180,18 +200,27 @@ class Alg3Transductive(_HintDifferenceLearner):
         codes = np.repeat(np.arange(T), rows.shape[1]) * X + rows.reshape(-1)
         per_round = np.bincount(codes, minlength=(T + 1) * X).reshape(T + 1, X)
         self._future_counts = per_round[::-1].cumsum(axis=0)[::-1]
+        # _in_row[t - 1, x]: does round t's hint multiset hold x
+        self._in_row = per_round[:T] > 0
 
     def predict(self, t: int, x_t: int) -> float:
-        if int(x_t) not in self.hint_schedule.row(t):
+        X = self.hclass.domain_size
+        x = x_t if type(x_t) is int else _whole_query(x_t, X)
+        # an instance outside the domain is in no hint multiset; the range
+        # is checked first so that x_t = -1 cannot wrap around the table
+        if not (0 <= x < X and self._in_row[t - 1, x]):
             raise ContractViolation(f"x_t={x_t} not in the round-{t} hint multiset")
-        return super().predict(t, x_t)
+        return super().predict(t, x)
 
     def _hints_for_round(self, t: int) -> np.ndarray:
         """Independent Rademacher labels on the future hints: the +1 count
         of an instance with c future hints is Binomial(c, 1/2)."""
         c = self._future_counts[t]
         plus = self._stream(t, "epsilons").binomial(c, 0.5)
-        return np.stack((c - plus, plus), axis=1)
+        cells = np.empty((c.size, 2), dtype=plus.dtype)
+        cells[:, 1] = plus
+        np.subtract(c, plus, out=cells[:, 0])
+        return cells
 
 
 class Alg1Smoothed(_HintDifferenceLearner):
@@ -240,13 +269,14 @@ class Alg2PoissonFTPL(Learner):
         self.last_hallucination_count = 0
 
     def predict(self, t: int, x_t: int) -> float:
+        x_t = check_query(x_t, self.hclass.domain_size)
         cells = hallucination_cells(self.n, self.hclass.domain_size,
                                     self._stream(t, "hallucinate"))
         self.last_hallucination_count = int(cells.sum())
         # Poisson draws are whole and nonnegative, so the table enters unchecked
         S = CountTable._of(self.session, cells, with_history=True)
         idx, _ = erm(self.hclass, S, self.loss, tie=self.tie, stats=self.stats,
-                     query_point=int(x_t), rng=self._tie_stream(t))
+                     query_point=x_t, rng=self._tie_stream(t))
         return float(self.hclass.values[idx, x_t])
 
 
@@ -256,8 +286,9 @@ class FTL(Learner):
     name = "ftl"
 
     def predict(self, t: int, x_t: int) -> float:
+        x_t = check_query(x_t, self.hclass.domain_size)
         idx, _ = erm(self.hclass, self.session, self.loss, tie=self.tie,
-                     stats=self.stats, query_point=int(x_t),
+                     stats=self.stats, query_point=x_t,
                      rng=self._tie_stream(t))
         return float(self.hclass.values[idx, x_t])
 
@@ -291,6 +322,7 @@ class HedgeLearner(Learner):
         return w / w.sum()
 
     def predict(self, t: int, x_t: int) -> float:
+        x_t = check_query(x_t, self.hclass.domain_size)
         rng = self._stream(t, "hedge")
         idx = int(rng.choice(len(self.hclass), p=self.weights))
         return float(self.hclass.values[idx, x_t])

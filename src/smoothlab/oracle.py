@@ -211,22 +211,29 @@ def _select(
     query_point: int | None,
     rng,
 ) -> int:
-    best = obj.min()
-    minimizers = np.flatnonzero(obj <= best + OBJ_TOL)
+    """The chosen minimizer: the first index within OBJ_TOL of the
+    minimum (LOWEST_INDEX), the first such one whose hypothesis is
+    negative at the query point, else the first (PREFER_NEGATIVE), or a
+    uniform draw among them (SEEDED_RANDOM).  The objective is finite,
+    since class values and counts are checked on entry, so the mask of
+    near-minimal indices always holds a True and `argmax` finds its first.
+    """
+    near = obj <= obj.min() + OBJ_TOL
     if tie is TiePolicy.LOWEST_INDEX:
-        return int(minimizers[0])
+        return int(near.argmax())
     if tie is TiePolicy.PREFER_NEGATIVE:
         if not hclass.binary:
             raise InputError("prefer_negative tie policy requires a binary class")
         if query_point is not None:
-            neg = minimizers[hclass.values[minimizers, query_point] < 0]
-            if neg.size:
-                return int(neg[0])
-        return int(minimizers[0])
+            neg = near & (hclass.values[:, query_point] < 0)
+            first = neg.argmax()
+            if neg[first]:
+                return int(first)
+        return int(near.argmax())
     if tie is TiePolicy.SEEDED_RANDOM:
         if rng is None:
             raise InputError("seeded_random tie policy requires an rng")
-        return int(rng.choice(minimizers))
+        return int(rng.choice(np.flatnonzero(near)))
     raise InputError(f"unknown tie policy {tie!r}")
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -359,3 +360,17 @@ class TestArrayMultisetAgainstDict:
     def test_accepts_python_and_numpy_numbers_as_labels(self, y):
         assert ExampleMultiset([(0, y)]).items() == [((0, float(y)), 1)]
         assert type(ExampleMultiset([(0, y)]).items()[0][0][1]) is float
+
+
+class TestLossKind:
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_keys_and_pickling_round_trip(self, kind):
+        """Members hash by identity; lookups by value and unpickling give
+        back the same member."""
+        assert LossKind(kind.value) is kind
+        assert pickle.loads(pickle.dumps(kind)) is kind
+        assert {k: k.value for k in LossKind}[LossKind(kind.value)] == kind.value
+        assert kind in {LossKind(kind.value)}
+        spec = LossSpec.of(kind.value)
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        assert hash(pickle.loads(pickle.dumps(spec))) == hash(spec)

@@ -522,13 +522,23 @@ class TestCli:
         text = open(out).read()
         assert ",100," in text and ",101," in text
 
-    def test_jobs_parallel_identical(self, tmp_path, capsys):
-        cfg = self._write_config(tmp_path)
+    def _assert_jobs_identical(self, tmp_path, capsys, **overrides):
+        cfg = self._write_config(tmp_path, **overrides)
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         main(["run", cfg, "--out", out1])
         main(["run", cfg, "--jobs", "2", "--out", out2])
         capsys.readouterr()
         assert open(out1).read() == open(out2).read()
+
+    def test_jobs_parallel_identical(self, tmp_path, capsys):
+        self._assert_jobs_identical(tmp_path, capsys)
+
+    @pytest.mark.parametrize("overrides", [
+        {"learner": "alg1", "loss": "absolute", "K": 2},
+        {"learner": "hedge", "loss": "squared"}])
+    def test_jobs_parallel_identical_per_loss(self, tmp_path, capsys, overrides):
+        """Workers receive the config, and its loss kind, pickled."""
+        self._assert_jobs_identical(tmp_path, capsys, **overrides)
 
     def test_sweep(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, sweep={"T": [4, 8]})
@@ -709,6 +719,9 @@ class TestCli:
                                        "n": None},
         "alg2_default_n_d_-1": {"d": -1, "n": None},
         "ftl_d_-1": {"learner": "ftl", "d": -1},
+        "ftl_K_-3": {"learner": "ftl", "K": -3},
+        "hedge_K_0": {"learner": "hedge", "K": 0},
+        "alg1_K_0": {"learner": "alg1", "K": 0, **_ABS},
         "support_partition_d_0": {"class": {
             "kind": "support_partition", "domain_size": 8, "support_size": 4, "d": 0}},
         "support_partition_d_-2": {"class": {
@@ -755,6 +768,9 @@ class TestCli:
         "alg2_default_n_class_dim_0": "need 1 <= d",
         "alg2_default_n_d_-1": "d must be >= 1",
         "ftl_d_-1": "d must be >= 1",
+        "ftl_K_-3": "K must be >= 1, got -3",
+        "hedge_K_0": "K must be >= 1, got 0",
+        "alg1_K_0": "K must be >= 1",
         "support_partition_d_0": "d must be >= 1",
         "support_partition_d_-2": "d must be >= 1",
     }

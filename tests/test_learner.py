@@ -345,6 +345,46 @@ class TestAlg3:
         with pytest.raises(ContractViolation):
             learner.predict(1, 1)
 
+    def test_rejects_instance_missing_from_row(self, partition8):
+        sched = cyclic_hint_schedule(4, [np.arange(4), np.arange(4, 8)])
+        learner = Alg3Transductive(partition8, LossSpec.of("absolute"), 4, sched)
+        with pytest.raises(ContractViolation, match="round-1 hint multiset"):
+            learner.predict(1, 5)
+        learner.predict(2, 5)
+
+    @pytest.mark.parametrize("x_t", [-1, 8])
+    def test_rejects_instance_outside_domain(self, partition8, x_t):
+        """Round 2's row holds |X| - 1 = 7, which x_t = -1 must not read."""
+        sched = cyclic_hint_schedule(4, [np.arange(4), np.arange(4, 8)])
+        learner = Alg3Transductive(partition8, LossSpec.of("absolute"), 4, sched)
+        with pytest.raises(ContractViolation, match="round-2 hint multiset"):
+            learner.predict(2, x_t)
+        learner.predict(2, 7)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 3).flatmap(lambda K: st.lists(
+        st.lists(st.integers(0, 7), min_size=K, max_size=K), min_size=1, max_size=4)))
+    def test_membership_and_signs_match_the_schedule(self, rows):
+        """predict accepts x exactly when x is in round t's row, and each
+        round's sign table is (c - plus, plus) for the Binomial(c, 1/2)
+        plus counts of the future hint counts c."""
+        T = len(rows)
+        learner = Alg3Transductive(make_partition_class(FiniteDomain(8), 2),
+                                   LossSpec.of("absolute"), T, HintSchedule(rows),
+                                   seed=3)
+        for t in range(1, T + 1):
+            for x in range(8):
+                if x in rows[t - 1]:
+                    learner.predict(t, x)
+                else:
+                    with pytest.raises(ContractViolation):
+                        learner.predict(t, x)
+            c = np.bincount(np.ravel(rows[t:]).astype(int), minlength=8)
+            plus = rngmod.stream(3, t, "epsilons").binomial(c, 0.5)
+            got, want = learner._hints_for_round(t), np.stack((c - plus, plus), axis=1)
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+
     def test_rejects_short_schedule(self, const_class):
         sched = HintSchedule([[0]])
         with pytest.raises(InputError):
@@ -517,6 +557,46 @@ class TestTieStream:
             learner.update(t, t % 8, 1.0)
         assert purposes.count("tie") == 6 * per_round
         assert purposes.count("hallucinate") == (6 if kind == "alg2" else 0)
+
+
+class TestQueryCheck:
+    """Every learner's predict runs the query check of the hint rule."""
+
+    KINDS = ["ftl", "alg2", "hedge", "alg1", "alg3"]
+
+    @staticmethod
+    def _learner(kind, hclass):
+        T, indicator = 4, LossSpec.of("binary_indicator")
+        absolute = LossSpec.of("absolute")
+        return {
+            "ftl": lambda: FTL(hclass, indicator, T),
+            "alg2": lambda: Alg2PoissonFTPL(hclass, indicator, T, n=4.0),
+            "hedge": lambda: HedgeLearner(hclass, indicator, T),
+            "alg1": lambda: Alg1Smoothed(hclass, absolute, T, sigma=1.0, K=2),
+            "alg3": lambda: Alg3Transductive(
+                hclass, absolute, T, full_domain_schedule(T, hclass.domain_size)),
+        }[kind]()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("x_t", [0.9, "3", True])
+    def test_rejects_non_whole_query(self, partition8, kind, x_t):
+        with pytest.raises(InputError, match="x_t"):
+            self._learner(kind, partition8).predict(1, x_t)
+
+    @pytest.mark.parametrize("kind", ["ftl", "alg2", "hedge", "alg1"])
+    @pytest.mark.parametrize("x_t", [-1, 8])
+    def test_rejects_query_outside_domain(self, partition8, kind, x_t):
+        """FTL, Alg 2 and Hedge used to predict for instance 7 at -1 and
+        raise a raw IndexError at 8.  Alg 3 reports both as off-hint
+        (`TestAlg3.test_rejects_instance_outside_domain`)."""
+        with pytest.raises(InputError, match="outside the domain"):
+            self._learner(kind, partition8).predict(1, x_t)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_accepts_a_whole_query(self, partition8, kind):
+        want = self._learner(kind, partition8).predict(1, 3)
+        for x_t in (3.0, np.int64(3)):
+            assert self._learner(kind, partition8).predict(1, x_t) == want
 
 
 class TestHedge:

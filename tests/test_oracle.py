@@ -163,6 +163,54 @@ class TestTiePolicies:
         assert len(picks) == 1
 
 
+def _select_reference(obj, hclass, tie, query_point):
+    """The minimizer-list rule `oracle._select` follows: the first index
+    within OBJ_TOL of the minimum, or under PREFER_NEGATIVE the first such
+    index negative at the query point, if any."""
+    minimizers = np.flatnonzero(obj <= obj.min() + OBJ_TOL)
+    if tie is TiePolicy.PREFER_NEGATIVE and query_point is not None:
+        neg = minimizers[hclass.values[minimizers, query_point] < 0]
+        if neg.size:
+            return int(neg[0])
+    return int(minimizers[0])
+
+
+class TestSelect:
+    # offsets from a base value: exact ties, near-ties just inside and just
+    # outside OBJ_TOL, and clear losers
+    _OFFSETS = [0.0, 0.0, 0.5 * OBJ_TOL, 0.9 * OBJ_TOL, 1.1 * OBJ_TOL,
+                2.0 * OBJ_TOL, 0.25, 1.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_minimizer_list(self, data):
+        n = data.draw(st.integers(1, 10))
+        X = data.draw(st.integers(1, 4))
+        base = data.draw(st.sampled_from([0.0, 1.5, -3.25]))
+        obj = base + np.array(data.draw(st.lists(
+            st.sampled_from(self._OFFSETS), min_size=n, max_size=n)))
+        values = np.array(data.draw(st.lists(st.lists(
+            st.sampled_from([-1.0, 1.0]), min_size=X, max_size=X),
+            min_size=n, max_size=n)))
+        query_point = data.draw(st.none() | st.integers(0, X - 1))
+        if query_point is not None and data.draw(st.booleans()):
+            # no minimizer is negative at the query point
+            values[obj <= obj.min() + OBJ_TOL, query_point] = 1.0
+        hclass = HypothesisClass(values, declared_dim=1, binary=True)
+        for tie in (TiePolicy.LOWEST_INDEX, TiePolicy.PREFER_NEGATIVE):
+            got = oracle._select(obj, hclass, tie, query_point, None)
+            assert type(got) is int
+            assert got == _select_reference(obj, hclass, tie, query_point)
+
+    def test_tolerance_edges(self):
+        obj = np.array([1.5 + 1.1 * OBJ_TOL, 1.5 + 0.9 * OBJ_TOL, 1.5])
+        hclass = HypothesisClass([[1.0], [-1.0], [1.0]], declared_dim=1, binary=True)
+        assert oracle._select(obj, hclass, TiePolicy.LOWEST_INDEX, None, None) == 1
+        assert oracle._select(obj, hclass, TiePolicy.PREFER_NEGATIVE, 0, None) == 1
+        flipped = HypothesisClass([[-1.0], [1.0], [1.0]], declared_dim=1, binary=True)
+        assert oracle._select(obj, flipped, TiePolicy.PREFER_NEGATIVE, 0, None) == 1
+
+
 class TestMixedOpt:
     def test_both_empty(self, const_class):
         loss = LossSpec.of("binary_indicator")
