@@ -219,9 +219,9 @@ def check_probs(probs, tol: float = PROB_TOL) -> np.ndarray:
 def choice_cdf(probs: np.ndarray) -> np.ndarray:
     """The CDF that `Generator.choice(n, p=probs)` searches, computed
     with its arithmetic; read-only.  Its index for a uniform u is the
-    number of entries <= u, `searchsorted(u, side="right")`, or a guide
-    table's lookup (exact, see `verify._guided_search`); the last entry is
-    x / x == 1.0 > u, so the index is always an atom."""
+    number of entries <= u, `searchsorted(u, side="right")`; the last
+    entry is x / x == 1.0 > u, so the index is always an atom
+    (`verify._ratio_lookup` reads that atom's ratio from a bucket table)."""
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     cdf.setflags(write=False)

@@ -29,8 +29,10 @@ multiset: an objective is the history vector plus one matvec.  The hint
 learners hand their hint count table to `hint_difference_prediction`,
 which makes both of the round's count tables from it.
 
-Every `predict` runs one query check, `check_query`: x_t must be one
-whole number in [0, |X|) (3.0 passes; 0.9, text and booleans do not).
+Every `predict` runs one round check, `check_round`: t must be an
+integer in 1..T (1.5 and booleans fail), and one query check,
+`check_query`: x_t must be one whole number in [0, |X|) (3.0 passes;
+0.9, text and booleans do not).
 Alg 3 also checks that x_t is in the round's hint multiset, in O(1),
 from a (T, |X|) membership table built with its future hint counts.
 
@@ -42,6 +44,7 @@ and disjoint from every other round's.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -71,6 +74,16 @@ def check_query(x_t, domain_size: int) -> int:
     if not 0 <= x < domain_size:
         raise InputError(f"x_t={x_t!r} outside the domain of size {domain_size}")
     return x
+
+
+def check_round(t, T: int) -> int:
+    """The round check of every `predict`: t as an int, InputError unless
+    it is an integer, not a bool, in 1..T.  An exact int, the games' case,
+    skips the type check."""
+    if not ((type(t) is int or isinstance(t, numbers.Integral)
+             and not isinstance(t, bool)) and 1 <= t <= T):
+        raise InputError(f"round t={t!r} is not an integer in 1..{T}")
+    return int(t)
 
 
 def hint_count(T: int, sigma: float, c_K: float = 100.0) -> int:
@@ -176,6 +189,7 @@ class _HintDifferenceLearner(Learner):
         raise NotImplementedError
 
     def predict(self, t: int, x_t: int) -> float:
+        t = check_round(t, self.T)
         return hint_difference_prediction(
             self.session, self._hints_for_round(t), x_t, self.stats)
 
@@ -204,7 +218,7 @@ class Alg3Transductive(_HintDifferenceLearner):
         self._in_row = per_round[:T] > 0
 
     def predict(self, t: int, x_t: int) -> float:
-        X = self.hclass.domain_size
+        t, X = check_round(t, self.T), self.hclass.domain_size
         x = x_t if type(x_t) is int else _whole_query(x_t, X)
         # an instance outside the domain is in no hint multiset; the range
         # is checked first so that x_t = -1 cannot wrap around the table
@@ -269,6 +283,7 @@ class Alg2PoissonFTPL(Learner):
         self.last_hallucination_count = 0
 
     def predict(self, t: int, x_t: int) -> float:
+        t = check_round(t, self.T)
         x_t = check_query(x_t, self.hclass.domain_size)
         cells = hallucination_cells(self.n, self.hclass.domain_size,
                                     self._stream(t, "hallucinate"))
@@ -286,6 +301,7 @@ class FTL(Learner):
     name = "ftl"
 
     def predict(self, t: int, x_t: int) -> float:
+        t = check_round(t, self.T)
         x_t = check_query(x_t, self.hclass.domain_size)
         idx, _ = erm(self.hclass, self.session, self.loss, tie=self.tie,
                      stats=self.stats, query_point=x_t,
@@ -322,6 +338,7 @@ class HedgeLearner(Learner):
         return w / w.sum()
 
     def predict(self, t: int, x_t: int) -> float:
+        t = check_round(t, self.T)
         x_t = check_query(x_t, self.hclass.domain_size)
         rng = self._stream(t, "hedge")
         idx = int(rng.choice(len(self.hclass), p=self.weights))

@@ -7,7 +7,7 @@ Covers:
   P with bounded likelihood ratio dP/dQ <= 1/sigma, by Monte Carlo over
   row ranges, one thread per usable CPU, whose blocks read the one-shot
   draws from advanced PCG64 copies, so the report is identical at any
-  CPU count;
+  CPU count; each draw's acceptance ratio comes from a bucket table;
 * exact total-variation and chi-square computations for the
   product-Poisson hallucination model and its single-shift mixtures;
 * regularized Rademacher complexity and its monotonicity in the
@@ -68,6 +68,7 @@ TRUNC_TAIL = 1e-12
 EXACT_RADEMACHER_VECTORS = 1 << 16  # +1-count vectors prod(c_z + 1) of one enumeration
 ADMISSIBILITY_CAPS = {"domain": 4, "T": 5, "K": 2, "class": 8}
 COUPLING_BLOCK = 1 << 16  # draws of each kind alive across coupling_montecarlo's threads
+COUPLING_BUCKETS = 1 << 16  # most buckets of coupling_montecarlo's ratio table
 
 
 def _is_count(v) -> bool:
@@ -115,45 +116,63 @@ class VerificationReport:
 # Coupling (bounded likelihood ratio -> exact conditional law)
 # ---------------------------------------------------------------------------
 
-def _guided_search(cdf: np.ndarray):
-    """`u -> cdf.searchsorted(u, side="right")` on arrays of uniforms in
-    [0, 1), through a guide table (Chen & Asau's indexed search).
-
-    With G = 2|cdf| buckets, guide[j] counts the entries whose bucket
-    int(c * G) is below j.  Float products with G are monotone, so those
-    entries are < u when j = int(u * G): guide[j] never passes the answer
-    (u * G rounding up to G has its own slot).  One step forward settles
-    almost every u and searchsorted the rest; cdf[-1] == 1.0 > u keeps
-    every read inside the CDF."""
-    G = 2 * cdf.size
-    guide = (cdf * G).astype(np.intp).searchsorted(np.arange(G + 1))
-
-    def index(u: np.ndarray) -> np.ndarray:
-        idx = guide[(u * G).astype(np.intp)]
-        idx += cdf[idx] <= u
-        short = cdf[idx] <= u
-        idx[short] = cdf.searchsorted(u[short], side="right")
-        return idx
-    return index
+def _buckets(atoms: int) -> int:
+    """G, the bucket count of `_ratio_lookup`'s table: a power of two of
+    at least 64 buckets per atom, capped at COUPLING_BUCKETS."""
+    return min(1 << (atoms.bit_length() + 6), COUPLING_BUCKETS)
 
 
-def _coupling_rows(index, ratio: np.ndarray, streams, m: int, rows: int,
+def _ratio_lookup(cdf: np.ndarray, ratio: np.ndarray):
+    """`u -> ratio[cdf.searchsorted(u, side="right")]` on arrays of
+    uniforms in [0, 1), through a table of G = `_buckets` buckets.
+
+    G is a power of two, so u * G is exact and bucket j = int(u * G) holds
+    exactly the u in [j/G, (j+1)/G).  A bucket whose lowest and highest u
+    fall on one atom holds that atom's ratio; one that an atom boundary
+    crosses holds NaN (atoms inside it may have other ratios), and only
+    the u in such buckets (at most one per CDF entry) take the exact
+    searchsorted.  Above COUPLING_BUCKETS / 64 atoms more of them do."""
+    G = _buckets(cdf.size)
+    edges = np.arange(G + 1) / G
+    lo = cdf.searchsorted(edges[:-1], side="right")
+    hi = cdf.searchsorted(np.nextafter(edges[1:], 0.0), side="right")
+    table = np.where(lo == hi, ratio[lo], np.nan)
+
+    def lookup(u: np.ndarray) -> np.ndarray:
+        r = table.take(np.multiply(u, G, out=np.empty(u.shape, np.intp),
+                                   casting="unsafe"))
+        exact = np.flatnonzero(np.isnan(r))
+        r.ravel()[exact] = ratio[cdf.searchsorted(u.ravel()[exact], side="right")]
+        return r
+    return lookup
+
+
+def _coupling_rows(cdf: np.ndarray, lookup, streams, m: int, rows: int,
                    n: int) -> tuple[int, np.ndarray]:
     """(successes, per-atom counts of the picks) of n coupling rows, drawn
     `rows` rows at a time from `streams` (choice uniforms, acceptance
     uniforms, keys).  Only numpy runs here, so worker threads can call it."""
-    successes, counts = 0, np.zeros(ratio.size, dtype=np.int64)
+    successes, counts = 0, np.zeros(cdf.size, dtype=np.int64)
     for start in range(0, n, rows):
         shape = (min(rows, n - start), m)
-        xs = index(streams[0].random(shape))
-        accept = streams[1].random(shape) < ratio[xs]
-        success = accept.any(axis=1)
-        # uniform pick among accepted entries per row: argmax of uniforms
-        # masked to the accepted set
-        keys = np.where(accept, streams[2].random(shape), -1.0)
-        picked = xs[np.arange(shape[0]), keys.argmax(axis=1)]
-        successes += int(success.sum())
-        counts += np.bincount(picked[success], minlength=ratio.size)
+        u = streams[0].random(shape)
+        r = lookup(u)
+        rejected = streams[1].random(shape) >= r
+        keys = streams[2].random(shape)
+        # r is freed after keys is drawn: freed before, its pages can go
+        # back to the OS (malloc trims the heap top) and keys would fault
+        # them in again
+        del r
+        # uniform pick among accepted entries per row: the argmax of the
+        # keys, each rejected key moved from [0, 1) down to [-1, 0) and
+        # each accepted one left as drawn (x - 0.0 == x)
+        np.subtract(keys, rejected, out=keys)
+        pick = keys.argmax(axis=1)
+        pick += np.arange(0, keys.size, m)  # flat index of each row's pick
+        pick = pick[keys.ravel()[pick] >= 0.0]  # rows with an accepted draw
+        successes += pick.size
+        counts += np.bincount(cdf.searchsorted(u.ravel()[pick], side="right"),
+                              minlength=cdf.size)
     return successes, counts
 
 
@@ -178,9 +197,9 @@ def coupling_montecarlo(P, Q, sigma: float, m: int, trials: int, rng,
     COUPLING_BLOCK / W draws of each kind, so memory stays a few MB, and
     returns integer sums, so the report is the same bit for bit at any W.
     Other bit generators draw all rows at once from `rng`.  A uniform's
-    atom is `choice`'s, the number of CDF entries <= u, found through a
-    guide table built once per call (`_guided_search`), which returns
-    exactly `searchsorted(u, side="right")` in O(1) expected steps.
+    atom is `choice`'s, the number of CDF entries <= u; its acceptance
+    ratio comes from a bucket table built once per call (`_ratio_lookup`,
+    exact), and only each successful row's pick has its atom looked up.
     """
     if not isinstance(rng, np.random.Generator):
         raise InputError(f"rng must be a numpy.random.Generator, got {rng!r}")
@@ -194,11 +213,12 @@ def coupling_montecarlo(P, Q, sigma: float, m: int, trials: int, rng,
     check_sigma(sigma)
     if np.any((P > 0) & (sigma * P > Q + 1e-12)):
         raise InputError("likelihood ratio dP/dQ exceeds 1/sigma on the support")
-    index = _guided_search(choice_cdf(Q))
-    ratio = np.divide(sigma * P, Q, out=np.zeros_like(P), where=Q > 0)
+    cdf = choice_cdf(Q)
+    lookup = _ratio_lookup(cdf, np.divide(sigma * P, Q, out=np.zeros_like(P),
+                                          where=Q > 0))
     bits = rng.bit_generator
     if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
-        successes, counts = _coupling_rows(index, ratio, [rng] * 3, m, trials, trials)
+        successes, counts = _coupling_rows(cdf, lookup, [rng] * 3, m, trials, trials)
     else:
         def advanced(k: int):  # a copy of bits moved on by k doubles
             clone = copy.deepcopy(bits)
@@ -211,13 +231,13 @@ def coupling_montecarlo(P, Q, sigma: float, m: int, trials: int, rng,
         workers = min(usable_cpus(), blocks)
         rows = max(1, COUPLING_BLOCK // (workers * m))
         if workers == 1:
-            successes, counts = _coupling_rows(index, ratio, streams(0), m, rows, trials)
+            successes, counts = _coupling_rows(cdf, lookup, streams(0), m, rows, trials)
         else:
             # imported here: `import smoothlab.verify` starts no pool
             from concurrent.futures import ThreadPoolExecutor
             edges = [trials * w // workers for w in range(workers + 1)]
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = [pool.submit(_coupling_rows, index, ratio, streams(lo), m,
+                parts = [pool.submit(_coupling_rows, cdf, lookup, streams(lo), m,
                                      rows, hi - lo)
                          for lo, hi in zip(edges, edges[1:])]
                 parts = [part.result() for part in parts]

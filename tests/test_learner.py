@@ -599,6 +599,38 @@ class TestQueryCheck:
             assert self._learner(kind, partition8).predict(1, x_t) == want
 
 
+
+class TestRoundCheck:
+    """Every learner's predict runs the round check: t is an integer in
+    1..T.  Alg 3 used to read round T's hint row at t = 0, Alg 1 raised
+    numpy's raw ValueError at t = T + 1, and FTL predicted at 1.5 and True."""
+
+    @pytest.mark.parametrize("kind", TestQueryCheck.KINDS)
+    @pytest.mark.parametrize("t", [0, 5, 1.5, True, np.True_, -1],
+                             ids=["0", "T+1", "1.5", "True", "np.True_", "-1"])
+    def test_rejects_a_bad_round(self, partition8, kind, t):
+        learner = TestQueryCheck._learner(kind, partition8)  # T = 4
+        with pytest.raises(InputError, match="round t="):
+            learner.predict(t, 3)
+        assert learner.stats.call_count == 0
+
+    @pytest.mark.parametrize("kind", TestQueryCheck.KINDS)
+    def test_accepts_an_integer_round(self, partition8, kind):
+        for t in (1, 4):
+            want = TestQueryCheck._learner(kind, partition8).predict(t, 3)
+            got = TestQueryCheck._learner(kind, partition8).predict(np.int64(t), 3)
+            assert got == want
+
+    def test_alg3_round_zero_on_a_cyclic_schedule(self, partition8):
+        """The case that used to predict 1.0: rows 0..3 and 4..7, T = 4;
+        instance 5 is only in the hints of rounds 2 and 4."""
+        schedule = cyclic_hint_schedule(4, [range(4), range(4, 8)])
+        learner = Alg3Transductive(partition8, LossSpec.of("absolute"), 4, schedule)
+        with pytest.raises(InputError, match="round t=0"):
+            learner.predict(0, 5)
+        assert learner.stats.call_count == 0
+
+
 class TestHedge:
     def test_weight_fixture(self, const_class):
         """After one round of losses (0, 1) at eta = ln 2, weights are

@@ -174,7 +174,7 @@ def _normalized(w):
 
 
 # 1,000 atoms; 999 tiny atoms crowding the first or the last bucket of the
-# guide table next to one atom holding nearly all the mass
+# ratio table next to one atom holding nearly all the mass
 _ATOMS_1000 = _normalized(np.random.default_rng(1000).random(1000))
 _CROWDED_LOW = _normalized([1e-9] * 999 + [1.0])
 _CROWDED_HIGH = _normalized([1.0] + [1e-9] * 999)
@@ -195,20 +195,27 @@ def cdfs(draw):
 def _probes(cdf):
     """Every CDF entry and bucket edge j/G with both float neighbours,
     0.0 and the largest double below 1, kept to [0, 1)."""
-    G = 2 * cdf.size
+    G = verify._buckets(cdf.size)
     u = np.concatenate([cdf, np.arange(G + 1) / G, [0.0, 1.0]])
     u = np.concatenate([u, np.nextafter(u, -1.0), np.nextafter(u, 2.0)])
     return np.unique(u[(u >= 0.0) & (u < 1.0)])
 
 
+def _atom_lookup(cdf):
+    """`verify._ratio_lookup` with each atom's index as its ratio, so it
+    must return `searchsorted(side="right")` as floats."""
+    return verify._ratio_lookup(cdf, np.arange(cdf.size, dtype=float))
+
+
 class TestGuidedSearch:
-    """`verify._guided_search` against `searchsorted(side="right")`."""
+    """`verify._ratio_lookup`, the bucket table plus its exact fix-up,
+    against `searchsorted(side="right")`."""
 
     @given(cdfs())
     @settings(max_examples=200, deadline=None)
     def test_equals_searchsorted_right(self, cdf):
         u = _probes(cdf)
-        got = verify._guided_search(cdf)(u)
+        got = _atom_lookup(cdf)(u)
         assert got.tolist() == cdf.searchsorted(u, side="right").tolist()
 
     @pytest.mark.parametrize("probs", [[1.0], [0.0, 1.0, 0.0], _ATOMS_1000,
@@ -217,10 +224,48 @@ class TestGuidedSearch:
                                   "crowded-low", "crowded-high"])
     def test_fixed_cdfs(self, probs):
         cdf = choice_cdf(np.asarray(probs, dtype=float))
-        index, u = verify._guided_search(cdf), _probes(cdf)
-        assert index(u).tolist() == cdf.searchsorted(u, side="right").tolist()
+        lookup, u = _atom_lookup(cdf), _probes(cdf)
+        assert lookup(u).tolist() == cdf.searchsorted(u, side="right").tolist()
         u = np.random.default_rng(0).random((500, 20))  # a block's shape
-        assert (index(u) == cdf.searchsorted(u, side="right")).all()
+        assert (lookup(u) == cdf.searchsorted(u, side="right")).all()
+
+    def test_bucket_of_three_atoms_with_ratios_a_b_a(self):
+        """Atoms 0, 1 and 2 share a bucket and its two ends fall on atoms 0
+        and 2, whose ratios are equal; atom 1 inside has ratio 0 (P = 0),
+        so the bucket must take the exact path, not atom 0's ratio."""
+        Q = np.array([0.2971, 0.003, 0.6999])
+        P = np.array([0.2971, 0.0, 0.6999]) / 0.997
+        sigma = 0.5
+        cdf = choice_cdf(Q)
+        G = verify._buckets(Q.size)
+        assert int(cdf[0] * G) == int(cdf[1] * G)  # both boundaries in one bucket
+        ratio = np.divide(sigma * P, Q)
+        assert ratio[0] == ratio[2] != ratio[1]
+        u = np.array([cdf[0], 0.5 * (cdf[0] + cdf[1])])  # inside atom 1
+        assert verify._ratio_lookup(cdf, ratio)(u).tolist() == [ratio[1]] * 2
+        got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+        trials = 2 * _block_rows(7) + 3
+        got = coupling_montecarlo(P, Q, sigma, m=7, trials=trials, rng=got_rng)
+        assert got == _coupling_reference(P, Q, sigma, 7, trials, want_rng)
+        assert got_rng.random() == want_rng.random()
+
+    def test_more_atoms_than_buckets(self):
+        """Above the cap of COUPLING_BUCKETS buckets most buckets take the
+        exact path; the lookup and the report stay exact."""
+        n = verify.COUPLING_BUCKETS + 5
+        assert verify._buckets(n) == verify.COUPLING_BUCKETS
+        Q = _normalized(np.random.default_rng(n).random(n))
+        cdf = choice_cdf(Q)
+        u = _probes(cdf)
+        assert _atom_lookup(cdf)(u).tolist() == cdf.searchsorted(u, side="right").tolist()
+        P = Q * np.linspace(0.5, 1.0, n)
+        P /= P.sum()
+        sigma = float(0.9 * (Q / P).min())
+        got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
+        trials = _block_rows(7) + 1
+        got = coupling_montecarlo(P, Q, sigma, m=7, trials=trials, rng=got_rng)
+        assert got == _coupling_reference(P, Q, sigma, 7, trials, want_rng)
+        assert got_rng.random() == want_rng.random()
 
 
 class TestCouplingBlocks:
@@ -278,8 +323,8 @@ class TestCouplingBlocks:
     @pytest.mark.parametrize("trials", [1, _block_rows(7) + 1, 2 * _block_rows(7) + 3],
                              ids=["one-row", "two-blocks", "three-blocks"])
     def test_large_and_crowded_cdfs(self, Q, trials):
-        """The guide-table index on 1,000 atoms and on CDFs whose entries
-        crowd one bucket, across block boundaries."""
+        """The ratio table on 1,000 atoms and on CDFs whose entries crowd
+        one bucket, across block boundaries."""
         P = Q * np.linspace(0.5, 1.0, Q.size)
         P /= P.sum()
         sigma = float(0.9 * (Q[P > 0] / P[P > 0]).min())
