@@ -26,8 +26,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (HypothesisClass, check_probs, choice_cdf, validate_smooth,
-                   whole_numbers)
+from .core import (HypothesisClass, check_probs, check_query, choice_cdf,
+                   validate_smooth, whole_numbers)
 from .errors import ContractViolation, InputError
 from . import rng as rngmod
 
@@ -163,7 +163,7 @@ class Adversary:
         self.T = int(T)
         self.seed = int(seed)
         self.domain_size = hclass.domain_size
-        self._visits: np.ndarray | None = None
+        self._parity: bytearray | None = None  # visits to each block, mod 2
         self._support: np.ndarray | None = None
         self._block_of: np.ndarray | None = None  # instance -> block, -1 off it
         # key -> (certified commitment, its CDF)
@@ -204,7 +204,7 @@ class Adversary:
                 raise InputError(f"support size {size} not divisible by d={d}")
             self._block_of = np.full(self.domain_size, -1)
             self._block_of[:size] = self._support // (size // d)
-            self._visits = np.zeros(d, dtype=int)
+            self._parity = bytearray(d)
         if kind is AdversaryKind.CUSTOM_TABLE:
             if spec.xs is None or spec.ys is None:
                 raise InputError("custom_table needs xs and ys")
@@ -245,7 +245,7 @@ class Adversary:
 
         if kind is AdversaryKind.SUPPORT_ALTERNATING:
             # each block's label flips with every visit to it
-            signs = np.where(self._visits % 2 == 0, 1.0, -1.0)
+            signs = np.where(np.frombuffer(self._parity, np.uint8), -1.0, 1.0)
             labels = np.ones(n)
             labels[self._support] = signs[self._block_of[self._support]]
             probs = np.zeros(n)
@@ -275,7 +275,7 @@ class Adversary:
         spec = self.spec
         kind = spec.kind
         if kind is AdversaryKind.SUPPORT_ALTERNATING:
-            return (self._visits % 2).tobytes()
+            return bytes(self._parity)
         if kind is AdversaryKind.TRANSDUCTIVE_CYCLIC or (
                 kind is AdversaryKind.REALIZABLE_SMOOTH and spec.delta == 0.5):
             schedule = spec.hint_schedule
@@ -297,10 +297,13 @@ class Adversary:
         return entry
 
     def observe(self, t: int, x_t: int, yhat_t: float, y_t: float) -> None:
+        """Feed back round t; x_t passes the learners' query check
+        (`core.check_query`) first, so it cannot wrap around a table."""
+        x_t = check_query(x_t, self.domain_size)
         if self._block_of is not None:
             j = self._block_of[x_t]
             if j >= 0:
-                self._visits[j] += 1
+                self._parity[j] ^= 1
 
 
 def next_round(adv: Adversary, t: int, rng):

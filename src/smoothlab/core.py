@@ -17,6 +17,7 @@ Conventions used everywhere:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -81,6 +82,14 @@ class HypothesisClass:
 
     def __len__(self) -> int:
         return self.values.shape[0]
+
+    @functools.cached_property
+    def negative_at(self) -> np.ndarray:
+        """The read-only (domain_size, n_hypotheses) table of `values.T < 0`:
+        row x marks the hypotheses negative at x (built on first use)."""
+        table = np.ascontiguousarray(self.values.T < 0)
+        table.setflags(write=False)
+        return table
 
     @property
     def domain_size(self) -> int:
@@ -164,6 +173,15 @@ def _check_range(v, name: str) -> None:
 
 
 def _check_pm1(v, name: str) -> None:
+    """InputError unless every entry of `v` is exactly -1 or +1.  A
+    Python float equal to either, a round's label, returns before the
+    array check; every other input takes it (`_check_pm1_array`)."""
+    if type(v) is float and (v == 1.0 or v == -1.0):
+        return
+    _check_pm1_array(v, name)
+
+
+def _check_pm1_array(v, name: str) -> None:
     if (np.abs(np.asarray(v, dtype=float)) != 1.0).any():
         raise InputError(f"{name} must be exactly -1 or +1")
 
@@ -286,6 +304,24 @@ def whole_numbers(values, name: str) -> np.ndarray:
     return np.asarray(a, dtype=int)
 
 
+def _whole_query(x_t, domain_size: int) -> int:
+    """x_t as an int; InputError unless it is one whole number."""
+    x = whole_numbers(x_t, "x_t")
+    if x.ndim:
+        raise InputError(f"x_t={x_t!r} outside the domain of size {domain_size}")
+    return int(x)
+
+
+def check_query(x_t, domain_size: int) -> int:
+    """The query check of every learner's `predict` and the adversary's
+    `observe`: x_t as an int, InputError unless it is one whole number in
+    [0, |X|).  An exact int, the games' case, skips the array check."""
+    x = x_t if type(x_t) is int else _whole_query(x_t, domain_size)
+    if not 0 <= x < domain_size:
+        raise InputError(f"x_t={x_t!r} outside the domain of size {domain_size}")
+    return x
+
+
 def count_table(cells, rows: int | None = None) -> np.ndarray:
     """`cells` as an int (rows, 2) table of (instance, sign) counts;
     InputError unless it has that shape (any number of rows when `rows`
@@ -307,7 +343,18 @@ _BOOL_TYPES = (bool, np.bool_)
 def check_example(x, y, count) -> tuple[int, float, int]:
     """(x, y, count) as (int, float, int); InputError unless the instance
     and the count are whole numbers, the count is >= 1 and the label is a
-    real number in [-1, 1] (none of them text or booleans)."""
+    real number in [-1, 1] (none of them text or booleans).  An exact int
+    x, an exact float y in [-1, 1] and an exact int count >= 1, a round's
+    example, are returned as they are (a bool is no exact int, and NaN
+    fails the range test); every other input takes the full check
+    (`_check_example_full`)."""
+    if (type(x) is int and type(y) is float and type(count) is int
+            and count >= 1 and -1.0 <= y <= 1.0):
+        return x, y, count
+    return _check_example_full(x, y, count)
+
+
+def _check_example_full(x, y, count) -> tuple[int, float, int]:
     try:
         xi, ci = int(x), int(count)
     except (TypeError, ValueError, OverflowError):  # text, NaN, +-inf

@@ -49,31 +49,13 @@ import numbers
 import numpy as np
 
 from .adversary import HintSchedule
-from .core import (HypothesisClass, LossKind, LossSpec, check_sigma, count_table,
-                   whole_numbers)
+from .core import (HypothesisClass, LossKind, LossSpec, _whole_query, check_query,
+                   check_sigma, count_table)
 from .errors import CapacityError, ContractViolation, InputError
 from .oracle import CountTable, OracleSession, OracleStats, TiePolicy, erm, mixed_opt
 from . import rng as rngmod
 
 PRED_TOL = 1e-9
-
-
-def _whole_query(x_t, domain_size: int) -> int:
-    """x_t as an int; InputError unless it is one whole number."""
-    x = whole_numbers(x_t, "x_t")
-    if x.ndim:
-        raise InputError(f"x_t={x_t!r} outside the domain of size {domain_size}")
-    return int(x)
-
-
-def check_query(x_t, domain_size: int) -> int:
-    """The query check of every `predict`: x_t as an int, InputError
-    unless it is one whole number in [0, |X|).  An exact int, the
-    games' case, skips the array check."""
-    x = x_t if type(x_t) is int else _whole_query(x_t, domain_size)
-    if not 0 <= x < domain_size:
-        raise InputError(f"x_t={x_t!r} outside the domain of size {domain_size}")
-    return x
 
 
 def check_round(t, T: int) -> int:
@@ -287,9 +269,9 @@ class Alg2PoissonFTPL(Learner):
         x_t = check_query(x_t, self.hclass.domain_size)
         cells = hallucination_cells(self.n, self.hclass.domain_size,
                                     self._stream(t, "hallucinate"))
-        self.last_hallucination_count = int(cells.sum())
         # Poisson draws are whole and nonnegative, so the table enters unchecked
         S = CountTable._of(self.session, cells, with_history=True)
+        self.last_hallucination_count = S._size
         idx, _ = erm(self.hclass, S, self.loss, tie=self.tie, stats=self.stats,
                      query_point=x_t, rng=self._tie_stream(t))
         return float(self.hclass.values[idx, x_t])

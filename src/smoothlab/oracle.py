@@ -112,7 +112,9 @@ class OracleSession:
             self.add(x, y, count)
 
     def add(self, x: int, y: float, count: int = 1) -> None:
-        """Add `count` copies of (x, y) to the history and its objective."""
+        """Add `count` copies of (x, y) to the history and its objective.
+        A round's (int, +-1.0, 1) passes the checks without an array; one
+        copy is added in place, the bits of `count * column`."""
         x, y, count = check_example(x, y, count)
         if not 0 <= x < self.hclass.domain_size:
             raise InputError(f"instance {x} outside the domain of size "
@@ -123,7 +125,10 @@ class OracleSession:
             column = self._tables[self.loss.kind][:, 2 * x + (y > 0)]
         else:
             column = loss_kernel(self.loss.kind, self.hclass.values[:, x], y)
-        self._objective += count * column
+        if count == 1:
+            np.add(self._objective, column, out=self._objective)
+        else:
+            self._objective += count * column
         self._size += count
 
     @property
@@ -214,9 +219,11 @@ def _select(
     """The chosen minimizer: the first index within OBJ_TOL of the
     minimum (LOWEST_INDEX), the first such one whose hypothesis is
     negative at the query point, else the first (PREFER_NEGATIVE), or a
-    uniform draw among them (SEEDED_RANDOM).  The objective is finite,
-    since class values and counts are checked on entry, so the mask of
-    near-minimal indices always holds a True and `argmax` finds its first.
+    uniform draw among them (SEEDED_RANDOM).  An int query point reads
+    its row of the class's `negative_at` table, any other a column of the
+    values.  The objective is finite, since class values and counts are
+    checked on entry, so the mask of near-minimal indices always holds a
+    True and `argmax` finds its first.
     """
     near = obj <= obj.min() + OBJ_TOL
     if tie is TiePolicy.LOWEST_INDEX:
@@ -225,7 +232,9 @@ def _select(
         if not hclass.binary:
             raise InputError("prefer_negative tie policy requires a binary class")
         if query_point is not None:
-            neg = near & (hclass.values[:, query_point] < 0)
+            neg = near & (hclass.negative_at[query_point]
+                          if type(query_point) is int
+                          else hclass.values[:, query_point] < 0)
             first = neg.argmax()
             if neg[first]:
                 return int(first)

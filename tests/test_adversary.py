@@ -139,6 +139,44 @@ class TestSupportAlternating:
             adv.observe(t, x, 0.0, y)
         assert totals.min() == len(xs) / 2
 
+    @given(st.lists(st.integers(0, 7), max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_parity_key_tracks_the_visit_counts(self, xs):
+        """The commitment key is the visit count of each block mod 2, and
+        the committed labels flip with it."""
+        adv, _ = self._adv(sigma=1.0, d=2, T=max(len(xs), 1))
+        visits = np.zeros(2, dtype=int)
+        for t, x in enumerate(xs, start=1):
+            adv.observe(t, x, 0.0, 1.0)
+            visits[x // 4] += 1
+            assert adv._key(t + 1) == (visits % 2).astype(np.uint8).tobytes()
+        labels = adv.commit(len(xs) + 1).label_table
+        np.testing.assert_array_equal(labels, np.repeat(1 - 2 * (visits % 2), 4))
+
+    @pytest.mark.parametrize("x_t", [-1, 8, 1.5, True, np.True_, "1", [1]],
+                             ids=repr)
+    def test_observe_rejects_a_query_outside_the_domain(self, x_t):
+        """x_t passes the learners' query check: -1 does not wrap around to
+        instance 7 and 8 raises no raw IndexError.  Nothing is counted."""
+        adv, _ = self._adv(sigma=1.0, d=2)
+        key = adv._key(1)
+        with pytest.raises(InputError, match="x_t"):
+            adv.observe(1, x_t, 1.0, 1.0)
+        assert adv._key(1) == key
+
+    @pytest.mark.parametrize("x_t", [np.int64(7), 7.0])
+    def test_observe_accepts_a_whole_query(self, x_t):
+        adv, _ = self._adv(sigma=1.0, d=2)
+        adv.observe(1, x_t, 1.0, 1.0)
+        assert adv._key(2) == bytes([0, 1])
+
+    @pytest.mark.parametrize("name", ["smooth", "smooth_cyclic", "custom_table"])
+    def test_every_kind_checks_the_observed_query(self, partition8, name):
+        adv = Adversary(_SPECS[name], partition8, T=16, seed=0)
+        for x_t in (-1, 8, 1.5, True):
+            with pytest.raises(InputError):
+                adv.observe(1, x_t, 1.0, 1.0)
+
     def test_non_integral_support_warns(self, partition8):
         spec = AdversarySpec(kind=AdversaryKind.SUPPORT_ALTERNATING,
                              sigma=0.4, d=1)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smoothlab import core
 from smoothlab.core import (
     ExampleMultiset,
     FiniteDomain,
@@ -202,6 +203,21 @@ class TestClasses:
             with pytest.raises(InputError):
                 HypothesisClass([[bad, 1.0]], declared_dim=1)
 
+    @pytest.mark.parametrize("hclass", [
+        make_partition_class(FiniteDomain(8), 2),
+        make_shatter_class(FiniteDomain(5), [0, 3]),
+        HypothesisClass([[0.5, -0.25, 0.0], [-1.0, 1.0, -0.0]], declared_dim=1)])
+    def test_negative_at_is_a_read_only_transposed_sign_table(self, hclass):
+        table = hclass.negative_at
+        assert table.shape == (hclass.domain_size, len(hclass))
+        assert table.dtype == bool and table.flags.c_contiguous
+        np.testing.assert_array_equal(table, hclass.values.T < 0)
+        assert hclass.negative_at is table  # built once
+        with pytest.raises(ValueError):
+            table[0, 0] = not table[0, 0]
+        with pytest.raises(ValueError):
+            table[0] |= True
+
 
 class TestExampleMultiset:
     def test_counts_and_logical_size(self):
@@ -360,6 +376,76 @@ class TestArrayMultisetAgainstDict:
     def test_accepts_python_and_numpy_numbers_as_labels(self, y):
         assert ExampleMultiset([(0, y)]).items() == [((0, float(y)), 1)]
         assert type(ExampleMultiset([(0, y)]).items()[0][0][1]) is float
+
+
+def _outcome(call):
+    """A call's return value, with the type of each entry, or the class of
+    what it raised."""
+    try:
+        got = call()
+    except Exception as e:  # the class is what the paths must share
+        return type(e)
+    entries = got if isinstance(got, tuple) else (got,)
+    return repr(got), [type(v) for v in entries]
+
+
+# the scalars the fast paths must treat as the array paths do
+_SCALARS = [1.0, -1.0, -0.0, 0.0, 0.5, -0.75, math.nan, math.inf, -math.inf,
+            np.float64(1.0), np.float64(0.5), np.float32(-1), True, False,
+            np.True_, "1", b"1", 1, -1, 0, 2**70, None]
+_COUNTS = [1, 2, 2**70, 0, -1, 1.0, 2.5, True, np.True_, np.int64(1), "1",
+           math.nan]
+_XS = [0, 5, 2**70, -1, True, np.int64(3), 3.0, 3.5, "3", math.inf]
+
+
+class TestScalarFastPaths:
+    """`_check_pm1` and `check_example` return exactly what their array
+    paths return, entry types included, and raise the same class."""
+
+    @pytest.mark.parametrize("v", _SCALARS, ids=repr)
+    def test_check_pm1_matches_its_array_path(self, v):
+        assert (_outcome(lambda: core._check_pm1(v, "label"))
+                == _outcome(lambda: core._check_pm1_array(v, "label")))
+
+    def test_check_example_matches_its_full_check(self):
+        for x, y, count in itertools.product(_XS, _SCALARS, _COUNTS):
+            assert (_outcome(lambda: core.check_example(x, y, count))
+                    == _outcome(lambda: core._check_example_full(x, y, count))), \
+                (x, y, count)
+
+    _numbers = st.one_of(st.floats(), st.integers(), st.booleans(),
+                         st.floats(width=32).map(np.float32),
+                         st.integers(-2**63, 2**63 - 1).map(np.int64))
+
+    @given(v=_numbers)
+    @settings(max_examples=300, deadline=None)
+    def test_check_pm1_matches_on_random_numbers(self, v):
+        assert (_outcome(lambda: core._check_pm1(v, "label"))
+                == _outcome(lambda: core._check_pm1_array(v, "label")))
+
+    @given(x=_numbers, y=_numbers | st.sampled_from([-1.0, 1.0, -0.0]),
+           count=_numbers)
+    @settings(max_examples=300, deadline=None)
+    def test_check_example_matches_on_random_numbers(self, x, y, count):
+        assert (_outcome(lambda: core.check_example(x, y, count))
+                == _outcome(lambda: core._check_example_full(x, y, count)))
+
+    def test_the_fast_paths_take_a_rounds_example(self, monkeypatch):
+        """A round's (int, +-1.0, 1) never reaches the array paths."""
+        def unused(*args):
+            raise AssertionError("array path taken")
+
+        # the session checks the class's values through the array path
+        session = OracleSession(make_partition_class(FiniteDomain(4), 2),
+                                LossSpec.of("binary_indicator"))
+        monkeypatch.setattr(core, "_check_pm1_array", unused)
+        monkeypatch.setattr(core, "_check_example_full", unused)
+        for y in (1.0, -1.0):
+            core._check_pm1(y, "label")
+            got = core.check_example(3, y, 1)
+            assert got == (3, y, 1) and [type(v) for v in got] == [int, float, int]
+        session.add(2, -1.0)
+        assert session.logical_size == 1
 
 
 class TestLossKind:

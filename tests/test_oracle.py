@@ -211,6 +211,33 @@ class TestSelect:
         assert oracle._select(obj, flipped, TiePolicy.PREFER_NEGATIVE, 0, None) == 1
 
 
+    @pytest.mark.parametrize("query_point", [np.int64(2), np.int32(0), -1, 3,
+                                             1.0, True, None])
+    def test_a_non_int_query_point_reads_the_values(self, partition8, query_point):
+        """Only an exact int reads the class's `negative_at` table; every
+        other query point gives what a column of the values gives."""
+        obj = np.array([0.5, 0.0, 0.0, 0.0])
+        near = obj <= obj.min() + OBJ_TOL
+
+        def via_values():
+            if query_point is None:
+                return 1
+            neg = near & (partition8.values[:, query_point] < 0)
+            first = neg.argmax()
+            return int(first) if neg[first] else 1
+
+        def outcome(call):
+            try:
+                return call()
+            except Exception as e:  # the class is what must agree
+                return type(e)
+
+        assert (outcome(lambda: oracle._select(obj, partition8,
+                                               TiePolicy.PREFER_NEGATIVE,
+                                               query_point, None))
+                == outcome(via_values))
+
+
 class TestMixedOpt:
     def test_both_empty(self, const_class):
         loss = LossSpec.of("binary_indicator")
@@ -673,6 +700,23 @@ HISTORY_LABEL = st.sampled_from([-1.0, 1.0, 0.0, -0.0, 0.5]) | st.floats(-1, 1)
 def _signed(items) -> Counter:
     """The pairs as a Counter in which the sign of a zero label counts."""
     return Counter({(x, y.hex()): count for (x, y), count in items})
+
+
+class TestInPlaceAdd:
+    @given(st.lists(st.tuples(st.integers(0, 3),
+                              st.sampled_from([-1.0, -0.5, 0.0, 0.3, 1.0]),
+                              st.integers(1, 3)), max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_add_matches_count_times_column(self, examples):
+        """A one-copy add, made in place, gives the bits of `count * column`."""
+        hclass = HypothesisClass([[0.7, -0.1, 1.0, -1.0], [0.2, 0.9, -0.3, 0.0]],
+                                 declared_dim=1)
+        loss = LossSpec.of("squared")
+        session, want = OracleSession(hclass, loss), np.zeros(len(hclass))
+        for x, y, count in examples:
+            session.add(x, y, count)
+            want += count * loss_eval(loss, hclass.values[:, x], y)
+            assert session.objective(hclass, loss).tobytes() == want.tobytes()
 
 
 class TestLazyHistory:
