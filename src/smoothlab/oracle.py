@@ -43,6 +43,7 @@ from .core import (
     LossKind,
     LossSpec,
     check_example,
+    check_query,
     check_sign_args,
     count_table,
     loss_kernel,
@@ -113,8 +114,9 @@ class OracleSession:
 
     def add(self, x: int, y: float, count: int = 1) -> None:
         """Add `count` copies of (x, y) to the history and its objective.
-        A round's (int, +-1.0, 1) passes the checks without an array; one
-        copy is added in place, the bits of `count * column`."""
+        A round's (int, +-1.0, 1) passes the checks without an array, and
+        one copy adds its column without the `count * column` temporary
+        (the same bits: 1 * v == v)."""
         x, y, count = check_example(x, y, count)
         if not 0 <= x < self.hclass.domain_size:
             raise InputError(f"instance {x} outside the domain of size "
@@ -125,10 +127,7 @@ class OracleSession:
             column = self._tables[self.loss.kind][:, 2 * x + (y > 0)]
         else:
             column = loss_kernel(self.loss.kind, self.hclass.values[:, x], y)
-        if count == 1:
-            np.add(self._objective, column, out=self._objective)
-        else:
-            self._objective += count * column
+        self._objective += column if count == 1 else count * column
         self._size += count
 
     @property
@@ -219,9 +218,10 @@ def _select(
     """The chosen minimizer: the first index within OBJ_TOL of the
     minimum (LOWEST_INDEX), the first such one whose hypothesis is
     negative at the query point, else the first (PREFER_NEGATIVE), or a
-    uniform draw among them (SEEDED_RANDOM).  An int query point reads
-    its row of the class's `negative_at` table, any other a column of the
-    values.  The objective is finite, since class values and counts are
+    uniform draw among them (SEEDED_RANDOM).  PREFER_NEGATIVE reads the
+    query point's row of the class's `negative_at` table, after the
+    learners' query check (InputError unless it is a whole number in
+    [0, |X|)).  The objective is finite, since class values and counts are
     checked on entry, so the mask of near-minimal indices always holds a
     True and `argmax` finds its first.
     """
@@ -232,9 +232,8 @@ def _select(
         if not hclass.binary:
             raise InputError("prefer_negative tie policy requires a binary class")
         if query_point is not None:
-            neg = near & (hclass.negative_at[query_point]
-                          if type(query_point) is int
-                          else hclass.values[:, query_point] < 0)
+            x = check_query(query_point, hclass.domain_size)
+            neg = near & hclass.negative_at[x]
             first = neg.argmax()
             if neg[first]:
                 return int(first)

@@ -210,32 +210,28 @@ class TestSelect:
         flipped = HypothesisClass([[-1.0], [1.0], [1.0]], declared_dim=1, binary=True)
         assert oracle._select(obj, flipped, TiePolicy.PREFER_NEGATIVE, 0, None) == 1
 
-
-    @pytest.mark.parametrize("query_point", [np.int64(2), np.int32(0), -1, 3,
-                                             1.0, True, None])
-    def test_a_non_int_query_point_reads_the_values(self, partition8, query_point):
-        """Only an exact int reads the class's `negative_at` table; every
-        other query point gives what a column of the values gives."""
+    @pytest.mark.parametrize("query_point", [np.int64(2), np.int32(0), 3, 7.0])
+    def test_a_whole_query_point_reads_its_values_column(self, partition8,
+                                                         query_point):
         obj = np.array([0.5, 0.0, 0.0, 0.0])
-        near = obj <= obj.min() + OBJ_TOL
+        x = int(query_point)
+        want = _select_reference(obj, partition8, TiePolicy.PREFER_NEGATIVE, x)
+        assert oracle._select(obj, partition8, TiePolicy.PREFER_NEGATIVE,
+                              query_point, None) == want
 
-        def via_values():
-            if query_point is None:
-                return 1
-            neg = near & (partition8.values[:, query_point] < 0)
-            first = neg.argmax()
-            return int(first) if neg[first] else 1
-
-        def outcome(call):
-            try:
-                return call()
-            except Exception as e:  # the class is what must agree
-                return type(e)
-
-        assert (outcome(lambda: oracle._select(obj, partition8,
-                                               TiePolicy.PREFER_NEGATIVE,
-                                               query_point, None))
-                == outcome(via_values))
+    @pytest.mark.parametrize("query_point", [-1, 8, 1.5, True, np.True_, "1"])
+    def test_erm_and_mixed_opt_check_the_query_point(self, partition8,
+                                                     query_point):
+        """A query point outside [0, |X|), or no whole number, raises
+        InputError, not a wrapped index or numpy's error."""
+        loss = LossSpec.of("binary_indicator")
+        S = OracleSession(partition8, loss)
+        with pytest.raises(InputError):
+            erm(partition8, S, loss, tie=TiePolicy.PREFER_NEGATIVE,
+                query_point=query_point)
+        with pytest.raises(InputError):
+            mixed_opt(partition8, S, S, loss, tie=TiePolicy.PREFER_NEGATIVE,
+                      query_point=query_point)
 
 
 class TestMixedOpt:
