@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .core import (HypothesisClass, check_probs, check_query, choice_cdf,
-                   validate_smooth, whole_numbers)
+                   equal_blocks, validate_smooth, whole_numbers)
 from .errors import ContractViolation, InputError
 from . import rng as rngmod
 
@@ -164,7 +164,6 @@ class Adversary:
         self.seed = int(seed)
         self.domain_size = hclass.domain_size
         self._parity: bytearray | None = None  # visits to each block, mod 2
-        self._support: np.ndarray | None = None
         self._block_of: np.ndarray | None = None  # instance -> block, -1 off it
         # key -> (certified commitment, its CDF)
         self._commitments: dict = {}
@@ -196,15 +195,8 @@ class Adversary:
                     f"sigma*|X| = {raw} is non-integral; using support size {size}",
                     stacklevel=3,
                 )
-            self._support = np.arange(size)
-            d = spec.d
-            if d < 1:
-                raise InputError(f"d must be >= 1, got {d}")
-            if size % d != 0:
-                raise InputError(f"support size {size} not divisible by d={d}")
-            self._block_of = np.full(self.domain_size, -1)
-            self._block_of[:size] = self._support // (size // d)
-            self._parity = bytearray(d)
+            self._block_of = equal_blocks(self.domain_size, size, spec.d)
+            self._parity = bytearray(int(self._block_of.max()) + 1)
         if kind is AdversaryKind.CUSTOM_TABLE:
             if spec.xs is None or spec.ys is None:
                 raise InputError("custom_table needs xs and ys")
@@ -246,11 +238,9 @@ class Adversary:
         if kind is AdversaryKind.SUPPORT_ALTERNATING:
             # each block's label flips with every visit to it
             signs = np.where(np.frombuffer(self._parity, np.uint8), -1.0, 1.0)
-            labels = np.ones(n)
-            labels[self._support] = signs[self._block_of[self._support]]
-            probs = np.zeros(n)
-            probs[self._support] = 1.0 / self._support.size
-            return RoundCommitment(probs, spec.sigma, None, labels)
+            labels = np.append(signs, 1.0)[self._block_of]  # +1 off the support
+            on = self._block_of >= 0
+            return RoundCommitment(on / on.sum(), spec.sigma, None, labels)
 
         if kind is AdversaryKind.CUSTOM_TABLE:
             x = int(spec.xs[t - 1])

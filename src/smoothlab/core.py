@@ -9,6 +9,9 @@ Conventions used everywhere:
 * a distribution is sigma-smooth iff every atom has mass at most
   ``1 / (sigma * size)`` (the subset condition reduces to singletons on
   a finite domain);
+* the +-1 class builders are d-block sign classes: an instance -> block
+  map (`equal_blocks`, shared with `support_alternating`) and one table
+  of the 2^d sign patterns; sizes and indices pass `whole_number`;
 * an ``ExampleMultiset`` is an (instance, label) -> count history
   record in first-seen order, built from (instance, label[, count])
   pairs; it is no oracle slot, but an ``oracle.OracleSession`` can be
@@ -42,6 +45,7 @@ class FiniteDomain:
     size: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "size", whole_number("domain size", self.size))
         if self.size < 1:
             raise InputError(f"domain size must be >= 1, got {self.size}")
 
@@ -115,13 +119,11 @@ class HypothesisClass:
         if set(obj) != _CLASS_DOC_KEYS:
             raise InputError(f"a class document needs exactly the keys "
                              f"{sorted(_CLASS_DOC_KEYS)}, got {sorted(obj)}")
-        for key in ("domain_size", "declared_dim"):
-            if whole_numbers(obj[key], key).ndim:
-                raise InputError(f"{key} must be a whole number, got {obj[key]!r}")
+        size, dim = (whole_number(k, obj[k]) for k in ("domain_size", "declared_dim"))
         if not isinstance(obj["binary"], bool):
             raise InputError(f"binary must be true or false, got {obj['binary']!r}")
-        hclass = cls(obj["hypotheses"], int(obj["declared_dim"]), obj["binary"])
-        if hclass.domain_size != obj["domain_size"]:
+        hclass = cls(obj["hypotheses"], dim, obj["binary"])
+        if hclass.domain_size != size:
             raise InputError("hypothesis table width disagrees with domain_size")
         return hclass
 
@@ -304,19 +306,23 @@ def whole_numbers(values, name: str) -> np.ndarray:
     return np.asarray(a, dtype=int)
 
 
-def _whole_query(x_t, domain_size: int) -> int:
-    """x_t as an int; InputError unless it is one whole number."""
-    x = whole_numbers(x_t, "x_t")
-    if x.ndim:
-        raise InputError(f"x_t={x_t!r} outside the domain of size {domain_size}")
-    return int(x)
+def whole_number(name: str, v) -> int:
+    """`v` as an int; InputError unless it is one finite whole number, not
+    text or a boolean (`2.0` passes; `2.5`, `"2"` and `True` do not).
+    An exact int skips the array check."""
+    if type(v) is int:
+        return v
+    a = whole_numbers(v, name)
+    if a.ndim:
+        raise InputError(f"{name} must be a whole number, got {v!r}")
+    return int(a)
 
 
 def check_query(x_t, domain_size: int) -> int:
     """The query check of every learner's `predict` and the adversary's
     `observe`: x_t as an int, InputError unless it is one whole number in
-    [0, |X|).  An exact int, the games' case, skips the array check."""
-    x = x_t if type(x_t) is int else _whole_query(x_t, domain_size)
+    [0, |X|).  An exact int, the games' case, skips the call."""
+    x = x_t if type(x_t) is int else whole_number("x_t", x_t)
     if not 0 <= x < domain_size:
         raise InputError(f"x_t={x_t!r} outside the domain of size {domain_size}")
     return x
@@ -409,6 +415,33 @@ class ExampleMultiset:
         return list(self._counts.items())
 
 
+def equal_blocks(size: int, support_size: int, d: int) -> np.ndarray:
+    """Instance -> block of d equal contiguous blocks of the first
+    `support_size` of `size` instances, -1 off them; InputError unless
+    d >= 1, 1 <= support_size <= size and d divides support_size."""
+    support_size, d = whole_number("support_size", support_size), whole_number("d", d)
+    if d < 1:
+        raise InputError(f"d must be >= 1, got {d}")
+    if not (1 <= support_size <= size):
+        raise InputError(f"support_size {support_size} out of range 1..{size}")
+    if support_size % d != 0:
+        raise InputError(f"support size {support_size} not divisible by d={d}")
+    block_of = np.full(size, -1)
+    block_of[:support_size] = np.arange(support_size) // (support_size // d)
+    return block_of
+
+
+def _sign_table(block_of: np.ndarray, d: int) -> HypothesisClass:
+    """The 2^d sign assignments to the blocks of `block_of` (instance ->
+    block, -1 off every block, where the value is +1).  Row i gives block
+    j the sign 1 - 2*((i >> (d-1-j)) & 1): the first block is the most
+    significant and +1 comes before -1."""
+    bits = (np.arange(2**d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
+    signs = np.ones((2**d, d + 1))  # the last column serves block -1
+    signs[:, :d] -= 2.0 * bits
+    return HypothesisClass(signs[:, block_of], declared_dim=d, binary=True)
+
+
 def make_partition_class(domain: FiniteDomain, d: int) -> HypothesisClass:
     """All 2^d sign assignments that are constant on each of d equal
     contiguous blocks of the domain."""
@@ -417,18 +450,14 @@ def make_partition_class(domain: FiniteDomain, d: int) -> HypothesisClass:
 
 def make_shatter_class(domain: FiniteDomain, special) -> HypothesisClass:
     """All 2^d sign patterns on the given special points, +1 elsewhere."""
-    special = [int(s) for s in special]
+    special = [whole_number("special index", s) for s in special]
     if len(set(special)) != len(special):
         raise InputError("special indices must be distinct")
     if any(s < 0 or s >= domain.size for s in special):
         raise InputError("special index out of range")
-    d = len(special)
-    rows = []
-    for pattern in itertools.product((1.0, -1.0), repeat=d):
-        row = np.ones(domain.size)
-        row[special] = pattern
-        rows.append(row)
-    return HypothesisClass(np.array(rows), declared_dim=d, binary=True)
+    block_of = np.full(domain.size, -1)
+    block_of[special] = np.arange(len(special))
+    return _sign_table(block_of, len(special))
 
 
 def make_support_partition_class(
@@ -436,19 +465,8 @@ def make_support_partition_class(
 ) -> HypothesisClass:
     """All 2^d sign assignments constant on each of d equal contiguous
     blocks of the first `support_size` indices, +1 off the support."""
-    if d < 1:
-        raise InputError(f"d must be >= 1, got {d}")
-    if not (1 <= support_size <= domain.size):
-        raise InputError("support_size out of range")
-    if support_size % d != 0:
-        raise InputError(f"support size {support_size} not divisible by d={d}")
-    block = support_size // d
-    rows = []
-    for pattern in itertools.product((1.0, -1.0), repeat=d):
-        row = np.ones(domain.size)
-        row[:support_size] = np.repeat(pattern, block)
-        rows.append(row)
-    return HypothesisClass(np.array(rows), declared_dim=d, binary=True)
+    block_of = equal_blocks(domain.size, support_size, d)
+    return _sign_table(block_of, int(block_of.max()) + 1)
 
 
 def compute_vc_dimension(hclass: HypothesisClass) -> int:

@@ -55,7 +55,7 @@ from .core import (
     make_shatter_class,
     make_support_partition_class,
     usable_cpus,
-    whole_numbers,
+    whole_number,
 )
 from .errors import FitError, InputError
 from .learner import (
@@ -78,13 +78,6 @@ CSV_COLUMNS = [
     "bih_loss", "oracle_calls", "mean_input_len", "wall_ms",
     "regret_stderr",
 ]
-
-
-def _whole(key: str, v) -> int:
-    a = whole_numbers(v, key)
-    if a.ndim:
-        raise InputError(f"{key} must be a whole number, got {v!r}")
-    return int(a)
 
 
 def _real(key: str, v) -> float:
@@ -146,13 +139,13 @@ def _kinds(table: dict, optional=()):
 # each class kind: the loaders of its keys and the maker of its class
 _CLASS_KINDS = {
     "partition": (
-        {"domain_size": _whole, "d": _whole},
+        {"domain_size": whole_number, "d": whole_number},
         lambda s: make_partition_class(FiniteDomain(s["domain_size"]), s["d"])),
     "shatter": (
-        {"domain_size": _whole, "special": _list(_whole)},
+        {"domain_size": whole_number, "special": _list(whole_number)},
         lambda s: make_shatter_class(FiniteDomain(s["domain_size"]), s["special"])),
     "support_partition": (
-        {"domain_size": _whole, "support_size": _whole, "d": _whole},
+        {"domain_size": whole_number, "support_size": whole_number, "d": whole_number},
         lambda s: make_support_partition_class(
             FiniteDomain(s["domain_size"]), s["support_size"], s["d"])),
     "json": ({"json": _text}, lambda s: HypothesisClass.from_json(s["json"])),
@@ -205,21 +198,21 @@ class ExperimentConfig:
     class_spec: dict = _key(_kinds({k: keys for k, (keys, _) in _CLASS_KINDS.items()}),
                             json_key="class")
     loss: str = _key(_one_of(*(k.value for k in LossKind)))
-    T: int = _key(_whole)
+    T: int = _key(whole_number)
     sigma: float = _key(_real)
-    seeds: tuple[int, ...] = _key(_list(_whole))
-    K: int | None = _key(_whole, None)
-    d: int | None = _key(_whole, None)
+    seeds: tuple[int, ...] = _key(_list(whole_number))
+    K: int | None = _key(whole_number, None)
+    d: int | None = _key(whole_number, None)
     n: float | None = _key(_real, None)
     c_K: float = _key(_real, 100.0)
     tie_policy: str = _key(_one_of(*(k.value for k in TiePolicy)), "lowest_index")
-    hints: dict | None = _key(_kinds({"cyclic": {"K": _whole}, "known": {}, "full": {}},
-                                     optional={"K"}), None)
+    hints: dict | None = _key(_kinds(
+        {"cyclic": {"K": whole_number}, "known": {}, "full": {}}, optional={"K"}), None)
     delta: float = _key(_real, 0.5)
     out: str | None = _key(_text, None)
-    custom_xs: tuple[int, ...] | None = _key(_list(_whole), None)
+    custom_xs: tuple[int, ...] | None = _key(_list(whole_number), None)
     custom_ys: tuple[float, ...] | None = _key(_list(_real), None)
-    max_hints_per_round: int | None = _key(_whole, None)
+    max_hints_per_round: int | None = _key(whole_number, None)
     sweep: dict | None = _key(lambda key, v: _object(key, v, {
         k: _list(_FIELDS[k].metadata["load"], nonempty=True)
         for k in ("T", "sigma", "K", "n")}), None)

@@ -49,8 +49,8 @@ import numbers
 import numpy as np
 
 from .adversary import HintSchedule
-from .core import (HypothesisClass, LossKind, LossSpec, _whole_query, check_query,
-                   check_sigma, count_table)
+from .core import (HypothesisClass, LossKind, LossSpec, check_query, check_sigma,
+                   count_table, whole_number)
 from .errors import CapacityError, ContractViolation, InputError
 from .oracle import CountTable, OracleSession, OracleStats, TiePolicy, erm, mixed_opt
 from . import rng as rngmod
@@ -69,10 +69,13 @@ def check_round(t, T: int) -> int:
 
 
 def hint_count(T: int, sigma: float, c_K: float = 100.0) -> int:
-    """Number of hints per future round: max(1, ceil(c_K * ln T / sigma))."""
+    """Number of hints per future round: max(1, ceil(c_K * ln T / sigma));
+    InputError unless T >= 1, 0 < sigma <= 1 and 0 < c_K < inf."""
     if T < 1:
         raise InputError("T must be >= 1")
     check_sigma(sigma)
+    if not (0.0 < c_K < math.inf):
+        raise InputError(f"c_K must be a positive real, got {c_K}")
     return max(1, int(math.ceil(c_K * math.log(T) / sigma)))
 
 
@@ -89,8 +92,6 @@ def default_n(T: int, sigma: float, domain_size: int, d: int) -> float:
 class Learner:
     """Base class: owns the oracle session (history), oracle stats, and
     the game's RNG seed."""
-
-    name = "learner"
 
     def __init__(self, hclass: HypothesisClass, loss: LossSpec, T: int,
                  seed: int = 0, tie: TiePolicy = TiePolicy.LOWEST_INDEX):
@@ -162,24 +163,8 @@ def hint_difference_prediction(session: OracleSession, cells, x_t: int,
     return float(min(1.0, max(-1.0, yhat)))
 
 
-class _HintDifferenceLearner(Learner):
-    """Shared base of the hint-based learners: each round draws its hint
-    count table and predicts with `hint_difference_prediction`."""
-
-    def _hints_for_round(self, t: int) -> np.ndarray:
-        """The round's (|X|, 2) (instance, sign) hint count table."""
-        raise NotImplementedError
-
-    def predict(self, t: int, x_t: int) -> float:
-        t = check_round(t, self.T)
-        return hint_difference_prediction(
-            self.session, self._hints_for_round(t), x_t, self.stats)
-
-
-class Alg3Transductive(_HintDifferenceLearner):
+class Alg3Transductive(Learner):
     """Hint-aware learner for the K-hint transductive setting."""
-
-    name = "alg3"
 
     def __init__(self, hclass, loss, T, hint_schedule: HintSchedule,
                  seed=0, tie=TiePolicy.LOWEST_INDEX):
@@ -190,7 +175,6 @@ class Alg3Transductive(_HintDifferenceLearner):
         X = hclass.domain_size
         if rows.min() < 0 or rows.max() >= X:
             raise InputError("hint schedule names an instance outside the domain")
-        self.hint_schedule = hint_schedule
         # _future_counts[t] = instance counts of rows[t:T], the hints of
         # rounds t+1..T; the extra last row is all zeros
         codes = np.repeat(np.arange(T), rows.shape[1]) * X + rows.reshape(-1)
@@ -201,12 +185,13 @@ class Alg3Transductive(_HintDifferenceLearner):
 
     def predict(self, t: int, x_t: int) -> float:
         t, X = check_round(t, self.T), self.hclass.domain_size
-        x = x_t if type(x_t) is int else _whole_query(x_t, X)
+        x = whole_number("x_t", x_t)
         # an instance outside the domain is in no hint multiset; the range
         # is checked first so that x_t = -1 cannot wrap around the table
         if not (0 <= x < X and self._in_row[t - 1, x]):
             raise ContractViolation(f"x_t={x_t} not in the round-{t} hint multiset")
-        return super().predict(t, x)
+        return hint_difference_prediction(
+            self.session, self._hints_for_round(t), x, self.stats)
 
     def _hints_for_round(self, t: int) -> np.ndarray:
         """Independent Rademacher labels on the future hints: the +1 count
@@ -219,25 +204,27 @@ class Alg3Transductive(_HintDifferenceLearner):
         return cells
 
 
-class Alg1Smoothed(_HintDifferenceLearner):
+class Alg1Smoothed(Learner):
     """Smoothed-adversary learner: self-generates K(T-t) fresh uniform
     hints with fresh Rademacher labels every round."""
-
-    name = "alg1"
 
     def __init__(self, hclass, loss, T, sigma: float, K: int | None = None,
                  c_K: float = 100.0, max_hints_per_round: int | None = None,
                  seed=0, tie=TiePolicy.LOWEST_INDEX):
         super().__init__(hclass, loss, T, seed, tie)
         check_sigma(sigma)
-        self.sigma = sigma
-        self.c_K = c_K
         self.K = hint_count(T, sigma, c_K) if K is None else int(K)
         if self.K < 1:
             raise InputError("K must be >= 1")
         self.max_hints_per_round = max_hints_per_round
 
+    def predict(self, t: int, x_t: int) -> float:
+        t = check_round(t, self.T)
+        return hint_difference_prediction(
+            self.session, self._hints_for_round(t), x_t, self.stats)
+
     def _hints_for_round(self, t: int) -> np.ndarray:
+        """The round's (|X|, 2) (instance, sign) hint count table."""
         m = self.K * (self.T - t)
         if self.max_hints_per_round is not None and m > self.max_hints_per_round:
             raise CapacityError(
@@ -249,8 +236,6 @@ class Alg1Smoothed(_HintDifferenceLearner):
 class Alg2PoissonFTPL(Learner):
     """Proper Poissonized FTPL for binary classes: ERM over history plus
     Poi(n) hallucinated uniform samples with random +-1 labels."""
-
-    name = "alg2"
 
     def __init__(self, hclass, loss, T, n: float, seed=0,
                  tie=TiePolicy.LOWEST_INDEX):
@@ -280,8 +265,6 @@ class Alg2PoissonFTPL(Learner):
 class FTL(Learner):
     """Follow-the-leader: unperturbed ERM on the history."""
 
-    name = "ftl"
-
     def predict(self, t: int, x_t: int) -> float:
         t = check_round(t, self.T)
         x_t = check_query(x_t, self.hclass.domain_size)
@@ -297,8 +280,6 @@ class HedgeLearner(Learner):
     Predicts with a hypothesis sampled from the current weights and
     exposes the full weight vector for analysis.
     """
-
-    name = "hedge"
 
     def __init__(self, hclass, loss, T, eta: float | None = None,
                  seed=0, tie=TiePolicy.LOWEST_INDEX):

@@ -1,5 +1,8 @@
 """Adversary constructions: certificates, alternating labels, hints."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,6 +179,33 @@ class TestSupportAlternating:
         for x_t in (-1, 8, 1.5, True):
             with pytest.raises(InputError):
                 adv.observe(1, x_t, 1.0, 1.0)
+
+    @pytest.mark.parametrize("size, sigma, d", [(8, 1.0, 2), (64, 0.25, 2), (12, 0.5, 3)])
+    def test_commitments_match_the_reference_in_every_parity_state(
+            self, size, sigma, d):
+        """Uniform on the first ceil(sigma*|X|) instances; a block labeled -1
+        iff it was visited an odd number of times, +1 off the support."""
+        support = math.ceil(sigma * size)
+        block = support // d
+        hclass = make_support_partition_class(FiniteDomain(size), support, d)
+        spec = AdversarySpec(kind=AdversaryKind.SUPPORT_ALTERNATING, sigma=sigma, d=d)
+        for odd in itertools.product((0, 1), repeat=d):
+            adv = Adversary(spec, hclass, T=d + 1, seed=0)
+            visited = [j for j in range(d) if odd[j]]
+            for t, j in enumerate(visited, start=1):
+                adv.observe(t, j * block, 0.0, 1.0)
+            probs, labels = np.zeros(size), np.ones(size)
+            for x in range(support):
+                probs[x] = 1.0 / support
+                labels[x] = -1.0 if odd[x // block] else 1.0
+            c = adv.commit(len(visited) + 1)
+            assert c.probs.tobytes() == probs.tobytes()
+            assert c.label_table.tobytes() == labels.tobytes()
+
+    def test_support_not_divisible_by_d(self, partition8):
+        spec = AdversarySpec(kind=AdversaryKind.SUPPORT_ALTERNATING, sigma=0.75, d=4)
+        with pytest.raises(InputError, match="support size 6 not divisible by d=4"):
+            Adversary(spec, partition8, T=2, seed=0)
 
     def test_non_integral_support_warns(self, partition8):
         spec = AdversarySpec(kind=AdversaryKind.SUPPORT_ALTERNATING,

@@ -19,11 +19,13 @@ from smoothlab.core import (
     SmoothDistribution,
     check_probs,
     compute_vc_dimension,
+    equal_blocks,
     loss_eval,
     make_partition_class,
     make_shatter_class,
     make_support_partition_class,
     validate_smooth,
+    whole_number,
     whole_numbers,
 )
 from smoothlab.errors import CapacityError, InputError
@@ -132,6 +134,91 @@ class TestValidateSmooth:
         assert d.sigma == 1.0
 
 
+class TestFiniteDomain:
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_rejects_an_empty_domain(self, size):
+        with pytest.raises(InputError, match=">= 1"):
+            FiniteDomain(size)
+
+    @pytest.mark.parametrize("size", [2.5, "8", True, [8], math.nan])
+    def test_rejects_a_size_that_is_no_whole_number(self, size):
+        """FiniteDomain(2.5) used to be accepted."""
+        with pytest.raises(InputError, match="domain size"):
+            FiniteDomain(size)
+
+    def test_stores_a_whole_float_size_as_an_int(self):
+        domain = FiniteDomain(8.0)
+        assert type(domain.size) is int and domain == FiniteDomain(8)
+
+
+class TestWholeNumber:
+    @pytest.mark.parametrize("v", [0, 3, -2, 3.0, np.int64(3), np.float64(-2.0)])
+    def test_accepts_whole_numbers(self, v):
+        assert type(whole_number("k", v)) is int and whole_number("k", v) == v
+
+    @pytest.mark.parametrize("v", [2.5, math.nan, math.inf, "2", True, np.True_,
+                                   [2], None], ids=repr)
+    def test_rejects_everything_else(self, v):
+        with pytest.raises(InputError, match="^k must"):
+            whole_number("k", v)
+
+
+def reference_support_partition(size: int, support_size: int, d: int) -> np.ndarray:
+    """The value table of the itertools builder the vectorized one replaced."""
+    rows = []
+    for pattern in itertools.product((1.0, -1.0), repeat=d):
+        row = np.ones(size)
+        row[:support_size] = np.repeat(pattern, support_size // d)
+        rows.append(row)
+    return np.array(rows)
+
+
+def reference_shatter(size: int, special: list[int]) -> np.ndarray:
+    rows = []
+    for pattern in itertools.product((1.0, -1.0), repeat=len(special)):
+        row = np.ones(size)
+        row[special] = pattern
+        rows.append(row)
+    return np.array(rows)
+
+
+class TestBlockBuilders:
+    """The three +-1 class builders against the itertools reference: the
+    same value table bit for bit, first block most significant, +1 before
+    -1, for every d <= 8."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @given(block=st.integers(1, 3), extra=st.integers(0, 4))
+    @settings(max_examples=8, deadline=None)
+    def test_partition_builders_match_the_reference(self, d, block, extra):
+        support = d * block
+        want = reference_support_partition(support + extra, support, d)
+        got = make_support_partition_class(FiniteDomain(support + extra), support, d)
+        assert got.values.tobytes() == want.tobytes()
+        assert got.declared_dim == d and got.binary
+        if extra == 0:
+            assert make_partition_class(FiniteDomain(support), d).values.tobytes() \
+                == want.tobytes()
+
+    @pytest.mark.parametrize("d", range(0, 9))
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_shatter_builder_matches_the_reference(self, d, data):
+        size = data.draw(st.integers(max(d, 1), d + 4))
+        special = data.draw(st.permutations(range(size)))[:d]
+        got = make_shatter_class(FiniteDomain(size), special)
+        assert got.values.tobytes() == reference_shatter(size, special).tobytes()
+        assert got.declared_dim == d and got.binary
+
+    def test_equal_blocks(self):
+        np.testing.assert_array_equal(equal_blocks(8, 6, 3), [0, 0, 1, 1, 2, 2, -1, -1])
+        np.testing.assert_array_equal(equal_blocks(4, 4, 1), [0, 0, 0, 0])
+        with pytest.raises(InputError, match="not divisible by d=4"):
+            equal_blocks(8, 6, 4)
+        with pytest.raises(InputError, match="d must be >= 1"):
+            equal_blocks(8, 6, 0)
+
+
 class TestClasses:
     def test_partition_class_shape(self):
         c = make_partition_class(FiniteDomain(4), 2)
@@ -170,6 +257,35 @@ class TestClasses:
         assert len(c) == 4
         # off-support values are +1 for every hypothesis
         assert np.all(c.values[:, 4:] == 1.0)
+
+    @pytest.mark.parametrize("special", [[0.5, 3], [True, 3], [np.True_, 3], ["1"]],
+                             ids=repr)
+    def test_shatter_rejects_non_whole_special_points(self, special):
+        """0.5 used to shatter instance 0 and True instance 1."""
+        with pytest.raises(InputError, match="special index"):
+            make_shatter_class(FiniteDomain(8), special)
+
+    @pytest.mark.parametrize("special", [[4], [-1], [0, 9]])
+    def test_shatter_rejects_points_off_the_domain(self, special):
+        with pytest.raises(InputError, match="out of range"):
+            make_shatter_class(FiniteDomain(4), special)
+
+    @pytest.mark.parametrize("support_size", [0, -4, 9])
+    def test_support_size_out_of_range(self, support_size):
+        with pytest.raises(InputError, match="out of range"):
+            make_support_partition_class(FiniteDomain(8), support_size, 1)
+
+    def test_builders_take_whole_floats_and_reject_the_rest(self):
+        """d = 2.0 used to raise a raw TypeError from itertools."""
+        whole = make_partition_class(FiniteDomain(8), 2.0)
+        np.testing.assert_array_equal(whole.values,
+                                      make_partition_class(FiniteDomain(8), 2).values)
+        assert type(whole.declared_dim) is int and whole.declared_dim == 2
+        for bad in (2.5, "2", True):
+            with pytest.raises(InputError, match="d must"):
+                make_partition_class(FiniteDomain(8), bad)
+            with pytest.raises(InputError, match="support_size must"):
+                make_support_partition_class(FiniteDomain(8), bad, 1)
 
     def test_vc_dimension_oracle(self):
         singleton = HypothesisClass([[1.0, 1.0]], declared_dim=0, binary=True)

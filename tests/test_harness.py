@@ -208,6 +208,20 @@ class TestBuilders:
     def test_no_hints_returns_none(self):
         assert build_hint_schedule(base_config(), 8) is None
 
+    def test_full_hints_through_a_config(self):
+        c = base_config(learner="alg3", adversary="transductive_cyclic",
+                        hints={"kind": "full"}, loss="absolute", T=3)
+        assert c.schedule.T == 3
+        np.testing.assert_array_equal(c.schedule.rows, np.tile(np.arange(8), (3, 1)))
+        assert len(run_game(c, 0).rounds) == 3
+
+    def test_known_hints_through_a_config(self):
+        xs, ys = [5, 0, 7, 7], [1.0, -1.0, -1.0, 1.0]
+        c = base_config(learner="alg3", adversary="custom_table", loss="absolute",
+                        hints={"kind": "known"}, T=3, custom_xs=xs, custom_ys=ys)
+        np.testing.assert_array_equal(c.schedule.rows, [[5], [0], [7]])
+        assert [r.x for r in run_game(c, 0).rounds] == xs[:3]
+
 
 class TestRunGame:
     def test_transcript_shape_and_regret_identity(self):
@@ -595,6 +609,15 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["alpha"] == pytest.approx(0.5, abs=1e-9)
 
+    def test_run_without_an_output_writes_the_csv_to_stdout(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SMOOTHLAB_OUT", raising=False)
+        cfg = self._write_config(tmp_path)
+        assert main(["run", cfg]) == EXIT_OK
+        assert capsys.readouterr().out == run_experiment(base_config(), 1)[1]
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_config_out_written_only_by_cli(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("SMOOTHLAB_OUT", raising=False)
@@ -730,6 +753,9 @@ class TestCli:
         "sigma_text": {"sigma": "x"},
         "n_text": {"n": "x"},
         "alg1_c_K_text": {"learner": "alg1", "c_K": "x", **_ABS},
+        "alg1_c_K_-5": {"learner": "alg1", "c_K": -5, "T": 4, **_ABS},
+        "alg1_c_K_0": {"learner": "alg1", "c_K": 0, "T": 4, **_ABS},
+        "known_hints_without_custom_xs": {**_ALG3, "hints": {"kind": "known"}},
         "delta_text": {"delta": "x"},
         "sigma_min_key_removed": {"sigma_min": 0.1},
         "custom_ys_text": {"adversary": "custom_table", "T": 4,
@@ -771,6 +797,9 @@ class TestCli:
         "ftl_K_-3": "K must be >= 1, got -3",
         "hedge_K_0": "K must be >= 1, got 0",
         "alg1_K_0": "K must be >= 1",
+        "alg1_c_K_-5": "c_K must be a positive real",
+        "alg1_c_K_0": "c_K must be a positive real",
+        "known_hints_without_custom_xs": "known-sequence hints require custom_xs",
         "support_partition_d_0": "d must be >= 1",
         "support_partition_d_-2": "d must be >= 1",
     }

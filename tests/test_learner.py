@@ -55,6 +55,12 @@ class TestBudgets:
         # T/sqrt(sigma) = 100, T*sqrt(|X|/d) = 10*sqrt(2) < 100
         assert default_n(10, 0.01, 2, 1) == pytest.approx(10 * math.sqrt(2))
 
+    @pytest.mark.parametrize("c_K", [0.0, -5.0, math.inf, math.nan])
+    def test_hint_count_needs_a_positive_finite_c_K(self, c_K):
+        """c_K <= 0 used to give K = 1 without a word."""
+        with pytest.raises(InputError, match="c_K must be a positive real"):
+            hint_count(4, 1.0, c_K)
+
     def test_input_validation(self):
         with pytest.raises(InputError):
             hint_count(0, 0.5)
@@ -322,6 +328,16 @@ class TestHintDifferenceRule:
 
 
 class TestAlg3:
+    def test_checks_the_round_once_a_prediction(self, partition8, monkeypatch):
+        calls = []
+        check = learnermod.check_round
+        monkeypatch.setattr(learnermod, "check_round",
+                            lambda t, T: calls.append(t) or check(t, T))
+        learner = Alg3Transductive(partition8, LossSpec.of("absolute"), 2,
+                                   full_domain_schedule(2, 8))
+        learner.predict(1, 3)
+        assert calls == [1]
+
     def test_singleton_class_predicts_h(self):
         hclass = HypothesisClass([[1.0, -1.0]], declared_dim=0, binary=True)
         sched = full_domain_schedule(2, 2)
@@ -467,6 +483,11 @@ class TestAlg1:
 
 
 class TestAlg2:
+    @pytest.mark.parametrize("n", [-1.0, -1e-9])
+    def test_rejects_a_negative_rate(self, partition8, n):
+        with pytest.raises(InputError, match="n must be nonnegative"):
+            Alg2PoissonFTPL(partition8, LossSpec.of("binary_indicator"), 4, n=n)
+
     def test_requires_binary_class_and_loss(self, real_class, const_class):
         with pytest.raises(InputError):
             Alg2PoissonFTPL(real_class, LossSpec.of("absolute"), 4, n=2.0)
