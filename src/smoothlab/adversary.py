@@ -14,7 +14,9 @@ commitment and its CDF under a key naming everything the commitment
 depends on, and kinds whose commitment is random or fixed per round
 build and check one every round.  `next_round` draws x_t by searching
 that CDF for one uniform, the arithmetic of `Generator.choice(n,
-p=probs)`, so it draws the same index from the same stream.
+p=probs)`, so it draws the same index from the same stream.  Both run
+the learners' round check.  `transductive_cyclic` is `realizable_smooth`
+with a required hint schedule, labelling with h* at any delta.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (HypothesisClass, check_probs, check_query, choice_cdf,
-                   equal_blocks, validate_smooth, whole_numbers)
+from .core import (HypothesisClass, check_probs, check_query, check_round, choice_cdf,
+                   equal_blocks, validate_smooth, whole_number, whole_numbers)
 from .errors import ContractViolation, InputError
 from . import rng as rngmod
 
@@ -78,13 +80,14 @@ def cyclic_hint_schedule(T: int, blocks) -> HintSchedule:
     K = blocks[0].size
     if any(b.size != K for b in blocks):
         raise InputError("all hint blocks must have equal size")
-    rows = np.stack([blocks[t % len(blocks)] for t in range(T)])
+    rows = np.stack([blocks[t % len(blocks)] for t in range(whole_number("T", T))])
     return HintSchedule(rows)
 
 
 def full_domain_schedule(T: int, domain_size: int) -> HintSchedule:
     """Vacuous hints: every row is the whole domain (K = |X|)."""
-    return HintSchedule(np.tile(np.arange(domain_size), (T, 1)))
+    domain = np.arange(whole_number("domain_size", domain_size))
+    return HintSchedule(np.tile(domain, (whole_number("T", T), 1)))
 
 
 @dataclass(frozen=True)
@@ -160,8 +163,8 @@ class Adversary:
                  seed: int):
         self.spec = spec
         self.hclass = hclass
-        self.T = int(T)
-        self.seed = int(seed)
+        self.T = whole_number("T", T)
+        self.seed = whole_number("seed", seed)
         self.domain_size = hclass.domain_size
         self._parity: bytearray | None = None  # visits to each block, mod 2
         self._block_of: np.ndarray | None = None  # instance -> block, -1 off it
@@ -202,7 +205,7 @@ class Adversary:
                 raise InputError("custom_table needs xs and ys")
             if len(spec.xs) < self.T or len(spec.ys) < self.T:
                 raise InputError("custom_table xs/ys shorter than T")
-            xs = np.asarray(spec.xs)
+            xs = whole_numbers(spec.xs, "custom_table xs")
             if np.any((xs < 0) | (xs >= self.domain_size)):
                 raise InputError(
                     f"custom_table xs leave the domain of size {self.domain_size}")
@@ -216,13 +219,14 @@ class Adversary:
 
     def commit(self, t: int) -> RoundCommitment:
         """Fix round t's distribution and label table (before prediction)."""
+        t = check_round(t, self.T)
         spec = self.spec
         kind = spec.kind
         n = self.domain_size
 
-        if kind is AdversaryKind.REALIZABLE_SMOOTH:
+        if kind in (AdversaryKind.REALIZABLE_SMOOTH, AdversaryKind.TRANSDUCTIVE_CYCLIC):
             h_star = self.hclass.values[self.h_star_index]
-            if spec.delta == 0.5:
+            if kind is AdversaryKind.TRANSDUCTIVE_CYCLIC or spec.delta == 0.5:
                 labels = h_star.copy()
             else:  # the one reader of the round's "adversary" stream
                 labels = biased_label_rule(h_star, spec.delta, self._rng(t))
@@ -230,10 +234,6 @@ class Adversary:
                 return self._hint_commit(t, labels)
             probs = np.full(n, 1.0 / n)
             return RoundCommitment(probs, 1.0, None, labels)
-
-        if kind is AdversaryKind.TRANSDUCTIVE_CYCLIC:
-            h_star = self.hclass.values[self.h_star_index]
-            return self._hint_commit(t, h_star.copy())
 
         if kind is AdversaryKind.SUPPORT_ALTERNATING:
             # each block's label flips with every visit to it
@@ -276,6 +276,7 @@ class Adversary:
         """Round t's commitment and its CDF.  A commitment is built and
         its certificate checked when its key first appears; a repeated
         key reuses both."""
+        t = t if type(t) is int and 0 < t <= self.T else check_round(t, self.T)
         key = self._key(t)
         entry = None if key is None else self._commitments.get(key)
         if entry is None:

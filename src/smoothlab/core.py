@@ -11,7 +11,9 @@ Conventions used everywhere:
   a finite domain);
 * the +-1 class builders are d-block sign classes: an instance -> block
   map (`equal_blocks`, shared with `support_alternating`) and one table
-  of the 2^d sign patterns; sizes and indices pass `whole_number`;
+  of the 2^d sign patterns;
+* every size, index, count, round, seed and horizon passes one rule,
+  `whole_number` (lists: `whole_numbers`): 2.0 passes, 2.5, "2" and True do not;
 * an ``ExampleMultiset`` is an (instance, label) -> count history
   record in first-seen order, built from (instance, label[, count])
   pairs; it is no oracle slot, but an ``oracle.OracleSession`` can be
@@ -77,11 +79,11 @@ class HypothesisClass:
             raise InputError("hypothesis values must lie in [-1, 1]")
         if binary and not np.all(np.abs(vals) == 1.0):
             raise InputError("binary class requires values in {-1, +1} exactly")
-        if declared_dim < 0:
+        self.declared_dim = whole_number("declared_dim", declared_dim)
+        if self.declared_dim < 0:
             raise InputError("declared_dim must be nonnegative")
         vals.setflags(write=False)
         self.values = vals
-        self.declared_dim = int(declared_dim)
         self.binary = bool(binary)
 
     def __len__(self) -> int:
@@ -292,15 +294,22 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+_BOOL_TYPES = (bool, np.bool_)
+
+
 def whole_numbers(values, name: str) -> np.ndarray:
-    """`values` as an int array; InputError unless it holds finite whole
-    numbers only, not text or booleans.  An integer array needs no check."""
+    """`values` as an int array; InputError unless it holds whole numbers
+    below 2^63 in magnitude only, not text or booleans (a list's entries
+    are searched for booleans).  A signed integer array needs no check."""
     try:
         a = np.asarray(values)
-        whole = a.dtype.kind in "iu" or (
-            a.dtype.kind == "f" and (np.isfinite(a) & (a == np.floor(a))).all())
+        whole = a.dtype.kind == "i" or (  # NaN and +-inf fail the bound
+            a.dtype.kind in "uf" and ((np.abs(a) < 2.0**63) & (a == np.floor(a))).all())
     except ValueError:  # ragged nesting
         whole = False
+    if whole and a.ndim and not isinstance(values, np.ndarray):
+        whole = not any(isinstance(v, _BOOL_TYPES)
+                        for v in np.asarray(values, dtype=object).flat)
     if not whole:
         raise InputError(f"{name} must hold integers, got {values!r}")
     return np.asarray(a, dtype=int)
@@ -318,6 +327,15 @@ def whole_number(name: str, v) -> int:
     return int(a)
 
 
+def check_round(t, T: int) -> int:
+    """The round check of every learner's `predict` and the adversary: t as
+    an int, InputError unless it is one whole number in 1..T."""
+    r = t if type(t) is int else whole_number(f"round t={t!r}", t)
+    if not 1 <= r <= T:
+        raise InputError(f"round t={t!r} is not in 1..{T}")
+    return r
+
+
 def check_query(x_t, domain_size: int) -> int:
     """The query check of every learner's `predict` and the adversary's
     `observe`: x_t as an int, InputError unless it is one whole number in
@@ -332,28 +350,22 @@ def count_table(cells, rows: int | None = None) -> np.ndarray:
     """`cells` as an int (rows, 2) table of (instance, sign) counts;
     InputError unless it has that shape (any number of rows when `rows`
     is None) and holds nonnegative whole numbers."""
-    cells = np.asarray(cells)
+    cells = whole_numbers(cells, "cells")
     if (cells.ndim != 2 or cells.shape[1] != 2
             or (rows is not None and cells.shape[0] != rows)):
         raise InputError(f"cells must be a ({'|X|' if rows is None else rows}, 2) "
                          f"count table, got shape {cells.shape}")
-    cells = whole_numbers(cells, "cells")
     if (cells < 0).any():
         raise InputError("cells must be a nonnegative count table")
     return cells
 
 
-_BOOL_TYPES = (bool, np.bool_)
-
-
 def check_example(x, y, count) -> tuple[int, float, int]:
-    """(x, y, count) as (int, float, int); InputError unless the instance
-    and the count are whole numbers, the count is >= 1 and the label is a
-    real number in [-1, 1] (none of them text or booleans).  An exact int
-    x, an exact float y in [-1, 1] and an exact int count >= 1, a round's
-    example, are returned as they are (a bool is no exact int, and NaN
-    fails the range test); every other input takes the full check
-    (`_check_example_full`)."""
+    """(x, y, count) as (int, float, int); InputError unless x and count
+    pass `whole_number`, count >= 1 and y is a real number in [-1, 1], not
+    text or a boolean.  A round's example (exact-int x and count >= 1, an
+    exact float y in [-1, 1]) is returned as it is; every other input
+    takes the full check (`_check_example_full`)."""
     if (type(x) is int and type(y) is float and type(count) is int
             and count >= 1 and -1.0 <= y <= 1.0):
         return x, y, count
@@ -361,14 +373,8 @@ def check_example(x, y, count) -> tuple[int, float, int]:
 
 
 def _check_example_full(x, y, count) -> tuple[int, float, int]:
-    try:
-        xi, ci = int(x), int(count)
-    except (TypeError, ValueError, OverflowError):  # text, NaN, +-inf
-        xi = ci = None
-    if (xi != x or ci != count or isinstance(x, _BOOL_TYPES)
-            or isinstance(count, _BOOL_TYPES)):
-        raise InputError(f"an example's instance and count must hold integers, "
-                         f"got {x!r} and {count!r}")
+    xi = whole_number("an example's instance", x)
+    ci = whole_number("an example's count", count)
     if ci < 1:
         raise InputError("multiset counts must be >= 1")
     try:

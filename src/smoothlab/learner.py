@@ -29,10 +29,10 @@ multiset: an objective is the history vector plus one matvec.  The hint
 learners hand their hint count table to `hint_difference_prediction`,
 which makes both of the round's count tables from it.
 
-Every `predict` runs one round check, `check_round`: t must be an
-integer in 1..T (1.5 and booleans fail), and one query check,
-`check_query`: x_t must be one whole number in [0, |X|) (3.0 passes;
-0.9, text and booleans do not).
+Every `predict` runs `core.check_round` (t one whole number in 1..T)
+and `core.check_query` (x_t one whole number in [0, |X|)), and T, the
+seed and K pass `core.whole_number`: 2.0 passes, 2.5 and True do not.
+FTL and Alg 2 predict with `erm_prediction`, as `verify`'s FTL check does.
 Alg 3 also checks that x_t is in the round's hint multiset, in O(1),
 from a (T, |X|) membership table built with its future hint counts.
 
@@ -44,28 +44,17 @@ and disjoint from every other round's.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from .adversary import HintSchedule
-from .core import (HypothesisClass, LossKind, LossSpec, check_query, check_sigma,
-                   count_table, whole_number)
+from .core import (HypothesisClass, LossKind, LossSpec, check_query, check_round,
+                   check_sigma, count_table, whole_number)
 from .errors import CapacityError, ContractViolation, InputError
 from .oracle import CountTable, OracleSession, OracleStats, TiePolicy, erm, mixed_opt
 from . import rng as rngmod
 
 PRED_TOL = 1e-9
-
-
-def check_round(t, T: int) -> int:
-    """The round check of every `predict`: t as an int, InputError unless
-    it is an integer, not a bool, in 1..T.  An exact int, the games' case,
-    skips the type check."""
-    if not ((type(t) is int or isinstance(t, numbers.Integral)
-             and not isinstance(t, bool)) and 1 <= t <= T):
-        raise InputError(f"round t={t!r} is not an integer in 1..{T}")
-    return int(t)
 
 
 def hint_count(T: int, sigma: float, c_K: float = 100.0) -> int:
@@ -97,8 +86,8 @@ class Learner:
                  seed: int = 0, tie: TiePolicy = TiePolicy.LOWEST_INDEX):
         self.hclass = hclass
         self.loss = loss
-        self.T = int(T)
-        self.seed = int(seed)
+        self.T = whole_number("T", T)
+        self.seed = whole_number("seed", seed)
         self.tie = tie
         self.stats = OracleStats()
         self.session = OracleSession(hclass, loss)
@@ -163,12 +152,21 @@ def hint_difference_prediction(session: OracleSession, cells, x_t: int,
     return float(min(1.0, max(-1.0, yhat)))
 
 
+def erm_prediction(hclass, slot, loss, x_t, tie, stats, rng) -> float:
+    """The ERM learners' rule: the value at x_t, after the query check, of
+    the hypothesis `erm` picks over `slot` with x_t as its query point."""
+    x_t = check_query(x_t, hclass.domain_size)
+    idx, _ = erm(hclass, slot, loss, tie=tie, stats=stats, query_point=x_t, rng=rng)
+    return float(hclass.values[idx, x_t])
+
+
 class Alg3Transductive(Learner):
     """Hint-aware learner for the K-hint transductive setting."""
 
     def __init__(self, hclass, loss, T, hint_schedule: HintSchedule,
                  seed=0, tie=TiePolicy.LOWEST_INDEX):
         super().__init__(hclass, loss, T, seed, tie)
+        T = self.T
         if hint_schedule.T < T:
             raise InputError("hint schedule shorter than the horizon")
         rows = hint_schedule.rows[:T]
@@ -213,7 +211,7 @@ class Alg1Smoothed(Learner):
                  seed=0, tie=TiePolicy.LOWEST_INDEX):
         super().__init__(hclass, loss, T, seed, tie)
         check_sigma(sigma)
-        self.K = hint_count(T, sigma, c_K) if K is None else int(K)
+        self.K = hint_count(self.T, sigma, c_K) if K is None else whole_number("K", K)
         if self.K < 1:
             raise InputError("K must be >= 1")
         self.max_hints_per_round = max_hints_per_round
@@ -251,15 +249,13 @@ class Alg2PoissonFTPL(Learner):
 
     def predict(self, t: int, x_t: int) -> float:
         t = check_round(t, self.T)
-        x_t = check_query(x_t, self.hclass.domain_size)
         cells = hallucination_cells(self.n, self.hclass.domain_size,
                                     self._stream(t, "hallucinate"))
         # Poisson draws are whole and nonnegative, so the table enters unchecked
         S = CountTable._of(self.session, cells, with_history=True)
         self.last_hallucination_count = S._size
-        idx, _ = erm(self.hclass, S, self.loss, tie=self.tie, stats=self.stats,
-                     query_point=x_t, rng=self._tie_stream(t))
-        return float(self.hclass.values[idx, x_t])
+        return erm_prediction(self.hclass, S, self.loss, x_t, self.tie, self.stats,
+                              self._tie_stream(t))
 
 
 class FTL(Learner):
@@ -267,11 +263,8 @@ class FTL(Learner):
 
     def predict(self, t: int, x_t: int) -> float:
         t = check_round(t, self.T)
-        x_t = check_query(x_t, self.hclass.domain_size)
-        idx, _ = erm(self.hclass, self.session, self.loss, tie=self.tie,
-                     stats=self.stats, query_point=x_t,
-                     rng=self._tie_stream(t))
-        return float(self.hclass.values[idx, x_t])
+        return erm_prediction(self.hclass, self.session, self.loss, x_t, self.tie,
+                              self.stats, self._tie_stream(t))
 
 
 class HedgeLearner(Learner):

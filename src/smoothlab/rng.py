@@ -43,6 +43,8 @@ import functools
 
 import numpy as np
 
+from .core import whole_number
+
 _PURPOSES = {
     "adversary": 1,
     "instance": 2,
@@ -72,13 +74,14 @@ def purpose_tag(purpose: str) -> int:
 def stream(seed: int, round_idx: int = 0, purpose: str = "verify"):
     """Independent generator keyed by (seed, round, purpose):
     ``numpy.random.default_rng([seed, 0, round, tag])``."""
-    key = [int(seed), 0, int(round_idx), purpose_tag(purpose)]
-    seed, _, t, tag = key
-    if 0 <= min(key) and max(key) < _WORD:
+    seed = seed if type(seed) is int else whole_number("seed", seed)
+    t = round_idx if type(round_idx) is int else whole_number("round", round_idx)
+    tag = purpose_tag(purpose)  # 1..8
+    if 0 <= min(seed, t) and max(seed, t) < _WORD:
         block, row = divmod(t - 1, _BLOCK)
         words = _block(seed, tag, block)[row]
         return np.random.Generator(np.random.PCG64(_Words(words)))
-    return np.random.default_rng(key)
+    return np.random.default_rng([seed, 0, t, tag])
 
 
 class _Words:

@@ -58,6 +58,7 @@ from .core import (
     loss_eval,
     make_partition_class,
     usable_cpus,
+    whole_number,
     whole_numbers,
 )
 from .errors import CapacityError, InputError
@@ -69,12 +70,6 @@ EXACT_RADEMACHER_VECTORS = 1 << 16  # +1-count vectors prod(c_z + 1) of one enum
 ADMISSIBILITY_CAPS = {"domain": 4, "T": 5, "K": 2, "class": 8}
 COUPLING_BLOCK = 1 << 16  # draws of each kind alive across coupling_montecarlo's threads
 COUPLING_BUCKETS = 1 << 16  # most buckets of coupling_montecarlo's ratio table
-
-
-def _is_count(v) -> bool:
-    """An integer >= 1 that is not a bool."""
-    return (isinstance(v, numbers.Integral) and not isinstance(v, (bool, np.bool_))
-            and v >= 1)
 
 
 @dataclass
@@ -203,11 +198,12 @@ def coupling_montecarlo(P, Q, sigma: float, m: int, trials: int, rng,
     """
     if not isinstance(rng, np.random.Generator):
         raise InputError(f"rng must be a numpy.random.Generator, got {rng!r}")
-    if not (_is_count(m) and _is_count(trials)):
-        raise InputError(f"m and trials must be integers >= 1, got {m!r}, {trials!r}")
+    m, trials = whole_number("m", m), whole_number("trials", trials)
+    if not (m >= 1 and trials >= 1):
+        raise InputError(f"m and trials must be >= 1, got {m}, {trials}")
     if not (isinstance(tv_tol, numbers.Real) and 0.0 <= tv_tol < math.inf):
         raise InputError(f"tv_tol must be finite and >= 0, got {tv_tol!r}")
-    P, Q, m, trials = check_probs(P), check_probs(Q), int(m), int(trials)
+    P, Q = check_probs(P), check_probs(Q)
     if P.size != Q.size:
         raise InputError("P and Q must have the same length")
     check_sigma(sigma)
@@ -509,8 +505,8 @@ def _learner_action_distribution(kind, session, future_hints, x_t, tie):
     probability) pairs."""
     hclass = session.hclass
     if kind == "ftl":
-        idx, _ = erm(hclass, session, session.loss, tie=tie, query_point=x_t)
-        return [(float(hclass.values[idx, x_t]), 1.0)]
+        return [(learnermod.erm_prediction(hclass, session, session.loss, x_t, tie,
+                                           None, None), 1.0)]
     # one prediction of the production rule per +1-count vector of the
     # hints' Rademacher signs, with the hints counted into the (instance,
     # sign) table it takes and the vector's share of the 2^m assignments
@@ -554,13 +550,12 @@ def _poisson_support(lam: float, tail: float = TRUNC_TAIL) -> tuple[np.ndarray, 
     return ks, np.exp(xlogy(ks, lam) - gammaln(ks + 1) - lam)
 
 
-def tv_exact_poisson(n: float, domain_size: int, D: SmoothDistribution,
-                     labeling=None) -> ExactValue:
+def tv_exact_poisson(n: float, domain_size: int, D: SmoothDistribution) -> ExactValue:
     """Exact TV between the product-Poisson hallucination law P and the
     mixture E_{x* ~ D}[Q_{x*}] that shifts coordinate (x*, y(x*)) by one.
 
-    Coordinates are i.i.d. Poi(n/2|X|); only the |X| coordinates matched
-    by the labeling enter the likelihood ratio, so
+    Coordinates are i.i.d. Poi(n/2|X|), so no labeling y changes the TV;
+    only the |X| coordinates matched by y enter the likelihood ratio, so
 
         TV = (1/2) E_P | sum_x D(x) * (2|X| n_{y(x)}(x) / n) - 1 |.
 
@@ -575,10 +570,6 @@ def tv_exact_poisson(n: float, domain_size: int, D: SmoothDistribution,
         raise CapacityError("exact Poisson TV capped at |X| <= 4")
     if len(D.probs) != domain_size:
         raise InputError("distribution size disagrees with the domain")
-    if labeling is not None:
-        labels = np.asarray(labeling, dtype=float)
-        if labels.shape != (domain_size,) or not np.all(np.abs(labels) == 1.0):
-            raise InputError("labeling must give -1 or +1 for every instance")
     if n <= 0:
         # Poi(0) is the point mass at zero; its unit shift is disjoint.
         return ExactValue(1.0, 0.0)
@@ -686,8 +677,13 @@ def generalization_gap_mc(hclass: HypothesisClass, D: SmoothDistribution,
     history + hallucination + {s}, against the stated budget."""
     if not hclass.binary:
         raise InputError("generalization check requires a binary class")
-    if not (n > 0 and _is_count(trials)):
+    try:
+        count = whole_number("trials", trials)
+    except InputError:
+        count = 0
+    if not (n > 0 and count >= 1):
         raise InputError(f"need n > 0 and an integer trials >= 1, got {n!r}, {trials!r}")
+    trials = count
     label_table = np.asarray(label_table, dtype=float)
     if not np.all(np.abs(label_table) == 1.0):
         raise InputError("label_table must hold -1 or +1 for every instance")

@@ -147,7 +147,7 @@ class TestSupportAlternating:
     def test_parity_key_tracks_the_visit_counts(self, xs):
         """The commitment key is the visit count of each block mod 2, and
         the committed labels flip with it."""
-        adv, _ = self._adv(sigma=1.0, d=2, T=max(len(xs), 1))
+        adv, _ = self._adv(sigma=1.0, d=2, T=len(xs) + 1)
         visits = np.zeros(2, dtype=int)
         for t, x in enumerate(xs, start=1):
             adv.observe(t, x, 0.0, 1.0)
@@ -302,6 +302,53 @@ class TestCustomTable:
         spec = AdversarySpec(kind=AdversaryKind.CUSTOM_TABLE, xs=xs, ys=ys)
         with pytest.raises(InputError):
             Adversary(spec, partition8, T=3, seed=0)
+
+
+class TestRoundCheck:
+    """`commit` and `next_round` run the learners' round check.  A
+    custom_table commit(0) used to commit round T's point mass and
+    commit(-1) round T-1's, T+1 raised a raw IndexError and 1.5 a raw
+    TypeError, and next_round at 0 on a cyclic schedule certified round
+    T's hint row."""
+
+    @staticmethod
+    def _adv(kind, hclass, T=4):
+        cyclic = cyclic_hint_schedule(T, [range(4), range(4, 8)])
+        spec = {
+            "custom_table": AdversarySpec(kind=AdversaryKind.CUSTOM_TABLE,
+                                          xs=(0, 1, 2, 3), ys=(1.0, -1.0, 1.0, -1.0)),
+            "transductive_cyclic": AdversarySpec(kind=AdversaryKind.TRANSDUCTIVE_CYCLIC,
+                                                 hint_schedule=cyclic),
+            "realizable_cyclic": AdversarySpec(kind=AdversaryKind.REALIZABLE_SMOOTH,
+                                               hint_schedule=cyclic),
+        }[kind]
+        return Adversary(spec, hclass, T, seed=0)
+
+    KINDS = ["custom_table", "transductive_cyclic", "realizable_cyclic"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("t", [0, -1, 5, 1.5, True],
+                             ids=["0", "-1", "T+1", "1.5", "True"])
+    def test_rejects_a_bad_round(self, partition8, kind, t):
+        adv = self._adv(kind, partition8)
+        with pytest.raises(InputError, match="round t="):
+            adv.commit(t)
+        with pytest.raises(InputError, match="round t="):
+            next_round(adv, t, np.random.default_rng(0))
+        assert adv._commitments == {}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_accepts_a_whole_round(self, partition8, kind):
+        for t in (1, 4):
+            want = self._adv(kind, partition8).commit(t)
+            for whole in (float(t), np.int64(t)):
+                got = self._adv(kind, partition8).commit(whole)
+                np.testing.assert_array_equal(got.probs, want.probs)
+                np.testing.assert_array_equal(got.label_table, want.label_table)
+                _, x, _ = next_round(self._adv(kind, partition8), whole,
+                                     np.random.default_rng(t))
+                assert x == next_round(self._adv(kind, partition8), t,
+                                       np.random.default_rng(t))[1]
 
 
 class TestBiasedLabelRule:

@@ -152,13 +152,16 @@ class TestFiniteDomain:
 
 
 class TestWholeNumber:
-    @pytest.mark.parametrize("v", [0, 3, -2, 3.0, np.int64(3), np.float64(-2.0)])
+    @pytest.mark.parametrize("v", [0, 3, -2, 3.0, np.int64(3), np.float64(-2.0),
+                                   np.uint64(3), 2.0**62])
     def test_accepts_whole_numbers(self, v):
         assert type(whole_number("k", v)) is int and whole_number("k", v) == v
 
     @pytest.mark.parametrize("v", [2.5, math.nan, math.inf, "2", True, np.True_,
-                                   [2], None], ids=repr)
+                                   [2], None, 1e300, np.uint64(2**64 - 1)], ids=repr)
     def test_rejects_everything_else(self, v):
+        """1e300 and the largest uint64 used to come back as int64 garbage
+        (-2^63 and -1)."""
         with pytest.raises(InputError, match="^k must"):
             whole_number("k", v)
 

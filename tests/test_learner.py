@@ -554,6 +554,13 @@ class TestFTL:
             learner.predict(t, 0)
         assert learner.stats.call_count == 3
 
+    @pytest.mark.parametrize("kind", ["ftl", "alg2"])
+    def test_predicts_with_the_erm_rule(self, partition8, monkeypatch, kind):
+        """FTL and Alg 2 share one prediction rule, `erm_prediction`."""
+        monkeypatch.setattr(learnermod, "erm_prediction",
+                            lambda hclass, slot, loss, x_t, *rest: 0.25 * x_t)
+        assert TestQueryCheck._learner(kind, partition8).predict(1, 2) == 0.5
+
 
 class TestTieStream:
     """The "tie" stream is built only under the policy that reads it."""
@@ -639,8 +646,9 @@ class TestRoundCheck:
     def test_accepts_an_integer_round(self, partition8, kind):
         for t in (1, 4):
             want = TestQueryCheck._learner(kind, partition8).predict(t, 3)
-            got = TestQueryCheck._learner(kind, partition8).predict(np.int64(t), 3)
-            assert got == want
+            for whole in (np.int64(t), float(t)):
+                got = TestQueryCheck._learner(kind, partition8).predict(whole, 3)
+                assert got == want
 
     def test_alg3_round_zero_on_a_cyclic_schedule(self, partition8):
         """The case that used to predict 1.0: rows 0..3 and 4..7, T = 4;
