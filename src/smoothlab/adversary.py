@@ -62,8 +62,8 @@ class HintSchedule:
         return self.rows.shape[1]
 
     def row(self, t: int) -> np.ndarray:
-        """Hints for round t (1-based)."""
-        return self.rows[t - 1]
+        """Hints for round t, one whole number in 1..T."""
+        return self.rows[check_round(t, self.T) - 1]
 
 
 def known_sequence_schedule(xs) -> HintSchedule:

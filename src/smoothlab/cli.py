@@ -3,11 +3,15 @@
 Subcommands:
 
 * ``run <config.json>`` — play every seed of one experiment, emit CSV;
-* ``sweep <config.json>`` — grid over T/sigma/K/n values in the
-  config's ``sweep`` block, one CSV with all rows;
+* ``sweep <config.json>`` — play every point of the config's ``sweep``
+  block (`ExperimentConfig.grid`), one CSV with all rows;
 * ``verify [--suite NAME]`` — run `smoothlab.verify.run_suite`, emit a
   JSON array of reports, exit 2 on any failure;
-* ``fit <csv>`` — fit the regret-vs-T scaling exponent from a CSV.
+* ``fit <csv>`` — fit the regret-vs-T scaling exponent from a CSV's
+  mean rows (`harness.fit_csv`).
+
+This module parses arguments, reads configs and writes files; ``run``
+and ``sweep`` each play through one `harness.run_experiment` call.
 
 Exit codes: 0 success, 1 config/input error, 2 verification failure,
 3 capacity abort.  Loading a config checks each key's declared type and
@@ -21,15 +25,12 @@ Only ``verify`` imports `smoothlab.verify`, so ``run``, ``sweep`` and
 from __future__ import annotations
 
 import argparse
-import csv as csvmod
 import json
 import os
 import sys
 
-import numpy as np
-
 from .errors import CapacityError, FitError, InputError
-from .harness import ExperimentConfig, fit_scaling, run_experiment
+from .harness import ExperimentConfig, fit_csv, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -41,21 +42,16 @@ OUT_ENV = "SMOOTHLAB_OUT"
 
 def _resolve_out(path: str | None, default_name: str) -> str | None:
     env_dir = os.environ.get(OUT_ENV)
-    if path is None:
-        if env_dir is None:
-            return None
-        return os.path.join(env_dir, default_name)
-    if env_dir is not None and not os.path.isabs(path):
-        return os.path.join(env_dir, path)
-    return path
+    if env_dir is None or (path is not None and os.path.isabs(path)):
+        return path
+    return os.path.join(env_dir, default_name if path is None else path)
 
 
 def _load_config(path: str, seed_base: int) -> ExperimentConfig:
     with open(path) as f:
         config = ExperimentConfig.from_json(f.read())
     if seed_base:
-        config = config.with_overrides(
-            seeds=tuple(s + seed_base for s in config.seeds))
+        config = config.with_overrides(seeds=tuple(s + seed_base for s in config.seeds))
     return config
 
 
@@ -71,7 +67,7 @@ def _write(text: str, out: str | None) -> None:
 
 def cmd_run(args) -> int:
     config = _load_config(args.config, args.seed_base)
-    _, csv_text = run_experiment(config, args.jobs)
+    _, csv_text = run_experiment([config], args.jobs)
     out = _resolve_out(args.out or config.out, f"{config.experiment_id}.csv")
     _write(csv_text, out)
     return EXIT_OK
@@ -81,19 +77,9 @@ def cmd_sweep(args) -> int:
     config = _load_config(args.config, args.seed_base)
     if not config.sweep:
         raise InputError("config has no sweep block")
-    grids = [(k, config.sweep[k]) for k in sorted(config.sweep)]
-    points = [{}]
-    for key, values in grids:
-        points = [dict(p, **{key: v}) for p in points for v in values]
-    # every grid point is loaded, and so checked, before any is played
-    subs = [config.with_overrides(sweep=None, **point) for point in points]
-    lines: list[str] = []
-    for i, sub in enumerate(subs):
-        _, text = run_experiment(sub, args.jobs)
-        body = text.splitlines()
-        lines.extend(body if i == 0 else body[1:])
+    _, csv_text = run_experiment(config.grid(), args.jobs)
     out = _resolve_out(args.out or config.out, f"{config.experiment_id}_sweep.csv")
-    _write("\n".join(lines) + "\n", out)
+    _write(csv_text, out)
     return EXIT_OK
 
 
@@ -112,17 +98,7 @@ def cmd_verify(args) -> int:
 
 def cmd_fit(args) -> int:
     with open(args.csv) as f:
-        rows = list(csvmod.DictReader(f))
-    agg = [(float(r["T"]), float(r["regret"])) for r in rows
-           if r.get("seed") == "mean"]
-    if not agg:
-        by_T: dict[float, list[float]] = {}
-        for r in rows:
-            by_T.setdefault(float(r["T"]), []).append(float(r["regret"]))
-        agg = [(T, float(np.mean(v))) for T, v in sorted(by_T.items())]
-    Ts = [a for a, _ in agg]
-    regrets = [b for _, b in agg]
-    fit = fit_scaling(Ts, regrets)
+        fit = fit_csv(f.read())
     print(json.dumps({
         "alpha": fit.alpha, "intercept": fit.intercept,
         "r_squared": fit.r_squared, "excluded_T": list(fit.excluded),

@@ -1,4 +1,4 @@
-"""Game loop, experiment configuration, CSV assembly, scaling fits.
+"""Game loop, experiment configuration, the experiment runner, scaling fits.
 
 The per-round protocol enforced by `run_game`:
 
@@ -18,6 +18,9 @@ constructed `ExperimentConfig` is resolved: its class, hint schedule
 and `d` are built once, and one probe call of `players(seed)`, which
 builds each game's (adversary, learner), raises every config error at load.
 
+`run_experiment` plays the games of a list of configs over one process
+pool and writes their one CSV; `fit_csv` fits that CSV's mean rows.
+
 Everything is deterministic given (config, seed): all randomness flows
 through counter-based streams, and persisted artifacts contain only
 deterministic fields.
@@ -25,8 +28,9 @@ deterministic fields.
 
 from __future__ import annotations
 
+import csv
 import hashlib
-import io
+import itertools
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -314,6 +318,13 @@ class ExperimentConfig:
         like a loaded one; keys are the JSON keys."""
         return ExperimentConfig.from_dict(self.to_dict() | kwargs)
 
+    def grid(self) -> list["ExperimentConfig"]:
+        """The config at each point of the `sweep` block, keys sorted and the
+        last key varying fastest, each loaded (and so checked) here."""
+        keys = sorted(self.sweep or {})
+        return [self.with_overrides(sweep=None, **dict(zip(keys, point)))
+                for point in itertools.product(*(self.sweep[k] for k in keys))]
+
 
 # every field a config file sets, by its JSON key
 _FIELDS = {f.metadata["key"] or f.name: f for f in fields(ExperimentConfig) if f.init}
@@ -415,44 +426,42 @@ def _csv_row(config: ExperimentConfig, **cols) -> str:
     return ",".join(_fmt(vals.get(c)) for c in CSV_COLUMNS)
 
 
-def _worker_count(jobs: int, n_seeds: int) -> int:
+def _worker_count(jobs: int, n_games: int) -> int:
     """Processes used for `jobs` requested workers: never more than the
-    seeds to play or the CPUs this process may run on."""
-    return min(jobs, n_seeds, usable_cpus())
+    games to play or the CPUs this process may run on."""
+    return min(jobs, n_games, usable_cpus())
 
 
-def run_experiment(config: ExperimentConfig,
+def run_experiment(configs: list[ExperimentConfig],
                    jobs: int) -> tuple[list[Transcript], str]:
-    """Run every seed, over a process pool when more than one worker is
-    useful, and return the transcripts with the CSV text (per-seed rows
-    sorted by seed, then one aggregate row with mean regret and its
-    standard error).  Writes no file."""
-    seeds = sorted(config.seeds)
-    workers = _worker_count(jobs, len(seeds))
+    """Play every seed of every config, over one process pool when more
+    than one worker is useful.  Return the transcripts (config by config,
+    seeds sorted) and the CSV text: one header, then per config its
+    per-seed rows and a mean row with the regret's standard error; writes no file."""
+    games = [(c, seed) for c in configs for seed in sorted(c.seeds)]
+    workers = _worker_count(jobs, len(games))
     if workers > 1:
         # imported here: it loads multiprocessing, which a one-worker run
         # never needs
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            transcripts = list(pool.map(run_game, [config] * len(seeds), seeds))
+            transcripts = list(pool.map(run_game, *zip(*games)))
     else:
-        transcripts = [run_game(config, seed) for seed in seeds]
-    out = io.StringIO()
-    out.write(",".join(CSV_COLUMNS) + "\n")
-    regrets = []
-    for tr in transcripts:
-        mean_len = tr.total_input_length / max(tr.oracle_calls, 1)
-        out.write(_csv_row(config, seed=tr.seed, regret=tr.regret,
-                           total_loss=tr.total_loss, bih_loss=tr.bih_loss,
-                           oracle_calls=tr.oracle_calls,
-                           mean_input_len=mean_len) + "\n")
-        regrets.append(tr.regret)
-    mean_regret = float(np.mean(regrets))
-    stderr = (float(np.std(regrets, ddof=1) / math.sqrt(len(regrets)))
-              if len(regrets) > 1 else 0.0)
-    out.write(_csv_row(config, seed="mean", regret=mean_regret,
-                       regret_stderr=stderr) + "\n")
-    return transcripts, out.getvalue()
+        transcripts = [run_game(c, seed) for c, seed in games]
+    lines = [",".join(CSV_COLUMNS)]
+    played = iter(transcripts)
+    for config in configs:
+        own = list(itertools.islice(played, len(config.seeds)))
+        lines += [_csv_row(config, seed=tr.seed, regret=tr.regret, total_loss=tr.total_loss,
+                           bih_loss=tr.bih_loss, oracle_calls=tr.oracle_calls,
+                           mean_input_len=tr.total_input_length / max(tr.oracle_calls, 1))
+                  for tr in own]
+        regrets = [tr.regret for tr in own]
+        stderr = (float(np.std(regrets, ddof=1) / math.sqrt(len(regrets)))
+                  if len(regrets) > 1 else 0.0)
+        lines.append(_csv_row(config, seed="mean", regret=float(np.mean(regrets)),
+                              regret_stderr=stderr))
+    return transcripts, "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -485,3 +494,11 @@ def fit_scaling(Ts, mean_regrets) -> FitResult:
     ss_tot = float(((ly - ly.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return FitResult(float(alpha), float(intercept), r2, excluded)
+
+
+def fit_csv(text: str) -> FitResult:
+    """`fit_scaling` over the mean rows of a `run_experiment` CSV."""
+    means = [r for r in csv.DictReader(text.splitlines()) if r.get("seed") == "mean"]
+    if not means:
+        raise FitError("the CSV has no mean rows (seed = mean), the only rows fit reads")
+    return fit_scaling([float(r["T"]) for r in means], [float(r["regret"]) for r in means])

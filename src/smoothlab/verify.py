@@ -384,6 +384,7 @@ def smooth_polytope_vertices(domain_size: int, sigma: float) -> list[np.ndarray]
     k-subsets; otherwise each vertex puts the cap on floor(sigma*|X|)
     atoms and the remainder on one more.
     """
+    domain_size = FiniteDomain(domain_size).size
     if domain_size > 12:
         raise CapacityError("vertex enumeration capped at |X| <= 12")
     check_sigma(sigma)
@@ -550,6 +551,13 @@ def _poisson_support(lam: float, tail: float = TRUNC_TAIL) -> tuple[np.ndarray, 
     return ks, np.exp(xlogy(ks, lam) - gammaln(ks + 1) - lam)
 
 
+def _probs_on(D: SmoothDistribution, domain_size: int) -> np.ndarray:
+    """D's probabilities; InputError unless D has one per domain point."""
+    if len(D.probs) != domain_size:
+        raise InputError("distribution size disagrees with the domain")
+    return D.array
+
+
 def tv_exact_poisson(n: float, domain_size: int, D: SmoothDistribution) -> ExactValue:
     """Exact TV between the product-Poisson hallucination law P and the
     mixture E_{x* ~ D}[Q_{x*}] that shifts coordinate (x*, y(x*)) by one.
@@ -568,13 +576,11 @@ def tv_exact_poisson(n: float, domain_size: int, D: SmoothDistribution) -> Exact
     """
     if domain_size > 4:
         raise CapacityError("exact Poisson TV capped at |X| <= 4")
-    if len(D.probs) != domain_size:
-        raise InputError("distribution size disagrees with the domain")
+    weights = _probs_on(D, domain_size)
     if n <= 0:
         # Poi(0) is the point mass at zero; its unit shift is disjoint.
         return ExactValue(1.0, 0.0)
 
-    weights = np.asarray(D.probs, dtype=float)
     w, m = np.unique(weights[weights > 0], return_counts=True)
     coeffs = w * (2.0 * domain_size) / n
     supports = [_poisson_support(n * k / (2.0 * domain_size)) for k in m.tolist()]
@@ -604,7 +610,7 @@ def chi2_mixture(n: float, domain_size: int, D: SmoothDistribution) -> float:
     = (2|X|/n) * sum_x D(x)^2 for the product-Poisson model."""
     if n <= 0:
         raise InputError("n must be positive")
-    p = np.asarray(D.probs, dtype=float)
+    p = _probs_on(D, domain_size)
     return float((2.0 * domain_size / n) * (p @ p))
 
 
@@ -613,12 +619,12 @@ def chi2_mixture_direct(n: float, domain_size: int, D: SmoothDistribution) -> fl
     mixture identity E_{x1,x2 ~ D}[E_P(Q_{x1} Q_{x2} / P^2)] - 1."""
     if n <= 0:
         raise InputError("n must be positive")
+    p = _probs_on(D, domain_size)
     lam = n / (2.0 * domain_size)
     c = 2.0 * domain_size / n
     ks, pmf = _poisson_support(lam, tail=1e-14)
     first = float(pmf @ (c * ks))           # E[c N]
     second = float(pmf @ (c * ks) ** 2)     # E[(c N)^2]
-    p = np.asarray(D.probs, dtype=float)
     collision = float(p @ p)
     return collision * second + (1.0 - collision) * first ** 2 - 1.0
 
@@ -685,12 +691,10 @@ def generalization_gap_mc(hclass: HypothesisClass, D: SmoothDistribution,
         raise InputError(f"need n > 0 and an integer trials >= 1, got {n!r}, {trials!r}")
     trials = count
     label_table = np.asarray(label_table, dtype=float)
-    if not np.all(np.abs(label_table) == 1.0):
-        raise InputError("label_table must hold -1 or +1 for every instance")
-    if len(D.probs) != hclass.domain_size:
-        raise InputError("distribution size disagrees with the domain")
+    if label_table.shape != (hclass.domain_size,) or not np.all(np.abs(label_table) == 1.0):
+        raise InputError("label_table must hold -1 or +1 for each of the |X| instances")
     # one double per draw, as the scalar `rng.choice(|X|, p=D)` spends it
-    cdf = choice_cdf(D.array)
+    cdf = choice_cdf(_probs_on(D, hclass.domain_size))
     loss = LossSpec.of("binary_indicator")
     session = OracleSession(hclass, loss, history)
     gaps = np.zeros(trials)

@@ -20,6 +20,7 @@ from smoothlab.core import (
     SmoothDistribution,
     make_partition_class,
     make_shatter_class,
+    usable_cpus,
 )
 from smoothlab.harness import (
     ExperimentConfig,
@@ -52,6 +53,18 @@ def config(**kw) -> ExperimentConfig:
             "tie_policy": "prefer_negative", "loss": "binary_indicator"}
     base.update(kw)
     return ExperimentConfig.from_dict(base)
+
+
+def seed_means(configs: list[ExperimentConfig]) -> list[float]:
+    """Each config's mean regret over its seeds in seed order, with every
+    game played through one `run_experiment` call on all usable CPUs."""
+    transcripts, _ = run_experiment(configs, usable_cpus())
+    means, start = [], 0
+    for c in configs:
+        own = transcripts[start:start + len(c.seeds)]
+        start += len(own)
+        means.append(float(np.mean([tr.regret for tr in own])))
+    return means
 
 
 def smooth_family(size: int, rng) -> list[SmoothDistribution]:
@@ -302,9 +315,8 @@ def test_criterion_8_ftl_vs_ftpl_separation():
                   sigma=0.25, d=2, seeds=list(range(20)),
                   **{"class": {"kind": "support_partition", "domain_size": 64,
                                "support_size": 16, "d": 2}})
-    ftl_mean = float(np.mean([run_game(base, s).regret for s in range(20)]))
     a2 = base.with_overrides(learner="alg2")  # default n = min(T/sqrt(sigma), ...)
-    a2_mean = float(np.mean([run_game(a2, s).regret for s in range(20)]))
+    ftl_mean, a2_mean = seed_means([base, a2])
     elapsed = time.perf_counter() - t0
     ok = ftl_mean >= 0.4 * T and a2_mean <= 0.15 * T and elapsed < 300.0
     report(8, "FTL vs Poissonized FTPL separation", ok,
@@ -318,18 +330,18 @@ def test_criterion_9_sublinear_scaling():
     t0 = time.perf_counter()
     Ts = [128, 256, 512, 1024]
     klass = {"kind": "partition", "domain_size": 64, "d": 4}
+    learners = (("alg2", "binary_indicator", {}),
+                ("alg3", "absolute", {"hints": {"kind": "cyclic", "K": 4}}))
+    # both T grids, all 160 games, through one runner call
+    all_means = seed_means([
+        config(learner=learner, adversary="realizable_smooth",
+               loss=loss, T=T, sigma=0.25, d=4,
+               seeds=list(range(20)), **{"class": klass}, **extra)
+        for learner, loss, extra in learners for T in Ts])
     ok = True
     details = []
-    for learner, loss, extra in (
-            ("alg2", "binary_indicator", {}),
-            ("alg3", "absolute", {"hints": {"kind": "cyclic", "K": 4}})):
-        means = []
-        for T in Ts:
-            c = config(learner=learner, adversary="realizable_smooth",
-                       loss=loss, T=T, sigma=0.25, d=4,
-                       seeds=list(range(20)), **{"class": klass}, **extra)
-            means.append(float(np.mean([run_game(c, s).regret
-                                        for s in range(20)])))
+    for i, (learner, _, _) in enumerate(learners):
+        means = all_means[i * len(Ts):(i + 1) * len(Ts)]
         fit = fit_scaling(Ts, means)
         rates = [m / T for m, T in zip(means, Ts)]
         decreasing = all(a > b for a, b in zip(rates, rates[1:]))
@@ -383,8 +395,8 @@ def test_criterion_11_determinism():
     ]
     ok = True
     for c in configs:
-        t1, csv1 = run_experiment(c, 1)
-        t2, csv2 = run_experiment(c, 1)
+        t1, csv1 = run_experiment([c], 1)
+        t2, csv2 = run_experiment([c], 1)
         ok = ok and csv1 == csv2
         ok = ok and all(a.to_json() == b.to_json() for a, b in zip(t1, t2))
     report(11, "byte-identical determinism", ok,

@@ -60,6 +60,13 @@ class TestHintSchedules:
             HintSchedule([["a"]])
         np.testing.assert_array_equal(HintSchedule([[0.0, 2.0]]).rows, [[0, 2]])
 
+    @pytest.mark.parametrize("t", [0, -1, 4, 2.5, True])
+    def test_row_checks_its_round(self, t):
+        """A round outside 1..T used to wrap (`row(0)` read round 3's row,
+        `row(-1)` round 2's) or raise numpy's raw IndexError (`row(4)`)."""
+        with pytest.raises(InputError, match="round"):
+            known_sequence_schedule([3, 1, 2]).row(t)
+
 
 class TestRealizableSmooth:
     def test_certificate_and_realizability(self, partition8):

@@ -138,6 +138,17 @@ class TestExperimentConfig:
             "hint-mixed-alg3": "01a558439c1a4d83",
         }
 
+    def test_grid_order(self):
+        """Keys sorted, the last key varying fastest, no sweep block left."""
+        c = base_config(sweep={"T": [4, 8], "sigma": [0.5, 1.0, 0.25]})
+        want = [(4, 0.5), (4, 1.0), (4, 0.25), (8, 0.5), (8, 1.0), (8, 0.25)]
+        assert [(g.T, g.sigma) for g in c.grid()] == want
+        assert all(g.sweep is None and g.seeds == c.seeds for g in c.grid())
+
+    def test_grid_checks_every_point(self):
+        with pytest.raises(InputError, match="T"):
+            base_config(sweep={"T": [4, -1]}).grid()
+
     def test_resolved_once_at_load(self):
         c = base_config(d=None)
         assert len(c.hclass) == 4 and c.resolved_d == 2 and c.schedule is None
@@ -150,7 +161,7 @@ class TestExperimentConfig:
         declares dimension 0 and plays (alg2 with its n given)."""
         c = base_config(learner=learner, **{"class": json_class([[1, 1]], declared_dim=0)})
         assert c.resolved_d == 0
-        _, csv_text = run_experiment(c, 1)
+        _, csv_text = run_experiment([c], 1)
         d = CSV_COLUMNS.index("d")
         assert {row.split(",")[d] for row in csv_text.strip().split("\n")[1:]} == {"0"}
 
@@ -339,11 +350,11 @@ class TestRunExperiment:
         real = harness.build_class
         monkeypatch.setattr(harness, "build_class",
                             lambda spec: calls.append(spec) or real(spec))
-        run_experiment(c, 1)
+        run_experiment([c], 1)
         assert calls == []
 
     def test_csv_shape(self):
-        _, csv_text = run_experiment(base_config(), 1)
+        _, csv_text = run_experiment([base_config()], 1)
         lines = csv_text.strip().split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 1 + 2 + 1  # header, two seeds, aggregate
@@ -352,25 +363,52 @@ class TestRunExperiment:
         assert float(agg[-1]) >= 0.0  # regret_stderr
 
     def test_aggregate_mean(self):
-        transcripts, csv_text = run_experiment(base_config(), 1)
+        transcripts, csv_text = run_experiment([base_config()], 1)
         agg = csv_text.strip().split("\n")[-1].split(",")
         mean = float(agg[CSV_COLUMNS.index("regret")])
         assert mean == pytest.approx(np.mean([t.regret for t in transcripts]))
 
     def test_wall_ms_column_always_zero(self):
-        _, csv_text = run_experiment(base_config(), 1)
+        _, csv_text = run_experiment([base_config()], 1)
         col = CSV_COLUMNS.index("wall_ms")
         rows = csv_text.strip().split("\n")[1:]
         assert [row.split(",")[col] for row in rows] == ["0"] * 3
 
     def test_rerun_byte_identical(self):
         c = base_config()
-        assert run_experiment(c, 1)[1] == run_experiment(c, 1)[1]
+        assert run_experiment([c], 1)[1] == run_experiment([c], 1)[1]
 
     def test_writes_no_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        run_experiment(base_config(out="res.csv"), 1)
+        run_experiment([base_config(out="res.csv")], 1)
         assert list(tmp_path.iterdir()) == []
+
+    def test_configs_share_one_header(self):
+        """Several configs: one header, then each config's rows exactly as
+        a run of that config alone writes them, in the order given."""
+        a, b = base_config(T=6, seeds=[2, 0]), base_config(learner="ftl", seeds=[5])
+        transcripts, text = run_experiment([a, b], 2)
+        body_a, body_b = (run_experiment([c], 1)[1].splitlines(True)[1:] for c in (a, b))
+        assert text == ",".join(CSV_COLUMNS) + "\n" + "".join(body_a + body_b)
+        assert [(tr.seed, len(tr.rounds)) for tr in transcripts] == [(0, 6), (2, 6), (5, 12)]
+
+    def test_one_pool_for_every_config(self, monkeypatch):
+        """Three one-seed configs at jobs=2 play over one 2-worker pool (a
+        pool per config would hold one worker each and play serially)."""
+        import concurrent.futures
+
+        pools = []
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+        configs = [base_config(T=T, seeds=[0]) for T in (4, 6, 8)]
+        assert run_experiment(configs, 2)[1] == run_experiment(configs, 1)[1]
+        assert pools == [2]
 
     def test_worker_count_clamped(self, monkeypatch):
         """Clamped to the CPUs in the affinity mask, not the machine's."""
@@ -526,7 +564,7 @@ class TestCli:
         out = str(tmp_path / "out.csv")
         main(["run", cfg, "--out", out])
         capsys.readouterr()
-        assert open(out).read() == run_experiment(base_config(), 1)[1]
+        assert open(out).read() == run_experiment([base_config()], 1)[1]
 
     def test_seed_base_offsets(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
@@ -556,12 +594,14 @@ class TestCli:
 
     def test_sweep(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, sweep={"T": [4, 8]})
-        out = str(tmp_path / "sweep.csv")
+        out, out2 = str(tmp_path / "sweep.csv"), str(tmp_path / "sweep2.csv")
         assert main(["sweep", cfg, "--out", out]) == EXIT_OK
+        assert main(["sweep", cfg, "--jobs", "2", "--out", out2]) == EXIT_OK
         capsys.readouterr()
         lines = open(out).read().strip().split("\n")
         assert len(lines) == 1 + 2 * 3  # one header, 3 rows per grid point
         assert sum(line.startswith("experiment_id") for line in lines) == 1
+        assert open(out2).read() == open(out).read()
 
     def test_sweep_without_block_is_config_error(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
@@ -609,13 +649,35 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["alpha"] == pytest.approx(0.5, abs=1e-9)
 
+    def test_fit_without_mean_rows_is_an_error(self, tmp_path, capsys):
+        """fit reads only mean rows; a CSV of per-seed rows used to be
+        re-averaged per T, a second rule for the mean row."""
+        cfg = self._write_config(tmp_path, sweep={"T": [4, 8, 12]})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", cfg, "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines(True)
+        out.write_text("".join(line for line in lines if ",mean," not in line))
+        capsys.readouterr()
+        assert main(["fit", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "no mean rows" in err and "distinct T" not in err
+
+    def test_fit_reads_a_sweep_csv(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path, sweep={"T": [4, 8, 12]})
+        out = str(tmp_path / "sweep.csv")
+        assert main(["sweep", cfg, "--out", out]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["fit", out]) == EXIT_OK
+        fit = harness.fit_csv(open(out).read())
+        assert json.loads(capsys.readouterr().out)["alpha"] == fit.alpha
+
     def test_run_without_an_output_writes_the_csv_to_stdout(
             self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("SMOOTHLAB_OUT", raising=False)
         cfg = self._write_config(tmp_path)
         assert main(["run", cfg]) == EXIT_OK
-        assert capsys.readouterr().out == run_experiment(base_config(), 1)[1]
+        assert capsys.readouterr().out == run_experiment([base_config()], 1)[1]
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_config_out_written_only_by_cli(self, tmp_path, capsys, monkeypatch):
@@ -624,7 +686,7 @@ class TestCli:
         cfg = self._write_config(tmp_path, out="rel.csv")
         assert main(["run", cfg]) == EXIT_OK
         assert (tmp_path / "rel.csv").read_text() == run_experiment(
-            base_config(), 1)[1]
+            [base_config()], 1)[1]
         (tmp_path / "rel.csv").unlink()
         monkeypatch.setenv("SMOOTHLAB_OUT", str(tmp_path / "o"))
         assert main(["run", cfg, "--out", "other.csv"]) == EXIT_OK

@@ -675,6 +675,16 @@ class TestSmoothPolytope:
         with pytest.raises(CapacityError):
             smooth_polytope_vertices(13, 1.0)
 
+    @pytest.mark.parametrize("size", [0, -2, 2.5, True, "4"])
+    def test_size_follows_the_domain_rule(self, size):
+        """0 used to raise ZeroDivisionError and 2.5 a raw TypeError."""
+        with pytest.raises(InputError, match="domain size"):
+            smooth_polytope_vertices(size, 1.0)
+
+    def test_whole_float_size_is_the_int_size(self):
+        for a, b in zip(smooth_polytope_vertices(4.0, 0.5), smooth_polytope_vertices(4, 0.5)):
+            np.testing.assert_array_equal(a, b)
+
 
 def _longer_admissibility_instances():
     """(class, schedule) pairs with T in {4, 5}, K <= 2 and |X| <= 4,
@@ -998,6 +1008,13 @@ class TestChiSquare:
         with pytest.raises(InputError):
             chi2_mixture(0.0, 2, SmoothDistribution.uniform(2))
 
+    @pytest.mark.parametrize("check", [chi2_mixture, chi2_mixture_direct, tv_exact_poisson])
+    def test_rejects_distribution_of_another_size(self, check):
+        """The chi-square forms used to return 0.75 for a 2-atom D on |X| = 3;
+        all three Poisson checks share tv_exact_poisson's size rule."""
+        with pytest.raises(InputError, match="disagrees with the domain"):
+            check(4.0, 3, SmoothDistribution.uniform(2))
+
 
 class TestShiftedPoissonTv:
     def test_lambda_zero(self):
@@ -1094,6 +1111,15 @@ class TestGeneralizationGap:
         with pytest.raises(InputError, match="disagrees with the domain"):
             generalization_gap_mc(partition8, SmoothDistribution.uniform(7),
                                   partition8.values[1], ExampleMultiset(), 16.0, 10, rng)
+
+    @pytest.mark.parametrize("labels", [[1.0, -1.0, 1.0], [1.0] * 20, [[1.0] * 8]],
+                             ids=["short", "long", "2-d"])
+    def test_rejects_label_table_of_another_shape(self, partition8, rng, labels):
+        """A 3-entry table used to raise a raw IndexError and a 20-entry one
+        was accepted; the table must have shape (|X|,)."""
+        with pytest.raises(InputError, match="label_table"):
+            generalization_gap_mc(partition8, SmoothDistribution.uniform(8), labels,
+                                  ExampleMultiset(), 16.0, 10, rng)
 
     def test_realizable_case_passes(self, partition8, rng):
         D = SmoothDistribution.uniform(8)
