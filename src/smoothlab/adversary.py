@@ -1,22 +1,18 @@
 """Adaptive adversaries: smoothed and hint-constrained constructions.
 
 An adversary commits, at the top of each round, to a distribution over
-instances together with a full label table over the domain.  The label
-for the realized instance is read off that table only after the learner
-has predicted, which enforces simultaneity: the adversary can adapt to
-everything up to round t-1 but not to the current prediction.
+instances and a full label table; the realized instance's label is read
+off that table only after the learner has predicted, which enforces
+simultaneity: the adversary adapts to rounds up to t-1, not to the prediction.
 
-Smooth kinds carry a smoothness certificate sigma; hint-constrained
-kinds instead certify that their distribution is supported inside the
-promised hint multiset Z_t.  A certificate is checked once per distinct
-commitment, before any x_t is drawn from it: `Adversary` keeps each
-commitment and its CDF under a key naming everything the commitment
-depends on, and kinds whose commitment is random or fixed per round
-build and check one every round.  `next_round` draws x_t by searching
-that CDF for one uniform, the arithmetic of `Generator.choice(n,
-p=probs)`, so it draws the same index from the same stream.  Both run
-the learners' round check.  `transductive_cyclic` is `realizable_smooth`
-with a required hint schedule, labelling with h* at any delta.
+Each commitment carries a certificate, a smoothness bound sigma or
+containment in the promised hint multiset Z_t, checked once per distinct
+commitment before any x_t is drawn from it: `Adversary` keeps each
+commitment and its CDF under the key its kind names.  `next_round` draws
+x_t by searching that CDF for one uniform, the arithmetic of
+`Generator.choice(n, p=probs)`, so it draws the same index from the same
+stream.  Both run the learners' round check.  Each kind is one maker in
+`_KINDS`, and its docstring describes the kind.
 """
 
 from __future__ import annotations
@@ -152,12 +148,9 @@ def biased_label_rule(h_star_values, delta: float, rng) -> np.ndarray:
 
 
 class Adversary:
-    """Stateful adversary for one game run.
-
-    `commit(t)` fixes the round-t distribution and label table;
-    `observe(t, x_t, yhat_t, y_t)` feeds back the realized round so
-    adaptive constructions can update their counters.
-    """
+    """Stateful adversary for one game run: `commit(t)` fixes round t's
+    distribution and label table, and `observe(t, x_t, yhat_t, y_t)`
+    feeds the realized round back to its kind's state."""
 
     def __init__(self, spec: AdversarySpec, hclass: HypothesisClass, T: int,
                  seed: int):
@@ -166,13 +159,12 @@ class Adversary:
         self.T = whole_number("T", T)
         self.seed = whole_number("seed", seed)
         self.domain_size = hclass.domain_size
-        self._parity: bytearray | None = None  # visits to each block, mod 2
-        self._block_of: np.ndarray | None = None  # instance -> block, -1 off it
+        rows = None if spec.hint_schedule is None else spec.hint_schedule.rows
+        if rows is not None and (rows.min() < 0 or rows.max() >= self.domain_size):
+            raise InputError("hint schedule names an instance outside the domain")
+        self._commit, self._key, self._observe = _KINDS[spec.kind](self, spec)
         # key -> (certified commitment, its CDF)
         self._commitments: dict = {}
-        self._setup()
-
-    # -- construction ------------------------------------------------
 
     def _rng(self, t: int):
         return rngmod.stream(self.seed, t, "adversary")
@@ -183,94 +175,9 @@ class Adversary:
         stream on first use, so that construction draws nothing."""
         return int(self._rng(0).integers(len(self.hclass)))
 
-    def _setup(self) -> None:
-        spec = self.spec
-        kind = spec.kind
-        if kind is AdversaryKind.REALIZABLE_SMOOTH and not 0.0 <= spec.delta <= 0.5:
-            raise InputError(f"delta must lie in [0, 1/2], got {spec.delta}")
-        if kind is AdversaryKind.TRANSDUCTIVE_CYCLIC and spec.hint_schedule is None:
-            raise InputError("transductive_cyclic needs a hint schedule")
-        if kind is AdversaryKind.SUPPORT_ALTERNATING:
-            raw = spec.sigma * self.domain_size
-            size = int(np.ceil(raw))
-            if abs(raw - round(raw)) > 1e-9:
-                warnings.warn(
-                    f"sigma*|X| = {raw} is non-integral; using support size {size}",
-                    stacklevel=3,
-                )
-            self._block_of = equal_blocks(self.domain_size, size, spec.d)
-            self._parity = bytearray(int(self._block_of.max()) + 1)
-        if kind is AdversaryKind.CUSTOM_TABLE:
-            if spec.xs is None or spec.ys is None:
-                raise InputError("custom_table needs xs and ys")
-            if len(spec.xs) < self.T or len(spec.ys) < self.T:
-                raise InputError("custom_table xs/ys shorter than T")
-            xs = whole_numbers(spec.xs, "custom_table xs")
-            if np.any((xs < 0) | (xs >= self.domain_size)):
-                raise InputError(
-                    f"custom_table xs leave the domain of size {self.domain_size}")
-            if not np.all(np.abs(np.asarray(spec.ys, dtype=float)) <= 1.0):
-                raise InputError("custom_table ys must be finite and lie in [-1, 1]")
-        rows = None if spec.hint_schedule is None else spec.hint_schedule.rows
-        if rows is not None and (rows.min() < 0 or rows.max() >= self.domain_size):
-            raise InputError("hint schedule names an instance outside the domain")
-
-    # -- per-round protocol -------------------------------------------
-
     def commit(self, t: int) -> RoundCommitment:
         """Fix round t's distribution and label table (before prediction)."""
-        t = check_round(t, self.T)
-        spec = self.spec
-        kind = spec.kind
-        n = self.domain_size
-
-        if kind in (AdversaryKind.REALIZABLE_SMOOTH, AdversaryKind.TRANSDUCTIVE_CYCLIC):
-            h_star = self.hclass.values[self.h_star_index]
-            if kind is AdversaryKind.TRANSDUCTIVE_CYCLIC or spec.delta == 0.5:
-                labels = h_star.copy()
-            else:  # the one reader of the round's "adversary" stream
-                labels = biased_label_rule(h_star, spec.delta, self._rng(t))
-            if spec.hint_schedule is not None:
-                return self._hint_commit(t, labels)
-            probs = np.full(n, 1.0 / n)
-            return RoundCommitment(probs, 1.0, None, labels)
-
-        if kind is AdversaryKind.SUPPORT_ALTERNATING:
-            # each block's label flips with every visit to it
-            signs = np.where(np.frombuffer(self._parity, np.uint8), -1.0, 1.0)
-            labels = np.append(signs, 1.0)[self._block_of]  # +1 off the support
-            on = self._block_of >= 0
-            return RoundCommitment(on / on.sum(), spec.sigma, None, labels)
-
-        if kind is AdversaryKind.CUSTOM_TABLE:
-            x = int(spec.xs[t - 1])
-            probs = np.zeros(n)
-            probs[x] = 1.0
-            labels = np.full(n, float(spec.ys[t - 1]))
-            hint_row = (spec.hint_schedule.row(t)
-                        if spec.hint_schedule is not None else np.array([x]))
-            return RoundCommitment(probs, None, hint_row, labels)
-
-        raise InputError(f"unknown adversary kind {kind!r}")
-
-    def _hint_commit(self, t: int, labels: np.ndarray) -> RoundCommitment:
-        row = self.spec.hint_schedule.row(t)
-        probs = np.bincount(row, minlength=self.domain_size) / row.size
-        return RoundCommitment(probs, None, row, labels)
-
-    def _key(self, t: int):
-        """Everything round t's commitment depends on, or None when it is
-        built afresh each round (labels drawn at delta < 1/2, or a fixed
-        sequence)."""
-        spec = self.spec
-        kind = spec.kind
-        if kind is AdversaryKind.SUPPORT_ALTERNATING:
-            return bytes(self._parity)
-        if kind is AdversaryKind.TRANSDUCTIVE_CYCLIC or (
-                kind is AdversaryKind.REALIZABLE_SMOOTH and spec.delta == 0.5):
-            schedule = spec.hint_schedule
-            return () if schedule is None else schedule.row(t).tobytes()
-        return None
+        return self._commit(check_round(t, self.T))
 
     def _certified(self, t: int) -> tuple[RoundCommitment, np.ndarray]:
         """Round t's commitment and its CDF.  A commitment is built and
@@ -291,10 +198,100 @@ class Adversary:
         """Feed back round t; x_t passes the learners' query check
         (`core.check_query`) first, so it cannot wrap around a table."""
         x_t = check_query(x_t, self.domain_size)
-        if self._block_of is not None:
-            j = self._block_of[x_t]
-            if j >= 0:
-                self._parity[j] ^= 1
+        if self._observe is not None:
+            self._observe(x_t)
+
+
+# maker(adversary, spec) runs a kind's load-time checks and returns its
+# (commit(t), key(t), observe(x_t) or None); key(t) names everything round
+# t's commitment depends on, or is None when it is built afresh each round
+def realizable(adv: Adversary, spec: AdversarySpec, cyclic: bool = False):
+    """`realizable_smooth`: h*'s labels, each flipped w.p. 1/2 - delta by
+    the round's "adversary" stream when delta < 1/2, under the uniform
+    distribution (sigma = 1) or, given a hint schedule, the multiset of
+    round t's hints.  `transductive_cyclic` (`cyclic`) is this kind with
+    a required schedule, labelling with h* at any delta."""
+    schedule, n = spec.hint_schedule, adv.domain_size
+    if cyclic and schedule is None:
+        raise InputError("transductive_cyclic needs a hint schedule")
+    if not cyclic and not 0.0 <= spec.delta <= 0.5:
+        raise InputError(f"delta must lie in [0, 1/2], got {spec.delta}")
+    fixed = cyclic or spec.delta == 0.5
+
+    def commit(t):
+        h_star = adv.hclass.values[adv.h_star_index]
+        labels = h_star.copy() if fixed else biased_label_rule(h_star, spec.delta, adv._rng(t))
+        if schedule is None:
+            return RoundCommitment(np.full(n, 1.0 / n), 1.0, None, labels)
+        row = schedule.row(t)
+        return RoundCommitment(np.bincount(row, minlength=n) / row.size, None, row, labels)
+
+    def key(t):
+        if fixed:
+            return () if schedule is None else schedule.row(t).tobytes()
+
+    return commit, key, None
+
+
+def support_alternating(adv: Adversary, spec: AdversarySpec):
+    """The FTL-fooling instance, sigma-certified and so taking no hint
+    schedule: uniform on `core.equal_blocks`' d blocks of the first
+    ceil(sigma |X|) instances, a block labeled -1 after an odd number of
+    visits and +1 otherwise; its key is the parities `observe` toggles."""
+    if spec.hint_schedule is not None:
+        raise InputError("support_alternating is sigma-certified and takes no hint schedule")
+    raw = spec.sigma * adv.domain_size
+    size = int(np.ceil(raw))
+    if abs(raw - round(raw)) > 1e-9:
+        warnings.warn(f"sigma*|X| = {raw} is non-integral; using support size {size}",
+                      stacklevel=3)
+    block_of = equal_blocks(adv.domain_size, size, spec.d)  # -1 off the support
+    parity = bytearray(int(block_of.max()) + 1)  # visits to each block, mod 2
+    probs = (block_of >= 0) / (block_of >= 0).sum()
+
+    def commit(t):
+        labels = np.append(np.where(np.frombuffer(parity, np.uint8), -1.0, 1.0), 1.0)[block_of]
+        return RoundCommitment(probs, spec.sigma, None, labels)
+
+    def observe(x_t):
+        j = block_of[x_t]
+        if j >= 0:
+            parity[j] ^= 1
+
+    return commit, lambda t: bytes(parity), observe
+
+
+def custom_table(adv: Adversary, spec: AdversarySpec):
+    """A fixed sequence: round t is a point mass on xs[t-1] labeled
+    ys[t-1] everywhere, certified by its hint row (by [xs[t-1]] without
+    a schedule), which must hold xs[t-1] for every t in 1..T."""
+    if spec.xs is None or spec.ys is None or min(len(spec.xs), len(spec.ys)) < adv.T:
+        raise InputError("custom_table needs xs and ys of length at least T")
+    n, schedule = adv.domain_size, spec.hint_schedule
+    xs = whole_numbers(spec.xs, "custom_table xs")
+    if np.any((xs < 0) | (xs >= n)):
+        raise InputError(f"custom_table xs leave the domain of size {n}")
+    if not np.all(np.abs(np.asarray(spec.ys, dtype=float)) <= 1.0):
+        raise InputError("custom_table ys must be finite and lie in [-1, 1]")
+    rows = xs[:adv.T, None] if schedule is None else schedule.rows[:adv.T]
+    if len(rows) < adv.T or not (rows == xs[:adv.T, None]).any(1).all():
+        raise InputError("custom_table xs[t-1] must lie in hint row t for t = 1..T")
+
+    def commit(t):
+        x = int(xs[t - 1])
+        probs = np.zeros(n)
+        probs[x] = 1.0
+        return RoundCommitment(probs, None, rows[t - 1], np.full(n, float(spec.ys[t - 1])))
+
+    return commit, lambda t: None, None
+
+
+_KINDS = {
+    AdversaryKind.REALIZABLE_SMOOTH: realizable,
+    AdversaryKind.SUPPORT_ALTERNATING: support_alternating,
+    AdversaryKind.TRANSDUCTIVE_CYCLIC: functools.partial(realizable, cyclic=True),
+    AdversaryKind.CUSTOM_TABLE: custom_table,
+}
 
 
 def next_round(adv: Adversary, t: int, rng):

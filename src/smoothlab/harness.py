@@ -427,9 +427,11 @@ def _csv_row(config: ExperimentConfig, **cols) -> str:
 
 
 def _worker_count(jobs: int, n_games: int) -> int:
-    """Processes used for `jobs` requested workers: never more than the
-    games to play or the CPUs this process may run on."""
-    return min(jobs, n_games, usable_cpus())
+    """Processes used for `jobs` (whole, >= 1) requested workers: never
+    more than the games to play or the CPUs this process may run on."""
+    if whole_number("jobs", jobs) < 1:
+        raise InputError(f"jobs must be >= 1, got {jobs}")
+    return min(int(jobs), n_games, usable_cpus())
 
 
 def run_experiment(configs: list[ExperimentConfig],

@@ -220,6 +220,16 @@ class TestSupportAlternating:
         with pytest.warns(UserWarning):
             Adversary(spec, partition8, T=2, seed=0)
 
+    def test_hint_schedule_rejected_at_setup(self, partition8):
+        """The kind is sigma-certified and keeps no hint promise: with cyclic
+        K = 2 hints it used to load and then raise a ContractViolation in
+        the first round whose x_t left the row."""
+        spec = AdversarySpec(kind=AdversaryKind.SUPPORT_ALTERNATING, sigma=0.5, d=2,
+                             hint_schedule=cyclic_hint_schedule(
+                                 4, [np.arange(j, j + 2) for j in range(0, 8, 2)]))
+        with pytest.raises(InputError, match="takes no hint schedule"):
+            Adversary(spec, partition8, T=4, seed=0)
+
 
 class TestContractEnforcement:
     def test_smoothness_violation_raised(self):
@@ -309,6 +319,17 @@ class TestCustomTable:
         spec = AdversarySpec(kind=AdversaryKind.CUSTOM_TABLE, xs=xs, ys=ys)
         with pytest.raises(InputError):
             Adversary(spec, partition8, T=3, seed=0)
+
+    @pytest.mark.parametrize("xs, T", [((0, 1, 5, 3), 4), ((0, 2, 4, 6, 0), 5)],
+                             ids=["x2_outside_row_2", "schedule_shorter_than_T"])
+    def test_xs_outside_their_hint_rows_rejected_at_setup(self, partition8, xs, T):
+        """Each xs[t-1] must lie in hint row t for t = 1..T; a sequence that
+        left its row used to load and then fail its certificate mid-game."""
+        sched = cyclic_hint_schedule(4, [np.arange(j, j + 2) for j in range(0, 8, 2)])
+        spec = AdversarySpec(kind=AdversaryKind.CUSTOM_TABLE, xs=xs, ys=(1.0,) * len(xs),
+                             hint_schedule=sched)
+        with pytest.raises(InputError, match="must lie in hint row t"):
+            Adversary(spec, partition8, T=T, seed=0)
 
 
 class TestRoundCheck:

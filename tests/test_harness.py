@@ -422,6 +422,14 @@ class TestRunExperiment:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _worker_count(10_000, 5) == 1
 
+    @pytest.mark.parametrize("jobs", [0, -3, 2.5, True], ids=repr)
+    def test_jobs_must_be_a_whole_number_of_at_least_one(self, monkeypatch, jobs):
+        def no_game(*args, **kwargs):
+            raise AssertionError("a game was started")
+        monkeypatch.setattr(harness, "run_game", no_game)
+        with pytest.raises(InputError, match="jobs"):
+            run_experiment([base_config()], jobs)
+
 
 class TestFitScaling:
     def test_recovers_exact_power_law(self):
@@ -838,6 +846,11 @@ class TestCli:
         "json_class_numeric_text_values": {"class": json_class([["1", "-1"]])},
         "sweep_T_empty": {"sweep": {"T": []}},
         "seeds_negative": {"seeds": [0, -1]},
+        "custom_table_outside_hint_rows": {
+            "adversary": "custom_table", "T": 4, "hints": {"kind": "cyclic", "K": 2},
+            "custom_xs": [0, 1, 5, 3], "custom_ys": [1, -1, 1, -1]},
+        "support_alternating_with_hints": {"adversary": "support_alternating", "sigma": 0.5,
+                                           "hints": {"kind": "cyclic", "K": 2}},
     }
 
     # cases whose error must also name what is wrong
@@ -864,6 +877,8 @@ class TestCli:
         "known_hints_without_custom_xs": "known-sequence hints require custom_xs",
         "support_partition_d_0": "d must be >= 1",
         "support_partition_d_-2": "d must be >= 1",
+        "custom_table_outside_hint_rows": "must lie in hint row t",
+        "support_alternating_with_hints": "takes no hint schedule",
     }
 
     @pytest.mark.parametrize("case", sorted(_CONFIG_ERRORS))
@@ -895,6 +910,20 @@ class TestCli:
         assert main([command, str(cfg), "--seed-base", "-1"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "seeds must be nonnegative" in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_fails_before_any_game(
+            self, tmp_path, capsys, monkeypatch, command, jobs):
+        """--jobs 0 and --jobs -3 used to play every game inline and exit 0."""
+        def no_game(*args, **kwargs):
+            raise AssertionError("a game was started")
+        monkeypatch.setattr(harness, "run_game", no_game)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config_doc(sweep={"T": [2, 4]})))
+        assert main([command, str(cfg), "--jobs", jobs]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"jobs must be >= 1, got {jobs}" in err
 
     @pytest.mark.parametrize("xs, ys, message", [
         ([0, 1, 2, 3], [1.0, -1.0, math.nan, 1.0], "finite"),
