@@ -61,6 +61,13 @@ class HintSchedule:
         """Hints for round t, one whole number in 1..T."""
         return self.rows[check_round(t, self.T) - 1]
 
+    def check_fits(self, T: int, domain_size: int) -> None:
+        """InputError unless the rows cover rounds 1..T, all in [0, domain_size)."""
+        if self.T < T:
+            raise InputError("hint schedule shorter than the horizon")
+        if self.rows.min() < 0 or self.rows.max() >= domain_size:
+            raise InputError("hint schedule names an instance outside the domain")
+
 
 def known_sequence_schedule(xs) -> HintSchedule:
     """K=1 schedule equal to the true sequence: classical transduction."""
@@ -159,10 +166,10 @@ class Adversary:
         self.T = whole_number("T", T)
         self.seed = whole_number("seed", seed)
         self.domain_size = hclass.domain_size
-        rows = None if spec.hint_schedule is None else spec.hint_schedule.rows
-        if rows is not None and (rows.min() < 0 or rows.max() >= self.domain_size):
-            raise InputError("hint schedule names an instance outside the domain")
         self._commit, self._key, self._observe = _KINDS[spec.kind](self, spec)
+        # after the maker, so that custom_table names its own row rule
+        if spec.hint_schedule is not None:
+            spec.hint_schedule.check_fits(self.T, self.domain_size)
         # key -> (certified commitment, its CDF)
         self._commitments: dict = {}
 

@@ -15,8 +15,8 @@ checks and converts its value (`_key`); loading, `to_dict`, the key
 checks and the CSV row all derive from these declarations, and the
 `class` and `hints` blocks take the keys their `kind` names.  A
 constructed `ExperimentConfig` is resolved: its class, hint schedule
-and `d` are built once, and one probe call of `players(seed)`, which
-builds each game's (adversary, learner), raises every config error at load.
+and `d` are built once, and every config (T >= 1) probes one game's
+`players` (the adversary, then the learner by `_LEARNERS`) at load.
 
 `run_experiment` plays the games of a list of configs over one process
 pool and writes their one CSV; `fit_csv` fits that CSV's mean rows.
@@ -156,6 +156,19 @@ _CLASS_KINDS = {
 }
 
 
+# each learner's maker (config, loss, seed=, tie=) -> Learner
+_LEARNERS = {
+    "alg1": lambda c, loss, **kw: Alg1Smoothed(
+        c.hclass, loss, c.T, sigma=c.sigma, K=c.K, c_K=c.c_K,
+        max_hints_per_round=c.max_hints_per_round, **kw),
+    "alg2": lambda c, loss, **kw: Alg2PoissonFTPL(c.hclass, loss, c.T, n=default_n(
+        c.T, c.sigma, c.hclass.domain_size, c.resolved_d) if c.n is None else c.n, **kw),
+    "alg3": lambda c, loss, **kw: Alg3Transductive(c.hclass, loss, c.T, c.schedule, **kw),
+    "ftl": lambda c, loss, **kw: FTL(c.hclass, loss, c.T, **kw),
+    "hedge": lambda c, loss, **kw: HedgeLearner(c.hclass, loss, c.T, **kw),
+}
+
+
 def _key(load, default=MISSING, *, json_key: str | None = None):
     """A config field read from `json_key` (default: the field's name)
     through `load(key, value)`, which raises InputError naming the key."""
@@ -197,7 +210,7 @@ class Transcript:
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment_id: str = _key(_text)
-    learner: str = _key(_one_of("alg1", "alg2", "alg3", "ftl", "hedge"))
+    learner: str = _key(_one_of(*_LEARNERS))
     adversary: str = _key(_one_of(*(k.value for k in AdversaryKind)))
     class_spec: dict = _key(_kinds({k: keys for k, (keys, _) in _CLASS_KINDS.items()}),
                             json_key="class")
@@ -226,8 +239,8 @@ class ExperimentConfig:
     resolved_d: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.T < 0:
-            raise InputError("T must be nonnegative")
+        if self.T < 1:
+            raise InputError(f"T must be >= 1, got {self.T}")
         check_sigma(self.sigma)
         if not self.seeds:
             raise InputError("need at least one seed")
@@ -246,42 +259,28 @@ class ExperimentConfig:
                            hclass.declared_dim if self.d is None else self.d)
         object.__setattr__(self, "schedule",
                            build_hint_schedule(self, hclass.domain_size))
-        if self.T >= 1:
-            # build one game's players now, so their checks fail at load
-            self.players(self.seeds[0])
+        # build one game's players now, so their checks fail at load
+        self.players(self.seeds[0])
         # after the players, so that alg1 and cyclic hints name their own K rule
         if self.K is not None and self.K < 1:
             raise InputError(f"K must be >= 1, got {self.K}")
         if self.custom_ys is not None:  # the labels a game would reveal
             check_sign_args(LossSpec.of(self.loss), (), self.custom_ys, yhat_binary=True)
+        # a swept key no player reads would write identical games
+        reads = {"n": self.learner == "alg2",
+                 "K": self.learner == "alg1" or self.hints == {"kind": "cyclic"}}
+        unread = sorted(k for k in self.sweep or () if not reads.get(k, True))
+        if unread:
+            raise InputError(f"sweep varies {unread}, which no player of this config reads")
 
     def players(self, seed: int) -> tuple[Adversary, Learner]:
         """A fresh (adversary, learner) pair for one game."""
-        hclass, schedule, d, T = self.hclass, self.schedule, self.resolved_d, self.T
         adversary = Adversary(AdversarySpec(
-            kind=AdversaryKind(self.adversary), sigma=self.sigma, d=d,
-            delta=self.delta, hint_schedule=schedule, xs=self.custom_xs,
-            ys=self.custom_ys), hclass, T, seed)
-        common = dict(seed=seed, tie=TiePolicy(self.tie_policy))
-        loss = LossSpec.of(self.loss)
-        if self.learner == "alg3":
-            if schedule is None:
-                raise InputError("hint-based learner requires a hint schedule")
-            learner = Alg3Transductive(hclass, loss, T, schedule, **common)
-        elif self.learner == "alg1":
-            learner = Alg1Smoothed(hclass, loss, T, sigma=self.sigma, K=self.K,
-                                   c_K=self.c_K,
-                                   max_hints_per_round=self.max_hints_per_round,
-                                   **common)
-        elif self.learner == "alg2":
-            n = self.n if self.n is not None else default_n(
-                T, self.sigma, hclass.domain_size, d)
-            learner = Alg2PoissonFTPL(hclass, loss, T, n=n, **common)
-        elif self.learner == "ftl":
-            learner = FTL(hclass, loss, T, **common)
-        else:
-            learner = HedgeLearner(hclass, loss, T, **common)
-        return adversary, learner
+            kind=AdversaryKind(self.adversary), sigma=self.sigma, d=self.resolved_d,
+            delta=self.delta, hint_schedule=self.schedule, xs=self.custom_xs,
+            ys=self.custom_ys), self.hclass, self.T, seed)
+        return adversary, _LEARNERS[self.learner](
+            self, LossSpec.of(self.loss), seed=seed, tie=TiePolicy(self.tie_policy))
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -336,8 +335,6 @@ def build_class(spec: dict) -> HypothesisClass:
 
 
 def build_hint_schedule(config: ExperimentConfig, domain_size: int) -> HintSchedule | None:
-    if config.T == 0:  # an empty game needs no schedule
-        return None
     if config.hints is None:
         if config.adversary == "custom_table" and config.custom_xs is not None:
             return known_sequence_schedule(config.custom_xs[:config.T])
@@ -361,9 +358,6 @@ def build_hint_schedule(config: ExperimentConfig, domain_size: int) -> HintSched
 
 def run_game(config: ExperimentConfig, seed: int) -> Transcript:
     """Play one T-round game and return its full transcript."""
-    if config.T == 0:
-        return Transcript([], 0.0, 0.0, 0.0, 0, 0, 0, 0, seed,
-                          config.config_hash(), hashlib.sha256(b"").hexdigest()[:16])
     loss = LossSpec.of(config.loss)
     adversary, learner = config.players(seed)
 

@@ -166,13 +166,11 @@ class Alg3Transductive(Learner):
     def __init__(self, hclass, loss, T, hint_schedule: HintSchedule,
                  seed=0, tie=TiePolicy.LOWEST_INDEX):
         super().__init__(hclass, loss, T, seed, tie)
-        T = self.T
-        if hint_schedule.T < T:
-            raise InputError("hint schedule shorter than the horizon")
+        if hint_schedule is None:
+            raise InputError("hint-based learner requires a hint schedule")
+        T, X = self.T, hclass.domain_size
+        hint_schedule.check_fits(T, X)
         rows = hint_schedule.rows[:T]
-        X = hclass.domain_size
-        if rows.min() < 0 or rows.max() >= X:
-            raise InputError("hint schedule names an instance outside the domain")
         # _future_counts[t] = instance counts of rows[t:T], the hints of
         # rounds t+1..T; the extra last row is all zeros
         codes = np.repeat(np.arange(T), rows.shape[1]) * X + rows.reshape(-1)

@@ -440,6 +440,15 @@ class TestHintCertificate:
         with pytest.raises(InputError, match="outside the domain"):
             Adversary(spec, partition8, T=2, seed=0)
 
+    def test_schedule_shorter_than_T_rejected_at_setup(self, partition8):
+        """A realizable_smooth adversary with a 2-round schedule and T = 4
+        used to build, play rounds 1-2 and fail in round 3's commit."""
+        spec = AdversarySpec(kind=AdversaryKind.REALIZABLE_SMOOTH,
+                             hint_schedule=known_sequence_schedule([0, 1]))
+        with pytest.raises(InputError, match="shorter than the horizon"):
+            Adversary(spec, partition8, T=4, seed=0)
+        Adversary(spec, partition8, T=2, seed=0)
+
 
 class TestAdversaryStream:
     """The per-round "adversary" stream is built only where it is read:

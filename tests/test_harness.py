@@ -260,9 +260,21 @@ class TestRunGame:
         c = base_config()
         assert run_game(c, seed=0).to_json() != run_game(c, seed=1).to_json()
 
-    def test_T_zero(self):
-        tr = run_game(base_config(T=0), seed=0)
-        assert tr.rounds == [] and tr.regret == 0.0
+    def test_T_zero(self, tmp_path, capsys, monkeypatch):
+        """T = 0 used to load without the players' probe and play empty
+        games; it is a config error in `run` and at any sweep point."""
+        def no_game(*args, **kwargs):
+            raise AssertionError("a game was started")
+        monkeypatch.setattr(harness, "run_game", no_game)
+        with pytest.raises(InputError, match="T must be >= 1, got 0"):
+            base_config(T=0)
+        cfg = tmp_path / "config.json"
+        for command, doc in (("run", config_doc(T=0)),
+                             ("sweep", config_doc(sweep={"T": [4, 0]}))):
+            cfg.write_text(json.dumps(doc))
+            assert main([command, str(cfg)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "T must be >= 1" in err
 
     def test_label_rule_hash_commits_before_prediction(self):
         """Same config and seed give the same committed-label hash; a
@@ -851,6 +863,14 @@ class TestCli:
             "custom_xs": [0, 1, 5, 3], "custom_ys": [1, -1, 1, -1]},
         "support_alternating_with_hints": {"adversary": "support_alternating", "sigma": 0.5,
                                            "hints": {"kind": "cyclic", "K": 2}},
+        "T_0": {"T": 0},
+        "T_0_alg2_n_-1": {"T": 0, "n": -1},
+        "T_0_alg3_without_hints": {**_ALG3, "adversary": "realizable_smooth", "T": 0},
+        "known_hints_shorter_than_T": {"learner": "ftl", "T": 4, "hints": {"kind": "known"},
+                                       "custom_xs": [0, 1]},
+        "sweep_K_unread_by_alg3": {**_ALG3, "hints": {"kind": "cyclic", "K": 4},
+                                   "sweep": {"K": [2, 4, 8]}},
+        "sweep_n_unread_by_ftl": {"learner": "ftl", "sweep": {"n": [2, 4]}},
     }
 
     # cases whose error must also name what is wrong
@@ -879,6 +899,12 @@ class TestCli:
         "support_partition_d_-2": "d must be >= 1",
         "custom_table_outside_hint_rows": "must lie in hint row t",
         "support_alternating_with_hints": "takes no hint schedule",
+        "T_0": "T must be >= 1, got 0",
+        "T_0_alg2_n_-1": "T must be >= 1, got 0",
+        "T_0_alg3_without_hints": "T must be >= 1, got 0",
+        "known_hints_shorter_than_T": "hint schedule shorter than the horizon",
+        "sweep_K_unread_by_alg3": "sweep varies ['K'], which no player",
+        "sweep_n_unread_by_ftl": "sweep varies ['n'], which no player",
     }
 
     @pytest.mark.parametrize("case", sorted(_CONFIG_ERRORS))

@@ -338,6 +338,11 @@ class TestAlg3:
         learner.predict(1, 3)
         assert calls == [1]
 
+    def test_requires_a_schedule(self, partition8):
+        """Without a schedule it used to raise a raw AttributeError."""
+        with pytest.raises(InputError, match="requires a hint schedule"):
+            Alg3Transductive(partition8, LossSpec.of("absolute"), 4, None)
+
     def test_singleton_class_predicts_h(self):
         hclass = HypothesisClass([[1.0, -1.0]], declared_dim=0, binary=True)
         sched = full_domain_schedule(2, 2)
