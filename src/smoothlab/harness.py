@@ -10,6 +10,11 @@ The per-round protocol enforced by `run_game`:
 3. the learner predicts;
 4. the label is revealed from the committed table and the loss recorded.
 
+Each round logs one tuple (t, x_t, prediction, label, loss and the
+learner's cumulative oracle calls and input length); the game builds its
+columnar round log, `Transcript.rounds`, once at its end, each round's
+oracle counts being differences of the cumulative ones.
+
 Each `ExperimentConfig` field declares its JSON key and the loader that
 checks and converts its value (`_key`); loading, `to_dict`, the key
 checks and the CSV row all derive from these declarations, and the
@@ -33,7 +38,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -175,20 +180,15 @@ def _key(load, default=MISSING, *, json_key: str | None = None):
     return field(default=default, metadata={"load": load, "key": json_key})
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    t: int
-    x: int
-    yhat: float
-    y: float
-    loss: float
-    oracle_calls: int
-    oracle_input_len: int
+# the round log's columns; the oracle counts are the learner's in that round
+ROUND_DTYPE = np.dtype([("t", np.int64), ("x", np.int64), ("yhat", float), ("y", float),
+                        ("loss", float), ("oracle_calls", np.int64),
+                        ("oracle_input_len", np.int64)])
 
 
-@dataclass
+@dataclass(eq=False)
 class Transcript:
-    rounds: list[RoundRecord]
+    rounds: np.ndarray  # the round log, one ROUND_DTYPE record per round
     total_loss: float
     bih_loss: float
     regret: float
@@ -201,7 +201,10 @@ class Transcript:
     label_rule_hash: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """Every field, the round log as one {column: value} dict per round."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["rounds"] = [dict(zip(ROUND_DTYPE.names, r)) for r in self.rounds.tolist()]
+        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -360,12 +363,12 @@ def run_game(config: ExperimentConfig, seed: int) -> Transcript:
     """Play one T-round game and return its full transcript."""
     loss = LossSpec.of(config.loss)
     adversary, learner = config.players(seed)
+    stats = learner.stats
 
-    rounds: list[RoundRecord] = []
+    # per round: t, x, yhat, y, loss and the cumulative oracle counters
+    log = []
     label_hash = hashlib.sha256()
     total_loss = 0.0
-    prev_calls = 0
-    prev_len = 0
     for t in range(1, config.T + 1):
         commitment, x_t, label_rule = next_round(
             adversary, t, rngmod.stream(seed, t, "instance"))
@@ -378,26 +381,23 @@ def run_game(config: ExperimentConfig, seed: int) -> Transcript:
         learner.update(t, x_t, y_t)
         adversary.observe(t, x_t, yhat, y_t)
         total_loss += loss_val
-        rounds.append(RoundRecord(
-            t=t, x=x_t, yhat=float(yhat), y=y_t, loss=float(loss_val),
-            oracle_calls=learner.stats.call_count - prev_calls,
-            oracle_input_len=learner.stats.total_input_length - prev_len,
-        ))
-        prev_calls = learner.stats.call_count
-        prev_len = learner.stats.total_input_length
+        log.append((t, x_t, yhat, y_t, loss_val, stats.call_count,
+                    stats.total_input_length))
+    rounds = np.array(log, dtype=ROUND_DTYPE)
+    for column in ("oracle_calls", "oracle_input_len"):  # per round, not cumulative
+        rounds[column] = np.diff(rounds[column], prepend=0)
 
     # only the optimal value is read, so the default tie policy serves
-    _, bih_loss = erm(config.hclass, learner.session, loss, stats=learner.stats,
-                      tag="final")
+    _, bih_loss = erm(config.hclass, learner.session, loss, stats=stats, tag="final")
     return Transcript(
         rounds=rounds,
         total_loss=float(total_loss),
         bih_loss=float(bih_loss),
         regret=float(total_loss - bih_loss),
-        oracle_calls=learner.stats.call_count,
-        total_input_length=learner.stats.total_input_length,
-        max_input_length=learner.stats.max_input_length,
-        final_call_count=learner.stats.final_call_count,
+        oracle_calls=stats.call_count,
+        total_input_length=stats.total_input_length,
+        max_input_length=stats.max_input_length,
+        final_call_count=stats.final_call_count,
         seed=seed,
         config_hash=config.config_hash(),
         label_rule_hash=label_hash.hexdigest()[:16],

@@ -87,6 +87,8 @@ class Learner:
         self.hclass = hclass
         self.loss = loss
         self.T = whole_number("T", T)
+        if self.T < 1:
+            raise InputError(f"T must be >= 1, got {self.T}")
         self.seed = whole_number("seed", seed)
         self.tie = tie
         self.stats = OracleStats()
@@ -141,11 +143,12 @@ def hint_difference_prediction(session: OracleSession, cells, x_t: int,
     lo, hi = doubled, doubled.copy()
     lo[x_t, 0] += 1
     hi[x_t, 1] += 1
-    # both tables derive from the checked one, so they enter unchecked
-    _, v_minus = mixed_opt(hclass, session, CountTable._of(session, lo), loss,
-                           stats=stats)
-    _, v_plus = mixed_opt(hclass, session, CountTable._of(session, hi), loss,
-                          stats=stats)
+    # both tables derive from the checked one, so they enter unchecked, and
+    # both hold 2 * |S| + 1 counts, so the second view takes the first's size
+    lo = CountTable._of(session, lo)
+    hi = CountTable._of(session, hi, size=lo.logical_size)
+    _, v_minus = mixed_opt(hclass, session, lo, loss, stats=stats)
+    _, v_plus = mixed_opt(hclass, session, hi, loss, stats=stats)
     yhat = v_minus - v_plus
     if abs(yhat) > 1.0 + PRED_TOL:
         raise ContractViolation(f"prediction {yhat} escaped [-1, 1]")
@@ -277,7 +280,7 @@ class HedgeLearner(Learner):
         super().__init__(hclass, loss, T, seed, tie)
         if eta is None:
             # ln 2 on a one-hypothesis class, whose every rate plays the same
-            eta = math.sqrt(8.0 * math.log(max(len(hclass), 2)) / max(T, 1))
+            eta = math.sqrt(8.0 * math.log(max(len(hclass), 2)) / self.T)
         if eta <= 0:
             raise InputError("Hedge learning rate must be positive")
         self.eta = float(eta)

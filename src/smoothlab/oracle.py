@@ -161,7 +161,7 @@ class CountTable:
     """An (|X|, 2) (instance, sign) count table in a multiset slot, read
     through its session's cell tables, optionally with the session's
     history added.  The constructor checks the table and `_of` views one
-    already checked."""
+    already checked, of total count `size` when the caller knows it."""
 
     def __new__(cls, session: OracleSession, cells, with_history: bool = False):
         return cls._of(session, count_table(cells, session.hclass.domain_size),
@@ -169,12 +169,12 @@ class CountTable:
 
     @classmethod
     def _of(cls, session: OracleSession, cells: np.ndarray,
-            with_history: bool = False) -> "CountTable":
+            with_history: bool = False, size: int | None = None) -> "CountTable":
         """The view of a table `core.count_table` has already checked."""
         out = object.__new__(cls)
         out.session, out.cells, out.with_history = session, cells, with_history
         out._counts = cells.reshape(-1)
-        out._size = int(out._counts.sum())
+        out._size = int(out._counts.sum()) if size is None else size
         return out
 
     @property
@@ -192,7 +192,8 @@ class CountTable:
         return list(merged.items())
 
     def objective(self, hclass: HypothesisClass, loss: LossSpec) -> np.ndarray:
-        obj = self.session._cell_table(hclass, loss) @ self._counts
+        # `.dot` skips the `@` ufunc's casting set-up, with the same bits
+        obj = self.session._cell_table(hclass, loss).dot(self._counts)
         if self.with_history:
             obj += self.session.objective(hclass, loss)
         return obj

@@ -77,10 +77,9 @@ def stream(seed: int, round_idx: int = 0, purpose: str = "verify"):
     seed = seed if type(seed) is int else whole_number("seed", seed)
     t = round_idx if type(round_idx) is int else whole_number("round", round_idx)
     tag = purpose_tag(purpose)  # 1..8
-    if 0 <= min(seed, t) and max(seed, t) < _WORD:
+    if 0 <= seed < _WORD and 0 <= t < _WORD:
         block, row = divmod(t - 1, _BLOCK)
-        words = _block(seed, tag, block)[row]
-        return np.random.Generator(np.random.PCG64(_Words(words)))
+        return np.random.Generator(np.random.PCG64(_Words(_block(seed, tag, block)[row])))
     return np.random.default_rng([seed, 0, t, tag])
 
 
@@ -93,7 +92,8 @@ class _Words:
         self.words = words
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        assert n_words == 4 and np.dtype(dtype) == np.uint64
+        # PCG64 passes the type itself, so the identity test decides at once
+        assert n_words == 4 and (dtype is np.uint64 or np.dtype(dtype) == np.uint64)
         return self.words
 
 

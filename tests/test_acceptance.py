@@ -265,7 +265,7 @@ def test_criterion_6_oracle_accounting():
     diffs = []
     for s in range(5):
         tr = run_game(c2, s)
-        diffs.extend(r.oracle_input_len - (r.t - 1) - n for r in tr.rounds)
+        diffs.extend(tr.rounds["oracle_input_len"] - (tr.rounds["t"] - 1) - n)
     mean_diff = float(np.mean(diffs))
     band = 3.0 * math.sqrt(n / len(diffs))  # Poisson variance = n
     ok = ok and abs(mean_diff) <= band

@@ -512,8 +512,9 @@ class _OneCommitment:
     """Stands in for an adversary whose every round has one commitment."""
 
     def __init__(self, probs):
+        cdf = choice_cdf(probs)
         self.entry = (RoundCommitment(probs, None, None, np.ones(probs.size)),
-                      choice_cdf(probs))
+                      cdf, tuple(cdf.tolist()))
 
     def _certified(self, t):
         return self.entry

@@ -231,7 +231,7 @@ class TestBuilders:
         c = base_config(learner="alg3", adversary="custom_table", loss="absolute",
                         hints={"kind": "known"}, T=3, custom_xs=xs, custom_ys=ys)
         np.testing.assert_array_equal(c.schedule.rows, [[5], [0], [7]])
-        assert [r.x for r in run_game(c, 0).rounds] == xs[:3]
+        assert run_game(c, 0).rounds["x"].tolist() == xs[:3]
 
 
 class TestRunGame:
@@ -239,7 +239,7 @@ class TestRunGame:
         tr = run_game(base_config(), seed=0)
         assert len(tr.rounds) == 12
         assert tr.regret == pytest.approx(tr.total_loss - tr.bih_loss)
-        assert tr.total_loss == pytest.approx(sum(r.loss for r in tr.rounds))
+        assert tr.total_loss == pytest.approx(tr.rounds["loss"].sum())
         assert tr.oracle_calls == 12 and tr.final_call_count == 1
 
     def test_alg3_two_calls_per_round(self):
@@ -248,7 +248,7 @@ class TestRunGame:
                         loss="absolute")
         tr = run_game(c, seed=3)
         assert tr.oracle_calls == 2 * 12
-        assert all(r.oracle_calls == 2 for r in tr.rounds)
+        assert (tr.rounds["oracle_calls"] == 2).all()
 
     def test_deterministic_replay_byte_identical(self):
         c = base_config()

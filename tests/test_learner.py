@@ -655,6 +655,12 @@ class TestRoundCheck:
                 got = TestQueryCheck._learner(kind, partition8).predict(whole, 3)
                 assert got == want
 
+    @pytest.mark.parametrize("make", [FTL, HedgeLearner])
+    def test_zero_rounds_rejected(self, partition8, make):
+        """T = 0 leaves no round to check; FTL and Hedge used to build."""
+        with pytest.raises(InputError, match="T must be >= 1"):
+            make(partition8, LossSpec.of("binary_indicator"), 0)
+
     def test_alg3_round_zero_on_a_cyclic_schedule(self, partition8):
         """The case that used to predict 1.0: rows 0..3 and 4..7, T = 4;
         instance 5 is only in the hints of rounds 2 and 4."""

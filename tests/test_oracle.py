@@ -693,6 +693,49 @@ class TestOracleSession:
 HISTORY_LABEL = st.sampled_from([-1.0, 1.0, 0.0, -0.0, 0.5]) | st.floats(-1, 1)
 
 
+class TestMixedOptSlots:
+    """The slots `mixed_opt` reads: it writes none of them."""
+
+    @given(session_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_mixed_opt_writes_no_slot(self, instance):
+        """Every slot's objective, a session in the hint slot included, is
+        unchanged by a call, whose value has the bits of the real term over
+        2G plus the hint term."""
+        hclass, loss, history, cells, _ = instance
+        session = _session(hclass, loss, history)
+        _, table, _ = _multisets(history, cells)
+        reals = (session, CountTable(session, cells, with_history=True))
+        hints = (CountTable(session, cells), OracleSession(hclass, HINT_LOSS, table))
+        for S_real in reals:
+            for S_bin in hints:
+                before = [S.objective(hclass, l).tobytes()
+                          for S, l in ((S_real, loss), (S_bin, HINT_LOSS))]
+                want = S_real.objective(hclass, loss) / (2.0 * loss.lipschitz_G)
+                want += S_bin.objective(hclass, HINT_LOSS)
+                idx, val = mixed_opt(hclass, S_real, S_bin, loss)
+                assert val == want[idx]
+                assert [S.objective(hclass, l).tobytes()
+                        for S, l in ((S_real, loss), (S_bin, HINT_LOSS))] == before
+
+
+class TestCountTableDot:
+    @given(session_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_count_table_matvec_matches_matmul(self, instance):
+        """A view's objective, read with `.dot`, has the bits of the `@`
+        matvec (plus the history), real-valued classes included."""
+        hclass, loss, history, cells, _ = instance
+        session = _session(hclass, loss, history)
+        for kind in (HINT_LOSS, loss):
+            want = session._cell_table(hclass, kind) @ cells.reshape(-1)
+            got = CountTable(session, cells).objective(hclass, kind)
+            assert got.tobytes() == want.tobytes()
+        want += session.objective(hclass, loss)  # the matvec under `loss`
+        got = CountTable(session, cells, with_history=True).objective(hclass, loss)
+        assert got.tobytes() == want.tobytes()
+
+
 def _signed(items) -> Counter:
     """The pairs as a Counter in which the sign of a zero label counts."""
     return Counter({(x, y.hex()): count for (x, y), count in items})

@@ -1,6 +1,7 @@
 """The tracked outputs, pinned byte for byte: the `run` CSV of each
-`perfbench/configs` file at seed bases 0 and 7, the `verify --suite all`
-JSON, and the `run` CSV of a real-valued game (a non-binary `json`
+`perfbench/configs` file at seed bases 0 and 7, the seed-0 game
+transcript (`Transcript.to_json`, every round's record) of each, the
+`verify --suite all` JSON, and the `run` CSV of a real-valued game (a non-binary `json`
 class under the absolute loss, with real labels), where sums of
 non-half-integer terms make the digest depend on rounding.  A change that moves any of them (a different
 amount of randomness drawn, a new column, a reordered sum) must re-pin
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from smoothlab.cli import EXIT_OK, main
+from smoothlab.harness import ExperimentConfig, run_game
 
 CONFIGS = Path(__file__).parents[1] / "perfbench" / "configs"
 
@@ -25,6 +27,12 @@ RUN_SHA256 = {
     ("hint-mixed-alg1", 7): "ebf881d07a0d7426aa136b0221bbaada79a3b78910153420d7d53cc0c9aa4ef0",
     ("hint-mixed-alg3", 0): "60b313e1270c0e30e0c9bc29374e227991a682c314930ed435162e216c59c173",
     ("hint-mixed-alg3", 7): "6626e9fb9d3574a7b72292f42ccf16f9917408bf6b10dc5552d59e41d8c5cfca",
+}
+TRANSCRIPT_SHA256 = {
+    "ftpl-erm-alg2": "37b9ed2244efee3a32ec3cd47f0f6017b855f343abd619f47f0fe0c98bd4669d",
+    "ftpl-erm-ftl": "a66a946fd6b2a74f0dbff74417acf8717b36a9d9e68415e53dfd44ff102fb647",
+    "hint-mixed-alg1": "3d1864674f5c31e59a8fce11ec835c3c2440fa2273a5fcaba54bb5b3d542ac3b",
+    "hint-mixed-alg3": "d0445202cb3202eefd5c71549b36dd2269c05840ae28af794e8bd60f81f51721",
 }
 VERIFY_SHA256 = "79110cb68e75ae142d74e52b01f204c15807222899abc72a301fc9c0ee5f88c1"
 
@@ -66,6 +74,7 @@ def sha256(path: Path) -> str:
 
 def test_every_tracked_config_is_pinned():
     assert {p.stem for p in CONFIGS.glob("*.json")} == {name for name, _ in RUN_SHA256}
+    assert {p.stem for p in CONFIGS.glob("*.json")} == set(TRANSCRIPT_SHA256)
 
 
 @pytest.mark.parametrize("name, seed_base", sorted(RUN_SHA256))
@@ -75,6 +84,13 @@ def test_run_csv_is_pinned(tmp_path, monkeypatch, name, seed_base):
     assert main(["run", str(CONFIGS / f"{name}.json"), "--seed-base", str(seed_base),
                  "--out", str(out)]) == EXIT_OK
     assert sha256(out) == RUN_SHA256[name, seed_base]
+
+
+@pytest.mark.parametrize("name", sorted(TRANSCRIPT_SHA256))
+def test_transcript_json_is_pinned(name):
+    config = ExperimentConfig.from_json((CONFIGS / f"{name}.json").read_text())
+    digest = hashlib.sha256(run_game(config, 0).to_json().encode()).hexdigest()
+    assert digest == TRANSCRIPT_SHA256[name]
 
 
 def test_verify_suite_json_is_pinned(tmp_path, monkeypatch):
