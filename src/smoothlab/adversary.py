@@ -8,19 +8,17 @@ simultaneity: the adversary adapts to rounds up to t-1, not to the prediction.
 Each commitment carries a certificate, a smoothness bound sigma or
 containment in the promised hint multiset Z_t, checked once per distinct
 commitment before any x_t is drawn from it: `Adversary` keeps each
-commitment and its CDF (a read-only array and the same floats as a tuple)
-under the key its kind names.  `next_round` draws x_t by bisecting that
-tuple for one uniform, the arithmetic of `Generator.choice(n, p=probs)`,
-so it draws the same index from the same stream.  Both run the learners'
-round check.  Each kind is one maker in `_KINDS`, and its docstring
-describes the kind.
+commitment and its CDF under the key its kind names.  `next_round` draws
+x_t by searching that CDF for one uniform, the arithmetic of
+`Generator.choice(n, p=probs)`, so it draws the same index from the same
+stream.  Both run the learners' round check.  Each kind is one maker in
+`_KINDS`, and its docstring describes the kind.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -188,18 +186,17 @@ class Adversary:
         """Fix round t's distribution and label table (before prediction)."""
         return self._commit(check_round(t, self.T))
 
-    def _certified(self, t: int) -> tuple[RoundCommitment, np.ndarray, tuple]:
-        """Round t's commitment, its CDF and the CDF as a tuple.  A
-        commitment is built and its certificate checked when its key first
-        appears; a repeated key reuses all three."""
+    def _certified(self, t: int) -> tuple[RoundCommitment, np.ndarray]:
+        """Round t's commitment and its CDF.  A commitment is built and
+        its certificate checked when its key first appears; a repeated
+        key reuses both."""
         t = t if type(t) is int and 0 < t <= self.T else check_round(t, self.T)
         key = self._key(t)
         entry = None if key is None else self._commitments.get(key)
         if entry is None:
             commitment = self.commit(t)
             commitment.check_contract()
-            cdf = choice_cdf(commitment.probs)
-            entry = commitment, cdf, tuple(cdf.tolist())
+            entry = commitment, choice_cdf(commitment.probs)
             if key is not None:
                 self._commitments[key] = entry
         return entry
@@ -311,6 +308,6 @@ def next_round(adv: Adversary, t: int, rng):
     committed table — it is fixed before any prediction is made.  The
     commitment is certified before any x_t is drawn from it.
     """
-    commitment, _, cdf = adv._certified(t)
-    x_t = bisect_right(cdf, rng.random())
+    commitment, cdf = adv._certified(t)
+    x_t = int(cdf.searchsorted(rng.random(), side="right"))
     return commitment, x_t, lambda x: float(commitment.label_table[x])

@@ -79,7 +79,8 @@ def stream(seed: int, round_idx: int = 0, purpose: str = "verify"):
     tag = purpose_tag(purpose)  # 1..8
     if 0 <= seed < _WORD and 0 <= t < _WORD:
         block, row = divmod(t - 1, _BLOCK)
-        return np.random.Generator(np.random.PCG64(_Words(_block(seed, tag, block)[row])))
+        words = _block(seed, tag, block)[row]
+        return np.random.Generator(np.random.PCG64(_Words(words)))
     return np.random.default_rng([seed, 0, t, tag])
 
 

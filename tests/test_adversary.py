@@ -512,9 +512,8 @@ class _OneCommitment:
     """Stands in for an adversary whose every round has one commitment."""
 
     def __init__(self, probs):
-        cdf = choice_cdf(probs)
         self.entry = (RoundCommitment(probs, None, None, np.ones(probs.size)),
-                      cdf, tuple(cdf.tolist()))
+                      choice_cdf(probs))
 
     def _certified(self, t):
         return self.entry
