@@ -83,7 +83,7 @@ def cyclic_hint_schedule(T: int, blocks) -> HintSchedule:
     K = blocks[0].size
     if any(b.size != K for b in blocks):
         raise InputError("all hint blocks must have equal size")
-    rows = np.stack([blocks[t % len(blocks)] for t in range(whole_number("T", T))])
+    rows = np.stack(blocks)[np.arange(whole_number("T", T)) % len(blocks)]
     return HintSchedule(rows)
 
 

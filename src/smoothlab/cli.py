@@ -49,10 +49,7 @@ def _resolve_out(path: str | None, default_name: str) -> str | None:
 
 def _load_config(path: str, seed_base: int) -> ExperimentConfig:
     with open(path) as f:
-        config = ExperimentConfig.from_json(f.read())
-    if seed_base:
-        config = config.with_overrides(seeds=tuple(s + seed_base for s in config.seeds))
-    return config
+        return ExperimentConfig.from_json(f.read(), seed_base)
 
 
 def _write(text: str, out: str | None) -> None:

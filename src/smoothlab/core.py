@@ -355,7 +355,8 @@ def count_table(cells, rows: int | None = None) -> np.ndarray:
             or (rows is not None and cells.shape[0] != rows)):
         raise InputError(f"cells must be a ({'|X|' if rows is None else rows}, 2) "
                          f"count table, got shape {cells.shape}")
-    if (cells < 0).any():
+    # the smallest entry is at argmin: no mask and `any` (argmin raises when empty)
+    if cells.size and cells.item(cells.argmin()) < 0:
         raise InputError("cells must be a nonnegative count table")
     return cells
 

@@ -119,6 +119,13 @@ def _list(load, nonempty: bool = False):
     return load_list
 
 
+def _seeds(key: str, v) -> tuple[int, ...]:
+    seeds = _list(whole_number)(key, v)
+    if seeds and min(seeds) < 0:
+        raise InputError(f"{key} must be nonnegative, got {list(seeds)}")
+    return seeds
+
+
 def _object(key: str, v, loaders: dict, required=()) -> dict:
     """`v` with each key `k` passed through its loader as `key.k` (as `k`
     when `key` is empty, for the config itself); a null value counts as
@@ -220,7 +227,7 @@ class ExperimentConfig:
     loss: str = _key(_one_of(*(k.value for k in LossKind)))
     T: int = _key(whole_number)
     sigma: float = _key(_real)
-    seeds: tuple[int, ...] = _key(_list(whole_number))
+    seeds: tuple[int, ...] = _key(_seeds)
     K: int | None = _key(whole_number, None)
     d: int | None = _key(whole_number, None)
     n: float | None = _key(_real, None)
@@ -247,8 +254,6 @@ class ExperimentConfig:
         check_sigma(self.sigma)
         if not self.seeds:
             raise InputError("need at least one seed")
-        if min(self.seeds) < 0:
-            raise InputError(f"seeds must be nonnegative, got {list(self.seeds)}")
         if self.d is not None and self.d < 1:
             raise InputError(f"d must be >= 1, got {self.d}")
         if self.learner in ("alg1", "alg3") and self.loss == "binary_indicator":
@@ -269,12 +274,15 @@ class ExperimentConfig:
             raise InputError(f"K must be >= 1, got {self.K}")
         if self.custom_ys is not None:  # the labels a game would reveal
             check_sign_args(LossSpec.of(self.loss), (), self.custom_ys, yhat_binary=True)
-        # a swept key no player reads would write identical games
+        # a key no player reads would enter the CSV as if it shaped the
+        # games, and a swept one would write identical games
         reads = {"n": self.learner == "alg2",
                  "K": self.learner == "alg1" or self.hints == {"kind": "cyclic"}}
-        unread = sorted(k for k in self.sweep or () if not reads.get(k, True))
-        if unread:
-            raise InputError(f"sweep varies {unread}, which no player of this config reads")
+        for what, keys in (("config sets", [k for k in reads if getattr(self, k) is not None]),
+                           ("sweep varies", self.sweep or ())):
+            unread = sorted(k for k in keys if not reads.get(k, True))
+            if unread:
+                raise InputError(f"{what} {unread}, which no player of this config reads")
 
     def players(self, seed: int) -> tuple[Adversary, Learner]:
         """A fresh (adversary, learner) pair for one game."""
@@ -301,8 +309,14 @@ class ExperimentConfig:
         return cls(**{_FIELDS[k].name: v for k, v in doc.items()})
 
     @classmethod
-    def from_json(cls, doc: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(doc))
+    def from_json(cls, doc: str, seed_base: int = 0) -> "ExperimentConfig":
+        """The config `doc` holds, every seed shifted by `seed_base`: the
+        seeds pass their checks as given, then the shifted config loads
+        once (and a shift that makes a seed negative fails there)."""
+        obj = json.loads(doc)
+        if seed_base and isinstance(obj, dict) and obj.get("seeds") is not None:
+            obj["seeds"] = [s + seed_base for s in _seeds("seeds", obj["seeds"])]
+        return cls.from_dict(obj)
 
     def to_dict(self) -> dict:
         doc = {"schema_version": SCHEMA_VERSION}

@@ -105,6 +105,8 @@ class OracleSession:
         self.loss = loss
         self._counts: dict[tuple[int, float], int] = {}
         self._size = 0
+        # a count table's total is its dot with this, not a `sum` reduction
+        self._ones = np.ones(2 * hclass.domain_size, dtype=np.int64)
         self._objective = np.zeros(len(hclass))
         self._tables = {kind: loss_kernel(kind, values[:, :, None], _CELL_SIGNS)
                         .reshape(len(hclass), -1)
@@ -174,7 +176,7 @@ class CountTable:
         out = object.__new__(cls)
         out.session, out.cells, out.with_history = session, cells, with_history
         out._counts = cells.reshape(-1)
-        out._size = int(out._counts.sum()) if size is None else size
+        out._size = int(out._counts.dot(session._ones)) if size is None else size
         return out
 
     @property
@@ -224,9 +226,11 @@ def _select(
     learners' query check (InputError unless it is a whole number in
     [0, |X|)).  The objective is finite, since class values and counts are
     checked on entry, so the mask of near-minimal indices always holds a
-    True and `argmax` finds its first.
+    True and `argmax` finds its first.  The minimum is read at `argmin`,
+    which on a finite objective is `min()`'s value without a reduction's
+    set-up (a signed zero moves no bound: -0.0 + OBJ_TOL == OBJ_TOL).
     """
-    near = obj <= obj.min() + OBJ_TOL
+    near = obj <= obj[obj.argmin()] + OBJ_TOL
     if tie is TiePolicy.LOWEST_INDEX:
         return int(near.argmax())
     if tie is TiePolicy.PREFER_NEGATIVE:

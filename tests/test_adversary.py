@@ -46,6 +46,16 @@ class TestHintSchedules:
         np.testing.assert_array_equal(s.row(2), [2, 3])
         np.testing.assert_array_equal(s.row(3), [0, 1])
 
+    @pytest.mark.parametrize("T", [1, 2, 3, 6, 7, 8])
+    def test_cyclic_rows_match_the_round_loop(self, T):
+        """T below, equal to, a multiple of and off a multiple of the
+        three blocks: the rows the per-round loop stacked."""
+        blocks = [np.array([0, 1]), np.array([4, 5]), np.array([2, 3])]
+        rows = cyclic_hint_schedule(T, blocks).rows
+        want = np.stack([blocks[t % len(blocks)] for t in range(T)])
+        assert rows.dtype == want.dtype
+        np.testing.assert_array_equal(rows, want)
+
     def test_full_domain(self):
         s = full_domain_schedule(2, 4)
         assert s.K == 4

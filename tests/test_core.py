@@ -166,6 +166,22 @@ class TestWholeNumber:
             whole_number("k", v)
 
 
+class TestCountTable:
+    @pytest.mark.parametrize("cell", [(0, 0), (3, 1), (7, 1)], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("rows", [8, None])
+    def test_rejects_a_negative_entry_in_any_cell(self, cell, rows):
+        cells = np.ones((8, 2), dtype=int)
+        cells[cell] = -1
+        with pytest.raises(InputError, match="nonnegative"):
+            core.count_table(cells, rows)
+
+    def test_accepts_an_empty_table_without_a_row_count(self):
+        table = core.count_table(np.zeros((0, 2), dtype=int))
+        assert table.shape == (0, 2)
+        with pytest.raises(InputError, match="shape"):
+            core.count_table(np.zeros((0, 2), dtype=int), 8)
+
+
 def reference_support_partition(size: int, support_size: int, d: int) -> np.ndarray:
     """The value table of the itertools builder the vectorized one replaced."""
     rows = []

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import smoothlab
-from smoothlab import harness, verify
+from smoothlab import cli, harness, verify
 from smoothlab import learner as learnermod
 from smoothlab.core import ExampleMultiset
 from smoothlab.cli import EXIT_CAPACITY, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
@@ -30,9 +30,12 @@ from smoothlab.harness import (
 )
 from smoothlab.verify import VerificationReport
 
+_TRACKED = Path(__file__).parents[1] / "perfbench" / "configs"
+
 
 def config_doc(**overrides) -> dict:
-    """The unit config as a JSON object, not yet loaded."""
+    """The unit config as a JSON object, not yet loaded; `n` is set only
+    for alg2, the one learner that reads it."""
     obj = {
         "schema_version": SCHEMA_VERSION,
         "experiment_id": "unit",
@@ -43,9 +46,10 @@ def config_doc(**overrides) -> dict:
         "T": 12,
         "sigma": 1.0,
         "seeds": [0, 1],
-        "n": 6.0,
     }
     obj.update(overrides)
+    if obj["learner"] == "alg2":
+        obj.setdefault("n", 6.0)
     return obj
 
 
@@ -209,9 +213,10 @@ class TestBuilders:
 
     @pytest.mark.parametrize("hints, top, K", [
         ({"kind": "cyclic"}, None, 1), ({"kind": "cyclic"}, 4, 4),
-        ({"kind": "cyclic", "K": 2}, 4, 2), ({"kind": "cyclic", "K": None}, 2, 2)])
+        ({"kind": "cyclic", "K": 2}, None, 2), ({"kind": "cyclic", "K": None}, 2, 2)])
     def test_cyclic_K_falls_back_only_when_absent(self, hints, top, K):
-        """The block size is the hints' K, else the top-level K, else 1."""
+        """The block size is the hints' K, else the top-level K, else 1 (a
+        top-level K beside the hints' own is unread: `K_unread_by_alg3`)."""
         c = base_config(learner="alg3", adversary="transductive_cyclic",
                         hints=hints, K=top, loss="absolute")
         assert c.schedule.K == K
@@ -871,6 +876,8 @@ class TestCli:
         "sweep_K_unread_by_alg3": {**_ALG3, "hints": {"kind": "cyclic", "K": 4},
                                    "sweep": {"K": [2, 4, 8]}},
         "sweep_n_unread_by_ftl": {"learner": "ftl", "sweep": {"n": [2, 4]}},
+        "n_unread_by_ftl": {"learner": "ftl", "n": 6},
+        "K_unread_by_alg3": {**_ALG3, "K": 4, "hints": {"kind": "cyclic", "K": 4}},
     }
 
     # cases whose error must also name what is wrong
@@ -905,6 +912,8 @@ class TestCli:
         "known_hints_shorter_than_T": "hint schedule shorter than the horizon",
         "sweep_K_unread_by_alg3": "sweep varies ['K'], which no player",
         "sweep_n_unread_by_ftl": "sweep varies ['n'], which no player",
+        "n_unread_by_ftl": "config sets ['n'], which no player",
+        "K_unread_by_alg3": "config sets ['K'], which no player",
     }
 
     @pytest.mark.parametrize("case", sorted(_CONFIG_ERRORS))
@@ -936,6 +945,35 @@ class TestCli:
         assert main([command, str(cfg), "--seed-base", "-1"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "seeds must be nonnegative" in err
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in _TRACKED.glob("*.json")))
+    @pytest.mark.parametrize("seed_base", [0, 5, 7])
+    def test_seed_base_load_matches_the_shifted_reload(self, name, seed_base):
+        """The one load at a seed base gives the config that loading and
+        then reloading with shifted seeds gives."""
+        path = _TRACKED / f"{name}.json"
+        config = ExperimentConfig.from_json(path.read_text())
+        want = config.with_overrides(seeds=[s + seed_base for s in config.seeds])
+        got = cli._load_config(str(path), seed_base)
+        assert got.to_dict() == want.to_dict()
+        assert got.config_hash() == want.config_hash()
+
+    @pytest.mark.parametrize("seeds, seed_base, message", [
+        ([-3], 5, "seeds must be nonnegative, got [-3]"),
+        ([1.5], 5, "seeds must hold integers, got 1.5"),
+        ([True], 5, "seeds must hold integers, got True"),
+        ([0, 1, 2], -1, "seeds must be nonnegative, got [-1, 0, 1]"),
+    ])
+    def test_seeds_are_checked_before_the_seed_base_shift(
+            self, tmp_path, capsys, seeds, seed_base, message):
+        """A bad seed fails as given, whatever shift would mend it, and a
+        shift that makes a seed negative fails too; neither writes a CSV."""
+        cfg, out = tmp_path / "config.json", tmp_path / "run.csv"
+        cfg.write_text(json.dumps(config_doc(seeds=seeds)))
+        assert main(["run", str(cfg), "--seed-base", str(seed_base),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("jobs", ["0", "-3"])

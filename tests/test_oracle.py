@@ -1,5 +1,6 @@
 """Oracles checked against an independent brute-force re-enumeration."""
 
+import itertools
 from collections import Counter
 from unittest import mock
 
@@ -209,6 +210,29 @@ class TestSelect:
         assert oracle._select(obj, hclass, TiePolicy.PREFER_NEGATIVE, 0, None) == 1
         flipped = HypothesisClass([[-1.0], [1.0], [1.0]], declared_dim=1, binary=True)
         assert oracle._select(obj, flipped, TiePolicy.PREFER_NEGATIVE, 0, None) == 1
+
+    @pytest.mark.parametrize("obj, lowest", [
+        ([0.0, -0.0, 0.5], 0),
+        ([-0.0, 0.0, OBJ_TOL, -0.0], 0),
+        ([2.0, 2.0, 2.0, 2.0], 0),
+        ([1.5 + 0.5 * OBJ_TOL, 3.0, 1.5, 1.5 + 0.9 * OBJ_TOL], 0),
+        ([4.0, -3.25 + OBJ_TOL, 1.0, -3.25], 1),
+    ], ids=["signed_zeros", "signed_zeros_min_later", "all_equal",
+            "near_before_argmin", "at_tolerance_before_argmin"])
+    def test_edge_objectives_match_minimizer_list(self, obj, lowest):
+        """Signed zeros, an all-equal objective, and an entry within OBJ_TOL
+        of the minimum at a lower index than `argmin`, which still wins
+        under LOWEST_INDEX."""
+        obj = np.array(obj)
+        for values in itertools.product([-1.0, 1.0], repeat=len(obj)):
+            hclass = HypothesisClass(np.array(values)[:, None], declared_dim=1,
+                                     binary=True)
+            for tie, query_point in ((TiePolicy.LOWEST_INDEX, None),
+                                     (TiePolicy.PREFER_NEGATIVE, 0),
+                                     (TiePolicy.PREFER_NEGATIVE, None)):
+                got = oracle._select(obj, hclass, tie, query_point, None)
+                assert got == _select_reference(obj, hclass, tie, query_point)
+        assert oracle._select(obj, hclass, TiePolicy.LOWEST_INDEX, None, None) == lowest
 
     @pytest.mark.parametrize("query_point", [np.int64(2), np.int32(0), 3, 7.0])
     def test_a_whole_query_point_reads_its_values_column(self, partition8,
@@ -717,6 +741,22 @@ class TestMixedOptSlots:
                 assert val == want[idx]
                 assert [S.objective(hclass, l).tobytes()
                         for S, l in ((S_real, loss), (S_bin, HINT_LOSS))] == before
+
+
+class TestCountTableSize:
+    @given(st.sampled_from([2, 4, 8]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_size_is_the_table_total(self, domain_size, data):
+        """A view's logical size, with no size given, is the table's
+        total, zero tables included."""
+        hclass = make_partition_class(FiniteDomain(domain_size), 2)
+        session = OracleSession(hclass, LossSpec.of("absolute"))
+        counts = data.draw(st.lists(st.integers(0, 2**40) | st.just(0),
+                                    min_size=2 * domain_size, max_size=2 * domain_size))
+        cells = np.array(counts, dtype=np.int64).reshape(domain_size, 2)
+        for table in (cells, np.zeros_like(cells)):
+            assert CountTable._of(session, table).logical_size == int(table.sum())
+            assert CountTable(session, table).logical_size == int(table.sum())
 
 
 class TestCountTableDot:
