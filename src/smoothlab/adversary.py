@@ -161,7 +161,6 @@ class Adversary:
 
     def __init__(self, spec: AdversarySpec, hclass: HypothesisClass, T: int,
                  seed: int):
-        self.spec = spec
         self.hclass = hclass
         self.T = whole_number("T", T)
         self.seed = whole_number("seed", seed)
@@ -190,7 +189,7 @@ class Adversary:
         """Round t's commitment and its CDF.  A commitment is built and
         its certificate checked when its key first appears; a repeated
         key reuses both."""
-        t = t if type(t) is int and 0 < t <= self.T else check_round(t, self.T)
+        t = check_round(t, self.T)
         key = self._key(t)
         entry = None if key is None else self._commitments.get(key)
         if entry is None:
@@ -230,12 +229,12 @@ def realizable(adv: Adversary, spec: AdversarySpec, cyclic: bool = False):
         labels = h_star.copy() if fixed else biased_label_rule(h_star, spec.delta, adv._rng(t))
         if schedule is None:
             return RoundCommitment(np.full(n, 1.0 / n), 1.0, None, labels)
-        row = schedule.row(t)
+        row = schedule.rows[t - 1]  # t passed the round check
         return RoundCommitment(np.bincount(row, minlength=n) / row.size, None, row, labels)
 
     def key(t):
         if fixed:
-            return () if schedule is None else schedule.row(t).tobytes()
+            return () if schedule is None else schedule.rows[t - 1].tobytes()
 
     return commit, key, None
 
@@ -302,12 +301,11 @@ _KINDS = {
 
 
 def next_round(adv: Adversary, t: int, rng):
-    """One protocol step: commit, sample x_t, return the label rule.
+    """One protocol step: commit and sample x_t.
 
-    Returns (commitment, x_t, label_rule) where label_rule(x) reads the
-    committed table — it is fixed before any prediction is made.  The
+    Returns (commitment, x_t); round t's label is the commitment's
+    `label_table[x_t]`, fixed before any prediction is made.  The
     commitment is certified before any x_t is drawn from it.
     """
     commitment, cdf = adv._certified(t)
-    x_t = int(cdf.searchsorted(rng.random(), side="right"))
-    return commitment, x_t, lambda x: float(commitment.label_table[x])
+    return commitment, int(cdf.searchsorted(rng.random(), side="right"))

@@ -11,7 +11,8 @@ Subcommands:
   mean rows (`harness.fit_csv`).
 
 This module parses arguments, reads configs and writes files; ``run``
-and ``sweep`` each play through one `harness.run_experiment` call.
+and ``sweep`` share one handler, which plays through one
+`harness.run_experiment` call.
 
 Exit codes: 0 success, 1 config/input error, 2 verification failure,
 3 capacity abort.  Loading a config checks each key's declared type and
@@ -62,21 +63,15 @@ def _write(text: str, out: str | None) -> None:
         print(f"wrote {out}")
 
 
-def cmd_run(args) -> int:
+def cmd_play(args) -> int:
+    """`run` plays the config, `sweep` every point of its sweep block."""
     config = _load_config(args.config, args.seed_base)
-    _, csv_text = run_experiment([config], args.jobs)
-    out = _resolve_out(args.out or config.out, f"{config.experiment_id}.csv")
-    _write(csv_text, out)
-    return EXIT_OK
-
-
-def cmd_sweep(args) -> int:
-    config = _load_config(args.config, args.seed_base)
-    if not config.sweep:
+    sweep = args.command == "sweep"
+    if sweep and not config.sweep:
         raise InputError("config has no sweep block")
-    _, csv_text = run_experiment(config.grid(), args.jobs)
-    out = _resolve_out(args.out or config.out, f"{config.experiment_id}_sweep.csv")
-    _write(csv_text, out)
+    _, csv_text = run_experiment(config.grid() if sweep else [config], args.jobs)
+    name = f"{config.experiment_id}{'_sweep' if sweep else ''}.csv"
+    _write(csv_text, _resolve_out(args.out or config.out, name))
     return EXIT_OK
 
 
@@ -129,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {"run": cmd_run, "sweep": cmd_sweep, "verify": cmd_verify,
+    handlers = {"run": cmd_play, "sweep": cmd_play, "verify": cmd_verify,
                 "fit": cmd_fit}
     try:
         return handlers[args.command](args)

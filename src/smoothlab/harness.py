@@ -269,17 +269,16 @@ class ExperimentConfig:
                            build_hint_schedule(self, hclass.domain_size))
         # build one game's players now, so their checks fail at load
         self.players(self.seeds[0])
-        # after the players, so that alg1 and cyclic hints name their own K rule
-        if self.K is not None and self.K < 1:
-            raise InputError(f"K must be >= 1, got {self.K}")
         if self.custom_ys is not None:  # the labels a game would reveal
             check_sign_args(LossSpec.of(self.loss), (), self.custom_ys, yhat_binary=True)
         # a key no player reads would enter the CSV as if it shaped the
-        # games, and a swept one would write identical games
-        reads = {"n": self.learner == "alg2",
-                 "K": self.learner == "alg1" or self.hints == {"kind": "cyclic"}}
-        for what, keys in (("config sets", [k for k in reads if getattr(self, k) is not None]),
-                           ("sweep varies", self.sweep or ())):
+        # games, and a swept one would write identical games; a key is set
+        # when it differs from its default (to_dict writes every key)
+        alg1 = self.learner == "alg1"
+        reads = {"n": self.learner == "alg2", "c_K": alg1 and self.K is None,
+                 "K": alg1 or self.hints == {"kind": "cyclic"}, "max_hints_per_round": alg1}
+        set_keys = [k for k in reads if getattr(self, k) != _FIELDS[k].default]
+        for what, keys in (("config sets", set_keys), ("sweep varies", self.sweep or ())):
             unread = sorted(k for k in keys if not reads.get(k, True))
             if unread:
                 raise InputError(f"{what} {unread}, which no player of this config reads")
@@ -384,12 +383,11 @@ def run_game(config: ExperimentConfig, seed: int) -> Transcript:
     label_hash = hashlib.sha256()
     total_loss = 0.0
     for t in range(1, config.T + 1):
-        commitment, x_t, label_rule = next_round(
-            adversary, t, rngmod.stream(seed, t, "instance"))
-        # the label rule is committed (hashed) before the prediction
+        commitment, x_t = next_round(adversary, t, rngmod.stream(seed, t, "instance"))
+        # the label table is committed (hashed) before the prediction
         label_hash.update(commitment.label_table.tobytes())
         yhat = learner.predict(t, x_t)
-        y_t = label_rule(x_t)
+        y_t = float(commitment.label_table[x_t])
         # unchecked: yhat's class and y_t were checked where they entered
         loss_val = loss_kernel(loss.kind, yhat, y_t)
         learner.update(t, x_t, y_t)

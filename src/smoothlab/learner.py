@@ -215,7 +215,9 @@ class Alg1Smoothed(Learner):
         self.K = hint_count(self.T, sigma, c_K) if K is None else whole_number("K", K)
         if self.K < 1:
             raise InputError("K must be >= 1")
-        self.max_hints_per_round = max_hints_per_round
+        m = self.K * (self.T - 1)  # round 1 draws the most hints
+        if max_hints_per_round is not None and m > max_hints_per_round:
+            raise CapacityError(f"round 1 needs {m} hints, above the cap {max_hints_per_round}")
 
     def predict(self, t: int, x_t: int) -> float:
         t = check_round(t, self.T)
@@ -224,12 +226,8 @@ class Alg1Smoothed(Learner):
 
     def _hints_for_round(self, t: int) -> np.ndarray:
         """The round's (|X|, 2) (instance, sign) hint count table."""
-        m = self.K * (self.T - t)
-        if self.max_hints_per_round is not None and m > self.max_hints_per_round:
-            raise CapacityError(
-                f"round {t} needs {m} hints, above the cap {self.max_hints_per_round}"
-            )
-        return hint_cells(m, self.hclass.domain_size, self._stream(t, "hints"))
+        return hint_cells(self.K * (self.T - t), self.hclass.domain_size,
+                          self._stream(t, "hints"))
 
 
 class Alg2PoissonFTPL(Learner):
@@ -261,6 +259,11 @@ class Alg2PoissonFTPL(Learner):
 
 class FTL(Learner):
     """Follow-the-leader: unperturbed ERM on the history."""
+
+    def __init__(self, hclass, loss, T, seed=0, tie=TiePolicy.LOWEST_INDEX):
+        if tie is TiePolicy.PREFER_NEGATIVE and not hclass.binary:
+            raise InputError("prefer_negative tie policy requires a binary class")
+        super().__init__(hclass, loss, T, seed, tie)
 
     def predict(self, t: int, x_t: int) -> float:
         t = check_round(t, self.T)

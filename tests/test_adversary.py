@@ -291,9 +291,9 @@ class TestContractEnforcement:
                              hint_schedule=sched)
         adv = Adversary(spec, partition8, T=6, seed=1)
         for t in range(1, 7):
-            _, x_t, rule = next_round(adv, t, rng)
+            c, x_t = next_round(adv, t, rng)
             assert x_t in sched.row(t)
-            assert rule(x_t) in (-1.0, 1.0)
+            assert c.label_table[x_t] in (-1.0, 1.0)
 
     def test_transductive_without_schedule_rejected_at_setup(self, partition8):
         spec = AdversarySpec(kind=AdversaryKind.TRANSDUCTIVE_CYCLIC)
@@ -383,8 +383,8 @@ class TestRoundCheck:
                 got = self._adv(kind, partition8).commit(whole)
                 np.testing.assert_array_equal(got.probs, want.probs)
                 np.testing.assert_array_equal(got.label_table, want.label_table)
-                _, x, _ = next_round(self._adv(kind, partition8), whole,
-                                     np.random.default_rng(t))
+                _, x = next_round(self._adv(kind, partition8), whole,
+                                  np.random.default_rng(t))
                 assert x == next_round(self._adv(kind, partition8), t,
                                        np.random.default_rng(t))[1]
 
@@ -533,8 +533,8 @@ class TestCdfDraw:
     @given(committed_probs(), st.integers(0, 2**32 - 1), st.integers(1, 1000))
     @settings(max_examples=500, deadline=None)
     def test_same_index_as_generator_choice(self, probs, seed, t):
-        _, x_t, _ = next_round(_OneCommitment(probs), t,
-                               rngmod.stream(seed, t, "instance"))
+        _, x_t = next_round(_OneCommitment(probs), t,
+                            rngmod.stream(seed, t, "instance"))
         key = [seed, 0, t, rngmod.purpose_tag("instance")]
         want = np.random.default_rng(key).choice(probs.size, p=probs)
         assert x_t == want
@@ -543,8 +543,8 @@ class TestCdfDraw:
 def _play(adv, T):
     """T rounds through `next_round`, each realized round observed."""
     for t in range(1, T + 1):
-        _, x_t, rule = next_round(adv, t, rngmod.stream(0, t, "instance"))
-        adv.observe(t, x_t, 0.0, rule(x_t))
+        c, x_t = next_round(adv, t, rngmod.stream(0, t, "instance"))
+        adv.observe(t, x_t, 0.0, float(c.label_table[x_t]))
 
 
 @pytest.fixture
@@ -602,13 +602,13 @@ class TestCertifiedOnce:
                   if name == "support_alternating" else partition8)
         adv = Adversary(_SPECS[name], hclass, T=16, seed=2)
         for t in range(1, 17):
-            got, x_t, rule = next_round(adv, t, rngmod.stream(0, t, "instance"))
+            got, x_t = next_round(adv, t, rngmod.stream(0, t, "instance"))
             want = adv.commit(t)
             for a, b in zip((got.probs, got.label_table, got.hint_row),
                             (want.probs, want.label_table, want.hint_row)):
                 np.testing.assert_array_equal(a, b)
             assert got.sigma == want.sigma
-            adv.observe(t, x_t, 0.0, rule(x_t))
+            adv.observe(t, x_t, 0.0, float(got.label_table[x_t]))
 
     def test_a_later_distinct_commitment_is_still_checked(self, partition8,
                                                           monkeypatch):
@@ -633,7 +633,7 @@ class TestCertifiedOnce:
     def test_committed_arrays_are_read_only(self, partition8):
         spec = AdversarySpec(AdversaryKind.TRANSDUCTIVE_CYCLIC, hint_schedule=_CYCLIC)
         adv = Adversary(spec, partition8, T=16, seed=0)
-        c, _, _ = next_round(adv, 1, rngmod.stream(0, 1, "instance"))
+        c, _ = next_round(adv, 1, rngmod.stream(0, 1, "instance"))
         cdf = adv._certified(1)[1]
         for array in (c.probs, c.label_table, c.hint_row, cdf):
             with pytest.raises(ValueError, match="read-only"):

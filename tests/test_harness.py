@@ -109,7 +109,9 @@ class TestExperimentConfig:
         ("custom_xs", [1.5, 2.9], [1.0, 2.0], (1, 2), {}),
         ("K", 2.7, 2.0, 2, _ALG1),
         ("d", 2.5, 2.0, 2, {}),
-        ("max_hints_per_round", 1e3 + 0.5, 1e3, 1000, _ALG1),
+        # the unit alg1 game draws K(T-1) = 249 * 11 = 2,739 hints in round 1,
+        # so a cap of 1e3 fails at load; 1e4 lets the whole value load
+        ("max_hints_per_round", 1e4 + 0.5, 1e4, 10000, _ALG1),
     ], ids=["T", "seeds", "custom_xs", "K", "d", "max_hints_per_round"])
     def test_non_integral_integers_rejected(self, key, bad, whole, loaded, rest):
         with pytest.raises(InputError, match=f"{key} must hold integers"):
@@ -735,10 +737,41 @@ class TestCli:
         assert "absolute" in capsys.readouterr().err
 
     def test_capacity_abort_exit_code(self, tmp_path, capsys):
-        cfg = self._write_config(tmp_path, learner="alg1", loss="absolute",
-                                 max_hints_per_round=1)
-        assert main(["run", cfg]) == EXIT_CAPACITY
+        # written raw: loading the over-cap config aborts
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config_doc(learner="alg1", loss="absolute",
+                                             max_hints_per_round=1)))
+        assert main(["run", str(cfg)]) == EXIT_CAPACITY
         assert "capacity abort" in capsys.readouterr().err
+
+    def test_over_cap_sweep_point_aborts_before_any_game(
+            self, tmp_path, capsys, monkeypatch):
+        """The T = 64 point needs K(T-1) = 252 hints in round 1, above the
+        cap; the sweep used to play its T = 8 game first."""
+        def no_game(*args, **kwargs):
+            raise AssertionError("a game was started")
+        monkeypatch.setattr(harness, "run_game", no_game)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config_doc(
+            learner="alg1", loss="absolute", T=8, K=4, max_hints_per_round=40,
+            sweep={"T": [8, 64]})))
+        assert main(["sweep", str(cfg)]) == EXIT_CAPACITY
+        assert ("capacity abort: round 1 needs 252 hints, above the cap 40"
+                in capsys.readouterr().err)
+
+    def test_ftl_prefer_negative_on_a_real_class_fails_before_any_game(
+            self, tmp_path, capsys, monkeypatch):
+        games = []
+        monkeypatch.setattr(harness, "run_game", lambda *args: games.append(args))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config_doc(
+            learner="ftl", loss="absolute", tie_policy="prefer_negative",
+            sweep={"T": [4, 8]}, **{"class": json_class(
+                [[1, 0.5], [-0.5, -1]], binary=False)})))
+        assert main(["sweep", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "requires a binary class" in err
+        assert games == []
 
     def test_verify_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         failed = VerificationReport(
@@ -878,6 +911,9 @@ class TestCli:
         "sweep_n_unread_by_ftl": {"learner": "ftl", "sweep": {"n": [2, 4]}},
         "n_unread_by_ftl": {"learner": "ftl", "n": 6},
         "K_unread_by_alg3": {**_ALG3, "K": 4, "hints": {"kind": "cyclic", "K": 4}},
+        "c_K_unread_by_ftl": {"learner": "ftl", "c_K": 5},
+        "max_hints_unread_by_alg2": {"max_hints_per_round": 3},
+        "c_K_unread_by_alg1_with_K": {"learner": "alg1", "K": 2, "c_K": 5, **_ABS},
     }
 
     # cases whose error must also name what is wrong
@@ -896,8 +932,8 @@ class TestCli:
         "alg2_default_n_class_dim_0": "need 1 <= d",
         "alg2_default_n_d_-1": "d must be >= 1",
         "ftl_d_-1": "d must be >= 1",
-        "ftl_K_-3": "K must be >= 1, got -3",
-        "hedge_K_0": "K must be >= 1, got 0",
+        "ftl_K_-3": "config sets ['K'], which no player",
+        "hedge_K_0": "config sets ['K'], which no player",
         "alg1_K_0": "K must be >= 1",
         "alg1_c_K_-5": "c_K must be a positive real",
         "alg1_c_K_0": "c_K must be a positive real",
@@ -914,6 +950,9 @@ class TestCli:
         "sweep_n_unread_by_ftl": "sweep varies ['n'], which no player",
         "n_unread_by_ftl": "config sets ['n'], which no player",
         "K_unread_by_alg3": "config sets ['K'], which no player",
+        "c_K_unread_by_ftl": "config sets ['c_K'], which no player",
+        "max_hints_unread_by_alg2": "config sets ['max_hints_per_round'], which no player",
+        "c_K_unread_by_alg1_with_K": "config sets ['c_K'], which no player",
     }
 
     @pytest.mark.parametrize("case", sorted(_CONFIG_ERRORS))

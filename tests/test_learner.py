@@ -464,10 +464,19 @@ class TestAlg1:
         assert learner.K == hint_count(8, 1.0)
 
     def test_capacity_cap(self, partition8):
-        learner = Alg1Smoothed(partition8, LossSpec.of("binary_indicator"),
-                               T=10, sigma=0.01, max_hints_per_round=100)
-        with pytest.raises(CapacityError):
-            learner.predict(1, 0)
+        """Round 1 draws the most hints, K(T-1), so an over-cap learner
+        fails when it is built."""
+        with pytest.raises(CapacityError, match="round 1 needs 27 hints, above the cap 26"):
+            Alg1Smoothed(partition8, LossSpec.of("binary_indicator"),
+                         T=10, sigma=1.0, K=3, max_hints_per_round=26)
+
+    def test_cap_equal_to_round_one_volume_plays_every_round(self, partition8):
+        learner = Alg1Smoothed(partition8, LossSpec.of("absolute"),
+                               T=10, sigma=1.0, K=3, max_hints_per_round=27)
+        for t in range(1, 11):
+            learner.predict(t, t % 8)
+            learner.update(t, t % 8, 1.0)
+        assert learner.stats.call_count == 20
 
     def test_fresh_hints_each_round(self, partition8):
         learner = Alg1Smoothed(partition8, LossSpec.of("binary_indicator"),
@@ -558,6 +567,11 @@ class TestFTL:
         for t in range(1, 4):
             learner.predict(t, 0)
         assert learner.stats.call_count == 3
+
+    def test_prefer_negative_needs_a_binary_class_at_construction(self, real_class):
+        with pytest.raises(InputError, match="prefer_negative tie policy requires a binary"):
+            FTL(real_class, LossSpec.of("absolute"), T=3, tie=TiePolicy.PREFER_NEGATIVE)
+        FTL(real_class, LossSpec.of("absolute"), T=3, tie=TiePolicy.SEEDED_RANDOM)
 
     @pytest.mark.parametrize("kind", ["ftl", "alg2"])
     def test_predicts_with_the_erm_rule(self, partition8, monkeypatch, kind):

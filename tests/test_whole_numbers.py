@@ -49,8 +49,8 @@ def _adversary_draws(adv):
     """The instances and labels of a game's first three rounds."""
     draws = []
     for t in (1, 2, 3):
-        c, x, label = next_round(adv, t, rngmod.stream(adv.seed, t, "instance"))
-        draws.append((x, label(x), c.label_table.tobytes()))
+        c, x = next_round(adv, t, rngmod.stream(adv.seed, t, "instance"))
+        draws.append((x, float(c.label_table[x]), c.label_table.tobytes()))
     return draws
 
 
