@@ -9,8 +9,9 @@ Each commitment carries a certificate, a smoothness bound sigma or
 containment in the promised hint multiset Z_t, checked once per distinct
 commitment before any x_t is drawn from it: `Adversary` keeps each
 commitment and its CDF under the key its kind names.  `next_round` draws
-x_t by searching that CDF for one uniform, the arithmetic of
-`Generator.choice(n, p=probs)`, so it draws the same index from the same
+x_t by searching that CDF for the uniform it is given, the arithmetic of
+`Generator.choice(n, p=probs)`, so given a stream's first `random()`
+(`rng.first_uniform`) it draws the index `choice` draws from that
 stream.  Both run the learners' round check.  Each kind is one maker in
 `_KINDS`, and its docstring describes the kind.
 """
@@ -300,12 +301,12 @@ _KINDS = {
 }
 
 
-def next_round(adv: Adversary, t: int, rng):
-    """One protocol step: commit and sample x_t.
+def next_round(adv: Adversary, t: int, u: float):
+    """One protocol step: commit and sample x_t by the uniform u in [0, 1).
 
     Returns (commitment, x_t); round t's label is the commitment's
     `label_table[x_t]`, fixed before any prediction is made.  The
     commitment is certified before any x_t is drawn from it.
     """
     commitment, cdf = adv._certified(t)
-    return commitment, int(cdf.searchsorted(rng.random(), side="right"))
+    return commitment, int(cdf.searchsorted(u, side="right"))

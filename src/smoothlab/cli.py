@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* ``run <config.json>`` — play every seed of one experiment, emit CSV;
+* ``run <config.json>`` — play every seed of one experiment, emit CSV
+  (a config with a ``sweep`` block is a config error here);
 * ``sweep <config.json>`` — play every point of the config's ``sweep``
   block (`ExperimentConfig.grid`), one CSV with all rows;
 * ``verify [--suite NAME]`` — run `smoothlab.verify.run_suite`, emit a
@@ -67,8 +68,9 @@ def cmd_play(args) -> int:
     """`run` plays the config, `sweep` every point of its sweep block."""
     config = _load_config(args.config, args.seed_base)
     sweep = args.command == "sweep"
-    if sweep and not config.sweep:
-        raise InputError("config has no sweep block")
+    if sweep != bool(config.sweep):
+        raise InputError("config has a sweep block; play it with smoothlab sweep"
+                         if config.sweep else "config has no sweep block")
     _, csv_text = run_experiment(config.grid() if sweep else [config], args.jobs)
     name = f"{config.experiment_id}{'_sweep' if sweep else ''}.csv"
     _write(csv_text, _resolve_out(args.out or config.out, name))

@@ -383,7 +383,8 @@ def run_game(config: ExperimentConfig, seed: int) -> Transcript:
     label_hash = hashlib.sha256()
     total_loss = 0.0
     for t in range(1, config.T + 1):
-        commitment, x_t = next_round(adversary, t, rngmod.stream(seed, t, "instance"))
+        u = rngmod.first_uniform(seed, t, "instance")
+        commitment, x_t = next_round(adversary, t, u)
         # the label table is committed (hashed) before the prediction
         label_hash.update(commitment.label_table.tobytes())
         yhat = learner.predict(t, x_t)

@@ -15,9 +15,13 @@ A game asks for one stream per round of each (seed, purpose) lane.
 ``generate_state(4, uint64)``) for a block of rounds at once as numpy
 vector ops, keeps the blocks in a small LRU cache and seeds each round's
 PCG64 from its row of four words: the same generator, bit for bit, at
-about a sixth of the cost.  Only a key with a word outside [0, 2**32),
-which `SeedSequence` would split in two, goes through `default_rng`.
-The word path relies on NumPy keeping `SeedSequence` and PCG64 seeding
+about a sixth of the cost.  The harness reads one uniform a round from
+the instance lane, so `first_uniform` skips the generator there: for a
+whole block it runs PCG64's seeding, one step and its XSL-RR output as
+uint64 vector ops, and keeps the block's first draws in a table of its
+own.  Only a key with a word outside [0, 2**32), which `SeedSequence`
+would split in two, goes through `default_rng`.  The word path relies on
+NumPy keeping `SeedSequence`, PCG64's seeding and its output function
 stable, as its compatibility policy (NEP 19) promises;
 ``tests/test_rng.py`` is the guard.
 
@@ -71,17 +75,31 @@ def purpose_tag(purpose: str) -> int:
         raise ValueError(f"unknown RNG purpose {purpose!r}") from None
 
 
+def _key(seed, round_idx, purpose) -> tuple[int, int, int]:
+    seed = seed if type(seed) is int else whole_number("seed", seed)
+    t = round_idx if type(round_idx) is int else whole_number("round", round_idx)
+    return seed, t, purpose_tag(purpose)  # tag 1..8
+
+
 def stream(seed: int, round_idx: int = 0, purpose: str = "verify"):
     """Independent generator keyed by (seed, round, purpose):
     ``numpy.random.default_rng([seed, 0, round, tag])``."""
-    seed = seed if type(seed) is int else whole_number("seed", seed)
-    t = round_idx if type(round_idx) is int else whole_number("round", round_idx)
-    tag = purpose_tag(purpose)  # 1..8
+    seed, t, tag = _key(seed, round_idx, purpose)
     if 0 <= seed < _WORD and 0 <= t < _WORD:
         block, row = divmod(t - 1, _BLOCK)
         words = _block(seed, tag, block)[row]
         return np.random.Generator(np.random.PCG64(_Words(words)))
     return np.random.default_rng([seed, 0, t, tag])
+
+
+def first_uniform(seed: int, round_idx: int, purpose: str) -> float:
+    """``stream(seed, round_idx, purpose).random()``, bit for bit, read
+    from a table of the block's first draws."""
+    seed, t, tag = _key(seed, round_idx, purpose)
+    if 0 <= seed < _WORD and 0 <= t < _WORD:
+        block, row = divmod(t - 1, _BLOCK)
+        return _first_uniforms(seed, tag, block)[row]
+    return np.random.default_rng([seed, 0, t, tag]).random()
 
 
 class _Words:
@@ -110,7 +128,9 @@ def _hasher(hash_const: int, mult: int):
     return hashmix
 
 
-@functools.lru_cache(maxsize=16)  # 256 KB; a game of T <= _BLOCK reads at most five
+# 256 KB; a game of T <= _BLOCK reads at most four: the adversary's
+# blocks -1 and 0, a learner lane and tie (`_first_uniforms` serves x_t)
+@functools.lru_cache(maxsize=16)
 def _block(seed: int, tag: int, block: int) -> np.ndarray:
     """The (_BLOCK, 4) uint64 words `SeedSequence([seed, 0, t, tag])`
     hands PCG64 for each round t = block * _BLOCK + 1, ..., (block + 1) *
@@ -137,3 +157,40 @@ def _block(seed: int, tag: int, block: int) -> np.ndarray:
     words = state.astype("<u4").view("<u8").astype(np.uint64)
     words.flags.writeable = False  # every later stream of the block reads it
     return words
+
+
+_M_HI, _M_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645  # PCG64's 128-bit multiplier
+_LO32 = np.uint64(0xFFFFFFFF)
+
+
+def _mulhi(a: np.ndarray, b) -> np.ndarray:
+    """The high 64 bits of each 128-bit product a * b, from 32-bit limbs."""
+    a0, a1, b0, b1 = a & _LO32, a >> 32, b & _LO32, b >> 32
+    low = a0 * b0
+    mid = a1 * b0 + (low >> 32)
+    mid2 = a0 * b1 + (mid & _LO32)
+    return a1 * b1 + (mid >> 32) + (mid2 >> 32)
+
+
+@functools.lru_cache(maxsize=16)  # 64 KB
+def _first_uniforms(seed: int, tag: int, block: int) -> np.ndarray:
+    """The first `random()` of each round's stream in `_block`'s block.
+    PCG64 reads the words as 128-bit numbers, high word first: the seed
+    (w0:w1) and the stream (w2:w3), whose increment is inc = stream << 1
+    | 1.  Seeding and one step leave ((seed + inc) M + inc) M + inc mod
+    2**128; `random()` is its XSL-RR output >> 11, times 2**-53.  uint64
+    ops wrap, so sums carry by hand and products take `_mulhi`'s high word."""
+    w = _block.__wrapped__(seed, tag, block)  # the lane's words serve only here
+    inc_hi, inc_lo = w[:, 2] << 1 | w[:, 3] >> 63, w[:, 3] << 1 | 1
+    m_hi, m_lo = np.uint64(_M_HI), np.uint64(_M_LO)
+    hi, lo = w[:, 0], w[:, 1]
+    for i in range(3):
+        if i:
+            hi, lo = _mulhi(lo, m_lo) + hi * m_lo + lo * m_hi, lo * m_lo
+        lo = lo + inc_lo
+        hi = hi + inc_hi + (lo < inc_lo)
+    rot, out = hi >> 58, hi ^ lo
+    out = out >> rot | out << (-rot & 63)
+    table = (out >> 11).astype(float) * 2.0**-53
+    table.flags.writeable = False
+    return table

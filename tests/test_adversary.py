@@ -291,7 +291,7 @@ class TestContractEnforcement:
                              hint_schedule=sched)
         adv = Adversary(spec, partition8, T=6, seed=1)
         for t in range(1, 7):
-            c, x_t = next_round(adv, t, rng)
+            c, x_t = next_round(adv, t, rng.random())
             assert x_t in sched.row(t)
             assert c.label_table[x_t] in (-1.0, 1.0)
 
@@ -372,7 +372,7 @@ class TestRoundCheck:
         with pytest.raises(InputError, match="round t="):
             adv.commit(t)
         with pytest.raises(InputError, match="round t="):
-            next_round(adv, t, np.random.default_rng(0))
+            next_round(adv, t, 0.5)
         assert adv._commitments == {}
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -383,10 +383,9 @@ class TestRoundCheck:
                 got = self._adv(kind, partition8).commit(whole)
                 np.testing.assert_array_equal(got.probs, want.probs)
                 np.testing.assert_array_equal(got.label_table, want.label_table)
-                _, x = next_round(self._adv(kind, partition8), whole,
-                                  np.random.default_rng(t))
-                assert x == next_round(self._adv(kind, partition8), t,
-                                       np.random.default_rng(t))[1]
+                u = np.random.default_rng(t).random()
+                _, x = next_round(self._adv(kind, partition8), whole, u)
+                assert x == next_round(self._adv(kind, partition8), t, u)[1]
 
 
 class TestBiasedLabelRule:
@@ -534,7 +533,7 @@ class TestCdfDraw:
     @settings(max_examples=500, deadline=None)
     def test_same_index_as_generator_choice(self, probs, seed, t):
         _, x_t = next_round(_OneCommitment(probs), t,
-                            rngmod.stream(seed, t, "instance"))
+                            rngmod.first_uniform(seed, t, "instance"))
         key = [seed, 0, t, rngmod.purpose_tag("instance")]
         want = np.random.default_rng(key).choice(probs.size, p=probs)
         assert x_t == want
@@ -543,7 +542,7 @@ class TestCdfDraw:
 def _play(adv, T):
     """T rounds through `next_round`, each realized round observed."""
     for t in range(1, T + 1):
-        c, x_t = next_round(adv, t, rngmod.stream(0, t, "instance"))
+        c, x_t = next_round(adv, t, rngmod.first_uniform(0, t, "instance"))
         adv.observe(t, x_t, 0.0, float(c.label_table[x_t]))
 
 
@@ -602,7 +601,7 @@ class TestCertifiedOnce:
                   if name == "support_alternating" else partition8)
         adv = Adversary(_SPECS[name], hclass, T=16, seed=2)
         for t in range(1, 17):
-            got, x_t = next_round(adv, t, rngmod.stream(0, t, "instance"))
+            got, x_t = next_round(adv, t, rngmod.first_uniform(0, t, "instance"))
             want = adv.commit(t)
             for a, b in zip((got.probs, got.label_table, got.hint_row),
                             (want.probs, want.label_table, want.hint_row)):
@@ -628,15 +627,15 @@ class TestCertifiedOnce:
         adv = Adversary(spec, partition8, T=16, seed=0)
         _play(adv, 2)
         with pytest.raises(ContractViolation, match="escapes"):
-            next_round(adv, 3, rngmod.stream(0, 3, "instance"))
+            next_round(adv, 3, rngmod.first_uniform(0, 3, "instance"))
 
     def test_committed_arrays_are_read_only(self, partition8):
         spec = AdversarySpec(AdversaryKind.TRANSDUCTIVE_CYCLIC, hint_schedule=_CYCLIC)
         adv = Adversary(spec, partition8, T=16, seed=0)
-        c, _ = next_round(adv, 1, rngmod.stream(0, 1, "instance"))
+        c, _ = next_round(adv, 1, rngmod.first_uniform(0, 1, "instance"))
         cdf = adv._certified(1)[1]
         for array in (c.probs, c.label_table, c.hint_row, cdf):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
         # round 5 repeats round 1's hint row, so it reuses the commitment
-        assert next_round(adv, 5, rngmod.stream(0, 5, "instance"))[0] is c
+        assert next_round(adv, 5, rngmod.first_uniform(0, 5, "instance"))[0] is c

@@ -295,6 +295,22 @@ class TestRunGame:
         for seed in range(3):
             assert run_game(base_config(T=24), seed).regret >= -1e-9
 
+    @pytest.mark.parametrize("overrides", [
+        {"class": {"kind": "partition", "domain_size": 64, "d": 2}},
+        {"hints": {"kind": "cyclic", "K": 4},
+         "class": {"kind": "partition", "domain_size": 16, "d": 2}}],
+        ids=["uniform_64", "cyclic_hints_16"])
+    def test_instances_are_the_instance_streams_choice(self, overrides):
+        """Every x_t, on both sides of the first 512-round block boundary,
+        is `choice` on round t's own "instance" stream (tag 2)."""
+        config = base_config(learner="ftl", T=520, **overrides)
+        seed = 3
+        adversary, _ = config.players(seed)
+        want = [np.random.default_rng([seed, 0, t, 2]).choice(
+                    adversary.domain_size, p=adversary.commit(t).probs)
+                for t in range(1, 521)]
+        assert run_game(config, seed).rounds["x"].tolist() == want
+
 
 # a T=16 game of each oracle learner, and its oracle calls per round
 _ORACLE_GAMES = {
@@ -507,14 +523,16 @@ class TestCli:
     def test_games_never_load_verify(self, tmp_path):
         """The lemma checks load only for `verify`: import, config loading,
         `run`, `sweep` and `fit` leave `smoothlab.verify` unloaded."""
-        cfg = self._write_config(tmp_path, learner="ftl", T=4, n=None,
-                                 sweep={"T": [4, 8, 16]})
+        cfg = self._write_config(tmp_path, learner="ftl", T=4, n=None)
+        (tmp_path / "grid").mkdir()
+        grid = self._write_config(tmp_path / "grid", learner="ftl", T=4, n=None,
+                                  sweep={"T": [4, 8, 16]})
         seen, rcs = self._loaded_after("smoothlab.verify", [
             "import smoothlab",
             "import smoothlab.cli",
-            f"smoothlab.cli.ExperimentConfig.from_json(open({cfg!r}).read())",
+            f"smoothlab.cli.ExperimentConfig.from_json(open({grid!r}).read())",
             f"rcs.append(smoothlab.cli.main(['run', {cfg!r}, '--out', 'out.csv']))",
-            f"rcs.append(smoothlab.cli.main(['sweep', {cfg!r}, '--out', 'sweep.csv']))",
+            f"rcs.append(smoothlab.cli.main(['sweep', {grid!r}, '--out', 'sweep.csv']))",
             "rcs.append(smoothlab.cli.main(['fit', 'sweep.csv']))",
             "rcs.append(smoothlab.cli.main(['verify', '--suite', 'budgets', "
             "'--out', 'budgets.json']))",
@@ -914,6 +932,7 @@ class TestCli:
         "c_K_unread_by_ftl": {"learner": "ftl", "c_K": 5},
         "max_hints_unread_by_alg2": {"max_hints_per_round": 3},
         "c_K_unread_by_alg1_with_K": {"learner": "alg1", "K": 2, "c_K": 5, **_ABS},
+        "run_with_a_sweep_block": {"sweep": {"T": [8, 16]}},
     }
 
     # cases whose error must also name what is wrong
@@ -953,6 +972,7 @@ class TestCli:
         "c_K_unread_by_ftl": "config sets ['c_K'], which no player",
         "max_hints_unread_by_alg2": "config sets ['max_hints_per_round'], which no player",
         "c_K_unread_by_alg1_with_K": "config sets ['c_K'], which no player",
+        "run_with_a_sweep_block": "play it with smoothlab sweep",
     }
 
     @pytest.mark.parametrize("case", sorted(_CONFIG_ERRORS))
@@ -965,7 +985,7 @@ class TestCli:
         doc = config_doc(**self._CONFIG_ERRORS[case])
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(doc))
-        command = "sweep" if "sweep" in doc else "run"
+        command = "sweep" if "sweep" in doc and not case.startswith("run_") else "run"
         assert main([command, str(cfg), "--jobs", jobs]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:")
@@ -1018,12 +1038,14 @@ class TestCli:
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_fails_before_any_game(
             self, tmp_path, capsys, monkeypatch, command, jobs):
-        """--jobs 0 and --jobs -3 used to play every game inline and exit 0."""
+        """--jobs 0 and --jobs -3 used to play every game inline and exit 0.
+        `run` gets no sweep block, which is a config error of its own."""
         def no_game(*args, **kwargs):
             raise AssertionError("a game was started")
         monkeypatch.setattr(harness, "run_game", no_game)
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(config_doc(sweep={"T": [2, 4]})))
+        sweep = {"sweep": {"T": [2, 4]}} if command == "sweep" else {}
+        cfg.write_text(json.dumps(config_doc(**sweep)))
         assert main([command, str(cfg), "--jobs", jobs]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"jobs must be >= 1, got {jobs}" in err

@@ -1,5 +1,6 @@
 """`rng.stream` is `numpy.random.default_rng([seed, 0, round, tag])`,
-bit for bit, on the word path and on the fallback alike."""
+and `rng.first_uniform` is its first `random()`, bit for bit, on the
+word path and on the fallback alike."""
 
 import numpy as np
 import pytest
@@ -61,22 +62,55 @@ def test_every_round_of_a_game(purpose):
         assert_same_draw(20260823, t, purpose)
 
 
+@given(st.integers(0, WORD - 1),
+       st.integers(0, WORD - 1) | st.sampled_from(EDGE_ROUNDS),
+       st.sampled_from(sorted(DRAWS)))
+@settings(max_examples=200, deadline=None)
+def test_first_uniform_is_the_streams_first_draw(seed, t, purpose):
+    """The round, the next one, and the last round of its block and the
+    first of the next, read from a fresh table and from a cached one."""
+    rngmod._first_uniforms.cache_clear()
+    last = ((t - 1) // BLOCK + 1) * BLOCK
+    tag = rngmod.purpose_tag(purpose)
+    for r in (t, t, t + 1, last, last + 1):
+        if r < WORD:
+            want = np.random.default_rng([seed, 0, r, tag]).random()
+            assert rngmod.first_uniform(seed, r, purpose) == want
+
+
+def test_first_uniform_reads_one_table_a_block():
+    """Rounds 1..BLOCK of a game share one table; round BLOCK + 1 starts
+    the next.  The words are not kept: the stream lanes' cache is untouched."""
+    rngmod._block.cache_clear()
+    rngmod._first_uniforms.cache_clear()
+    for t in range(1, BLOCK + 2):
+        rngmod.first_uniform(11, t, "instance")
+    info = rngmod._first_uniforms.cache_info()
+    assert (info.misses, info.hits) == (2, BLOCK - 1)
+    assert rngmod._block.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("seed, t", [(WORD, 5), (3, WORD), (2**64 - 1, WORD + 1)])
 def test_keys_with_a_long_word_fall_back(seed, t):
     """SeedSequence splits a word >= 2**32 in two, so such keys go through
     default_rng every time and build no block."""
     rngmod._block.cache_clear()
+    rngmod._first_uniforms.cache_clear()
     for purpose in sorted(DRAWS):
+        tag = rngmod.purpose_tag(purpose)
         for _ in range(2):
             assert_same_draw(seed, t, purpose)
+            assert (rngmod.first_uniform(seed, t, purpose)
+                    == np.random.default_rng([seed, 0, t, tag]).random())
     assert rngmod._block.cache_info().misses == 0
+    assert rngmod._first_uniforms.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("key", [(-1, 0), (0, -1), (-1, WORD)])
 def test_negative_words_raise_as_default_rng_does(key):
-    for _ in range(2):
+    for draw in (rngmod.stream, rngmod.first_uniform) * 2:
         with pytest.raises(ValueError, match="non-negative"):
-            rngmod.stream(*key, "instance")
+            draw(*key, "instance")
 
 
 def test_every_lane_reads_its_block():

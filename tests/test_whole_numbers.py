@@ -49,7 +49,7 @@ def _adversary_draws(adv):
     """The instances and labels of a game's first three rounds."""
     draws = []
     for t in (1, 2, 3):
-        c, x = next_round(adv, t, rngmod.stream(adv.seed, t, "instance"))
+        c, x = next_round(adv, t, rngmod.first_uniform(adv.seed, t, "instance"))
         draws.append((x, float(c.label_table[x]), c.label_table.tobytes()))
     return draws
 
@@ -66,6 +66,8 @@ SCALARS = {
     "Adversary.seed": lambda v: _adversary_draws(Adversary(_SMOOTH, _CLASS, T=4, seed=v)),
     "stream.seed": lambda v: rngmod.stream(v, 1, "hints").random(),
     "stream.round": lambda v: rngmod.stream(1, v, "hints").random(),
+    "first_uniform.seed": lambda v: rngmod.first_uniform(v, 1, "instance"),
+    "first_uniform.round": lambda v: rngmod.first_uniform(1, v, "instance"),
     "check_round": lambda v: check_round(v, 4),
     "coupling_montecarlo.m": lambda v: _coupling(m=v),
     "coupling_montecarlo.trials": lambda v: _coupling(trials=v),
