@@ -12,10 +12,11 @@ Covers:
   product-Poisson hallucination model and its single-shift mixtures;
 * regularized Rademacher complexity and its monotonicity in the
   dataset, both by exact enumeration;
-* the transductive relaxation of Algs 1 and 3, exact;
+* the transductive relaxation of Algs 1 and 3, exact, for many
+  histories over the same hints from one enumeration;
 * exact admissibility checks of the hint-difference prediction rule on
   tiny enumerable instances (with follow-the-leader as the negative
-  control);
+  control), one relaxation call and one sign-count table per round;
 * the eta/beta budget formulas and a Monte Carlo generalization-gap
   estimate.
 
@@ -23,7 +24,9 @@ Each check has one implementation.  An exact check above its
 enumeration cap raises `CapacityError` instead of switching to Monte
 Carlo (Rademacher's cap is 2^16 +1-count vectors, whatever |Z|), and
 exact results carry a rigorous truncation error bound instead of a
-statistical tolerance.
+statistical tolerance.  A Poisson mean or a budget's n that is not
+finite raises `InputError`, as does a count (T, K, an instance) that is
+not a whole number in `core.whole_number`'s sense.
 
 `run_suite` holds the named suites behind ``smoothlab verify``.  Neither
 ``import smoothlab`` nor the CLI's game subcommands import this module,
@@ -70,6 +73,7 @@ EXACT_RADEMACHER_VECTORS = 1 << 16  # +1-count vectors prod(c_z + 1) of one enum
 ADMISSIBILITY_CAPS = {"domain": 4, "T": 5, "K": 2, "class": 8}
 COUPLING_BLOCK = 1 << 16  # draws of each kind alive across coupling_montecarlo's threads
 COUPLING_BUCKETS = 1 << 16  # most buckets of coupling_montecarlo's ratio table
+_SIGNS = np.array([-1.0, 1.0])  # the labels y_t of an admissibility round
 
 
 @dataclass
@@ -270,15 +274,20 @@ def coupling_montecarlo(P, Q, sigma: float, m: int, trials: int, rng,
 # Regularized Rademacher complexity and monotonicity
 # ---------------------------------------------------------------------------
 
+def _instances(hclass: HypothesisClass, Z) -> np.ndarray:
+    """Z as domain indices; InputError unless each is one."""
+    Z = whole_numbers(Z, "Z").reshape(-1)
+    if np.any((Z < 0) | (Z >= hclass.domain_size)):
+        raise InputError(f"Z leaves the domain of size {hclass.domain_size}")
+    return Z
+
+
 def _rademacher_args(hclass: HypothesisClass, Z, phi) -> tuple[np.ndarray, np.ndarray]:
     """Z as domain indices and phi as one finite real per hypothesis."""
-    Z = whole_numbers(Z, "Z").reshape(-1)
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (len(hclass),) or not np.all(np.isfinite(phi)):
         raise InputError("phi must assign one finite real to each hypothesis")
-    if np.any((Z < 0) | (Z >= hclass.domain_size)):
-        raise InputError(f"Z leaves the domain of size {hclass.domain_size}")
-    return Z, phi
+    return _instances(hclass, Z), phi
 
 
 def _sign_counts(Z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -307,28 +316,32 @@ def _sign_counts(Z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return zs, counts, ks, weights
 
 
-def _rademacher_exact(vals, phi, Z) -> Fraction:
+def _rademacher_exact(vals, phi, Z):
     """E_eps[sup_h{sum_i eps_i h(z_i) + phi(h)}] over all 2^|Z| sign
-    assignments, exactly.
+    assignments, exactly: a Fraction for phi of shape (H,), and an object
+    array of J, one per row, for phi of shape (J, H).
 
     The enumeration runs over the count vectors of `_sign_counts`: each
     adds its weight times the supremum at the per-instance sign sums
     2k_z - c_z.  Every finite float is an integer times a power of two,
     so the value table and phi are scaled to one common power of two and
     the enumeration runs on integers (int64 when the bound on every
-    partial sum allows, Python ints otherwise); nothing is rounded.
+    partial sum allows, Python ints otherwise); nothing is rounded, and a
+    Fraction normalises, so no row's value depends on the other rows.
     """
     zs, counts, ks, weights = _sign_counts(Z)
-    m, H = len(Z), len(phi)
+    m, H = len(Z), phi.shape[-1]
     ratios = [v.as_integer_ratio()
-              for v in vals.T[zs].ravel().tolist() + phi.tolist()]
+              for v in vals.T[zs].ravel().tolist() + phi.ravel().tolist()]
     scale = max(den for _, den in ratios)  # every den is a power of two
     nums = [num * (scale // den) for num, den in ratios]
     # int64 where it provably holds every partial sum, else Python ints
     bound = max(map(abs, nums)) * (m + 1) << m
     ints = np.array(nums, dtype=np.int64 if bound < 1 << 63 else object)
-    sups = ((2 * ks - counts) @ ints[:-H].reshape(-1, H) + ints[-H:]).max(axis=1)
-    return Fraction(int(weights @ sups), scale << m)
+    sums = (2 * ks - counts) @ ints[:len(zs) * H].reshape(-1, H)
+    sups = (sums + ints[len(zs) * H:].reshape(-1, 1, H)).max(axis=2)  # (J, vectors)
+    out = [Fraction(int(total), scale << m) for total in (sups @ weights).tolist()]
+    return out[0] if phi.ndim == 1 else np.array(out, dtype=object)
 
 
 def rademacher_estimate(hclass: HypothesisClass, Z, phi) -> float:
@@ -344,7 +357,7 @@ def monotonicity_check(hclass: HypothesisClass, Z, phi, x: int) -> VerificationR
     """Exact check that the regularized complexity grows when x is appended
     to Z: both values come from the exact enumeration that the estimate and
     the relaxations run, so the zero-tolerance comparison has no rounding."""
-    Zx, phi = _rademacher_args(hclass, np.append(Z, x), phi)
+    Zx, phi = _rademacher_args(hclass, np.append(Z, whole_number("x", x)), phi)
     # the larger set first: it carries the capacity check
     after = _rademacher_exact(hclass.values, phi, Zx)
     before = _rademacher_exact(hclass.values, phi, Zx[:-1])
@@ -368,9 +381,16 @@ def transductive_relaxation(hclass: HypothesisClass, history: Slot,
                             loss: LossSpec, hints) -> float:
     """Rel = 2G E_eps sup_h {sum_z eps_z h(z) - L(h, history)/(2G)} over the
     future hints Z, exactly, with G = loss.lipschitz_G; any history slot."""
+    return _relaxations(hclass, loss, [history], hints)[0]
+
+
+def _relaxations(hclass: HypothesisClass, loss: LossSpec, slots, hints) -> list[float]:
+    """`transductive_relaxation` of each history slot over the same hints,
+    from one enumeration of their sign counts."""
     G = loss.lipschitz_G
-    return 2.0 * G * rademacher_estimate(
-        hclass, hints, -history.objective(hclass, loss) / (2.0 * G))
+    phi = np.array([-slot.objective(hclass, loss) / (2.0 * G) for slot in slots])
+    return [2.0 * G * float(v) for v in
+            _rademacher_exact(hclass.values, phi, _instances(hclass, hints))]
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +450,10 @@ def admissibility_check(learner_kind: str, hclass: HypothesisClass,
 
     Both read a prefix only through its history objective, whose terms
     are integers or half-integers here, so each distinct history (its
-    (|X|, 2) count table) is visited once per round, with one session
-    and one Rel, and named by its first prefix in (xs, ys) order.
+    (|X|, 2) count table) is visited once per round, with one session,
+    and named by its first prefix in (xs, ys) order.  A round builds its
+    hints' sign-count law and its query row once, and computes Rel of
+    every history it reaches with one `_relaxations` call.
     """
     T = hint_schedule.T
     if (hclass.domain_size > ADMISSIBILITY_CAPS["domain"]
@@ -444,45 +466,46 @@ def admissibility_check(learner_kind: str, hclass: HypothesisClass,
         raise InputError(f"unsupported learner kind {learner_kind!r}")
     if tie is TiePolicy.SEEDED_RANDOM:
         raise InputError("the exact check needs a deterministic tie policy")
-
-    def rel(t: int, history) -> float:  # hints: the rows after round t
-        return transductive_relaxation(hclass, history, loss,
-                                       hint_schedule.rows[t:T].reshape(-1))
+    rows = hint_schedule.rows
 
     # count-table bytes -> (table, Rel, first prefix (xs, ys)) of each
     # history before round t
     empty = np.zeros((hclass.domain_size, 2), dtype=int)
     base = OracleSession(hclass, loss)
-    histories = {empty.tobytes(): (empty, rel(0, base), ((), ()))}
+    histories = {empty.tobytes():
+                 (empty, _relaxations(hclass, loss, [base], rows.reshape(-1))[0], ((), ()))}
     min_slack, worst = math.inf, ""
     for t in range(1, T + 1):
-        future = hint_schedule.rows[t:T].reshape(-1)
-        reached: dict = {}
-        best = (math.inf, ((), ()))
+        future = rows[t:T].reshape(-1)  # the hints of rounds t+1..T
+        law = _hint_law(future, hclass.domain_size)
+        queries = list(np.unique(rows[t - 1]))
+        reached: dict = {}  # grown-table bytes -> (table, first prefix)
+        moves = []  # (Rel before, prefix, [(E loss, grown key)]) per history
         for table, rel_prev, (xs, ys) in histories.values():
             session = OracleSession(hclass, loss, CountTable._of(base, table))
-            lhs = -math.inf
-            for x_t in np.unique(hint_schedule.row(t)):
-                preds = _learner_action_distribution(
-                    learner_kind, session, future, int(x_t), tie)
-                for y_t in (-1.0, 1.0):
-                    exp_loss = sum(p * loss_eval(loss, yhat, y_t)
-                                   for yhat, p in preds)
+            steps = []
+            for x_t in queries:
+                yhats, probs = _learner_action_distribution(
+                    learner_kind, session, law, int(x_t), tie)
+                losses = loss_eval(loss, np.array(yhats)[:, None], _SIGNS).T.tolist()
+                for y_t, column in zip((-1.0, 1.0), losses):
                     grown = table.copy()
                     grown[x_t, int(y_t > 0)] += 1
                     prefix = (xs + (x_t,), ys + (y_t,))
                     key = grown.tobytes()
-                    if key not in reached:
-                        reached[key] = (grown, rel(t, CountTable._of(session, grown)),
-                                        prefix)
-                    _, rel_next, first = reached[key]
-                    reached[key] = (grown, rel_next, min(first, prefix))
-                    lhs = max(lhs, exp_loss + rel_next)
-            best = min(best, (rel_prev - lhs, (xs, ys)))
+                    reached[key] = (grown, min(reached.get(key, (grown, prefix))[1], prefix))
+                    steps.append((sum(p * l for p, l in zip(probs, column)), key))
+            moves.append((rel_prev, (xs, ys), steps))
+        rels = dict(zip(reached, _relaxations(
+            hclass, loss, [CountTable._of(base, grown) for grown, _ in reached.values()],
+            future)))
+        best = min((rel_prev - max(exp_loss + rels[key] for exp_loss, key in steps), prefix)
+                   for rel_prev, prefix, steps in moves)
         if best[0] < min_slack:
             min_slack, (xs, ys) = best
             worst = f"t={t}, xs={xs}, ys={ys}"
-        histories = reached
+        histories = {key: (grown, rels[key], first)
+                     for key, (grown, first) in reached.items()}
 
     # condition 2 over the full sequences' histories
     cond2_gap = float(max(
@@ -501,24 +524,29 @@ def admissibility_check(learner_kind: str, hclass: HypothesisClass,
     )
 
 
-def _learner_action_distribution(kind, session, future_hints, x_t, tie):
-    """Exact law of yhat_t after the session's history, as (value,
-    probability) pairs."""
-    hclass = session.hclass
-    if kind == "ftl":
-        return [(learnermod.erm_prediction(hclass, session, session.loss, x_t, tie,
-                                           None, None), 1.0)]
-    # one prediction of the production rule per +1-count vector of the
-    # hints' Rademacher signs, with the hints counted into the (instance,
-    # sign) table it takes and the vector's share of the 2^m assignments
+def _hint_law(future_hints, domain_size: int) -> tuple[np.ndarray, list[float]]:
+    """The (instance, sign) count table of the hints under each +1-count
+    vector of their Rademacher signs, and the vector's share of the 2^m
+    assignments."""
     zs, counts, ks, weights = _sign_counts(future_hints)
-    cells = np.zeros((len(ks), hclass.domain_size, 2), dtype=int)
+    cells = np.zeros((len(ks), domain_size, 2), dtype=int)
     cells[:, zs, 0] = counts - ks
     cells[:, zs, 1] = ks
     assignments = 1 << len(future_hints)
-    return [(learnermod.hint_difference_prediction(session, table, x_t, None),
-             weight / assignments)
-            for table, weight in zip(cells, weights.tolist())]
+    return cells, [weight / assignments for weight in weights.tolist()]
+
+
+def _learner_action_distribution(kind, session, law, x_t, tie):
+    """Exact law of yhat_t after the session's history, as its values and
+    their probabilities; `law` is `_hint_law` of the round's future hints."""
+    if kind == "ftl":
+        return [learnermod.erm_prediction(session.hclass, session, session.loss, x_t,
+                                          tie, None, None)], [1.0]
+    # one prediction of the production rule per +1-count vector of the
+    # hints' Rademacher signs, with the hints counted into the table it takes
+    cells, probs = law
+    return [learnermod.hint_difference_prediction(session, table, x_t, None)
+            for table in cells], probs
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +579,13 @@ def _poisson_support(lam: float, tail: float = TRUNC_TAIL) -> tuple[np.ndarray, 
     return ks, np.exp(xlogy(ks, lam) - gammaln(ks + 1) - lam)
 
 
+def _positive(name: str, v: float) -> float:
+    """v; InputError unless it is finite and > 0 (NaN and +-inf fail)."""
+    if not 0.0 < v < math.inf:
+        raise InputError(f"{name} must be positive and finite, got {v!r}")
+    return v
+
+
 def _probs_on(D: SmoothDistribution, domain_size: int) -> np.ndarray:
     """D's probabilities; InputError unless D has one per domain point."""
     if len(D.probs) != domain_size:
@@ -577,6 +612,8 @@ def tv_exact_poisson(n: float, domain_size: int, D: SmoothDistribution) -> Exact
     if domain_size > 4:
         raise CapacityError("exact Poisson TV capped at |X| <= 4")
     weights = _probs_on(D, domain_size)
+    if not math.isfinite(n):
+        raise InputError(f"n must be finite, got {n!r}")
     if n <= 0:
         # Poi(0) is the point mass at zero; its unit shift is disjoint.
         return ExactValue(1.0, 0.0)
@@ -608,8 +645,7 @@ def tv_exact_poisson(n: float, domain_size: int, D: SmoothDistribution) -> Exact
 def chi2_mixture(n: float, domain_size: int, D: SmoothDistribution) -> float:
     """Closed-form chi-square divergence chi^2(E_{x*~D}[Q_{x*}], P)
     = (2|X|/n) * sum_x D(x)^2 for the product-Poisson model."""
-    if n <= 0:
-        raise InputError("n must be positive")
+    n = _positive("n", n)
     p = _probs_on(D, domain_size)
     return float((2.0 * domain_size / n) * (p @ p))
 
@@ -617,8 +653,7 @@ def chi2_mixture(n: float, domain_size: int, D: SmoothDistribution) -> float:
 def chi2_mixture_direct(n: float, domain_size: int, D: SmoothDistribution) -> float:
     """The same divergence via truncated numerical evaluation of the
     mixture identity E_{x1,x2 ~ D}[E_P(Q_{x1} Q_{x2} / P^2)] - 1."""
-    if n <= 0:
-        raise InputError("n must be positive")
+    n = _positive("n", n)
     p = _probs_on(D, domain_size)
     lam = n / (2.0 * domain_size)
     c = 2.0 * domain_size / n
@@ -631,8 +666,8 @@ def chi2_mixture_direct(n: float, domain_size: int, D: SmoothDistribution) -> fl
 
 def shifted_poisson_tv(lam: float) -> float:
     """Exact TV between Poi(lam) and its unit right-shift."""
-    if lam < 0:
-        raise InputError("lambda must be nonnegative")
+    if not 0.0 <= lam < math.inf:
+        raise InputError(f"lambda must be nonnegative and finite, got {lam!r}")
     if lam == 0:
         return 1.0
     # TV(P, shift(P)) = sum_k max(P(k) - P(k-1), 0); the pmf ratio
@@ -651,8 +686,7 @@ def shifted_poisson_tv(lam: float) -> float:
 def eta_budget(n: float, sigma: float, d: int, T: int, c: float = 1.0) -> float:
     """Per-round stability budget
     1/sqrt(n*sigma) + c*sqrt(d ln T/(n*sigma)) + n*sigma/(4T^2 ln T) + e^{-n/8}."""
-    if n <= 0:
-        raise InputError("n must be positive")
+    n, T = _positive("n", n), whole_number("T", T)
     if T < 2:
         raise InputError("T must be >= 2")
     check_sigma(sigma)
@@ -664,6 +698,7 @@ def eta_budget(n: float, sigma: float, d: int, T: int, c: float = 1.0) -> float:
 
 def beta_budget(T: int, K: int, sigma: float) -> float:
     """Coupling failure budget 10*T*K*(1-sigma)^K."""
+    T, K = whole_number("T", T), whole_number("K", K)
     if T < 1 or K < 1:
         raise InputError("T and K must be >= 1")
     check_sigma(sigma)
@@ -684,12 +719,13 @@ def generalization_gap_mc(hclass: HypothesisClass, D: SmoothDistribution,
     if not hclass.binary:
         raise InputError("generalization check requires a binary class")
     try:
-        count = whole_number("trials", trials)
+        count, horizon = whole_number("trials", trials), whole_number("T", T)
     except InputError:
-        count = 0
-    if not (n > 0 and count >= 1):
-        raise InputError(f"need n > 0 and an integer trials >= 1, got {n!r}, {trials!r}")
-    trials = count
+        count = horizon = 0
+    if not (0.0 < n < math.inf and count >= 1 and horizon >= 1):
+        raise InputError("need a finite n > 0, an integer trials >= 1 and an integer "
+                         f"T >= 1, got {n!r}, {trials!r}, {T!r}")
+    trials, T = count, horizon
     label_table = np.asarray(label_table, dtype=float)
     if label_table.shape != (hclass.domain_size,) or not np.all(np.abs(label_table) == 1.0):
         raise InputError("label_table must hold -1 or +1 for each of the |X| instances")

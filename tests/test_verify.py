@@ -526,6 +526,26 @@ class TestRademacher:
         got = verify._rademacher_exact(vals, phi, np.array(Z, dtype=int))
         assert got == _rademacher_reference(vals, phi, Z)
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_batched_rows_equal_one_row_calls(self, data):
+        """phi of shape (J, H) gives, row for row, the value of the one-row
+        call exactly, whichever of int64 and Python ints either call
+        enumerates on: a row of huge or tiny magnitudes moves the whole
+        batch past the int64 bound while a dyadic row alone stays below."""
+        binary = data.draw(st.booleans())
+        n_h = data.draw(st.integers(1, 5))
+        size = data.draw(st.integers(1, 4))
+        entry = st.sampled_from([-1.0, 1.0]) if binary else st.floats(-1, 1)
+        vals = np.array(data.draw(st.lists(
+            st.lists(entry, min_size=size, max_size=size), min_size=n_h, max_size=n_h)))
+        Z = np.array(data.draw(st.lists(st.integers(0, size - 1), max_size=8)), dtype=int)
+        phi = np.array(data.draw(st.lists(
+            st.lists(_PHI_ENTRY, min_size=n_h, max_size=n_h), min_size=1, max_size=6)))
+        got = verify._rademacher_exact(vals, phi, Z)
+        assert got.shape == (len(phi),)
+        assert list(got) == [verify._rademacher_exact(vals, row, Z) for row in phi]
+
     @pytest.mark.parametrize("phi_scale", [2.0 ** 52, 2.0 ** 55, 2.0 ** 56, 2.0 ** 62],
                              ids=["2^52", "2^55", "2^56", "2^62"])
     def test_exact_across_the_int64_bound(self, phi_scale):
@@ -632,6 +652,42 @@ class TestRelaxations:
         # = (0, -1).  E_eps sup_h{eps h + phi} = (max(1, -2) + max(-1, 0))/2
         expect = 2 * 0.5 * 0.5 * (max(1, -2) + max(-1, 0))
         assert got == pytest.approx(expect)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_batched_relaxations_equal_per_history(self, data):
+        """`_relaxations` over J histories equals, row for row and exactly,
+        `transductive_relaxation` of each history alone and the Fraction
+        reference, on binary and real-valued classes, random histories
+        and hints with repeats.  Values k/2^58 put a history that reads
+        them past the int64 bound, and the batch with it, while the empty
+        history, always in the batch, may stay below it alone."""
+        binary = data.draw(st.booleans())
+        n_h = data.draw(st.integers(1, 5))
+        size = data.draw(st.integers(1, 4))
+        entry = st.sampled_from([-1.0, 1.0]) if binary else st.one_of(
+            st.floats(-1, 1), st.integers(-8, 8).map(lambda k: k * 2.0 ** -58))
+        hclass = HypothesisClass(data.draw(st.lists(
+            st.lists(entry, min_size=size, max_size=size), min_size=n_h, max_size=n_h)),
+            declared_dim=0, binary=binary)
+        kinds = ["absolute", "squared"] + (["binary_indicator"] if binary else [])
+        loss = LossSpec.of(data.draw(st.sampled_from(kinds)))
+        label = st.sampled_from([-1.0, 1.0]) if binary else st.floats(-1, 1)
+        example = st.tuples(st.integers(0, size - 1), label, st.integers(1, 3))
+        slots = []
+        for examples in data.draw(st.lists(st.lists(example, max_size=5),
+                                           min_size=1, max_size=6)) + [[]]:
+            session = OracleSession(hclass, loss)
+            for x, y, count in examples:
+                session.add(x, y, count)
+            slots.append(session)
+        hints = data.draw(st.lists(st.integers(0, size - 1), max_size=8))
+        got = verify._relaxations(hclass, loss, slots, hints)
+        G = loss.lipschitz_G
+        assert got == [transductive_relaxation(hclass, slot, loss, hints) for slot in slots]
+        assert got == [2.0 * G * float(_rademacher_reference(
+            hclass.values, -slot.objective(hclass, loss) / (2.0 * G), hints))
+            for slot in slots]
 
     def test_transductive_capacity(self, const_class):
         """Repeated hints are exact up to 2^16 +1-count vectors, whatever
@@ -743,21 +799,23 @@ class TestAdmissibility:
     def test_relaxation_computed_once_per_history(self, monkeypatch):
         """At T=3, K=2 the check reads Rel at 169 (round, history) points
         but computes it once per distinct (round, multiset): 1 + 4 + 16 +
-        40 = 61 calls, condition 2 included."""
+        40 = 61 rows, condition 2 included, in one batched call a round."""
         hclass = make_shatter_class(FiniteDomain(4), [0, 1, 2])
         sched = cyclic_hint_schedule(3, [np.arange(2), np.arange(2, 4)])
         loss = LossSpec.of("absolute")
-        seen = []
-        real = verify.transductive_relaxation
+        seen, calls = [], []
+        real = verify._relaxations
 
-        def counting(hclass, history, loss, hints):
+        def counting(hclass, loss, slots, hints):
             # the hints are the K = 2 rows of rounds t+1..T
-            seen.append((3 - len(hints) // 2, tuple(history.items())))
-            return real(hclass, history, loss, hints)
+            calls.append(len(slots))
+            seen.extend((3 - len(hints) // 2, tuple(slot.items())) for slot in slots)
+            return real(hclass, loss, slots, hints)
 
-        monkeypatch.setattr(verify, "transductive_relaxation", counting)
+        monkeypatch.setattr(verify, "_relaxations", counting)
         report = admissibility_check("alg3", hclass, loss, sched)
         assert report.passed
+        assert calls == [1, 4, 16, 40]
         assert len(seen) == len(set(seen)) == 61
         assert sorted(t for t, _ in set(seen)) == [0] + [1] * 4 + [2] * 16 + [3] * 40
 
@@ -786,9 +844,9 @@ class TestAdmissibility:
         monkeypatch.setattr(learner, "hint_difference_prediction",
                             lambda *a: calls.append(a) or rule(*a))
         preds = verify._learner_action_distribution(
-            "alg3", session, future, x_t, TiePolicy.PREFER_NEGATIVE)
+            "alg3", session, verify._hint_law(future, 4), x_t, TiePolicy.PREFER_NEGATIVE)
         got = {}
-        for yhat, p in preds:
+        for yhat, p in zip(*preds):
             got[yhat] = got.get(yhat, 0.0) + p
         assert got == expect
         _, counts = np.unique(future, return_counts=True)
@@ -1224,3 +1282,51 @@ def test_non_integral_instances_rejected(const_class, call):
     being truncated to a neighbouring instance."""
     with pytest.raises(InputError, match="must hold integers"):
         call(const_class)
+
+
+_D2 = SmoothDistribution.uniform(2)
+
+
+def _gengap(h, n=16.0, T=2):
+    return generalization_gap_mc(h, SmoothDistribution.uniform(8), h.values[1],
+                                 ExampleMultiset(), n, 3, np.random.default_rng(0), T=T)
+
+
+@pytest.mark.parametrize("call", [
+    lambda h: tv_exact_poisson(math.nan, 2, _D2),
+    lambda h: tv_exact_poisson(math.inf, 2, _D2),
+    lambda h: tv_exact_poisson(-math.inf, 2, _D2),
+    lambda h: shifted_poisson_tv(math.nan),
+    lambda h: shifted_poisson_tv(math.inf),
+    lambda h: chi2_mixture(math.nan, 2, _D2),
+    lambda h: chi2_mixture(math.inf, 2, _D2),
+    lambda h: chi2_mixture_direct(math.nan, 2, _D2),
+    lambda h: chi2_mixture_direct(math.inf, 2, _D2),
+    lambda h: eta_budget(math.nan, 0.5, 1, 4),
+    lambda h: eta_budget(math.inf, 0.5, 1, 4),
+    lambda h: _gengap(h, n=math.inf),
+], ids=["tv-nan", "tv-inf", "tv-neg-inf", "shifted-nan", "shifted-inf", "chi2-nan",
+        "chi2-inf", "chi2-direct-nan", "chi2-direct-inf", "eta-nan", "eta-inf",
+        "gengap-inf"])
+def test_non_finite_poisson_means_rejected(partition8, call):
+    """These raised a raw ValueError (NaN to integer, or numpy's `lam value
+    too large`) or returned nan, inf or 0.0 (chi2_mixture at n = inf)."""
+    with pytest.raises(InputError, match="finite"):
+        call(partition8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda h: beta_budget(10, True, 0.5),
+    lambda h: beta_budget(2.5, 3, 0.5),
+    lambda h: eta_budget(16, 0.5, 1, 2.5),
+    lambda h: _gengap(h, T=0),
+    lambda h: _gengap(h, T=2.5),
+    lambda h: _gengap(h, T=True),
+    lambda h: monotonicity_check(h, [0], np.zeros(len(h)), True),
+], ids=["beta-bool-K", "beta-fractional-T", "eta-fractional-T", "gengap-T-zero",
+        "gengap-fractional-T", "gengap-bool-T", "monotonicity-bool-x"])
+def test_whole_number_parameters(partition8, call):
+    """`core.whole_number`'s rule: these returned a value (beta 50.0 and
+    9.375, monotonicity at x = 1) or died with ZeroDivisionError (T = 0)."""
+    with pytest.raises(InputError):
+        call(partition8)
